@@ -8,6 +8,7 @@ from .graph import (
     from_features,
     read_adjacency,
     read_features,
+    sqrt_triangle_ok,
     validate,
     write_adjacency,
 )

@@ -98,15 +98,14 @@ class RealizabilityReport:
 
     ``euclidean_embeddable`` is the operative realizability test: the
     double-centered matrix -J R J / 2 must be PSD up to tolerance.  The
-    square-root triangle inequality (``sqrt_metric_ok``) is reported for
-    reference but is neither necessary nor sufficient for embeddability of
-    squared distances, so it never gates anything.
+    square-root triangle inequality is neither necessary nor sufficient for
+    embeddability of squared distances, so it is not reported here;
+    :func:`sqrt_triangle_ok` checks it separately in O(n^3).
     """
 
     is_symmetric: bool
     is_nonnegative: bool
     is_antireflexive: bool
-    sqrt_metric_ok: bool
     euclidean_embeddable: bool
     min_eigenvalue: float
 
@@ -153,8 +152,6 @@ def validate(R, tol_psd: float = DEFAULT_PSD_TOL) -> RealizabilityReport:
     is_antireflexive = bool(np.max(np.abs(np.diagonal(a))) <= tol) if a.size else True
 
     sym = (a + a.T) / 2.0
-    sqrt_metric_ok = _sqrt_triangle_ok(sym)
-
     eigvals = np.linalg.eigvalsh(double_centered(sym))
     min_eig = float(eigvals.min())
     thresh = tol_psd * float(np.max(np.abs(eigvals)))
@@ -165,15 +162,19 @@ def validate(R, tol_psd: float = DEFAULT_PSD_TOL) -> RealizabilityReport:
         is_symmetric=is_symmetric,
         is_nonnegative=is_nonnegative,
         is_antireflexive=is_antireflexive,
-        sqrt_metric_ok=sqrt_metric_ok,
         euclidean_embeddable=euclidean_embeddable,
         min_eigenvalue=min_eig,
     )
 
 
-def _sqrt_triangle_ok(a: np.ndarray) -> bool:
-    """Triangle inequality on sqrt(entries), all triples, small float slack."""
-    s = np.sqrt(np.clip(a, 0.0, None))
+def sqrt_triangle_ok(R) -> bool:
+    """Triangle inequality on sqrt(entries) over all triples, small float slack.
+
+    O(n^3) in time, so no command runs it; it neither implies nor is implied
+    by embeddability (see :class:`RealizabilityReport`).
+    """
+    a = R.values if isinstance(R, AdjacencyMatrix) else np.asarray(R, dtype=float)
+    s = np.sqrt(np.clip((a + a.T) / 2.0, 0.0, None))
     n = s.shape[0]
     slack = 1e-12 * max(1.0, float(s.max())) if n else 0.0
     for j in range(n):

@@ -109,6 +109,35 @@ class VatOrder:
         object.__setattr__(self, "reordered", reordered)
 
 
+def _prim(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prim's minimum spanning tree, grown in the order :func:`vat` describes.
+
+    Returns the visiting order and, for each object, the earlier object it
+    joined through (the first to reach its final distance; the start object
+    joins through itself).
+    """
+    n = a.shape[0]
+    start = int(np.unravel_index(np.argmax(a), a.shape)[0])
+    perm = np.empty(n, dtype=int)
+    perm[0] = start
+    attach = np.full(n, start)
+    unvisited = np.ones(n, dtype=bool)
+    unvisited[start] = False
+    # Distance to the visited set for unvisited objects, inf for visited ones.
+    dmin = np.where(unvisited, a[start], np.inf)
+    closer = np.empty(n, dtype=bool)
+    for k in range(1, n):
+        j = int(np.argmin(dmin))
+        perm[k] = j
+        unvisited[j] = False
+        dmin[j] = np.inf
+        np.less(a[j], dmin, out=closer)
+        closer &= unvisited
+        np.copyto(dmin, a[j], where=closer)
+        np.copyto(attach, j, where=closer)
+    return perm, attach
+
+
 def vat(R: AdjacencyMatrix) -> VatOrder:
     """Minimax (Prim-style) reordering of a dissimilarity matrix.
 
@@ -116,32 +145,34 @@ def vat(R: AdjacencyMatrix) -> VatOrder:
     unvisited object closest to the visited set.  Ties break toward the
     smallest object index.
     """
-    a = R.values
-    n = R.n
-    if n == 1:
-        return VatOrder(perm=np.array([0]), reordered=a.copy())
-    start = int(np.unravel_index(np.argmax(a), a.shape)[0])
-    perm = [start]
-    visited = np.zeros(n, dtype=bool)
-    visited[start] = True
-    dmin = a[start].copy()
-    for _ in range(n - 1):
-        j = int(np.argmin(np.where(visited, np.inf, dmin)))
-        perm.append(j)
-        visited[j] = True
-        dmin = np.minimum(dmin, a[j])
-    perm = np.array(perm)
-    return VatOrder(perm=perm, reordered=a[np.ix_(perm, perm)])
+    perm, _ = _prim(R.values)
+    return VatOrder(perm=perm, reordered=R.values[np.ix_(perm, perm)])
 
 
 def minimax_distances(R: AdjacencyMatrix) -> AdjacencyMatrix:
     """Replace each entry with the smallest possible largest edge over all
-    connecting paths (never exceeds the direct edge)."""
-    m = R.values.copy()
+    connecting paths (never exceeds the direct edge).
+
+    That bottleneck is the largest edge on the minimum-spanning-tree path
+    (Havens & Bezdek, IEEE TKDE 2012), so one Prim pass gives all of it in
+    O(n^2): the row of the k-th object to join, against the objects before
+    it, is its attach point's row raised to at least the attach edge.  The
+    rows are built in visiting order and permuted back once.
+    """
+    a = R.values
     n = R.n
-    for k in range(n):
-        np.minimum(m, np.maximum.outer(m[:, k], m[k, :]), out=m)
-    np.fill_diagonal(m, 0.0)
+    perm, attach = _prim(a)
+    pos = np.empty(n, dtype=int)
+    pos[perm] = np.arange(n)
+    parent = pos[attach[perm]]
+    edge = a[attach[perm], perm]
+    mp = np.zeros_like(a)
+    for k in range(1, n):
+        # mp[parent[k], parent[k]] is 0, so the entry for the attach point is the edge.
+        np.maximum(mp[parent[k], :k], edge[k], out=mp[k, :k])
+        mp[:k, k] = mp[k, :k]
+    m = mp[np.ix_(pos, pos)]
+    del mp  # free before AdjacencyMatrix takes its own copies
     return AdjacencyMatrix(m)
 
 
@@ -168,8 +199,8 @@ def write_pgm(matrix: np.ndarray, path) -> None:
     """Grayscale PGM of a dissimilarity matrix (dark = similar)."""
     m = np.asarray(matrix, dtype=float)
     top = m.max()
-    pixels = np.zeros_like(m, dtype=int) if top <= 0 else np.rint(255 * m / top).astype(int)
     with open(path, "w") as fh:
         fh.write(f"P2\n{m.shape[1]} {m.shape[0]}\n255\n")
-        for row in pixels:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+        for row in m:
+            pixels = np.rint(255 * row / top).astype(int) if top > 0 else np.zeros(row.size, dtype=int)
+            fh.write(" ".join(map(str, pixels.tolist())) + "\n")

@@ -5,8 +5,12 @@ import json
 import numpy as np
 import pytest
 
+import relrbf.graph
+from relrbf import from_features
 from relrbf.cli import EXIT_CONFIG, EXIT_OK, ExperimentConfig, main
+from relrbf.engine import TrainConfig
 from relrbf.errors import ConfigError
+from relrbf.vector_oracle import duality_check
 
 
 def blob_config(tmp_path, **overrides):
@@ -61,6 +65,16 @@ class TestIngestCommand:
         assert (out / "labels.csv").exists()
         stdout = capsys.readouterr().out
         assert "n=40" in stdout and "embeddable=True" in stdout
+
+    def test_cubic_triangle_check_off_the_path(self, tmp_path, monkeypatch):
+        def forbidden(R):
+            raise AssertionError("sqrt_triangle_ok is O(n^3) and must stay off the default path")
+
+        monkeypatch.setattr(relrbf.graph, "sqrt_triangle_ok", forbidden)
+        cfg = blob_config(tmp_path)
+        assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+        R = from_features(np.random.default_rng(31).standard_normal((24, 3)))
+        assert duality_check(R=R, config=TrainConfig(c_init=2, seed=3), epochs=2).passed
 
 
 class TestTrainCommand:

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relrbf import AdjacencyMatrix, from_features, read_adjacency, validate, write_adjacency
+from relrbf import (
+    AdjacencyMatrix,
+    from_features,
+    read_adjacency,
+    sqrt_triangle_ok,
+    validate,
+    write_adjacency,
+)
 from relrbf.errors import (
     AsymmetryError,
     NegativeEntryError,
@@ -52,7 +59,7 @@ class TestValidate:
     def test_three_point_realizable(self, three_points, three_point_R):
         report = validate(three_point_R)
         assert report.all_structural
-        assert report.sqrt_metric_ok
+        assert sqrt_triangle_ok(three_point_R)
         assert report.euclidean_embeddable
         # independent oracle: eigenvalues of the centered Gram built from the
         # known coordinates must match the report's spectrum bound
@@ -65,16 +72,17 @@ class TestValidate:
         )
 
     def test_zero_matrix_all_flags(self):
-        report = validate(AdjacencyMatrix(np.zeros((3, 3))))
+        R = AdjacencyMatrix(np.zeros((3, 3)))
+        report = validate(R)
         assert report.all_structural
-        assert report.sqrt_metric_ok
+        assert sqrt_triangle_ok(R)
         assert report.euclidean_embeddable
 
     def test_triangle_violation(self):
         # sqrt entries 3, 1, 1: 3 > 1 + 1
         R = AdjacencyMatrix([[0, 1, 9], [1, 0, 1], [9, 1, 0]])
         report = validate(R)
-        assert not report.sqrt_metric_ok
+        assert not sqrt_triangle_ok(R)
         # triple enumeration oracle
         s = np.sqrt(R.values)
         violated = any(

@@ -1,10 +1,31 @@
 """Spectral embeddings and cluster-tendency reorderings."""
 
 import numpy as np
+import pytest
 
 from relrbf import AdjacencyMatrix, cmds, from_features, ivat, minimax_distances, pmds, vat
 from relrbf.graph import double_centered
 from relrbf.transforms import write_embedding_csv, write_pgm, write_vat_csv
+
+
+def floyd_warshall_minimax(R):
+    """Oracle: minimax path distances by Floyd-Warshall over every pivot."""
+    m = R.values.copy()
+    for k in range(R.n):
+        np.minimum(m, np.maximum.outer(m[:, k], m[k, :]), out=m)
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+def random_graphs(count=400, max_n=40, seed=11):
+    """Random complete graphs, n in 1..max_n; odd draws take integer weights
+    in 0..3, so ties are everywhere."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(1, max_n + 1))
+        w = rng.integers(0, 4, (n, n)).astype(float) if i % 2 else rng.random((n, n))
+        w = np.triu(w, 1)
+        yield AdjacencyMatrix(w + w.T)
 
 
 def block_matrix(low=1.0, high=9.0):
@@ -127,6 +148,22 @@ class TestIvat:
         m = minimax_distances(R)
         assert m.values[0, 2] == 2.0
 
+    @pytest.mark.parametrize(
+        "graphs",
+        [
+            lambda: random_graphs(),
+            lambda: [block_matrix(), block_matrix(low=1.0, high=4.0)],
+            lambda: [AdjacencyMatrix([[0, 1, 5], [1, 0, 2], [5, 2, 0]])],
+        ],
+        ids=["random", "block", "chain"],
+    )
+    def test_matches_floyd_warshall_bitwise(self, graphs):
+        for R in graphs():
+            expected = floyd_warshall_minimax(R)
+            assert np.array_equal(minimax_distances(R).values, expected)
+            order, _ = ivat(R)
+            np.testing.assert_array_equal(order.perm, vat(AdjacencyMatrix(expected)).perm)
+
     def test_sharper_blocks(self):
         R = block_matrix()
         order, transformed = ivat(R)
@@ -160,3 +197,21 @@ class TestWriters:
         assert lines[2] == "255"
         pixels = np.array([[int(v) for v in ln.split()] for ln in lines[3:]])
         assert pixels.min() == 0 and pixels.max() == 255
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.random.default_rng(4).random((7, 5)) * 3.0, np.zeros((4, 4))],
+        ids=["random", "zero"],
+    )
+    def test_pgm_bytes_match_per_pixel_writer(self, tmp_path, matrix):
+        def per_pixel_pgm(m, path):
+            top = m.max()
+            pixels = np.zeros_like(m, dtype=int) if top <= 0 else np.rint(255 * m / top).astype(int)
+            with open(path, "w") as fh:
+                fh.write(f"P2\n{m.shape[1]} {m.shape[0]}\n255\n")
+                for row in pixels:
+                    fh.write(" ".join(str(int(v)) for v in row) + "\n")
+
+        write_pgm(matrix, tmp_path / "new.pgm")
+        per_pixel_pgm(matrix, tmp_path / "old.pgm")
+        assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "old.pgm").read_bytes()
