@@ -162,10 +162,6 @@ def apply_transform(R: AdjacencyMatrix, method: str) -> AdjacencyMatrix:
     return from_features(embedding.X)
 
 
-def run_seed(i: int, base_seed: int) -> int:
-    return base_seed + i
-
-
 def _single_run(payload):
     """One seeded training run; module-level so worker pools can pickle it."""
     r_values, Y, cfg_dict, seed = payload
@@ -259,9 +255,7 @@ def cmd_ingest(config: ExperimentConfig, out: Path | None) -> int:
 
 
 def run_batch(R: AdjacencyMatrix, Y, cfg_dict: dict, base_seed: int, count: int, workers: int):
-    payloads = [
-        (R.values, Y, cfg_dict, run_seed(i, base_seed)) for i in range(count)
-    ]
+    payloads = [(R.values, Y, cfg_dict, base_seed + i) for i in range(count)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_single_run, payloads))

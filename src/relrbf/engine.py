@@ -10,16 +10,25 @@ randomness and their trajectories can be compared epoch by epoch.
 
 Epoch order: output-weight update, simulated prototype shift (distance
 update), bandwidth update, then bookkeeping (acceptance test on the training
-MSE, early-stopping and growth checks, plateau exit).
+MSE, early-stopping and growth checks, plateau exit).  Each update rule is a
+small array function below (``output_step``, ``shift_coefficients``,
+``bandwidth_step``, ``grow_step``) that ``run_training`` calls; the update
+signs are fixed so that an infinitesimal step decreases the sum of squared
+errors, verified by finite differences in the test suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateShiftError, InvalidClusterCountError
+from .errors import (
+    DegenerateShiftError,
+    InvalidClusterCountError,
+    NonpositiveEtaError,
+    NonpositiveSigmaError,
+)
 from .graph import AdjacencyMatrix
 from .initialization import (
     SplitIndices,
@@ -29,7 +38,7 @@ from .initialization import (
     Partition,
     split as make_split,
 )
-from .network import NetworkParams
+from .network import NetworkParams, gaussian_kernel
 from .prototypes import (
     FREE,
     MEDOID,
@@ -76,6 +85,10 @@ class TrainConfig:
             lo, hi = getattr(self, name)
             if not lo < hi:
                 raise ValueError(f"{name} must be an increasing pair")
+        if self.eta_range[0] <= 0:
+            raise NonpositiveEtaError(f"eta_range must be positive, got {self.eta_range}")
+        if self.sigma_min <= 0:
+            raise NonpositiveSigmaError(f"sigma_min must be positive, got {self.sigma_min}")
 
 
 @dataclass
@@ -89,35 +102,22 @@ class LearningRates:
     scale: float = 1.0
 
 
-@dataclass(frozen=True)
-class LearningRateState:
-    """Global learning-rate scale driven by the accept/reject schedule."""
-
-    scale: float = 1.0
-    decay: float = 0.70
-    growth: float = 1.05
-    reject_ratio: float = 1.05
-
-
 def adapt_learning_rate(
-    lr_state: LearningRateState,
-    mse_new: float,
-    mse_old: float | None,
-    pending_params=None,
-) -> tuple[LearningRateState, bool]:
+    scale: float, mse_new: float, mse_old: float | None, config: TrainConfig
+) -> tuple[float, bool]:
     """Bold-driver schedule: reject steps that worsen the training MSE by
-    more than ``reject_ratio`` (decaying the rate), otherwise accept and grow
-    the rate whenever the error strictly improved.  A non-finite candidate
-    MSE (overflowed step) is always rejected.  ``pending_params`` is the
-    caller's candidate state; rejection means the caller must discard it."""
+    more than ``config.mse_reject_ratio`` (decaying the rate scale), otherwise
+    accept and grow the scale whenever the error strictly improved.  A
+    non-finite candidate MSE (overflowed step) is always rejected.  Returns
+    the new scale and whether the step is accepted."""
     diverged = not np.isfinite(mse_new)
-    if mse_old is not None and (diverged or mse_new > lr_state.reject_ratio * mse_old):
-        return replace(lr_state, scale=lr_state.scale * lr_state.decay), False
+    if mse_old is not None and (diverged or mse_new > config.mse_reject_ratio * mse_old):
+        return scale * config.lr_decay, False
     if diverged:
         raise FloatingPointError("training diverged with no acceptance baseline")
     if mse_old is not None and mse_new < mse_old:
-        return replace(lr_state, scale=lr_state.scale * lr_state.growth), True
-    return lr_state, True
+        return scale * config.lr_growth, True
+    return scale, True
 
 
 def draw_rates(c: int, g: int, eta_range, rng) -> LearningRates:
@@ -130,10 +130,75 @@ def draw_rates(c: int, g: int, eta_range, rng) -> LearningRates:
     )
 
 
-class RelationalModel:
-    """Prototype backend over an adjacency matrix: weight rows that sum to 1."""
+def output_errors(Y: np.ndarray, H: np.ndarray, W: np.ndarray, w0: np.ndarray) -> np.ndarray:
+    """Residuals eps_o = Y - (H' W + w0): desired minus produced, (n, g)."""
+    return Y - (H.T @ W + w0)
 
-    movable = True
+
+def output_step(w0, W, H, eps_o, eta_w0, eta_W, tr):
+    """One full-batch step on the output layer over the training rows ``tr``.
+
+    w0[k] += eta_w0[k] sum_i eps_o[i, k];  W[j, k] += eta_W[j, k] sum_i h[j, i] eps_o[i, k].
+    Returns the new (w0, W).
+    """
+    return w0 + eta_w0 * eps_o[tr].sum(axis=0), W + eta_W * (H[:, tr] @ eps_o[tr])
+
+
+def shift_coefficients(W, H, eps_o, sigma, train_mask):
+    """Backpropagated shift coefficients, one row per prototype.
+
+    eps_h[j, i] = (sum_k eps_o[i, k] W[j, k]) h[j, i] / sigma_j^2, zeroed off
+    the training set.  Moving prototype j by eta sum_i eps_h[j, i] (x_i - v_j)
+    is a descent step on the squared error.
+    """
+    eps_h = (W @ eps_o.T) * H / sigma[:, None] ** 2
+    eps_h[:, ~train_mask] = 0.0
+    return eps_h
+
+
+def bandwidth_step(sigma, W, H, D, eps_o, eta, tr, sigma_min):
+    """One full-batch step on the Gaussian bandwidths over the training rows.
+
+    sigma_j += eta_j sum_i (sum_k eps_o[i, k] W[j, k]) h[j, i] d[j, i] / sigma_j^3,
+    clamped below by ``sigma_min``.
+    """
+    terms = (W @ eps_o.T) * H * D / sigma[:, None] ** 3
+    return np.maximum(sigma + eta * terms[:, tr].sum(axis=1), sigma_min)
+
+
+def grow_step(val_run, err, tr, W, sigma, rates, config, rng):
+    """Prototype growth, or None when it does not fire.
+
+    Fires when the validation error has risen for a positive multiple of
+    ``patience_grow`` consecutive epochs and c < c_max.  The new prototype
+    sits at the training observation m with the largest output deviation in
+    ``err``.  Five draws follow in fixed order: its output weights, its
+    bandwidth, then its output-weight, bandwidth and shift rates (appended
+    to ``rates`` in place).  Returns (m, W, sigma) with the new row appended.
+    """
+    if not (val_run > 0 and val_run % config.patience_grow == 0 and W.shape[0] < config.c_max):
+        return None
+    dev = np.abs(err[tr]).max(axis=1)
+    m = int(tr[np.argmax(dev)])
+    g = W.shape[1]
+    W_row = rng.uniform(*config.weight_init_range, size=g)
+    sigma_add = rng.uniform(*config.sigma_init_range)
+    rates.W = np.vstack([rates.W, rng.uniform(*config.eta_range, size=g)])
+    rates.sigma = np.append(rates.sigma, rng.uniform(*config.eta_range))
+    rates.proto = np.append(rates.proto, rng.uniform(*config.eta_range))
+    return m, np.vstack([W, W_row]), np.append(sigma, sigma_add)
+
+
+class RelationalModel:
+    """Prototype backend over an adjacency matrix: weight rows that sum to 1.
+
+    Prototype repositioning is simulated: instead of moving a latent point,
+    ``shift`` recombines the node weights so that the recomputed node
+    distances are exactly the distances to the shifted latent point.
+
+    ``get_state`` and ``set_state`` share ``V`` by reference, so ``shift``
+    and ``grow`` must rebind ``V``, never mutate it in place.
+    """
 
     def __init__(self, R: AdjacencyMatrix, weight_rows: np.ndarray, mode: str = FREE):
         self.R = R
@@ -167,21 +232,21 @@ class RelationalModel:
         self.V = np.vstack([self.V, row])
 
     def get_state(self) -> np.ndarray:
-        return self.V.copy()
+        return self.V
 
     def set_state(self, state: np.ndarray) -> None:
-        self.V = state.copy()
+        self.V = state
 
     def prototypes(self) -> list[RelationalPrototype]:
-        out = []
-        for w in self.V:
-            mode = MEDOID if self.mode == MEDOID else FREE
-            out.append(RelationalPrototype(w, mode=mode))
-        return out
+        return [RelationalPrototype(w, mode=self.mode) for w in self.V]
 
 
 class VectorModel:
-    """Prototype backend over explicit feature vectors."""
+    """Prototype backend over explicit feature vectors.
+
+    ``get_state`` and ``set_state`` share ``P`` by reference, so ``shift``
+    and ``grow`` must rebind ``P``, never mutate it in place.
+    """
 
     movable = True
 
@@ -209,10 +274,10 @@ class VectorModel:
         self.P = np.vstack([self.P, self.X[m][None, :]])
 
     def get_state(self) -> np.ndarray:
-        return self.P.copy()
+        return self.P
 
     def set_state(self, state: np.ndarray) -> None:
-        self.P = state.copy()
+        self.P = state
 
 
 def relational_model_from_partition(
@@ -330,14 +395,14 @@ def run_training(
     trace = [] if record_trace else None
 
     val_run = 0
-    best = None  # (val_sse, epoch, w0, W, sigma, model_state, D)
+    best = None  # (w0, W, sigma, model_state, D)
     stop_reason = "max_epochs"
 
     def evaluate(D_, w0_, W_, sigma_):
         # Oversized steps overflow the kernel; the resulting non-finite MSE
         # is rejected by the acceptance rule rather than raising here.
         with np.errstate(over="ignore", invalid="ignore"):
-            H = np.exp(-D_ / (2.0 * sigma_[:, None] ** 2))
+            H = gaussian_kernel(D_, sigma_[:, None])
             Yhat = H.T @ W_ + w0_
             err = Y - Yhat
             sq = np.sum(err**2, axis=1)
@@ -357,19 +422,20 @@ def run_training(
     accepted_sse: list[float] = []
 
     for t in range(config.max_epochs):
-        snap = (w0.copy(), W.copy(), sigma.copy(), model.get_state(), D.copy())
+        # These arrays are only ever rebound, so the snapshot, ``best`` and
+        # the trace hold references, not copies.
+        snap = (w0, W, sigma, model.get_state(), D)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            # Output-layer update at current distances.
-            H = np.exp(-D / (2.0 * sigma[:, None] ** 2))
-            eps_o = Y - (H.T @ W + w0)
-            w0_new = w0 + rates.scale * rates.w0 * eps_o[tr].sum(axis=0)
-            W_new = W + rates.scale * rates.W * (H[:, tr] @ eps_o[tr])
-
-            # Backpropagated shift coefficients at the fresh weights.
-            eps_o2 = Y - (H.T @ W_new + w0_new)
-            eps_h = (W_new @ eps_o2.T) * H / sigma[:, None] ** 2
-            eps_h[:, ~train_mask] = 0.0
+            # ``last`` always evaluates the current state (after an accept, a
+            # reject or a growth), so its kernel and residuals open the epoch.
+            H = last["H"]
+            w0_new, W_new = output_step(
+                w0, W, H, last["err"], rates.scale * rates.w0, rates.scale * rates.W, tr
+            )
+            eps_h = shift_coefficients(
+                W_new, H, output_errors(Y, H, W_new, w0_new), sigma, train_mask
+            )
 
         rejected_by_shift = False
         if model.movable:
@@ -380,41 +446,37 @@ def run_training(
                 rejected_by_shift = True
 
         if rejected_by_shift:
-            w0, W, sigma = snap[0], snap[1], snap[2]
-            model.set_state(snap[3])
-            D = snap[4]
+            w0, W, sigma, state, D = snap
+            model.set_state(state)
             rates.scale *= 0.5
             accepted = False
             ev = last
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 # Bandwidth update at the shifted distances.
-                H2 = np.exp(-D / (2.0 * sigma[:, None] ** 2))
-                eps_o3 = Y - (H2.T @ W_new + w0_new)
-                grad_terms = (W_new @ eps_o3.T) * H2 * D / sigma[:, None] ** 3
-                sigma_new = sigma + rates.scale * rates.sigma * grad_terms[:, tr].sum(axis=1)
-                sigma_new = np.maximum(sigma_new, config.sigma_min)
+                H2 = gaussian_kernel(D, sigma[:, None])
+                sigma_new = bandwidth_step(
+                    sigma,
+                    W_new,
+                    H2,
+                    D,
+                    output_errors(Y, H2, W_new, w0_new),
+                    rates.scale * rates.sigma,
+                    tr,
+                    config.sigma_min,
+                )
 
             ev_new = evaluate(D, w0_new, W_new, sigma_new)
             mse_new = ev_new["sse_train"] / tr.size
-
-            lr_state = LearningRateState(
-                scale=rates.scale,
-                decay=config.lr_decay,
-                growth=config.lr_growth,
-                reject_ratio=config.mse_reject_ratio,
-            )
-            lr_state, accepted = adapt_learning_rate(lr_state, mse_new, mse_prev)
-            rates.scale = lr_state.scale
+            rates.scale, accepted = adapt_learning_rate(rates.scale, mse_new, mse_prev, config)
             if accepted:
                 w0, W, sigma = w0_new, W_new, sigma_new
                 mse_prev = mse_new
                 ev = ev_new
                 accepted_sse.append(ev_new["sse_train"])
             else:
-                w0, W, sigma = snap[0], snap[1], snap[2]
-                model.set_state(snap[3])
-                D = snap[4]
+                w0, W, sigma, state, D = snap
+                model.set_state(state)
                 ev = last
 
         last = ev
@@ -423,19 +485,19 @@ def run_training(
         metrics.sse_test.append(ev["sse_test"])
         metrics.mse_train.append(ev["sse_train"] / tr.size)
         metrics.lr_scale.append(rates.scale)
-        metrics.n_prototypes.append(c)
+        metrics.n_prototypes.append(W.shape[0])
         metrics.negative_distances.append(int(np.count_nonzero(D < 0)))
         metrics.accepted.append(accepted)
 
         if record_trace:
             trace.append(
                 {
-                    "w0": w0.copy(),
-                    "W": W.copy(),
-                    "sigma": sigma.copy(),
-                    "d": D.copy(),
-                    "hidden": ev["H"].copy(),
-                    "output": ev["Yhat"].copy(),
+                    "w0": w0,
+                    "W": W,
+                    "sigma": sigma,
+                    "d": D,
+                    "hidden": ev["H"],
+                    "output": ev["Yhat"],
                 }
             )
 
@@ -448,34 +510,19 @@ def run_training(
         if val_sse < metrics.best_val_sse:
             metrics.best_val_sse = val_sse
             metrics.best_epoch = t
-            best = (w0.copy(), W.copy(), sigma.copy(), model.get_state(), D.copy())
+            best = (w0, W, sigma, model.get_state(), D)
 
-        # Grow a prototype at the worst-deviation training observation.
-        grew = False
-        if (
-            val_run > 0
-            and val_run % config.patience_grow == 0
-            and c < config.c_max
-        ):
-            dev = np.abs(ev["err"][tr]).max(axis=1)
-            m = int(tr[np.argmax(dev)])
+        grown = grow_step(val_run, ev["err"], tr, W, sigma, rates, config, rng)
+        if grown is not None:
+            m, W, sigma = grown
             model.grow(m)
-            W_row = rng.uniform(*config.weight_init_range, size=g)
-            sigma_add = rng.uniform(*config.sigma_init_range)
-            rates.W = np.vstack([rates.W, rng.uniform(*config.eta_range, size=g)])
-            rates.sigma = np.append(rates.sigma, rng.uniform(*config.eta_range))
-            rates.proto = np.append(rates.proto, rng.uniform(*config.eta_range))
-            W = np.vstack([W, W_row])
-            sigma = np.append(sigma, sigma_add)
-            c += 1
             D = model.distances()
-            grew = True
             # Growth changes the network between epochs; re-baseline the
             # acceptance test and the cached evaluation on the grown state so
             # a following rejection restores and records consistent values.
             last = evaluate(D, w0, W, sigma)
             mse_prev = last["sse_train"] / tr.size
-        metrics.grew.append(grew)
+        metrics.grew.append(grown is not None)
 
         if val_run >= config.patience_stop:
             stop_reason = "validation_patience"

@@ -162,10 +162,3 @@ class DistanceState:
     def n(self) -> int:
         return self.d.shape[1]
 
-
-def initial_distance_state(
-    R: AdjacencyMatrix, prototypes: list[RelationalPrototype]
-) -> DistanceState:
-    """Exact distance state for a fresh prototype set (epoch 0)."""
-    V = np.stack([p.weights for p in prototypes])
-    return DistanceState(prototype_distances(R, V), epoch=0)

@@ -1,255 +1,30 @@
-"""Gradient-descent training of graph-based RBF networks.
+"""Graph-based RBF training front end.
 
-The update rules operate purely on adjacency-matrix quantities.  Prototype
-repositioning is simulated: instead of moving a latent point, the prototype's
-node weights are recombined so that the recomputed node distances are exactly
-the distances to the shifted latent point.  All update signs are fixed so
-that an infinitesimal step decreases the sum of squared errors (verified by
-finite differences in the test suite).
+``train`` initializes node-weight prototypes by relational k-means over the
+training subgraph and runs the shared protocol of ``relrbf.engine``, which
+holds the update rules; ``evaluate_network`` scores a trained network on each
+split.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import (
     EngineResult,
-    LearningRateState,
     TrainConfig,
     TrainMetrics,
-    adapt_learning_rate,
     relational_model_from_partition,
     run_training,
 )
-from .errors import (
-    DegenerateShiftError,
-    DimensionMismatchError,
-    NonpositiveEtaError,
-)
 from .graph import AdjacencyMatrix
 from .initialization import SplitIndices, relational_kmeans
-from .network import NetworkParams, NetworkResponse, forward, gaussian_kernel
-from .prototypes import (
-    DistanceState,
-    RelationalPrototype,
-    _distances,
-    prototype_distances,
-)
+from .network import NetworkParams, forward
+from .prototypes import DistanceState, RelationalPrototype
 
-__all__ = [
-    "TrainConfig",
-    "TrainResult",
-    "LearningRateState",
-    "output_errors",
-    "update_weights",
-    "hidden_errors",
-    "shift_prototypes",
-    "offset_distances",
-    "distance_offset_terms",
-    "update_bandwidths",
-    "adapt_learning_rate",
-    "maybe_grow_prototype",
-    "train",
-    "evaluate_network",
-]
-
-
-def output_errors(Y, response: NetworkResponse) -> np.ndarray:
-    """Per-observation, per-output residuals: desired minus produced."""
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if Y.shape != response.output.shape:
-        raise DimensionMismatchError(f"targets {Y.shape} vs outputs {response.output.shape}")
-    return Y - response.output
-
-
-def update_weights(
-    params: NetworkParams,
-    d_state: DistanceState,
-    eps_o: np.ndarray,
-    eta,
-    eta_bias=None,
-) -> NetworkParams:
-    """One full-batch step on the output layer.
-
-    w0[k] += eta * sum_i eps_o[i, k];  W[j, k] += eta * sum_i eps_o[i, k] h[j, i].
-    ``eta`` may be a scalar or a (c, g) array of per-weight rates;
-    ``eta_bias`` (scalar or (g,)) defaults to ``eta`` when scalar.
-    """
-    eta = np.asarray(eta, dtype=float)
-    if np.any(eta <= 0):
-        raise NonpositiveEtaError("learning rate must be positive")
-    if eta_bias is None:
-        if eta.ndim != 0:
-            raise ValueError("eta_bias required when eta is per-weight")
-        eta_bias = eta
-    eps_o = np.atleast_2d(np.asarray(eps_o, dtype=float))
-    H = gaussian_kernel(d_state.d, params.sigma[:, None])
-    w0 = params.w0 + np.asarray(eta_bias, dtype=float) * eps_o.sum(axis=0)
-    W = params.W + eta * (H @ eps_o)
-    return NetworkParams(w0=w0, W=W, sigma=params.sigma)
-
-
-def hidden_errors(
-    params: NetworkParams, d_state: DistanceState, eps_o: np.ndarray
-) -> np.ndarray:
-    """Backpropagated shift coefficients, one row per prototype.
-
-    eps_h[j, i] = (sum_k eps_o[i, k] W[j, k]) * exp(-d[j,i]/(2 sigma_j^2)) / sigma_j^2.
-    The coefficient is defined so that moving prototype j by
-    eta * sum_i eps_h[j, i] (x_i - v_j) is a descent step on the squared error.
-    """
-    eps_o = np.atleast_2d(np.asarray(eps_o, dtype=float))
-    H = gaussian_kernel(d_state.d, params.sigma[:, None])
-    return (params.W @ eps_o.T) * H / params.sigma[:, None] ** 2
-
-
-def shift_prototypes(
-    prototypes: list[RelationalPrototype], eps_h: np.ndarray, eta
-) -> list[RelationalPrototype]:
-    """Recombine node weights to realize the simulated latent shift.
-
-    For each prototype j with coefficients eps = eps_h[j] and s = sum(eps):
-    w <- (1 - eta_j s) w + eta_j eps.  The new weights sum to 1 exactly, so
-    the node-distance formula keeps computing a true squared point distance.
-    """
-    eps_h = np.atleast_2d(np.asarray(eps_h, dtype=float))
-    etas = np.broadcast_to(np.asarray(eta, dtype=float), (len(prototypes),))
-    if np.any(etas <= 0):
-        raise NonpositiveEtaError("learning rate must be positive")
-    out = []
-    for j, proto in enumerate(prototypes):
-        eps = eps_h[j]
-        s = eps.sum()
-        w = (1.0 - etas[j] * s) * proto.weights + etas[j] * eps
-        total = w.sum()
-        if abs(total) < 1e-12:
-            raise DegenerateShiftError(f"prototype {j}: shifted weights sum to {total!r}")
-        out.append(RelationalPrototype(w / total, mode=proto.mode))
-    return out
-
-
-def offset_distances(
-    d_state: DistanceState,
-    R: AdjacencyMatrix,
-    prototypes: list[RelationalPrototype],
-    eps_h: np.ndarray,
-    eta,
-) -> tuple[DistanceState, list[RelationalPrototype]]:
-    """Simulate latent prototype shifts and return the refreshed distances.
-
-    Returns the new state together with the recombined prototypes, since the
-    shift is carried entirely by the node weights.
-    """
-    shifted = shift_prototypes(prototypes, eps_h, eta)
-    V = np.stack([p.weights for p in shifted])
-    return DistanceState(prototype_distances(R, V), epoch=d_state.epoch + 1), shifted
-
-
-def distance_offset_terms(
-    R: AdjacencyMatrix, prototype: RelationalPrototype, eps_row: np.ndarray, eta: float
-) -> np.ndarray:
-    """Closed-form distance offset for one prototype shift.
-
-    Expands ||x_i - v'||^2 - ||x_i - v||^2 for v' = v + eta sum_y eps_y (x_y - v)
-    purely in adjacency sums, without ever forming the shifted weight vector:
-
-        eta (R eps)_i - eta s (R v)_i + (eta s - eta^2 s^2 / 2) v^T R v
-        - eta (1 - eta s) v^T R eps - eta^2 eps^T R eps / 2,   s = sum(eps).
-
-    Used as an independent cross-check of the weight-recombination path.
-    """
-    v = prototype.weights
-    eps = np.asarray(eps_row, dtype=float)
-    a = R.values
-    Rv = a @ v
-    Re = a @ eps
-    s = float(eps.sum())
-    vRv = float(v @ Rv)
-    vRe = float(v @ Re)
-    eRe = float(eps @ Re)
-    return (
-        eta * Re
-        - eta * s * Rv
-        + (eta * s - 0.5 * eta**2 * s**2) * vRv
-        - eta * (1.0 - eta * s) * vRe
-        - 0.5 * eta**2 * eRe
-    )
-
-
-def update_bandwidths(
-    params: NetworkParams,
-    d_state: DistanceState,
-    eps_o: np.ndarray,
-    eta,
-    sigma_min: float = 1e-3,
-) -> NetworkParams:
-    """One full-batch step on the Gaussian bandwidths.
-
-    sigma_j += eta * sum_i (sum_k eps_o[i,k] W[j,k]) * exp(-d/(2 sigma_j^2)) * d / sigma_j^3,
-    clamped below by ``sigma_min``.  ``eta`` may be scalar or (c,).
-    """
-    eta = np.asarray(eta, dtype=float)
-    if np.any(eta <= 0):
-        raise NonpositiveEtaError("learning rate must be positive")
-    eps_o = np.atleast_2d(np.asarray(eps_o, dtype=float))
-    d = d_state.d
-    H = gaussian_kernel(d, params.sigma[:, None])
-    terms = (params.W @ eps_o.T) * H * d / params.sigma[:, None] ** 3
-    sigma = np.maximum(params.sigma + eta * terms.sum(axis=1), sigma_min)
-    return NetworkParams(w0=params.w0, W=params.W, sigma=sigma)
-
-
-@dataclass
-class TrainRunState:
-    """State consulted by the prototype-growth rule."""
-
-    R: AdjacencyMatrix
-    params: NetworkParams
-    prototypes: list[RelationalPrototype]
-    d_state: DistanceState
-    eps_o: np.ndarray
-    train_idx: np.ndarray
-    val_increase_run: int
-    config: TrainConfig
-    rng: np.random.Generator
-
-
-def maybe_grow_prototype(state: TrainRunState) -> TrainRunState:
-    """Add a unit-basis prototype at the worst-deviation training observation.
-
-    Fires only after the validation error has increased for ``patience_grow``
-    consecutive epochs; a no-op at capacity (c == c_max).
-    """
-    if state.val_increase_run < state.config.patience_grow:
-        return state
-    c = state.params.c
-    if c >= state.config.c_max:
-        return state
-    tr = state.train_idx
-    dev = np.abs(np.atleast_2d(state.eps_o)[tr]).max(axis=1)
-    m = int(tr[np.argmax(dev)])
-    n = state.R.n
-    w = np.zeros(n)
-    w[m] = 1.0
-    new_proto = RelationalPrototype(w, mode=state.prototypes[0].mode)
-    g = state.params.g
-    W_row = state.rng.uniform(*state.config.weight_init_range, size=g)
-    sigma_add = state.rng.uniform(*state.config.sigma_init_range)
-    params = NetworkParams(
-        w0=state.params.w0,
-        W=np.vstack([state.params.W, W_row]),
-        sigma=np.append(state.params.sigma, sigma_add),
-    )
-    new_row = _distances(state.R.values, w[None, :])
-    d_state = DistanceState(np.vstack([state.d_state.d, new_row]), epoch=state.d_state.epoch)
-    return replace(
-        state,
-        params=params,
-        prototypes=state.prototypes + [new_proto],
-        d_state=d_state,
-    )
+__all__ = ["TrainConfig", "TrainResult", "train", "evaluate_network"]
 
 
 @dataclass

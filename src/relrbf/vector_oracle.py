@@ -20,7 +20,7 @@ from .engine import (
     VectorModel,
     run_training,
 )
-from .errors import DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError
 from .graph import AdjacencyMatrix, from_features, validate
 from .initialization import (
     InvalidClusterCountError,
@@ -186,7 +186,9 @@ def duality_check(
     Provide either feature vectors ``X`` (the graph side trains on their
     squared-distance matrix) or an adjacency matrix ``R`` (the vector side
     trains on its double-centered embedding).  A non-realizable ``R`` has no
-    vector twin, so the report flags ``no_oracle`` instead of failing.
+    vector twin, so the report flags ``no_oracle`` instead of failing.  A
+    medoid-mode ``config`` raises ``ConfigError`` before any training: the
+    vector twin only has free prototypes.
     When no targets ``Y`` are given, balanced one-hot labels are drawn from a
     stream derived from the config seed (the comparison is indifferent to the
     labeling).
@@ -197,6 +199,11 @@ def duality_check(
         raise ValueError("provide exactly one of X or R")
     if config is None:
         config = TrainConfig(c_init=2)
+    if config.prototype_mode != "free":
+        raise ConfigError(
+            f"the duality check needs free prototypes, got {config.prototype_mode!r}: "
+            "the vector twin has no medoid mode"
+        )
 
     if R is not None:
         report = validate(R)

@@ -20,18 +20,18 @@ from relrbf import (
     validate,
 )
 from relrbf.datasets import apply_power, ingest, one_hot, synthetic_blobs
-from relrbf.engine import TrainConfig
-from relrbf.initialization import relational_kmeans
-from relrbf.network import NetworkParams, forward
-from relrbf.prototypes import DistanceState, RelationalPrototype
-from relrbf.training import (
-    evaluate_network,
-    offset_distances,
+from relrbf.engine import (
+    RelationalModel,
+    TrainConfig,
+    bandwidth_step,
     output_errors,
-    train,
-    update_bandwidths,
-    update_weights,
+    output_step,
+    shift_coefficients,
 )
+from relrbf.initialization import relational_kmeans
+from relrbf.network import NetworkParams, forward, gaussian_kernel
+from relrbf.prototypes import DistanceState
+from relrbf.training import evaluate_network, train
 from relrbf.vector_oracle import duality_check, vector_kmeans
 
 from conftest import brute_force_distance, find_dataset_file
@@ -97,8 +97,9 @@ def test_criterion_02_trajectory_duality():
 
 
 def test_criterion_03_shift_equivalence():
-    """500 single prototype-shift steps: the node-weight recombination path
-    agrees with the explicit latent-shift oracle within 1e-9 relative."""
+    """500 single prototype-shift steps: the trainer's node-weight
+    recombination (``RelationalModel.shift`` then ``distances``) agrees with
+    the explicit latent-shift oracle within 1e-9 relative."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(303)
     worst = 0.0
@@ -108,15 +109,16 @@ def test_criterion_03_shift_equivalence():
         X = rng.standard_normal((n, d))
         R = from_features(X)
         u = rng.uniform(0.05, 1.0, n)
-        proto = RelationalPrototype(u / u.sum())
+        w = u / u.sum()
         eps = rng.standard_normal(n) * 0.5
         eta = float(rng.uniform(0.01, 1.5))
-        ds = DistanceState(relational_distance(R, proto)[None, :])
-        new_ds, _ = offset_distances(ds, R, [proto], eps[None, :], eta)
-        latent = proto.weights @ X
+        model = RelationalModel(R, w[None, :])
+        model.shift(eps[None, :], np.array([eta]))
+        new_d = model.distances()[0]
+        latent = w @ X
         shifted = latent + eta * (eps @ (X - latent))
         oracle = ((X - shifted) ** 2).sum(axis=1)
-        rel = np.abs(new_ds.d[0] - oracle) / np.maximum(1.0, np.abs(oracle))
+        rel = np.abs(new_d - oracle) / np.maximum(1.0, np.abs(oracle))
         worst = max(worst, float(rel.max()))
     elapsed = time.perf_counter() - t0
     report(
@@ -127,8 +129,9 @@ def test_criterion_03_shift_equivalence():
 
 
 def test_criterion_04_gradient_checks():
-    """100 random parameter points: weight and bandwidth updates match
-    central finite differences of the squared error within 1e-5 relative."""
+    """100 random parameter points: the trainer's weight, shift and bandwidth
+    steps (every node a training node) match central finite differences of
+    the squared error within 1e-5 relative."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(404)
     h = 1e-6
@@ -153,13 +156,23 @@ def test_criterion_04_gradient_checks():
             resp = forward(ds, NetworkParams(w0_, W_, sigma_))
             return float(np.sum((Y - resp.output) ** 2))
 
-        eps = output_errors(Y, forward(ds, params))
+        def sse_at_prototypes(P_):
+            D_ = ((X[None, :, :] - P_[:, None, :]) ** 2).sum(-1)
+            resp = forward(DistanceState(D_), params)
+            return float(np.sum((Y - resp.output) ** 2))
+
+        H = gaussian_kernel(D, params.sigma[:, None])
+        eps = output_errors(Y, H, params.W, params.w0)
         eta = 1e-3
-        w_step = update_weights(params, ds, eps, eta=eta)
-        s_step = update_bandwidths(params, ds, eps, eta=eta)
-        dW = (w_step.W - params.W) / eta
-        dw0 = (w_step.w0 - params.w0) / eta
-        dsig = (s_step.sigma - params.sigma) / eta
+        tr, train_mask = np.arange(n), np.ones(n, dtype=bool)
+        w0_step, W_step = output_step(params.w0, params.W, H, eps, eta, eta, tr)
+        sigma_step = bandwidth_step(
+            params.sigma, params.W, H, D, eps, eta, tr, TrainConfig().sigma_min
+        )
+        eps_h = shift_coefficients(params.W, H, eps, params.sigma, train_mask)
+        dW = (W_step - params.W) / eta
+        dw0 = (w0_step - params.w0) / eta
+        dsig = (sigma_step - params.sigma) / eta
         for j in range(c):
             for k in range(g):
                 Wp, Wm = params.W.copy(), params.W.copy()
@@ -179,6 +192,15 @@ def test_criterion_04_gradient_checks():
             sm[j] -= h
             num = (sse_at(params.w0, params.W, sp) - sse_at(params.w0, params.W, sm)) / (2 * h)
             worst = max(worst, abs(num + 2 * dsig[j]) / max(1.0, abs(2 * dsig[j])))
+        # dSSE/dv_j = -2 sum_i eps_h[j, i] (x_i - v_j)
+        for j in range(c):
+            for dim in range(d):
+                Pp, Pm = P.copy(), P.copy()
+                Pp[j, dim] += h
+                Pm[j, dim] -= h
+                num = (sse_at_prototypes(Pp) - sse_at_prototypes(Pm)) / (2 * h)
+                ana = -2.0 * float(eps_h[j] @ (X[:, dim] - P[j, dim]))
+                worst = max(worst, abs(num - ana) / max(1.0, abs(ana)))
     elapsed = time.perf_counter() - t0
     report(
         4,

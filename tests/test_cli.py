@@ -55,6 +55,17 @@ class TestConfigValidation:
         assert main(["train", "--config", str(path)]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "train_override", [{"eta_range": [-2.0, -0.5]}, {"sigma_min": 0.0}]
+    )
+    def test_nonpositive_rates_exit_code(self, tmp_path, capsys, train_override):
+        cfg = blob_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["train"].update(train_override)
+        cfg.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+
 
 class TestIngestCommand:
     def test_writes_adjacency(self, tmp_path, capsys):
@@ -180,6 +191,15 @@ class TestDualityCommand:
         cfg.write_text(json.dumps(raw))
         assert main(["duality", "--config", str(cfg)]) == EXIT_OK
         assert "no oracle" in capsys.readouterr().out
+
+    def test_medoid_mode_is_a_config_error(self, tmp_path, capsys):
+        cfg = blob_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["train"]["prototype_mode"] = "medoid"
+        cfg.write_text(json.dumps(raw))
+        assert main(["duality", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "free prototypes" in err
 
 
 class TestTransformDiagnoseCommands:

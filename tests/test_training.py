@@ -1,29 +1,28 @@
-"""Update rules (verified against finite differences and a coordinate-space
-oracle) and the full training loop."""
+"""The engine's update rules (verified against finite differences and a
+coordinate-space oracle), the guard that they are the rules training runs,
+and the full training loop."""
 
 import numpy as np
 import pytest
 
-from relrbf import NetworkParams, forward, from_features
+from relrbf import NetworkParams, forward, from_features, gaussian_kernel
+from relrbf import engine
 from relrbf.datasets import one_hot, synthetic_blobs
-from relrbf.engine import TrainConfig
-from relrbf.errors import NonpositiveEtaError
-from relrbf.prototypes import DistanceState, RelationalPrototype
-from relrbf.training import (
-    LearningRateState,
-    TrainRunState,
+from relrbf.engine import (
+    RelationalModel,
+    TrainConfig,
     adapt_learning_rate,
-    distance_offset_terms,
-    evaluate_network,
-    hidden_errors,
-    maybe_grow_prototype,
-    offset_distances,
+    bandwidth_step,
+    draw_rates,
+    grow_step,
     output_errors,
-    shift_prototypes,
-    train,
-    update_bandwidths,
-    update_weights,
+    output_step,
+    shift_coefficients,
 )
+from relrbf.errors import NonpositiveEtaError, NonpositiveSigmaError
+from relrbf.prototypes import DistanceState
+from relrbf.training import evaluate_network, train
+from relrbf.vector_oracle import vector_train
 
 from conftest import brute_force_distance
 
@@ -51,47 +50,103 @@ def sse_of(Y, ds, params):
     return float(np.sum((np.asarray(Y) - resp.output) ** 2))
 
 
+def kernel_and_errors(Y, ds, params):
+    """The engine's hidden responses and residuals at a parameter point."""
+    H = gaussian_kernel(ds.d, params.sigma[:, None])
+    return H, output_errors(np.atleast_2d(Y), H, params.W, params.w0)
+
+
+def all_train(n):
+    """Training rows and mask that make every node a training node."""
+    return np.arange(n), np.ones(n, dtype=bool)
+
+
+def shifted_model(R, weights, eps, eta):
+    """One-prototype RelationalModel after a single shift step."""
+    model = RelationalModel(R, np.asarray(weights, dtype=float)[None, :])
+    model.shift(np.atleast_2d(eps), np.array([eta]))
+    return model
+
+
+def distance_offset_terms(R, v, eps, eta):
+    """Closed-form distance offset for one prototype shift.
+
+    Expands ||x_i - v'||^2 - ||x_i - v||^2 for v' = v + eta sum_y eps_y (x_y - v)
+    purely in adjacency sums, without ever forming the shifted weight vector:
+
+        eta (R eps)_i - eta s (R v)_i + (eta s - eta^2 s^2 / 2) v^T R v
+        - eta (1 - eta s) v^T R eps - eta^2 eps^T R eps / 2,   s = sum(eps).
+
+    An independent oracle for the weight-recombination path.
+    """
+    a = R.values
+    Rv = a @ v
+    Re = a @ eps
+    s = float(eps.sum())
+    vRv = float(v @ Rv)
+    vRe = float(v @ Re)
+    eRe = float(eps @ Re)
+    return (
+        eta * Re
+        - eta * s * Rv
+        + (eta * s - 0.5 * eta**2 * s**2) * vRv
+        - eta * (1.0 - eta * s) * vRe
+        - 0.5 * eta**2 * eRe
+    )
+
+
 class TestOutputErrors:
     def test_perfect_fit_zero(self):
-        params = NetworkParams(w0=[1.0], W=[[0.0]], sigma=[1.0])
-        resp = forward(DistanceState(np.zeros((1, 3))), params)
-        assert np.all(output_errors(np.ones((3, 1)), resp) == 0)
+        H = np.ones((1, 3))
+        assert np.all(output_errors(np.ones((3, 1)), H, np.zeros((1, 1)), np.ones(1)) == 0)
 
     def test_scalar_case(self):
-        params = NetworkParams(w0=[0.6], W=[[0.0]], sigma=[1.0])
-        resp = forward(DistanceState(np.zeros((1, 1))), params)
-        assert output_errors([[1.0]], resp)[0, 0] == pytest.approx(0.4)
+        eps = output_errors(np.array([[1.0]]), np.ones((1, 1)), np.zeros((1, 1)), np.array([0.6]))
+        assert eps[0, 0] == pytest.approx(0.4)
 
     def test_two_outputs(self):
-        params = NetworkParams(w0=[0.8, 0.3], W=np.zeros((1, 2)), sigma=[1.0])
-        resp = forward(DistanceState(np.zeros((1, 1))), params)
-        np.testing.assert_allclose(output_errors([[1.0, 0.0]], resp), [[0.2, -0.3]])
+        eps = output_errors(
+            np.array([[1.0, 0.0]]), np.ones((1, 1)), np.zeros((1, 2)), np.array([0.8, 0.3])
+        )
+        np.testing.assert_allclose(eps, [[0.2, -0.3]])
 
 
 class TestUpdateWeights:
+    """``output_step``: the engine's output-layer rule."""
+
     def test_zero_errors_no_change(self):
         _, _, _, Y, params, ds = random_instance(0)
-        new = update_weights(params, ds, np.zeros_like(np.atleast_2d(Y)), eta=0.3)
-        assert np.array_equal(new.w0, params.w0) and np.array_equal(new.W, params.W)
+        H, eps = kernel_and_errors(Y, ds, params)
+        tr, _ = all_train(ds.n)
+        w0, W = output_step(params.w0, params.W, H, np.zeros_like(eps), 0.3, 0.3, tr)
+        assert np.array_equal(w0, params.w0) and np.array_equal(W, params.W)
 
     def test_formula_substitution(self):
-        params = NetworkParams(w0=[0.0], W=[[0.0]], sigma=[1.0])
-        ds = DistanceState(np.zeros((1, 1)))  # f1(d) = 1
-        new = update_weights(params, ds, np.array([[0.5]]), eta=0.1)
-        assert new.w0[0] == pytest.approx(0.05)
-        assert new.W[0, 0] == pytest.approx(0.05)
+        # d = 0 gives h = 1
+        w0, W = output_step(
+            np.zeros(1), np.zeros((1, 1)), np.ones((1, 1)), np.array([[0.5]]), 0.1, 0.1, np.arange(1)
+        )
+        assert w0[0] == pytest.approx(0.05)
+        assert W[0, 0] == pytest.approx(0.05)
 
     def test_small_step_decreases_sse(self):
         for seed in range(10):
             _, _, _, Y, params, ds = random_instance(seed)
-            eps = output_errors(Y, forward(ds, params))
-            new = update_weights(params, ds, eps, eta=1e-4)
-            assert sse_of(Y, ds, new) < sse_of(Y, ds, params)
+            H, eps = kernel_and_errors(Y, ds, params)
+            tr, _ = all_train(ds.n)
+            w0, W = output_step(params.w0, params.W, H, eps, 1e-4, 1e-4, tr)
+            assert sse_of(Y, ds, NetworkParams(w0, W, params.sigma)) < sse_of(Y, ds, params)
 
-    def test_requires_positive_eta(self):
-        _, _, _, Y, params, ds = random_instance(1)
-        with pytest.raises(NonpositiveEtaError):
-            update_weights(params, ds, np.atleast_2d(Y), eta=0.0)
+    def test_sums_training_rows_only(self):
+        _, _, _, Y, params, ds = random_instance(6, n=12)
+        H, eps = kernel_and_errors(Y, ds, params)
+        tr = np.arange(0, 12, 2)
+        noisy = eps.copy()
+        noisy[1::2] += 100.0
+        a = output_step(params.w0, params.W, H, eps, 0.2, 0.2, tr)
+        b = output_step(params.w0, params.W, H, noisy, 0.2, 0.2, tr)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_matches_finite_differences(self):
         # update direction equals -1/2 dSSE/dW entrywise
@@ -99,9 +154,10 @@ class TestUpdateWeights:
         worst = 0.0
         for seed in range(20):
             _, _, _, Y, params, ds = random_instance(seed)
-            eps = output_errors(Y, forward(ds, params))
-            step = update_weights(params, ds, eps, eta=1.0)
-            dW_analytic = step.W - params.W
+            H, eps = kernel_and_errors(Y, ds, params)
+            tr, _ = all_train(ds.n)
+            _, W_step = output_step(params.w0, params.W, H, eps, 1.0, 1.0, tr)
+            dW_analytic = W_step - params.W
             for j in range(params.c):
                 for k in range(params.g):
                     Wp, Wm = params.W.copy(), params.W.copy()
@@ -117,16 +173,29 @@ class TestUpdateWeights:
 
 
 class TestHiddenErrors:
+    """``shift_coefficients``: the engine's backpropagated shift rule."""
+
     def test_zero_output_errors(self):
         _, _, _, Y, params, ds = random_instance(2)
-        eps_h = hidden_errors(params, ds, np.zeros_like(np.atleast_2d(Y)))
+        H, eps = kernel_and_errors(Y, ds, params)
+        _, mask = all_train(ds.n)
+        eps_h = shift_coefficients(params.W, H, np.zeros_like(eps), params.sigma, mask)
         assert np.all(eps_h == 0)
 
     def test_known_value(self):
-        params = NetworkParams(w0=[0.0], W=[[2.0]], sigma=[1.0])
-        ds = DistanceState(np.zeros((1, 1)))
-        eps_h = hidden_errors(params, ds, np.array([[0.5]]))
+        eps_h = shift_coefficients(
+            np.array([[2.0]]), np.ones((1, 1)), np.array([[0.5]]), np.ones(1), np.ones(1, dtype=bool)
+        )
         assert eps_h[0, 0] == pytest.approx(1.0)
+
+    def test_zeroed_off_training_set(self):
+        _, _, _, Y, params, ds = random_instance(7, n=10)
+        H, eps = kernel_and_errors(Y, ds, params)
+        mask = np.arange(10) % 3 == 0
+        eps_h = shift_coefficients(params.W, H, eps, params.sigma, mask)
+        full = shift_coefficients(params.W, H, eps, params.sigma, np.ones(10, dtype=bool))
+        assert np.all(eps_h[:, ~mask] == 0)
+        np.testing.assert_array_equal(eps_h[:, mask], full[:, mask])
 
     def test_matches_prototype_gradient(self):
         # dSSE/dv_j = -2 sum_i eps_h[j, i] (x_i - v_j), checked centrally
@@ -134,8 +203,9 @@ class TestHiddenErrors:
         worst = 0.0
         for seed in range(20):
             rng, X, P, Y, params, ds = random_instance(seed)
-            eps = output_errors(Y, forward(ds, params))
-            eps_h = hidden_errors(params, ds, eps)
+            H, eps = kernel_and_errors(Y, ds, params)
+            _, mask = all_train(ds.n)
+            eps_h = shift_coefficients(params.W, H, eps, params.sigma, mask)
             for j in range(params.c):
                 for dim in range(X.shape[1]):
                     Pp, Pm = P.copy(), P.copy()
@@ -151,39 +221,36 @@ class TestHiddenErrors:
 
 
 class TestOffsetDistances:
+    """``RelationalModel.shift`` followed by ``distances()``."""
+
     def test_zero_errors_no_change(self, three_point_R):
-        proto = RelationalPrototype(np.array([0.5, 0.5, 0.0]))
-        ds = DistanceState(np.array([[0.25, 0.25, 1.25]]))
-        new_ds, new_protos = offset_distances(
-            ds, three_point_R, [proto], np.zeros((1, 3)), eta=0.4
-        )
-        np.testing.assert_array_equal(new_ds.d, ds.d)
-        np.testing.assert_array_equal(new_protos[0].weights, proto.weights)
+        w = np.array([0.5, 0.5, 0.0])
+        before = RelationalModel(three_point_R, w[None, :]).distances()
+        model = shifted_model(three_point_R, w, np.zeros(3), 0.4)
+        np.testing.assert_array_equal(model.distances(), before)
+        np.testing.assert_array_equal(model.V[0], w)
 
     def test_explicit_shift_example(self, three_points, three_point_R):
         # prototype at the first node, pulled a quarter of the way to the
         # second: latent point (0.25, 0)
-        proto = RelationalPrototype(np.array([1.0, 0.0, 0.0]))
-        ds = DistanceState(three_point_R.values[:1, :].copy())
-        eps_h = np.array([[0.0, 1.0, 0.0]])
-        new_ds, new_protos = offset_distances(ds, three_point_R, [proto], eps_h, eta=0.25)
-        np.testing.assert_allclose(new_protos[0].weights, [0.75, 0.25, 0.0], atol=1e-15)
-        np.testing.assert_allclose(new_ds.d[0], [0.0625, 0.5625, 1.0625], atol=1e-12)
-        oracle = brute_force_distance(three_points, new_protos[0].weights)
-        np.testing.assert_allclose(new_ds.d[0], oracle, atol=1e-12)
+        model = shifted_model(three_point_R, [1.0, 0.0, 0.0], np.array([0.0, 1.0, 0.0]), 0.25)
+        d = model.distances()[0]
+        np.testing.assert_allclose(model.V[0], [0.75, 0.25, 0.0], atol=1e-15)
+        np.testing.assert_allclose(d, [0.0625, 0.5625, 1.0625], atol=1e-12)
+        np.testing.assert_allclose(d, brute_force_distance(three_points, model.V[0]), atol=1e-12)
 
     def test_first_order_in_eta(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((15, 3))
         R = from_features(X)
         u = rng.uniform(0.1, 1.0, 15)
-        proto = RelationalPrototype(u / u.sum())
-        ds = DistanceState(brute_force_distance(X, proto.weights)[None, :])
-        eps_h = rng.standard_normal((1, 15))
+        w = u / u.sum()
+        d0 = brute_force_distance(X, w)
+        eps_h = rng.standard_normal(15)
         deltas = []
         for eta in (1e-3, 1e-4, 1e-5):
-            new_ds, _ = offset_distances(ds, R, [proto], eps_h, eta)
-            deltas.append(np.linalg.norm(new_ds.d - ds.d))
+            d = shifted_model(R, w, eps_h, eta).distances()[0]
+            deltas.append(np.linalg.norm(d - d0))
         # shrinking eta tenfold shrinks the offset tenfold (first order)
         assert deltas[0] / deltas[1] == pytest.approx(10.0, rel=1e-2)
         assert deltas[1] / deltas[2] == pytest.approx(10.0, rel=1e-2)
@@ -197,15 +264,14 @@ class TestOffsetDistances:
             X = rng.standard_normal((n, d))
             R = from_features(X)
             u = rng.uniform(0.05, 1.0, n)
-            proto = RelationalPrototype(u / u.sum())
+            w = u / u.sum()
             eps = rng.standard_normal(n) * 0.5
             eta = float(rng.uniform(0.01, 1.5))
-            ds = DistanceState(brute_force_distance(X, proto.weights)[None, :])
-            new_ds, _ = offset_distances(ds, R, [proto], eps[None, :], eta)
-            latent = proto.weights @ X
+            new_d = shifted_model(R, w, eps, eta).distances()[0]
+            latent = w @ X
             shifted = latent + eta * (eps @ (X - latent))
             oracle = ((X - shifted) ** 2).sum(axis=1)
-            rel = np.abs(new_ds.d[0] - oracle) / np.maximum(1.0, np.abs(oracle))
+            rel = np.abs(new_d - oracle) / np.maximum(1.0, np.abs(oracle))
             worst = max(worst, float(rel.max()))
         assert worst <= 1e-9
 
@@ -215,43 +281,48 @@ class TestOffsetDistances:
         rng = np.random.default_rng(11)
         for _ in range(50):
             u = rng.uniform(0.05, 1.0, 3)
-            proto = RelationalPrototype(u / u.sum())
+            w = u / u.sum()
             eps = rng.standard_normal(3)
             eta = float(rng.uniform(0.01, 1.0))
-            d0 = brute_force_distance(three_points, proto.weights)
-            ds = DistanceState(d0[None, :])
-            new_ds, _ = offset_distances(ds, three_point_R, [proto], eps[None, :], eta)
-            poly = d0 + distance_offset_terms(three_point_R, proto, eps, eta)
-            np.testing.assert_allclose(new_ds.d[0], poly, rtol=1e-9, atol=1e-12)
+            d0 = brute_force_distance(three_points, w)
+            new_d = shifted_model(three_point_R, w, eps, eta).distances()[0]
+            poly = d0 + distance_offset_terms(three_point_R, w, eps, eta)
+            np.testing.assert_allclose(new_d, poly, rtol=1e-9, atol=1e-12)
 
     def test_weights_stay_normalized(self):
         rng = np.random.default_rng(5)
-        proto = RelationalPrototype(np.full(8, 1 / 8))
-        protos = [proto]
+        R = from_features(np.random.default_rng(0).standard_normal((8, 2)))
+        model = RelationalModel(R, np.full((1, 8), 1 / 8))
         for _ in range(200):
-            eps = rng.standard_normal((1, 8))
-            protos = shift_prototypes(protos, eps, eta=0.3)
-        assert abs(protos[0].weights.sum() - 1.0) <= 1e-12
+            model.shift(rng.standard_normal((1, 8)), np.array([0.3]))
+        assert abs(model.V[0].sum() - 1.0) <= 1e-12
 
 
 class TestUpdateBandwidths:
+    """``bandwidth_step``: the engine's bandwidth rule."""
+
+    SIGMA_MIN = TrainConfig().sigma_min
+
+    def step(self, params, ds, eps, eta, H=None):
+        H = gaussian_kernel(ds.d, params.sigma[:, None]) if H is None else H
+        tr, _ = all_train(ds.n)
+        return bandwidth_step(params.sigma, params.W, H, ds.d, eps, eta, tr, self.SIGMA_MIN)
+
     def test_zero_errors_no_change(self):
         _, _, _, Y, params, ds = random_instance(4)
-        new = update_bandwidths(params, ds, np.zeros_like(np.atleast_2d(Y)), eta=0.2)
-        assert np.array_equal(new.sigma, params.sigma)
+        _, eps = kernel_and_errors(Y, ds, params)
+        assert np.array_equal(self.step(params, ds, np.zeros_like(eps), 0.2), params.sigma)
 
     def test_zero_distances_no_change(self):
         params = NetworkParams(w0=[0.0], W=[[1.0]], sigma=[1.5])
         ds = DistanceState(np.zeros((1, 6)))
-        new = update_bandwidths(params, ds, np.full((6, 1), 0.7), eta=0.2)
-        assert np.array_equal(new.sigma, params.sigma)
+        assert np.array_equal(self.step(params, ds, np.full((6, 1), 0.7), 0.2), params.sigma)
 
     def test_clamped_below(self):
         params = NetworkParams(w0=[0.0], W=[[5.0]], sigma=[1.0])
         ds = DistanceState(np.full((1, 4), 1.0))
         # strongly negative errors drive sigma far below zero: clamp engages
-        new = update_bandwidths(params, ds, np.full((4, 1), -10.0), eta=1.0)
-        assert new.sigma[0] == pytest.approx(1e-3)
+        assert self.step(params, ds, np.full((4, 1), -10.0), 1.0)[0] == pytest.approx(1e-3)
 
     def test_matches_finite_differences(self):
         h = 1e-6
@@ -259,9 +330,8 @@ class TestUpdateBandwidths:
         worst = 0.0
         for seed in range(20):
             _, _, _, Y, params, ds = random_instance(seed)
-            eps = output_errors(Y, forward(ds, params))
-            step = update_bandwidths(params, ds, eps, eta=eta)
-            delta = (step.sigma - params.sigma) / eta
+            H, eps = kernel_and_errors(Y, ds, params)
+            delta = (self.step(params, ds, eps, eta, H) - params.sigma) / eta
             for j in range(params.c):
                 sp, sm = params.sigma.copy(), params.sigma.copy()
                 sp[j] += h
@@ -276,58 +346,124 @@ class TestUpdateBandwidths:
 
 
 class TestAdaptLearningRate:
+    CONFIG = TrainConfig()
+
     def test_reject_and_decay(self):
-        state, accept = adapt_learning_rate(LearningRateState(scale=1.0), 1.1, 1.0)
-        assert not accept and state.scale == pytest.approx(0.7)
+        scale, accept = adapt_learning_rate(1.0, 1.1, 1.0, self.CONFIG)
+        assert not accept and scale == pytest.approx(0.7)
 
     def test_accept_and_grow(self):
-        state, accept = adapt_learning_rate(LearningRateState(scale=1.0), 0.9, 1.0)
-        assert accept and state.scale == pytest.approx(1.05)
+        scale, accept = adapt_learning_rate(1.0, 0.9, 1.0, self.CONFIG)
+        assert accept and scale == pytest.approx(1.05)
 
     def test_between_thresholds_unchanged(self):
-        state, accept = adapt_learning_rate(LearningRateState(scale=1.0), 1.02, 1.0)
-        assert accept and state.scale == 1.0
+        scale, accept = adapt_learning_rate(1.0, 1.02, 1.0, self.CONFIG)
+        assert accept and scale == 1.0
 
     def test_non_finite_rejected(self):
-        state, accept = adapt_learning_rate(LearningRateState(scale=1.0), float("nan"), 1.0)
-        assert not accept and state.scale == pytest.approx(0.7)
+        scale, accept = adapt_learning_rate(1.0, float("nan"), 1.0, self.CONFIG)
+        assert not accept and scale == pytest.approx(0.7)
 
 
 class TestMaybeGrowPrototype:
-    def _state(self, three_point_R, run, c_max=3):
-        params = NetworkParams(w0=[0.0], W=[[0.1]], sigma=[1.0])
-        protos = [RelationalPrototype(np.full(3, 1 / 3))]
-        ds = DistanceState(np.zeros((1, 3)))
-        eps_o = np.array([[0.1], [0.9], [0.3]])
-        return TrainRunState(
-            R=three_point_R,
-            params=params,
-            prototypes=protos,
-            d_state=ds,
-            eps_o=eps_o,
-            train_idx=np.arange(3),
-            val_increase_run=run,
-            config=TrainConfig(c_init=1, c_max=c_max, patience_grow=5),
-            rng=np.random.default_rng(0),
-        )
+    """``grow_step``: the engine's growth trigger, site and draws."""
 
-    def test_below_patience_no_growth(self, three_point_R):
-        state = self._state(three_point_R, run=4)
-        assert maybe_grow_prototype(state) is state
+    def _grow(self, run, c_max=3):
+        config = TrainConfig(c_init=1, c_max=c_max, patience_grow=5)
+        rates = draw_rates(1, 1, config.eta_range, np.random.default_rng(1))
+        err = np.array([[0.1], [0.9], [0.3]])
+        grown = grow_step(
+            run, err, np.arange(3), np.array([[0.1]]), np.array([1.0]), rates, config,
+            np.random.default_rng(0),
+        )
+        return grown, rates, config
+
+    def test_below_patience_no_growth(self):
+        # fires on positive multiples of patience_grow only
+        for run in (0, 4, 6, 9):
+            assert self._grow(run)[0] is None
+        assert self._grow(10)[0] is not None
 
     def test_grows_at_worst_observation(self, three_point_R):
-        state = self._state(three_point_R, run=5)
-        new = maybe_grow_prototype(state)
-        assert len(new.prototypes) == 2
-        np.testing.assert_array_equal(new.prototypes[1].weights, [0.0, 1.0, 0.0])
-        # new distance row is column 1 of the matrix
-        np.testing.assert_allclose(new.d_state.d[1], three_point_R.values[:, 1])
-        assert new.params.c == 2
-        assert 0.25 <= new.params.sigma[1] <= 3.75
+        (m, W, sigma), rates, config = self._grow(5)
+        assert m == 1
+        assert W.shape == (2, 1) and sigma.shape == (2,)
+        assert 0.25 <= sigma[1] <= 3.75
+        # five draws in fixed order: weights, bandwidth, then the three rates
+        ref = np.random.default_rng(0)
+        assert W[1, 0] == ref.uniform(*config.weight_init_range, size=1)[0]
+        assert sigma[1] == ref.uniform(*config.sigma_init_range)
+        assert rates.W[1, 0] == ref.uniform(*config.eta_range, size=1)[0]
+        assert rates.sigma[1] == ref.uniform(*config.eta_range)
+        assert rates.proto[1] == ref.uniform(*config.eta_range)
+        # the grown prototype's distance row is column m of the matrix
+        model = RelationalModel(three_point_R, np.full((1, 3), 1 / 3))
+        model.grow(m)
+        np.testing.assert_array_equal(model.V[1], [0.0, 1.0, 0.0])
+        np.testing.assert_allclose(model.distances()[1], three_point_R.values[:, 1])
 
-    def test_at_capacity_no_op(self, three_point_R):
-        state = self._state(three_point_R, run=5, c_max=1)
-        assert maybe_grow_prototype(state) is state
+    def test_at_capacity_no_op(self):
+        assert self._grow(5, c_max=1)[0] is None
+
+
+class TestTrainConfig:
+    def test_requires_positive_eta(self):
+        with pytest.raises(NonpositiveEtaError):
+            TrainConfig(eta_range=(0.0, 1.0))
+        with pytest.raises(NonpositiveEtaError):
+            TrainConfig(eta_range=(-2.0, -0.5))
+
+    def test_requires_positive_sigma_min(self):
+        for sigma_min in (0.0, -1e-3):
+            with pytest.raises(NonpositiveSigmaError):
+                TrainConfig(sigma_min=sigma_min)
+
+
+class Sentinel(Exception):
+    pass
+
+
+def _raise_sentinel(*args, **kwargs):
+    raise Sentinel
+
+
+class TestTrainingPath:
+    """The rules tested above are the ones both trainers run: replacing any
+    of them must reach ``train`` and ``vector_train``."""
+
+    CONFIG = TrainConfig(c_init=2, c_max=3, seed=0, max_epochs=5)
+
+    @pytest.fixture
+    def data(self):
+        X, y = synthetic_blobs(30, classes=2, sep=3.0, seed=12)
+        return X, one_hot(y, 2)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "gaussian_kernel",
+            "output_errors",
+            "output_step",
+            "shift_coefficients",
+            "bandwidth_step",
+            "grow_step",
+            "adapt_learning_rate",
+        ],
+    )
+    def test_engine_step_runs_in_both_trainers(self, monkeypatch, data, name):
+        X, Y = data
+        monkeypatch.setattr(engine, name, _raise_sentinel)
+        with pytest.raises(Sentinel):
+            train(from_features(X), Y, self.CONFIG)
+        with pytest.raises(Sentinel):
+            vector_train(X, Y, self.CONFIG)
+
+    @pytest.mark.parametrize("name", ["shift", "distances"])
+    def test_relational_model_runs_in_graph_trainer(self, monkeypatch, data, name):
+        X, Y = data
+        monkeypatch.setattr(RelationalModel, name, _raise_sentinel)
+        with pytest.raises(Sentinel):
+            train(from_features(X), Y, self.CONFIG)
 
 
 class TestTrain:
