@@ -162,11 +162,22 @@ def apply_transform(R: AdjacencyMatrix, method: str) -> AdjacencyMatrix:
     return from_features(embedding.X)
 
 
+# (R, Y) of the batch being run: set in the parent by `run_batch` and in each
+# pool worker by its initializer, so a run's payload carries no n x n array.
+_batch_graph = None
+
+
+def _hold_graph(graph) -> None:
+    global _batch_graph
+    _batch_graph = graph
+
+
 def _single_run(payload):
-    """One seeded training run; module-level so worker pools can pickle it."""
-    r_values, Y, cfg_dict, seed = payload
+    """One seeded training run on the held graph; module-level so worker pools
+    can pickle it."""
+    cfg_dict, seed = payload
+    R, Y = _batch_graph
     cfg = TrainConfig(**{**cfg_dict, "seed": seed})
-    R = AdjacencyMatrix(r_values)
     result = train(R, Y, cfg)
     ev = evaluate_network(result.params, result.d_state, Y, result.split)
     return {
@@ -255,11 +266,20 @@ def cmd_ingest(config: ExperimentConfig, out: Path | None) -> int:
 
 
 def run_batch(R: AdjacencyMatrix, Y, cfg_dict: dict, base_seed: int, count: int, workers: int):
-    payloads = [(R.values, Y, cfg_dict, base_seed + i) for i in range(count)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_single_run, payloads))
-    return [_single_run(p) for p in payloads]
+    """Train `count` seeded runs on one graph.  Pool workers receive (R, Y)
+    once, through the pool initializer: inherited under `fork`, pickled once
+    per worker under `spawn`/`forkserver`."""
+    payloads = [(cfg_dict, base_seed + i) for i in range(count)]
+    _hold_graph((R, Y))
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_hold_graph, initargs=((R, Y),)
+            ) as pool:
+                return list(pool.map(_single_run, payloads))
+        return [_single_run(p) for p in payloads]
+    finally:
+        _hold_graph(None)
 
 
 def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
@@ -341,19 +361,43 @@ def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
     return EXIT_OK
 
 
+CHECKPOINT_KEYS = ("n", "g", "w0", "W", "sigma", "d_state", "seed", "epoch")
+
+
+def load_checkpoint(path: Path, n: int, g: int):
+    """Read a checkpoint and check that it fits a dataset of `n` nodes and `g`
+    classes; returns (checkpoint dict, NetworkParams, DistanceState)."""
+    try:
+        ck = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(ck, dict):
+        raise ConfigError(f"checkpoint {path} is not a JSON object")
+    missing = [k for k in CHECKPOINT_KEYS if k not in ck]
+    if missing:
+        raise ConfigError(f"checkpoint {path} lacks key(s) {missing}")
+    if ck["n"] != n:
+        raise ConfigError(f"checkpoint n={ck['n']} does not match dataset n={n}")
+    if ck["g"] != g:
+        raise ConfigError(f"checkpoint g={ck['g']} does not match the dataset's {g} classes")
+    try:
+        params = NetworkParams(w0=ck["w0"], W=ck["W"], sigma=ck["sigma"])
+        d_state = DistanceState(np.asarray(ck["d_state"], dtype=float), epoch=ck["epoch"])
+    except (TypeError, ValueError, RelRbfError) as exc:
+        raise ConfigError(f"invalid checkpoint {path}: {exc}") from exc
+    if params.g != g or d_state.d.shape != (params.c, n):
+        raise ConfigError(
+            f"checkpoint {path}: w0/W/sigma/d_state shapes do not fit g={g}, n={n}"
+        )
+    return ck, params, d_state
+
+
 def cmd_eval(config: ExperimentConfig, checkpoint_path: Path, out: Path | None) -> int:
     data = load_dataset(config)
     if data.Y is None:
         raise ConfigError("evaluation requires labels (dataset provides none)")
     R = apply_transform(data.R, config.transform)
-    try:
-        ck = json.loads(Path(checkpoint_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read checkpoint {checkpoint_path}: {exc}") from exc
-    if ck["n"] != R.n:
-        raise ConfigError(f"checkpoint n={ck['n']} does not match dataset n={R.n}")
-    params = NetworkParams(w0=ck["w0"], W=ck["W"], sigma=ck["sigma"])
-    d_state = DistanceState(np.asarray(ck["d_state"], dtype=float), epoch=ck["epoch"])
+    ck, params, d_state = load_checkpoint(checkpoint_path, R.n, data.Y.shape[1])
     # replay the run's split draw (it is the first draw from the run's seed)
     rng = np.random.default_rng(ck["seed"])
     labels = np.argmax(data.Y, axis=1) if config.train.stratify_split else None

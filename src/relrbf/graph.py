@@ -47,10 +47,13 @@ class AdjacencyMatrix:
             raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise NonFiniteError("adjacency matrix contains non-finite entries")
-        asym = np.max(np.abs(a - a.T)) if a.size else 0.0
+        # one n x n buffer: first |a - a^T|, then (a + a^T) / 2
+        buf = np.subtract(a, a.T)
+        asym = np.abs(buf, out=buf).max() if a.size else 0.0
         if asym > SYMMETRY_TOL:
             raise AsymmetryError(f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
-        a = (a + a.T) / 2.0
+        a = np.add(a, a.T, out=buf)
+        a /= 2.0
         diag = np.abs(np.diagonal(a))
         if diag.size and diag.max() > SYMMETRY_TOL:
             raise NonzeroDiagonalError(f"max |diagonal| = {diag.max():.3e}")
@@ -59,6 +62,11 @@ class AdjacencyMatrix:
             raise NegativeEntryError(f"negative dissimilarity {a.min():.3e}")
         a.setflags(write=False)
         object.__setattr__(self, "values", a)
+
+    def __setstate__(self, state):
+        # unpickling (e.g. into a spawned pool worker) yields a writable array
+        state["values"].setflags(write=False)
+        self.__dict__.update(state)
 
     @property
     def n(self) -> int:
@@ -114,13 +122,27 @@ class RealizabilityReport:
         return self.is_symmetric and self.is_nonnegative and self.is_antireflexive
 
 
+def _double_center(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write -J a J / 2 into ``out``, which may be ``a`` itself.
+
+    The means are taken before ``out`` is written, and the steps run in the
+    order of ``-0.5 * (a - row_mean - col_mean + mean)``, so the result is
+    bitwise that expression's.
+    """
+    row_mean = a.mean(axis=1, keepdims=True)
+    col_mean = a.mean(axis=0, keepdims=True)
+    mean = a.mean()
+    np.subtract(a, row_mean, out=out)
+    out -= col_mean
+    out += mean
+    out *= -0.5
+    return out
+
+
 def double_centered(values: np.ndarray) -> np.ndarray:
     """Return -J A J / 2 with J = I - (1/n) 11^T (the latent Gram matrix)."""
     a = np.asarray(values, dtype=float)
-    n = a.shape[0]
-    row_mean = a.mean(axis=1, keepdims=True)
-    col_mean = a.mean(axis=0, keepdims=True)
-    return -0.5 * (a - row_mean - col_mean + a.mean())
+    return _double_center(a, np.empty_like(a))
 
 
 def validate(R, tol_psd: float = DEFAULT_PSD_TOL) -> RealizabilityReport:
@@ -145,14 +167,18 @@ def validate(R, tol_psd: float = DEFAULT_PSD_TOL) -> RealizabilityReport:
     if not np.all(np.isfinite(a)):
         raise NonFiniteError("matrix contains non-finite entries")
 
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    # one n x n buffer: |a|, then |a - a^T|, then -J ((a + a^T) / 2) J / 2
+    buf = np.abs(a)
+    scale = float(buf.max()) if a.size else 0.0
     tol = SYMMETRY_TOL * max(1.0, scale)
-    is_symmetric = bool(np.max(np.abs(a - a.T)) <= tol) if a.size else True
+    np.subtract(a, a.T, out=buf)
+    is_symmetric = bool(np.abs(buf, out=buf).max() <= tol) if a.size else True
     is_nonnegative = bool(a.min() >= -tol) if a.size else True
     is_antireflexive = bool(np.max(np.abs(np.diagonal(a))) <= tol) if a.size else True
 
-    sym = (a + a.T) / 2.0
-    eigvals = np.linalg.eigvalsh(double_centered(sym))
+    np.add(a, a.T, out=buf)
+    buf /= 2.0
+    eigvals = np.linalg.eigvalsh(_double_center(buf, buf))
     min_eig = float(eigvals.min())
     thresh = tol_psd * float(np.max(np.abs(eigvals)))
     euclidean_embeddable = bool(

@@ -1,10 +1,15 @@
 """End-to-end command-line behaviour on small synthetic configurations."""
 
+import functools
 import json
+import multiprocessing
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import relrbf.cli
 import relrbf.graph
 from relrbf import from_features
 from relrbf.cli import EXIT_CONFIG, EXIT_OK, ExperimentConfig, main
@@ -131,7 +136,7 @@ class TestTrainCommand:
         assert r2["runs"][0]["seed"] == 77
         assert r1["runs"][0]["sse_trace"]["train"] != r2["runs"][0]["sse_trace"]["train"]
 
-    def test_worker_pool_matches_sequential(self, tmp_path):
+    def assert_pool_matches_sequential(self, tmp_path):
         cfg_seq = blob_config(tmp_path)
         out1 = tmp_path / "seq"
         main(["train", "--config", str(cfg_seq), "--out", str(out1)])
@@ -141,6 +146,37 @@ class TestTrainCommand:
         r1 = json.loads((out1 / "report.json").read_text())
         r2 = json.loads((out2 / "report.json").read_text())
         assert r1["runs"] == r2["runs"]
+        names = [f"checkpoints/run_{i}.json" for i in range(2)]
+        names += [f"confusion_{s}.csv" for s in ("train", "test", "val")]
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_worker_pool_matches_sequential(self, tmp_path):
+        self.assert_pool_matches_sequential(tmp_path)
+
+    def test_spawned_worker_pool_matches_sequential(self, tmp_path, monkeypatch):
+        # spawned workers inherit no module state: the graph must reach them
+        # through the pool itself
+        spawn = functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+        )
+        monkeypatch.setattr(relrbf.cli, "ProcessPoolExecutor", spawn)
+        self.assert_pool_matches_sequential(tmp_path)
+
+    def test_pool_payloads_carry_no_graph(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                payloads = list(iterables[0])
+                sizes.extend(len(pickle.dumps(p)) for p in payloads)
+                return super().map(fn, payloads, **kwargs)
+
+        monkeypatch.setattr(relrbf.cli, "ProcessPoolExecutor", RecordingPool)
+        cfg = blob_config(tmp_path, workers=2, monte_carlo=3)
+        assert main(["train", "--config", str(cfg)]) == EXIT_OK
+        assert len(sizes) == 3 and max(sizes) < 1024
+        assert relrbf.cli._batch_graph is None
 
     def test_transform_option_runs(self, tmp_path):
         cfg = blob_config(tmp_path, transform="cmds")
@@ -165,6 +201,63 @@ class TestEvalCommand:
             assert evaluated["accuracy"][split_name] == pytest.approx(
                 report["runs"][0]["accuracy"][split_name]
             )
+
+    def train_checkpoint(self, tmp_path, **overrides):
+        out = tmp_path / "trained"
+        cfg = blob_config(tmp_path, **overrides)
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        return out / "checkpoints" / "run_0.json"
+
+    def assert_eval_rejects(self, tmp_path, capsys, checkpoint):
+        cfg = blob_config(tmp_path)
+        capsys.readouterr()
+        code = main(["eval", "--config", str(cfg), "--checkpoint", str(checkpoint)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        return err
+
+    def test_class_count_mismatch(self, tmp_path, capsys):
+        ck = self.train_checkpoint(
+            tmp_path,
+            dataset={
+                "kind": "synthetic-blobs",
+                "blobs": {"n": 40, "classes": 3, "sep": 8.0, "dim": 2, "seed": 3},
+            },
+        )
+        err = self.assert_eval_rejects(tmp_path, capsys, ck)
+        assert "g=3" in err
+
+    @pytest.mark.parametrize("key", ["w0", "d_state", "n"])
+    def test_missing_key(self, tmp_path, capsys, key):
+        ck = self.train_checkpoint(tmp_path)
+        raw = json.loads(ck.read_text())
+        del raw[key]
+        ck.write_text(json.dumps(raw))
+        err = self.assert_eval_rejects(tmp_path, capsys, ck)
+        assert key in err
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda ck: ck.update(W=[row + [0.0] for row in ck["W"]]),
+            lambda ck: ck.update(d_state=[row[:-1] for row in ck["d_state"]]),
+            lambda ck: ck.update(sigma=ck["sigma"][:-1]),
+            lambda ck: ck.update(w0="abc"),
+        ],
+        ids=["W-columns", "d_state-width", "sigma-length", "w0-type"],
+    )
+    def test_arrays_that_do_not_fit(self, tmp_path, capsys, tamper):
+        ck = self.train_checkpoint(tmp_path)
+        raw = json.loads(ck.read_text())
+        tamper(raw)
+        ck.write_text(json.dumps(raw))
+        self.assert_eval_rejects(tmp_path, capsys, ck)
+
+    def test_non_object_checkpoint(self, tmp_path, capsys):
+        ck = tmp_path / "ck.json"
+        ck.write_text("[1, 2]")
+        self.assert_eval_rejects(tmp_path, capsys, ck)
 
 
 class TestDualityCommand:

@@ -1,5 +1,8 @@
 """Adjacency-matrix construction, validation, and file round trips."""
 
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,41 @@ from relrbf.errors import (
     ParseError,
 )
 from relrbf.graph import double_centered
+
+
+def double_centered_old(a):
+    """The pre-buffer expression for -J A J / 2, kept as the bitwise oracle."""
+    row_mean = a.mean(axis=1, keepdims=True)
+    col_mean = a.mean(axis=0, keepdims=True)
+    return -0.5 * (a - row_mean - col_mean + a.mean())
+
+
+@st.composite
+def near_symmetric(draw, max_n=12):
+    """Non-negative zero-diagonal matrices with entrywise asymmetry below 1e-12."""
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    a = rng.random((n, n)) * scale
+    a = (a + a.T) / 2.0
+    a += np.triu(rng.uniform(0.0, 8e-13, (n, n)), 1)
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def traced_peak(fn):
+    """Peak bytes numpy and Python allocate while `fn` runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestAdjacencyMatrix:
@@ -53,6 +91,31 @@ class TestAdjacencyMatrix:
     def test_values_read_only(self, three_point_R):
         with pytest.raises(ValueError):
             three_point_R.values[0, 1] = 5.0
+
+    def test_rejects_asymmetry_just_above_tolerance(self):
+        a = np.array([[0.0, 1.0], [1.0 + 2e-12, 0.0]])
+        with pytest.raises(AsymmetryError):
+            AdjacencyMatrix(a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_symmetric())
+    def test_values_bitwise_match_old_symmetrization(self, a):
+        before = a.copy()
+        expected = (a + a.T) / 2.0
+        np.fill_diagonal(expected, 0.0)
+        assert bits(AdjacencyMatrix(a).values) == bits(expected)
+        assert bits(a) == bits(before)
+
+    def test_unpickled_values_stay_read_only(self, three_point_R):
+        R = pickle.loads(pickle.dumps(three_point_R))
+        assert bits(R.values) == bits(three_point_R.values)
+        with pytest.raises(ValueError):
+            R.values[0, 1] = 5.0
+
+    def test_constructor_holds_one_buffer(self):
+        n = 400
+        a = from_features(np.random.default_rng(0).standard_normal((n, 5))).values.copy()
+        assert traced_peak(lambda: AdjacencyMatrix(a)) <= 1.2 * n * n * 8
 
 
 class TestValidate:
@@ -102,6 +165,47 @@ class TestValidate:
 
     def test_pure(self, three_point_R):
         assert validate(three_point_R) == validate(three_point_R)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        near_symmetric(),
+        st.sampled_from(["as_is", "asymmetric", "negative", "diagonal"]),
+    )
+    def test_spectrum_bitwise_matches_old_path(self, a, defect):
+        if defect == "asymmetric":
+            a[0, -1] += 0.5
+        elif defect == "negative":
+            a[-1, 0] = a[0, -1] = -0.25
+        elif defect == "diagonal":
+            a[0, 0] = 1e-3
+        before = a.copy()
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(m):
+            seen.append(m.copy())
+            return eigvalsh(m)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigvalsh", spy)
+            report = validate(a)
+        old_input = double_centered_old((a + a.T) / 2)
+        assert len(seen) == 1 and bits(seen[0]) == bits(old_input)
+        assert report.min_eigenvalue == float(eigvalsh(old_input).min())
+        assert bits(a) == bits(before)
+
+    @settings(max_examples=100, deadline=None)
+    @given(near_symmetric())
+    def test_double_centered_bitwise_and_pure(self, a):
+        before = a.copy()
+        assert bits(double_centered(a)) == bits(double_centered_old(a))
+        assert bits(double_centered(a.T)) == bits(double_centered_old(a.T))
+        assert bits(a) == bits(before)
+
+    def test_holds_one_buffer(self):
+        n = 400
+        R = from_features(np.random.default_rng(1).standard_normal((n, 5)))
+        assert traced_peak(lambda: validate(R)) <= 1.2 * n * n * 8
 
 
 class TestFromFeatures:
