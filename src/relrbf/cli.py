@@ -34,6 +34,7 @@ from .graph import AdjacencyMatrix, from_features, validate, write_adjacency
 from .initialization import split as make_split
 from .network import NetworkParams
 from .prototypes import DistanceState
+from .textio import write_csv
 from .training import evaluate_network, train
 from .transforms import (
     cmds,
@@ -351,11 +352,9 @@ def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
         for i, ck in enumerate(checkpoints):
             write_json(ck, ck_dir / f"run_{i}.json")
         for split_name in ("train", "test", "val"):
-            np.savetxt(
+            write_csv(
                 out / f"confusion_{split_name}.csv",
-                np.array(report["aggregate"]["confusion_mean"][split_name]),
-                delimiter=",",
-                fmt="%.17g",
+                report["aggregate"]["confusion_mean"][split_name],
             )
         print(f"wrote {out}/report.json")
     return EXIT_OK

@@ -163,9 +163,7 @@ def apply_power(R: AdjacencyMatrix, power: float) -> AdjacencyMatrix:
     realizable by any vector configuration)."""
     if power == 1.0:
         return R
-    if power <= 0:
-        raise ValueError("power must be positive")
-    return AdjacencyMatrix(R.values**power)
+    return R.power(power)
 
 
 def ingest(

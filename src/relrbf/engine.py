@@ -291,7 +291,7 @@ def relational_model_from_partition(
     n = R.n
     V_sub = indicator_weights(assignment, c)
     if mode == MEDOID:
-        sub = AdjacencyMatrix(R.values[np.ix_(train_idx, train_idx)])
+        sub = R.submatrix(train_idx)
         protos = medoid_prototypes(sub, Partition(assignment, c))
         V_sub = np.stack([p.weights for p in protos])
     V = np.zeros((c, n))

@@ -24,6 +24,7 @@ from .errors import (
     NonzeroDiagonalError,
     ParseError,
 )
+from .textio import write_csv
 
 # Absolute asymmetry tolerated on input before raising (serialization slop).
 SYMMETRY_TOL = 1e-12
@@ -71,6 +72,31 @@ class AdjacencyMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    @classmethod
+    def _derived(cls, a: np.ndarray) -> AdjacencyMatrix:
+        """Wrap `a` as it is, without the checks and the symmetrizing copy:
+        only for arrays derived from a valid matrix by operations that keep
+        every property the constructor checks."""
+        R = object.__new__(cls)
+        a.setflags(write=False)
+        object.__setattr__(R, "values", a)
+        return R
+
+    def submatrix(self, idx) -> AdjacencyMatrix:
+        """The graph on the nodes `idx`: its principal submatrix, one copy."""
+        return AdjacencyMatrix._derived(self.values[np.ix_(idx, idx)])
+
+    def power(self, p: float) -> AdjacencyMatrix:
+        """Entrywise power, p > 0 (p > 1 is generally not realizable by any
+        vector configuration).  Symmetry, the zero diagonal and non-negative
+        entries carry over; only overflow needs a check."""
+        if p <= 0:
+            raise ValueError("power must be positive")
+        a = self.values**p
+        if a.size and not np.isfinite(a.max()):
+            raise NonFiniteError("adjacency matrix contains non-finite entries")
+        return AdjacencyMatrix._derived(a)
 
 
 @dataclass(frozen=True)
@@ -255,7 +281,7 @@ def from_features(X, standardize: bool = False) -> AdjacencyMatrix:
 
 def write_adjacency(R: AdjacencyMatrix, path) -> None:
     """Write an adjacency matrix as headerless CSV at full float precision."""
-    np.savetxt(path, R.values, delimiter=",", fmt="%.17g")
+    write_csv(path, R.values)
 
 
 def read_adjacency(path) -> AdjacencyMatrix:

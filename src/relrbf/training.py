@@ -58,9 +58,8 @@ def train(
     """
 
     def build(init_assignment, si: SplitIndices):
-        sub = AdjacencyMatrix(R.values[np.ix_(si.train, si.train)])
         partition, _ = relational_kmeans(
-            sub, config.c_init, init_assignment=init_assignment
+            R.submatrix(si.train), config.c_init, init_assignment=init_assignment
         )
         return relational_model_from_partition(
             R, partition.assignment, si.train, config.c_init, mode=config.prototype_mode

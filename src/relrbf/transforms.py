@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import AdjacencyMatrix, double_centered
+from .textio import write_csv
 
 EIGENVALUE_FLOOR = 1e-12
 
@@ -183,24 +184,29 @@ def ivat(R: AdjacencyMatrix) -> tuple[VatOrder, AdjacencyMatrix]:
 
 
 def write_embedding_csv(embedding: Embedding, path) -> None:
-    np.savetxt(path, embedding.X, delimiter=",", fmt="%.17g")
+    write_csv(path, embedding.X)
 
 
 def write_eigenvalues_csv(embedding: Embedding, path) -> None:
-    np.savetxt(path, embedding.eigenvalues, delimiter=",", fmt="%.17g")
+    write_csv(path, embedding.eigenvalues)
 
 
 def write_vat_csv(order: VatOrder, perm_path, matrix_path) -> None:
     np.savetxt(perm_path, order.perm[None, :], delimiter=",", fmt="%d")
-    np.savetxt(matrix_path, order.reordered, delimiter=",", fmt="%.17g")
+    write_csv(matrix_path, order.reordered)
+
+
+_PIXELS = np.array([str(i) for i in range(256)], dtype=object)
 
 
 def write_pgm(matrix: np.ndarray, path) -> None:
-    """Grayscale PGM of a dissimilarity matrix (dark = similar)."""
+    """Grayscale PGM of a non-negative dissimilarity matrix (dark = similar)."""
     m = np.asarray(matrix, dtype=float)
+    if m.size and m.min() < 0:
+        raise ValueError("write_pgm needs a non-negative matrix")
     top = m.max()
     with open(path, "w") as fh:
         fh.write(f"P2\n{m.shape[1]} {m.shape[0]}\n255\n")
         for row in m:
             pixels = np.rint(255 * row / top).astype(int) if top > 0 else np.zeros(row.size, dtype=int)
-            fh.write(" ".join(map(str, pixels.tolist())) + "\n")
+            fh.write(" ".join(_PIXELS[pixels].tolist()) + "\n")

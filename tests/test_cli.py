@@ -11,6 +11,7 @@ import pytest
 
 import relrbf.cli
 import relrbf.graph
+import relrbf.transforms
 from relrbf import from_features
 from relrbf.cli import EXIT_CONFIG, EXIT_OK, ExperimentConfig, main
 from relrbf.engine import TrainConfig
@@ -319,6 +320,61 @@ class TestTransformDiagnoseCommands:
             assert (out / name).exists()
         perm = np.loadtxt(out / "vat_perm.csv", delimiter=",", dtype=int)
         assert sorted(perm.tolist()) == list(range(40))
+
+
+def out_files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestOutputBytes:
+    COMMANDS = (
+        ["ingest"],
+        ["train"],
+        ["duality"],
+        ["transform", "--method", "cmds"],
+        ["transform", "--method", "pmds"],
+        ["diagnose"],
+    )
+
+    def run_all(self, cfg, root):
+        for command in self.COMMANDS:
+            out = root / "_".join(command)
+            argv = [command[0], "--config", str(cfg), *command[1:], "--out", str(out)]
+            assert main(argv) == EXIT_OK
+        return out_files(root)
+
+    def test_csv_writers_match_savetxt(self, tmp_path, monkeypatch, capsys):
+        # every n x n CSV the commands write is np.savetxt's "%.17g" text
+        cfg = blob_config(tmp_path, compare_prototype_modes=True)
+        fast = self.run_all(cfg, tmp_path / "fast")
+
+        def savetxt(path, a):
+            np.savetxt(path, a, delimiter=",", fmt="%.17g")
+
+        for module in (relrbf.cli, relrbf.graph, relrbf.transforms):
+            monkeypatch.setattr(module, "write_csv", savetxt)
+        assert self.run_all(cfg, tmp_path / "savetxt") == fast
+        assert sum(name.suffix == ".csv" for name in fast) >= 14
+
+    def test_subgraphs_match_validated_copies(self, tmp_path, monkeypatch, capsys):
+        # the unchecked principal submatrix and power give the outputs the
+        # validating constructor gives, in free and medoid mode
+        raw = json.loads(blob_config(tmp_path, compare_prototype_modes=True).read_text())
+        raw["dataset"]["power"] = 1.5
+        cfg = tmp_path / "powered.json"
+        cfg.write_text(json.dumps(raw))
+        fast = self.run_all(cfg, tmp_path / "fast")
+        monkeypatch.setattr(
+            relrbf.graph.AdjacencyMatrix,
+            "submatrix",
+            lambda R, idx: relrbf.graph.AdjacencyMatrix(R.values[np.ix_(idx, idx)]),
+        )
+        monkeypatch.setattr(
+            relrbf.graph.AdjacencyMatrix,
+            "power",
+            lambda R, p: relrbf.graph.AdjacencyMatrix(R.values**p),
+        )
+        assert self.run_all(cfg, tmp_path / "validated") == fast
 
 
 class TestPairedModeComparison:

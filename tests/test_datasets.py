@@ -1,5 +1,7 @@
 """Dataset loaders, synthetic generators, and the ingest front end."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,20 @@ class TestIngest:
             blob_options={"n": 30, "classes": 3, "sep": 4.0, "seed": 2},
         )
         assert not validate(result.R).euclidean_embeddable
+
+    def test_powered_ingest_memory(self):
+        # the powered graph is built next to the unpowered one, not in a
+        # second validated copy; from_features alone peaks at about 2.09
+        n = 400
+        blobs = {"n": n, "classes": 2, "dim": 5, "seed": 0}
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ingest("synthetic-blobs", power=1.5, blob_options=blobs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * n * n * 8
 
     def test_one_hot(self):
         np.testing.assert_array_equal(

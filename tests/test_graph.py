@@ -208,6 +208,51 @@ class TestValidate:
         assert traced_peak(lambda: validate(R)) <= 1.2 * n * n * 8
 
 
+class TestDerivedGraphs:
+    """`submatrix` and `power` skip the constructor's checks and copies; the
+    constructor applied to the same arrays is the bitwise oracle."""
+
+    @staticmethod
+    def graph(seed, n=60, scale=1.0):
+        rng = np.random.default_rng(seed)
+        R = from_features(rng.standard_normal((n, 4)) * scale)
+        return R, rng
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_submatrix_bitwise_matches_constructor(self, seed):
+        R, rng = self.graph(seed)
+        for size in (1, 2, 17, 60):
+            idx = rng.permutation(R.n)[:size]
+            sub = R.submatrix(idx)
+            assert bits(sub.values) == bits(AdjacencyMatrix(R.values[np.ix_(idx, idx)]).values)
+            assert not sub.values.flags.writeable
+        assert R.submatrix(np.array([], dtype=int)).n == 0
+
+    @pytest.mark.parametrize("p", [0.5, 1.5, 2.0, 3.0])
+    def test_power_bitwise_matches_constructor(self, p):
+        for seed, scale in ((0, 1.0), (1, 1e-3), (2, 1e3)):
+            R, _ = self.graph(seed, scale=scale)
+            powered = R.power(p)
+            assert bits(powered.values) == bits(AdjacencyMatrix(R.values**p).values)
+            assert not powered.values.flags.writeable
+
+    def test_power_rejects_nonpositive(self):
+        R, _ = self.graph(0, n=5)
+        for p in (0.0, -1.5):
+            with pytest.raises(ValueError):
+                R.power(p)
+
+    def test_power_overflow_is_non_finite(self):
+        R = AdjacencyMatrix([[0.0, 1e200], [1e200, 0.0]])
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
+            R.power(2.0)
+
+    def test_power_holds_one_buffer(self):
+        n = 400
+        R, _ = self.graph(3, n=n)
+        assert traced_peak(lambda: R.power(1.5)) <= 1.2 * n * n * 8
+
+
 class TestFromFeatures:
     def test_three_point_values(self, three_points):
         R = from_features(three_points)

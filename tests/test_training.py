@@ -2,6 +2,8 @@
 coordinate-space oracle), the guard that they are the rules training runs,
 and the full training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -467,6 +469,27 @@ class TestTrainingPath:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("mode", ["free", "medoid"])
+    def test_training_subgraph_is_one_copy(self, mode):
+        # the training subgraph of a validated graph is taken as one
+        # principal-submatrix copy (0.49 n^2 doubles), not re-validated into a
+        # second buffer
+        from relrbf.datasets import apply_power
+
+        n = 400
+        X, y = synthetic_blobs(n, classes=2, dim=5, seed=0)
+        R = apply_power(from_features(X), 1.5)
+        Y = one_hot(y, 2)
+        config = TrainConfig(c_init=5, c_max=8, max_epochs=20, prototype_mode=mode)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train(R, Y, config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.8 * n * n * 8
+
     def test_separable_blobs_perfect_training(self):
         X, y = synthetic_blobs(60, classes=2, sep=10.0, seed=1)
         R = from_features(X)

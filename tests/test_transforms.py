@@ -200,8 +200,12 @@ class TestWriters:
 
     @pytest.mark.parametrize(
         "matrix",
-        [np.random.default_rng(4).random((7, 5)) * 3.0, np.zeros((4, 4))],
-        ids=["random", "zero"],
+        [
+            np.random.default_rng(4).random((7, 5)) * 3.0,
+            np.zeros((4, 4)),
+            np.random.default_rng(5).random((300, 300)),
+        ],
+        ids=["random", "zero", "every-level"],
     )
     def test_pgm_bytes_match_per_pixel_writer(self, tmp_path, matrix):
         def per_pixel_pgm(m, path):
@@ -215,3 +219,7 @@ class TestWriters:
         write_pgm(matrix, tmp_path / "new.pgm")
         per_pixel_pgm(matrix, tmp_path / "old.pgm")
         assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "old.pgm").read_bytes()
+
+    def test_pgm_rejects_negative_entries(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_pgm(np.array([[0.0, -1.0], [2.0, 0.0]]), tmp_path / "neg.pgm")
