@@ -35,7 +35,8 @@ from .initialization import split as make_split
 from .network import NetworkParams
 from .prototypes import DistanceState
 from .textio import write_csv
-from .training import evaluate_network, train
+# `train` is not called here, but perfbench/tracer.py wraps `cli.train`
+from .training import evaluate_network, train, train_group  # noqa: F401
 from .transforms import (
     cmds,
     ivat,
@@ -163,6 +164,10 @@ def apply_transform(R: AdjacencyMatrix, method: str) -> AdjacencyMatrix:
     return from_features(embedding.X)
 
 
+# Monte Carlo runs train in lock-step groups of this many consecutive seeds,
+# sharing one stacked V @ R product per round.
+GROUP_SIZE = 5
+
 # (R, Y) of the batch being run: set in the parent by `run_batch` and in each
 # pool worker by its initializer, so a run's payload carries no n x n array.
 _batch_graph = None
@@ -174,12 +179,15 @@ def _hold_graph(graph) -> None:
 
 
 def _single_run(payload):
-    """One seeded training run on the held graph; module-level so worker pools
-    can pickle it."""
-    cfg_dict, seed = payload
+    """One lock-step group of seeded training runs on the held graph;
+    module-level so worker pools can pickle it.  Returns {"runs": [...]}."""
+    cfg_dict, seeds = payload
     R, Y = _batch_graph
-    cfg = TrainConfig(**{**cfg_dict, "seed": seed})
-    result = train(R, Y, cfg)
+    results = train_group(R, Y, [TrainConfig(**{**cfg_dict, "seed": s}) for s in seeds])
+    return {"runs": [_run_record(result, Y, seed) for result, seed in zip(results, seeds)]}
+
+
+def _run_record(result, Y, seed: int) -> dict:
     ev = evaluate_network(result.params, result.d_state, Y, result.split)
     return {
         "seed": seed,
@@ -267,20 +275,25 @@ def cmd_ingest(config: ExperimentConfig, out: Path | None) -> int:
 
 
 def run_batch(R: AdjacencyMatrix, Y, cfg_dict: dict, base_seed: int, count: int, workers: int):
-    """Train `count` seeded runs on one graph.  Pool workers receive (R, Y)
+    """Train `count` seeded runs on one graph, in lock-step groups of
+    `GROUP_SIZE` consecutive seeds.  The groups depend on the seeds alone, so
+    the results do not depend on `workers`.  Pool workers receive (R, Y)
     once, through the pool initializer: inherited under `fork`, pickled once
     per worker under `spawn`/`forkserver`."""
-    payloads = [(cfg_dict, base_seed + i) for i in range(count)]
+    seeds = [base_seed + i for i in range(count)]
+    payloads = [(cfg_dict, seeds[i : i + GROUP_SIZE]) for i in range(0, count, GROUP_SIZE)]
     _hold_graph((R, Y))
     try:
         if workers > 1:
             with ProcessPoolExecutor(
                 max_workers=workers, initializer=_hold_graph, initargs=((R, Y),)
             ) as pool:
-                return list(pool.map(_single_run, payloads))
-        return [_single_run(p) for p in payloads]
+                groups = list(pool.map(_single_run, payloads))
+        else:
+            groups = [_single_run(p) for p in payloads]
     finally:
         _hold_graph(None)
+    return [run for group in groups for run in group["runs"]]
 
 
 def cmd_train(config: ExperimentConfig, out: Path | None) -> int:

@@ -12,9 +12,16 @@ Epoch order: output-weight update, simulated prototype shift (distance
 update), bandwidth update, then bookkeeping (acceptance test on the training
 MSE, early-stopping and growth checks, plateau exit).  Each update rule is a
 small array function below (``output_step``, ``shift_coefficients``,
-``bandwidth_step``, ``grow_step``) that ``run_training`` calls; the update
+``bandwidth_step``, ``grow_step``) that ``training_run`` calls; the update
 signs are fixed so that an infinitesimal step decreases the sum of squared
 errors, verified by finite differences in the test suite.
+
+``training_run`` is a generator: it yields its model whenever it needs the
+distances and receives them back.  ``run_lockstep`` advances a group of runs
+in rounds, answering every waiting relational run on one graph with its rows
+of a single stacked product ``V @ R`` (the Monte Carlo runs of ``relrbf
+train`` go through it in groups of consecutive seeds, and a process pool
+maps the groups); ``run_training`` is that driver over one run.
 """
 
 from __future__ import annotations
@@ -350,14 +357,19 @@ class EngineResult:
     config: TrainConfig
 
 
-def run_training(
+def training_run(
     build_model,
     Y,
     config: TrainConfig,
     split_indices: SplitIndices | None = None,
     record_trace: bool = False,
-) -> EngineResult:
-    """Run the full training protocol over an arbitrary prototype backend.
+):
+    """The full training protocol over an arbitrary prototype backend, as a
+    generator driven by ``run_lockstep``.
+
+    Wherever the protocol needs the model's distances (at the start, after a
+    shift, after growth) it yields the model and expects the (c, n) distance
+    matrix to be sent back; it returns its ``EngineResult``.
 
     ``build_model(init_assignment, split_indices)`` must return a prototype
     model whose initial prototypes derive from the given training-set
@@ -390,7 +402,7 @@ def run_training(
     train_mask = np.zeros(n, dtype=bool)
     train_mask[tr] = True
 
-    D = model.distances()
+    D = yield model
     metrics = TrainMetrics()
     trace = [] if record_trace else None
 
@@ -441,7 +453,7 @@ def run_training(
         if model.movable:
             try:
                 model.shift(eps_h, rates.scale * rates.proto)
-                D = model.distances()
+                D = yield model
             except DegenerateShiftError:
                 rejected_by_shift = True
 
@@ -516,7 +528,7 @@ def run_training(
         if grown is not None:
             m, W, sigma = grown
             model.grow(m)
-            D = model.distances()
+            D = yield model
             # Growth changes the network between epochs; re-baseline the
             # acceptance test and the cached evaluation on the grown state so
             # a following rejection restores and records consistent values.
@@ -557,3 +569,45 @@ def run_training(
         trace=trace,
         config=config,
     )
+
+
+def run_lockstep(runs: list) -> list[EngineResult]:
+    """Advance ``training_run`` generators together and return their results.
+
+    In each round every waiting relational run on the same graph gets its
+    rows of one stacked product ``_distances(R, [V_1; V_2; ...])``; a vector
+    model computes its own.  Runs keep their own random streams, growth and
+    stopping: a run that has finished simply stops asking.
+    """
+    results = [None] * len(runs)
+    waiting = {i: next(run) for i, run in enumerate(runs)}
+    while waiting:
+        answers, stacks = {}, {}
+        for i, model in waiting.items():
+            if isinstance(model, RelationalModel):
+                stacks.setdefault(id(model.R), []).append(i)
+            else:
+                answers[i] = model.distances()
+        for members in stacks.values():
+            models = [waiting[i] for i in members]
+            D = _distances(models[0].R.values, np.concatenate([m.V for m in models]))
+            ends = np.cumsum([m.c for m in models])
+            answers.update(zip(members, np.split(D, ends[:-1])))
+        sent, waiting = waiting, {}
+        for i in sent:
+            try:
+                waiting[i] = runs[i].send(answers[i])
+            except StopIteration as done:
+                results[i] = done.value
+    return results
+
+
+def run_training(
+    build_model,
+    Y,
+    config: TrainConfig,
+    split_indices: SplitIndices | None = None,
+    record_trace: bool = False,
+) -> EngineResult:
+    """Run the full training protocol (``training_run``) for one run."""
+    return run_lockstep([training_run(build_model, Y, config, split_indices, record_trace)])[0]

@@ -53,7 +53,11 @@ class AdjacencyMatrix:
         asym = np.abs(buf, out=buf).max() if a.size else 0.0
         if asym > SYMMETRY_TOL:
             raise AsymmetryError(f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
-        a = np.add(a, a.T, out=buf)
+        with np.errstate(over="ignore"):
+            a = np.add(a, a.T, out=buf)
+        # finite entries above about 8.99e307 overflow in the sum
+        if a.size and not (np.isfinite(a.max()) and np.isfinite(a.min())):
+            raise NonFiniteError("adjacency matrix entries overflow when symmetrized")
         a /= 2.0
         diag = np.abs(np.diagonal(a))
         if diag.size and diag.max() > SYMMETRY_TOL:

@@ -4,7 +4,7 @@ This trainer runs the identical protocol as the graph trainer but holds its
 prototypes as explicit coordinate vectors.  On any dissimilarity matrix that
 is realizable by a point configuration, the two trainers consume the same
 random stream and must produce the same trajectory; ``duality_check`` runs
-them lock-step and reports the worst per-epoch deviation.
+them one after the other and reports the worst per-epoch deviation.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def vector_train(
 
 @dataclass
 class DualityReport:
-    """Outcome of a lock-step graph-vs-vector training comparison.
+    """Outcome of an epoch-by-epoch graph-vs-vector training comparison.
 
     ``passed`` is None when no vector realization exists (nothing to compare
     against); otherwise it records whether every per-epoch deviation across
@@ -181,7 +181,8 @@ def duality_check(
     tol: float = DUALITY_TOL,
     n_classes: int = 2,
 ) -> DualityReport:
-    """Train the graph network and its vector twin lock-step and compare.
+    """Train the graph network, then its vector twin, and compare them
+    epoch by epoch.
 
     Provide either feature vectors ``X`` (the graph side trains on their
     squared-distance matrix) or an adjacency matrix ``R`` (the vector side

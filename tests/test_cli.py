@@ -83,6 +83,16 @@ class TestIngestCommand:
         stdout = capsys.readouterr().out
         assert "n=40" in stdout and "embeddable=True" in stdout
 
+    def test_entries_that_overflow_when_symmetrized(self, tmp_path, capsys):
+        apath = tmp_path / "huge.csv"
+        apath.write_text("0,1e308\n1e308,0\n")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"dataset": {"kind": "adjacency-csv", "path": str(apath)}}))
+        assert main(["ingest", "--config", str(cfg)]) == EXIT_CONFIG
+        # rejected where the graph is built, not later by a check that meets inf
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflow" in err
+
     def test_cubic_triangle_check_off_the_path(self, tmp_path, monkeypatch):
         def forbidden(R):
             raise AssertionError("sqrt_triangle_ok is O(n^3) and must stay off the default path")
@@ -164,6 +174,30 @@ class TestTrainCommand:
         monkeypatch.setattr(relrbf.cli, "ProcessPoolExecutor", spawn)
         self.assert_pool_matches_sequential(tmp_path)
 
+    def test_outputs_do_not_depend_on_worker_count(self, tmp_path):
+        # seven seeds form lock-step groups of five and two whatever the
+        # worker count.  At n=300 a stacked V @ R row differs from a separate
+        # product in the last bits (OpenBLAS on x86-64), so groups that
+        # depended on `workers` would change the bytes.
+        blobs = {"n": 300, "classes": 2, "sep": 3.0, "dim": 5, "seed": 3}
+        outs = []
+        for workers in (1, 2):
+            cfg = blob_config(
+                tmp_path,
+                workers=workers,
+                monte_carlo=7,
+                dataset={"kind": "synthetic-blobs", "blobs": blobs},
+            )
+            outs.append(tmp_path / f"w{workers}")
+            assert main(["train", "--config", str(cfg), "--out", str(outs[-1])]) == EXIT_OK
+        r1, r2 = (json.loads((out / "report.json").read_text()) for out in outs)
+        assert r1.pop("config")["workers"] == 1 and r2.pop("config")["workers"] == 2
+        assert json.dumps(r1) == json.dumps(r2)
+        names = [f"checkpoints/run_{i}.json" for i in range(7)]
+        names += [f"confusion_{s}.csv" for s in ("train", "test", "val")]
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
     def test_pool_payloads_carry_no_graph(self, tmp_path, monkeypatch):
         sizes = []
 
@@ -176,7 +210,8 @@ class TestTrainCommand:
         monkeypatch.setattr(relrbf.cli, "ProcessPoolExecutor", RecordingPool)
         cfg = blob_config(tmp_path, workers=2, monte_carlo=3)
         assert main(["train", "--config", str(cfg)]) == EXIT_OK
-        assert len(sizes) == 3 and max(sizes) < 1024
+        # one payload per lock-step group: the three seeds form one group
+        assert len(sizes) == 1 and max(sizes) < 1024
         assert relrbf.cli._batch_graph is None
 
     def test_transform_option_runs(self, tmp_path):

@@ -71,6 +71,10 @@ class TestAdjacencyMatrix:
         with pytest.raises(NonFiniteError):
             AdjacencyMatrix([[0, np.nan], [np.nan, 0]])
 
+    def test_rejects_entries_that_overflow_when_symmetrized(self):
+        with pytest.raises(NonFiniteError):
+            AdjacencyMatrix([[0, 1e308], [1e308, 0]])
+
     def test_rejects_asymmetry(self):
         with pytest.raises(AsymmetryError):
             AdjacencyMatrix([[0, 1], [2, 0]])

@@ -23,7 +23,7 @@ from relrbf.engine import (
 )
 from relrbf.errors import NonpositiveEtaError, NonpositiveSigmaError
 from relrbf.prototypes import DistanceState
-from relrbf.training import evaluate_network, train
+from relrbf.training import evaluate_network, train, train_group
 from relrbf.vector_oracle import vector_train
 
 from conftest import brute_force_distance
@@ -460,10 +460,15 @@ class TestTrainingPath:
         with pytest.raises(Sentinel):
             vector_train(X, Y, self.CONFIG)
 
-    @pytest.mark.parametrize("name", ["shift", "distances"])
-    def test_relational_model_runs_in_graph_trainer(self, monkeypatch, data, name):
+    @pytest.mark.parametrize(
+        "owner, name",
+        # relational distances come from one stacked product in the driver
+        [(RelationalModel, "shift"), (engine, "_distances")],
+        ids=["shift", "distances"],
+    )
+    def test_relational_model_runs_in_graph_trainer(self, monkeypatch, data, owner, name):
         X, Y = data
-        monkeypatch.setattr(RelationalModel, name, _raise_sentinel)
+        monkeypatch.setattr(owner, name, _raise_sentinel)
         with pytest.raises(Sentinel):
             train(from_features(X), Y, self.CONFIG)
 
@@ -566,3 +571,49 @@ class TestTrain:
         m = res.metrics
         assert m.best_val_sse == pytest.approx(min(m.sse_val))
         assert m.sse_val[m.best_epoch] == pytest.approx(m.best_val_sse)
+
+
+class TestLockstep:
+    """A run trained in a lock-step group is the run ``train`` makes alone;
+    only the stacked ``V @ R`` product may change its last bits."""
+
+    def test_group_runs_match_single_runs(self):
+        # growth-heavy: the runs grow at different epochs and the last one
+        # stops on validation patience while the others go on
+        X, y = synthetic_blobs(300, classes=2, sep=1.0, dim=5, seed=4)
+        R, Y = from_features(X), one_hot(y, 2)
+        configs = [
+            TrainConfig(
+                c_init=2, c_max=5, patience_grow=2, patience_stop=5, seed=s, max_epochs=100
+            )
+            for s in range(5)
+        ]
+        grouped = train_group(R, Y, configs)
+        alone = [train(R, Y, cfg) for cfg in configs]
+
+        reasons = [res.metrics.stop_reason for res in alone]
+        assert "validation_patience" in reasons and "max_epochs" in reasons
+        assert len({res.metrics.epochs for res in alone}) > 1
+        assert sum(any(res.metrics.grew) for res in alone) >= 3
+        for g, a in zip(grouped, alone):
+            assert g.metrics.epochs == a.metrics.epochs
+            assert g.metrics.stop_reason == a.metrics.stop_reason
+            assert g.params.c == a.params.c
+            assert g.metrics.grew == a.metrics.grew
+            for name in ("sse_train", "sse_val", "sse_test"):
+                np.testing.assert_allclose(
+                    getattr(g.metrics, name), getattr(a.metrics, name), rtol=1e-12, atol=0
+                )
+            ev_g = evaluate_network(g.params, g.d_state, Y, g.split)
+            ev_a = evaluate_network(a.params, a.d_state, Y, a.split)
+            for split_name in ("train", "test", "val"):
+                assert ev_g[split_name]["accuracy"] == ev_a[split_name]["accuracy"]
+
+    def test_group_of_one_is_train(self):
+        X, y = synthetic_blobs(60, classes=2, sep=2.0, seed=6)
+        R, Y = from_features(X), one_hot(y, 2)
+        cfg = TrainConfig(c_init=3, c_max=5, patience_grow=2, seed=2, max_epochs=60)
+        (g,), a = train_group(R, Y, [cfg]), train(R, Y, cfg)
+        assert g.metrics.as_dict() == a.metrics.as_dict()
+        assert np.array_equal(g.d_state.d, a.d_state.d)
+        assert np.array_equal(g.params.W, a.params.W)
