@@ -1,6 +1,6 @@
 """RBF networks that train and classify directly on graph adjacency matrices."""
 
-from .engine import TrainConfig, TrainMetrics
+from .engine import TrainConfig, TrainMetrics, TrainResult
 from .graph import (
     AdjacencyMatrix,
     FeatureMatrix,
@@ -26,23 +26,10 @@ from .network import (
     forward,
     gaussian_kernel,
     predict_labels,
-    sse,
 )
-from .prototypes import (
-    RelationalPrototype,
-    make_prototype,
-    nearest_medoid,
-    prototype_distances,
-    relational_distance,
-)
-from .training import TrainResult, evaluate_network, train
+from .prototypes import RelationalPrototype, nearest_medoid, prototype_distances
+from .training import evaluate_network, train
 from .transforms import Embedding, VatOrder, cmds, ivat, minimax_distances, pmds, vat
-from .vector_oracle import (
-    DualityReport,
-    duality_check,
-    vector_distance,
-    vector_kmeans,
-    vector_train,
-)
+from .vector_oracle import DualityReport, duality_check, vector_kmeans, vector_train
 
 __version__ = "0.1.0"

@@ -217,7 +217,7 @@ def checkpoint_dict(result, seed: int) -> dict:
         "w0": result.params.w0.tolist(),
         "W": result.params.W.tolist(),
         "sigma": result.params.sigma.tolist(),
-        "prototypes": [p.weights.tolist() for p in result.prototypes],
+        "prototypes": result.prototypes.tolist(),
         "d_state": result.d_state.d.tolist(),
         "seed": int(seed),
         "epoch": int(result.metrics.best_epoch),

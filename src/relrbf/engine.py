@@ -21,7 +21,8 @@ distances and receives them back.  ``run_lockstep`` advances a group of runs
 in rounds, answering every waiting relational run on one graph with its rows
 of a single stacked product ``V @ R`` (the Monte Carlo runs of ``relrbf
 train`` go through it in groups of consecutive seeds, and a process pool
-maps the groups); ``run_training`` is that driver over one run.
+maps the groups); ``run_training`` is that driver over one run.  Every
+entry point, and both trainer front ends, return the same ``TrainResult``.
 """
 
 from __future__ import annotations
@@ -46,13 +47,7 @@ from .initialization import (
     split as make_split,
 )
 from .network import NetworkParams, gaussian_kernel
-from .prototypes import (
-    FREE,
-    MEDOID,
-    DistanceState,
-    RelationalPrototype,
-    _distances,
-)
+from .prototypes import FREE, MEDOID, DistanceState, _distances
 
 
 @dataclass(frozen=True)
@@ -115,8 +110,10 @@ def adapt_learning_rate(
     """Bold-driver schedule: reject steps that worsen the training MSE by
     more than ``config.mse_reject_ratio`` (decaying the rate scale), otherwise
     accept and grow the scale whenever the error strictly improved.  A
-    non-finite candidate MSE (overflowed step) is always rejected.  Returns
-    the new scale and whether the step is accepted."""
+    non-finite candidate MSE (overflowed step) is always rejected;
+    ``training_run`` passes an infinite MSE for a step whose bandwidths
+    overflowed, so that step is rejected as well.  Returns the new scale and
+    whether the step is accepted."""
     diverged = not np.isfinite(mse_new)
     if mse_old is not None and (diverged or mse_new > config.mse_reject_ratio * mse_old):
         return scale * config.lr_decay, False
@@ -210,7 +207,6 @@ class RelationalModel:
     def __init__(self, R: AdjacencyMatrix, weight_rows: np.ndarray, mode: str = FREE):
         self.R = R
         self.V = np.atleast_2d(np.asarray(weight_rows, dtype=float)).copy()
-        self.mode = mode
         self.movable = mode == FREE
 
     @property
@@ -243,9 +239,6 @@ class RelationalModel:
 
     def set_state(self, state: np.ndarray) -> None:
         self.V = state
-
-    def prototypes(self) -> list[RelationalPrototype]:
-        return [RelationalPrototype(w, mode=self.mode) for w in self.V]
 
 
 class VectorModel:
@@ -345,16 +338,20 @@ class TrainMetrics:
 
 
 @dataclass
-class EngineResult:
-    """Best-validation parameters and model state, with full metric traces."""
+class TrainResult:
+    """Best-validation network, prototypes, distances, and metric traces.
+
+    ``prototypes`` is the best-epoch model state: (c, n) node weights from
+    the graph trainer, (c, d) positions from the vector trainer.
+    """
 
     params: NetworkParams
-    model: object
+    prototypes: np.ndarray
     d_state: DistanceState
     metrics: TrainMetrics
     split: SplitIndices
-    trace: list | None
     config: TrainConfig
+    trace: list | None = None
 
 
 def training_run(
@@ -369,7 +366,7 @@ def training_run(
 
     Wherever the protocol needs the model's distances (at the start, after a
     shift, after growth) it yields the model and expects the (c, n) distance
-    matrix to be sent back; it returns its ``EngineResult``.
+    matrix to be sent back; it returns its ``TrainResult``.
 
     ``build_model(init_assignment, split_indices)`` must return a prototype
     model whose initial prototypes derive from the given training-set
@@ -480,6 +477,10 @@ def training_run(
 
             ev_new = evaluate(D, w0_new, W_new, sigma_new)
             mse_new = ev_new["sse_train"] / tr.size
+            # Negative distances can overflow sigma to inf, where the kernel
+            # is 1 and the MSE stays finite; such a step has diverged too.
+            if not np.all(np.isfinite(sigma_new)):
+                mse_new = np.inf
             rates.scale, accepted = adapt_learning_rate(rates.scale, mse_new, mse_prev, config)
             if accepted:
                 w0, W, sigma = w0_new, W_new, sigma_new
@@ -560,18 +561,18 @@ def training_run(
 
     params = NetworkParams(w0=w0, W=W, sigma=sigma)
     d_state = DistanceState(D, epoch=best_epoch)
-    return EngineResult(
+    return TrainResult(
         params=params,
-        model=model,
+        prototypes=model.get_state(),
         d_state=d_state,
         metrics=metrics,
         split=split_indices,
-        trace=trace,
         config=config,
+        trace=trace,
     )
 
 
-def run_lockstep(runs: list) -> list[EngineResult]:
+def run_lockstep(runs: list) -> list[TrainResult]:
     """Advance ``training_run`` generators together and return their results.
 
     In each round every waiting relational run on the same graph gets its
@@ -608,6 +609,6 @@ def run_training(
     config: TrainConfig,
     split_indices: SplitIndices | None = None,
     record_trace: bool = False,
-) -> EngineResult:
+) -> TrainResult:
     """Run the full training protocol (``training_run``) for one run."""
     return run_lockstep([training_run(build_model, Y, config, split_indices, record_trace)])[0]

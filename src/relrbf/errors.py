@@ -37,10 +37,6 @@ class UnnormalizedPrototypeError(RelRbfError):
     """Prototype weights do not sum to one."""
 
 
-class ZeroWeightSumError(RelRbfError):
-    """Raw prototype weights sum to (numerically) zero."""
-
-
 class EmptySetError(RelRbfError):
     """An index set that must be non-empty is empty."""
 

@@ -81,16 +81,6 @@ def forward(d_state: DistanceState, params: NetworkParams) -> NetworkResponse:
     return NetworkResponse(hidden=hidden, output=output)
 
 
-def sse(Y, response: NetworkResponse) -> float:
-    """Sum of squared errors between desired and produced outputs."""
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if Y.shape != response.output.shape:
-        raise DimensionMismatchError(
-            f"targets {Y.shape} vs outputs {response.output.shape}"
-        )
-    return float(np.sum((Y - response.output) ** 2))
-
-
 def predict_labels(output: np.ndarray) -> np.ndarray:
     """Class decisions: argmax over outputs, ties to the smallest class index."""
     return np.argmax(np.atleast_2d(output), axis=1)

@@ -13,17 +13,11 @@ for which d reduces to column m of R.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptySetError,
-    UnnormalizedPrototypeError,
-    ZeroWeightSumError,
-)
+from .errors import DimensionMismatchError, EmptySetError, UnnormalizedPrototypeError
 from .graph import AdjacencyMatrix
 
 NORMALIZATION_TOL = 1e-12
@@ -57,37 +51,10 @@ class RelationalPrototype:
     def n(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def medoid_index(self) -> int:
-        if self.mode != MEDOID:
-            raise ValueError("not a medoid prototype")
-        return int(np.argmax(self.weights))
-
 
 def _is_basis_vector(w: np.ndarray) -> bool:
     nz = np.flatnonzero(w)
     return nz.size == 1 and abs(w[nz[0]] - 1.0) <= NORMALIZATION_TOL
-
-
-def make_prototype(u, mode: str = FREE) -> RelationalPrototype:
-    """Normalize raw weights u into a prototype: w = u / sum(u).
-
-    Negative weights are legal (they place the latent point outside the
-    convex hull of the observations) but warn, since most initializers are
-    expected to produce weights in [0, 1].
-    """
-    u = np.asarray(u, dtype=float)
-    total = u.sum()
-    if abs(total) <= NORMALIZATION_TOL:
-        raise ZeroWeightSumError(f"weights sum to {total!r}; cannot normalize")
-    if np.any(u < 0):
-        warnings.warn(
-            "prototype has negative raw weights; latent point may lie outside "
-            "the convex hull of the observations",
-            UserWarning,
-            stacklevel=2,
-        )
-    return RelationalPrototype(u / total, mode=mode)
 
 
 def prototype_distances(R: AdjacencyMatrix, weight_rows: np.ndarray) -> np.ndarray:
@@ -109,25 +76,6 @@ def _distances(r_values: np.ndarray, V: np.ndarray) -> np.ndarray:
     VR = V @ r_values
     self_term = np.einsum("ij,ij->i", VR, V)
     return VR - 0.5 * self_term[:, None]
-
-
-def relational_distance(R: AdjacencyMatrix, prototype) -> np.ndarray:
-    """Distance from one prototype to every observation.
-
-    Accepts a RelationalPrototype or a raw normalized weight vector; raises
-    UnnormalizedPrototypeError when weights do not sum to 1 within 1e-12.
-    """
-    if isinstance(prototype, RelationalPrototype):
-        w = prototype.weights
-    else:
-        w = np.asarray(prototype, dtype=float)
-        if w.ndim != 1:
-            raise DimensionMismatchError(f"weights must be 1-d, got {w.shape}")
-        if abs(w.sum() - 1.0) > NORMALIZATION_TOL:
-            raise UnnormalizedPrototypeError(f"weights sum to {w.sum()!r}, not 1")
-    if w.shape[0] != R.n:
-        raise DimensionMismatchError(f"prototype length {w.shape[0]} != n={R.n}")
-    return _distances(R.values, w[None, :])[0]
 
 
 def nearest_medoid(R: AdjacencyMatrix, member_set) -> int:

@@ -3,19 +3,18 @@
 ``train`` initializes node-weight prototypes by relational k-means over the
 training subgraph and runs the shared protocol of ``relrbf.engine``, which
 holds the update rules; ``train_group`` does the same for several configs in
-lock-step; ``evaluate_network`` scores a trained network on each split.
+lock-step.  Both return the engine's ``TrainResult``, whose ``prototypes``
+are the (c, n) best-epoch node weights.  ``evaluate_network`` scores a
+trained network on each split.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .engine import (
-    EngineResult,
     TrainConfig,
-    TrainMetrics,
+    TrainResult,
     relational_model_from_partition,
     run_lockstep,
     run_training,
@@ -23,23 +22,10 @@ from .engine import (
 )
 from .graph import AdjacencyMatrix
 from .initialization import SplitIndices, relational_kmeans
-from .network import NetworkParams, forward
-from .prototypes import DistanceState, RelationalPrototype
+from .network import NetworkParams, forward, predict_labels
+from .prototypes import DistanceState
 
 __all__ = ["TrainConfig", "TrainResult", "train", "train_group", "evaluate_network"]
-
-
-@dataclass
-class TrainResult:
-    """Best-validation network, prototypes, distances, and metric traces."""
-
-    params: NetworkParams
-    prototypes: list[RelationalPrototype]
-    d_state: DistanceState
-    metrics: TrainMetrics
-    split: SplitIndices
-    config: TrainConfig
-    trace: list | None = None
 
 
 def _builder(R: AdjacencyMatrix, config: TrainConfig):
@@ -52,18 +38,6 @@ def _builder(R: AdjacencyMatrix, config: TrainConfig):
         )
 
     return build
-
-
-def _result(res: EngineResult) -> TrainResult:
-    return TrainResult(
-        params=res.params,
-        prototypes=res.model.prototypes(),
-        d_state=res.d_state,
-        metrics=res.metrics,
-        split=res.split,
-        config=res.config,
-        trace=res.trace,
-    )
 
 
 def train(
@@ -82,10 +56,8 @@ def train(
     stopping with prototype growth.  Returns the parameters that achieved the
     best validation error.
     """
-    return _result(
-        run_training(
-            _builder(R, config), Y, config, split_indices=split_indices, record_trace=record_trace
-        )
+    return run_training(
+        _builder(R, config), Y, config, split_indices=split_indices, record_trace=record_trace
     )
 
 
@@ -98,14 +70,14 @@ def train_group(R: AdjacencyMatrix, Y, configs: list[TrainConfig]) -> list[Train
     separate product in the last bits, depending on n and the BLAS.
     """
     runs = [training_run(_builder(R, cfg), Y, cfg) for cfg in configs]
-    return [_result(res) for res in run_lockstep(runs)]
+    return run_lockstep(runs)
 
 
 def evaluate_network(params: NetworkParams, d_state: DistanceState, Y, split: SplitIndices):
     """Accuracies, confusion matrices, and response deviations per split."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     resp = forward(d_state, params)
-    predicted = np.argmax(resp.output, axis=1)
+    predicted = predict_labels(resp.output)
     actual = np.argmax(Y, axis=1)
     g = Y.shape[1]
     out = {}

@@ -1,10 +1,12 @@
 """Reference vector-space RBF network used to verify the graph/vector duality.
 
 This trainer runs the identical protocol as the graph trainer but holds its
-prototypes as explicit coordinate vectors.  On any dissimilarity matrix that
-is realizable by a point configuration, the two trainers consume the same
-random stream and must produce the same trajectory; ``duality_check`` runs
-them one after the other and reports the worst per-epoch deviation.
+prototypes as explicit coordinate vectors; it returns the same
+``TrainResult``, whose ``prototypes`` are the (c, d) best-epoch positions.
+On any dissimilarity matrix that is realizable by a point configuration, the
+two trainers consume the same random stream and must produce the same
+trajectory; ``duality_check`` runs them one after the other and reports the
+worst per-epoch deviation.
 """
 
 from __future__ import annotations
@@ -13,14 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import (
-    EngineResult,
-    TrainConfig,
-    TrainMetrics,
-    VectorModel,
-    run_training,
-)
-from .errors import ConfigError, DimensionMismatchError
+from .engine import TrainConfig, TrainResult, VectorModel, run_training
+from .errors import ConfigError
 from .graph import AdjacencyMatrix, from_features, validate
 from .initialization import (
     InvalidClusterCountError,
@@ -30,34 +26,10 @@ from .initialization import (
     indicator_weights,
     kmeans_partition_sequence,
 )
-from .prototypes import DistanceState
-from .network import NetworkParams
 from .transforms import cmds
 
 DUALITY_TOL = 1e-8
 TRACE_FIELDS = ("w0", "W", "sigma", "d", "hidden", "output")
-
-
-@dataclass(frozen=True)
-class VectorPrototype:
-    """Explicit RBF center in feature space."""
-
-    v: np.ndarray
-
-    def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.v, dtype=float)).copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
-
-
-def vector_distance(x, v) -> float:
-    """Squared Euclidean distance between an observation and a prototype."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    v = v.v if isinstance(v, VectorPrototype) else np.atleast_1d(np.asarray(v, dtype=float))
-    if x.shape != v.shape:
-        raise DimensionMismatchError(f"shapes {x.shape} vs {v.shape}")
-    diff = x - v
-    return float(diff @ diff)
 
 
 def vector_kmeans(
@@ -79,9 +51,7 @@ def vector_kmeans(
         init_assignment = _as_rng(seed, rng).integers(0, c, size=n)
 
     def compute(assignment):
-        centroids = indicator_weights(assignment, c) @ X
-        diff = X[None, :, :] - centroids[:, None, :]
-        return np.einsum("cnd,cnd->cn", diff, diff)
+        return VectorModel(X, indicator_weights(assignment, c) @ X).distances()
 
     history, _ = kmeans_partition_sequence(compute, init_assignment, c, max_iter)
     final = history[-1]
@@ -92,26 +62,13 @@ def vector_kmeans(
     return partition, centroids
 
 
-@dataclass
-class VectorTrainResult:
-    """Best-validation parameters of the vector-space reference trainer."""
-
-    params: NetworkParams
-    prototypes: np.ndarray
-    d_state: DistanceState
-    metrics: TrainMetrics
-    split: SplitIndices
-    config: TrainConfig
-    trace: list | None = None
-
-
 def vector_train(
     X,
     Y,
     config: TrainConfig,
     split_indices: SplitIndices | None = None,
     record_trace: bool = False,
-) -> VectorTrainResult:
+) -> TrainResult:
     """Train the vector-space twin with the protocol of the graph trainer."""
     if config.prototype_mode != "free":
         raise ValueError("the vector reference trainer only supports free prototypes")
@@ -123,18 +80,7 @@ def vector_train(
         )
         return VectorModel(X, centroids)
 
-    res: EngineResult = run_training(
-        build, Y, config, split_indices=split_indices, record_trace=record_trace
-    )
-    return VectorTrainResult(
-        params=res.params,
-        prototypes=res.model.get_state(),
-        d_state=res.d_state,
-        metrics=res.metrics,
-        split=res.split,
-        config=res.config,
-        trace=res.trace,
-    )
+    return run_training(build, Y, config, split_indices=split_indices, record_trace=record_trace)
 
 
 @dataclass

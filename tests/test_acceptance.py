@@ -12,13 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from relrbf import (
-    cmds,
-    from_features,
-    pmds,
-    relational_distance,
-    validate,
-)
+from relrbf import cmds, from_features, pmds, prototype_distances, validate
 from relrbf.datasets import apply_power, ingest, one_hot, synthetic_blobs
 from relrbf.engine import (
     RelationalModel,
@@ -55,7 +49,7 @@ def test_criterion_01_distance_identity():
         X = rng.standard_normal((n, d))
         u = rng.uniform(0.05, 1.0, n)
         v = u / u.sum()
-        rel = relational_distance(from_features(X), v)
+        rel = prototype_distances(from_features(X), v[None, :])[0]
         brute = brute_force_distance(X, v)
         scale = np.maximum(1.0, np.einsum("ij,ij->i", X, X))
         worst = max(worst, float(np.max(np.abs(rel - brute) / scale)))

@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import pickle
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +122,9 @@ class TestTrainCommand:
         }
         assert ck["n"] == 40
         assert len(ck["prototypes"]) == ck["c"]
+        for path in (out / "checkpoints").iterdir():
+            rows = np.array(json.loads(path.read_text())["prototypes"])
+            assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)
         # confusion rows sum to per-class counts; trace/total equals accuracy
         for split_name in ("train", "test", "val"):
             for run in report["runs"]:
@@ -129,6 +133,32 @@ class TestTrainCommand:
                 assert run["accuracy"][split_name] == pytest.approx(
                     np.trace(conf) / total
                 )
+
+    def test_medoid_checkpoints_hold_basis_vectors(self, tmp_path):
+        train = {"c_init": 2, "c_max": 4, "seed": 1, "max_epochs": 40, "patience_grow": 2}
+        cfg = blob_config(tmp_path, train={**train, "prototype_mode": "medoid"}, monte_carlo=3)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        for path in (out / "checkpoints").iterdir():
+            rows = np.array(json.loads(path.read_text())["prototypes"])
+            assert np.all(np.count_nonzero(rows, axis=1) == 1)
+            assert np.all(rows.max(axis=1) == 1.0)
+
+    def test_overflowed_bandwidth_step_does_not_crash(self, tmp_path):
+        # on this non-realizable graph, seeds 1 and 4 reach bandwidth steps
+        # that overflow to sigma = inf, which NetworkParams would reject
+        cfg = blob_config(
+            tmp_path,
+            dataset={
+                "kind": "synthetic-blobs",
+                "power": 1.5,
+                "blobs": {"n": 300, "dim": 5, "classes": 3, "sep": 2.0, "seed": 5},
+            },
+            train={"c_init": 3, "c_max": 8, "max_epochs": 120, "patience_grow": 2, "seed": 1},
+            monte_carlo=1,
+        )
+        for seed in ("1", "4"):
+            assert main(["train", "--config", str(cfg), "--seed", seed]) == EXIT_OK
 
     def test_byte_identical_reports(self, tmp_path):
         cfg = blob_config(tmp_path)
@@ -433,3 +463,15 @@ def test_duality_powered_dataset_uses_matrix_path(tmp_path, capsys):
     cfg.write_text(json.dumps(raw))
     assert main(["duality", "--config", str(cfg)]) == EXIT_OK
     assert "no oracle" in capsys.readouterr().out
+
+
+def test_benchmark_tracer_hooks_resolve(monkeypatch):
+    # perfbench/tracer.py patches relrbf entry points by name: a renamed or
+    # deleted hook fails here, not only in the traced benchmark runs
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.tracer import Tracer
+
+    before = relrbf.cli.train
+    with Tracer().installed():
+        assert relrbf.cli.train is not before
+    assert relrbf.cli.train is before

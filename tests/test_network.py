@@ -12,7 +12,6 @@ from relrbf import (
     gaussian_kernel,
     predict_labels,
     prototype_distances,
-    sse,
 )
 from relrbf.errors import DimensionMismatchError, NonpositiveSigmaError
 from relrbf.prototypes import DistanceState
@@ -94,29 +93,6 @@ class TestForward:
         out_vec = forward(DistanceState(D_vec), params).output
         rel_err = np.abs(out_rel - out_vec) / np.maximum(1.0, np.abs(out_vec))
         assert rel_err.max() <= 1e-10
-
-
-class TestSse:
-    def test_perfect_fit(self):
-        params = NetworkParams(w0=[1.0], W=[[0.0]], sigma=[1.0])
-        resp = forward(DistanceState(np.zeros((1, 3))), params)
-        assert sse(np.ones((3, 1)), resp) == 0.0
-
-    def test_unit_error(self):
-        params = NetworkParams(w0=[0.0], W=[[0.0]], sigma=[1.0])
-        resp = forward(DistanceState(np.zeros((1, 1))), params)
-        assert sse([[1.0]], resp) == 1.0
-
-    def test_two_output_example(self):
-        params = NetworkParams(w0=[0.8, 0.3], W=np.zeros((1, 2)), sigma=[1.0])
-        resp = forward(DistanceState(np.zeros((1, 1))), params)
-        assert sse([[1.0, 0.0]], resp) == pytest.approx(0.13)
-
-    def test_dimension_mismatch(self):
-        params = NetworkParams(w0=[0.0], W=[[0.0]], sigma=[1.0])
-        resp = forward(DistanceState(np.zeros((1, 2))), params)
-        with pytest.raises(DimensionMismatchError):
-            sse(np.zeros((3, 1)), resp)
 
 
 def test_predict_labels_tie_breaks_to_smallest():

@@ -5,19 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relrbf import (
-    from_features,
-    make_prototype,
-    nearest_medoid,
-    prototype_distances,
-    relational_distance,
-)
-from relrbf.errors import (
-    DimensionMismatchError,
-    EmptySetError,
-    UnnormalizedPrototypeError,
-    ZeroWeightSumError,
-)
+from relrbf import from_features, nearest_medoid, prototype_distances
+from relrbf.errors import DimensionMismatchError, EmptySetError, UnnormalizedPrototypeError
 from relrbf.prototypes import MEDOID, RelationalPrototype
 
 from conftest import brute_force_distance
@@ -25,32 +14,27 @@ from conftest import brute_force_distance
 
 class TestRelationalDistance:
     def test_half_half_prototype(self, three_points, three_point_R):
-        v = make_prototype([2.0, 2.0, 0.0])
-        np.testing.assert_allclose(v.weights, [0.5, 0.5, 0.0])
-        d = relational_distance(three_point_R, v)
-        expected = brute_force_distance(three_points, v.weights)
+        v = np.array([0.5, 0.5, 0.0])
+        d = prototype_distances(three_point_R, v[None, :])[0]
+        expected = brute_force_distance(three_points, v)
         np.testing.assert_allclose(expected, [0.25, 0.25, 1.25], atol=1e-15)
         np.testing.assert_allclose(d, expected, atol=1e-12)
 
     def test_unit_basis_reduces_to_column(self, three_point_R):
-        d = relational_distance(three_point_R, np.array([0.0, 1.0, 0.0]))
+        d = prototype_distances(three_point_R, np.array([[0.0, 1.0, 0.0]]))[0]
         np.testing.assert_allclose(d, three_point_R.values[:, 1], atol=1e-15)
         assert d[1] == 0.0
 
     def test_centroid_prototype(self, three_points, three_point_R):
         v = np.full(3, 1.0 / 3.0)
-        d = relational_distance(three_point_R, v)
+        d = prototype_distances(three_point_R, v[None, :])[0]
         expected = brute_force_distance(three_points, v)
         np.testing.assert_allclose(expected, [2.0 / 9.0, 5.0 / 9.0, 5.0 / 9.0], atol=1e-15)
         np.testing.assert_allclose(d, expected, atol=1e-12)
 
     def test_dimension_mismatch(self, three_point_R):
         with pytest.raises(DimensionMismatchError):
-            relational_distance(three_point_R, np.array([0.5, 0.5]))
-
-    def test_unnormalized_rejected(self, three_point_R):
-        with pytest.raises(UnnormalizedPrototypeError):
-            relational_distance(three_point_R, np.array([0.5, 0.5, 0.5]))
+            prototype_distances(three_point_R, np.array([[0.5, 0.5]]))
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=50, deadline=None)
@@ -61,7 +45,7 @@ class TestRelationalDistance:
         X = rng.standard_normal((n, d))
         u = rng.uniform(0.05, 1.0, n)
         v = u / u.sum()
-        rel = relational_distance(from_features(X), v)
+        rel = prototype_distances(from_features(X), v[None, :])[0]
         brute = brute_force_distance(X, v)
         scale = np.maximum(1.0, np.einsum("ij,ij->i", X, X))
         assert np.max(np.abs(rel - brute) / scale) <= 1e-10
@@ -74,15 +58,15 @@ class TestRelationalDistance:
         shift = rng.standard_normal(3) * 5
         u = rng.uniform(0.1, 1.0, 10)
         v = u / u.sum()
-        d1 = relational_distance(from_features(X), v)
-        d2 = relational_distance(from_features(X + shift), v)
+        d1 = prototype_distances(from_features(X), v[None, :])[0]
+        d2 = prototype_distances(from_features(X + shift), v[None, :])[0]
         np.testing.assert_allclose(d1, d2, atol=1e-9)
 
     def test_matrix_form_matches_single(self, three_point_R):
         V = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0]])
         D = prototype_distances(three_point_R, V)
         for j in range(2):
-            np.testing.assert_array_equal(D[j], relational_distance(three_point_R, V[j]))
+            np.testing.assert_array_equal(D[j], prototype_distances(three_point_R, V[j : j + 1])[0])
 
     def test_weight_gradient_of_distance(self):
         # d_i(w) = (Rw)_i - w^T R w / 2 has dd_i/dw_m = R[i, m] - (Rw)_m;
@@ -106,30 +90,14 @@ class TestRelationalDistance:
             assert np.max(np.abs(num - analytic) / np.maximum(1.0, np.abs(analytic))) <= 1e-6
 
 
-class TestMakePrototype:
-    def test_normalization(self):
-        p = make_prototype([2.0, 2.0, 0.0])
-        np.testing.assert_allclose(p.weights, [0.5, 0.5, 0.0])
-        assert p.weights.sum() == pytest.approx(1.0, abs=1e-15)
-
-    def test_class_indicator_is_class_mean(self, three_points, three_point_R):
-        p = make_prototype([1.0, 1.0, 0.0])
-        d = relational_distance(three_point_R, p)
-        class_mean = three_points[:2].mean(axis=0)
-        expected = ((three_points - class_mean) ** 2).sum(axis=1)
-        np.testing.assert_allclose(d, expected, atol=1e-12)
-
-    def test_zero_sum_rejected(self):
-        with pytest.raises(ZeroWeightSumError):
-            make_prototype([1.0, -1.0, 0.0])
-
-    def test_negative_weights_warn(self):
-        with pytest.warns(UserWarning, match="negative"):
-            make_prototype([2.0, -0.5, 0.0])
+class TestRelationalPrototype:
+    def test_unnormalized_rejected(self):
+        with pytest.raises(UnnormalizedPrototypeError):
+            RelationalPrototype(np.array([0.5, 0.5, 0.5]))
 
     def test_medoid_mode_requires_basis_vector(self):
-        p = make_prototype([0.0, 3.0, 0.0], mode=MEDOID)
-        assert p.medoid_index == 1
+        p = RelationalPrototype(np.array([0.0, 1.0, 0.0]), mode=MEDOID)
+        np.testing.assert_array_equal(p.weights, [0.0, 1.0, 0.0])
         with pytest.raises(ValueError):
             RelationalPrototype(np.array([0.5, 0.5, 0.0]), mode=MEDOID)
 

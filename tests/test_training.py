@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relrbf import NetworkParams, forward, from_features, gaussian_kernel
+from relrbf import NetworkParams, TrainResult, forward, from_features, gaussian_kernel
 from relrbf import engine
 from relrbf.datasets import one_hot, synthetic_blobs
 from relrbf.engine import (
@@ -556,6 +556,19 @@ class TestTrain:
         assert res.metrics.epochs > 0  # completes without blowing up
         assert all(v >= 0 for v in res.metrics.negative_distances)
 
+    def test_overflowed_bandwidth_step_rejected(self):
+        # negative distances can push a bandwidth step to sigma = inf, where
+        # the kernel is 1 and the training MSE stays finite
+        from relrbf.datasets import ingest
+
+        blobs = {"n": 300, "dim": 5, "classes": 3, "sep": 2.0, "seed": 5}
+        data = ingest("synthetic-blobs", power=1.5, blob_options=blobs)
+        R, Y = data.R, data.Y
+        for seed in range(1, 7):
+            cfg = TrainConfig(c_init=3, c_max=8, max_epochs=120, patience_grow=2, seed=seed)
+            res = train(R, Y, cfg, record_trace=True)
+            assert all(np.all(np.isfinite(rec["sigma"])) for rec in res.trace)
+
     def test_growth_respects_capacity(self):
         X, y = synthetic_blobs(40, classes=2, sep=1.0, noise=2.0, seed=9)
         R = from_features(X)
@@ -614,6 +627,8 @@ class TestLockstep:
         R, Y = from_features(X), one_hot(y, 2)
         cfg = TrainConfig(c_init=3, c_max=5, patience_grow=2, seed=2, max_epochs=60)
         (g,), a = train_group(R, Y, [cfg]), train(R, Y, cfg)
+        assert type(g) is type(a) is TrainResult
+        assert np.array_equal(g.prototypes, a.prototypes)
         assert g.metrics.as_dict() == a.metrics.as_dict()
         assert np.array_equal(g.d_state.d, a.d_state.d)
         assert np.array_equal(g.params.W, a.params.W)

@@ -3,37 +3,28 @@
 import numpy as np
 import pytest
 
-from relrbf import from_features
+from relrbf import TrainResult, from_features
 from relrbf.datasets import one_hot, synthetic_blobs
-from relrbf.engine import TrainConfig
-from relrbf.errors import DimensionMismatchError
+from relrbf.engine import TrainConfig, VectorModel
 from relrbf.initialization import init_params, split as make_split
 from relrbf.training import train
-from relrbf.vector_oracle import (
-    VectorPrototype,
-    duality_check,
-    vector_distance,
-    vector_kmeans,
-    vector_train,
-)
+from relrbf.vector_oracle import duality_check, vector_kmeans, vector_train
+
+
+def squared_distance(x, v) -> float:
+    """Squared distance from observation x to prototype v, by ``VectorModel``."""
+    return float(VectorModel(np.array([x]), np.array([v])).distances()[0, 0])
 
 
 class TestVectorDistance:
     def test_coincident(self):
-        assert vector_distance([1.0, 2.0], [1.0, 2.0]) == 0.0
+        assert squared_distance([1.0, 2.0], [1.0, 2.0]) == 0.0
 
     def test_known_value(self):
-        assert vector_distance([0.0, 1.0], [0.5, 0.0]) == pytest.approx(1.25)
+        assert squared_distance([0.0, 1.0], [0.5, 0.0]) == pytest.approx(1.25)
 
     def test_centroid_case(self):
-        assert vector_distance([1.0, 0.0], [1 / 3, 1 / 3]) == pytest.approx(5.0 / 9.0)
-
-    def test_prototype_wrapper(self):
-        assert vector_distance([0.0, 0.0], VectorPrototype([3.0, 4.0])) == pytest.approx(25.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            vector_distance([1.0], [1.0, 2.0])
+        assert squared_distance([1.0, 0.0], [1 / 3, 1 / 3]) == pytest.approx(5.0 / 9.0)
 
 
 class TestVectorKmeans:
@@ -86,6 +77,10 @@ class TestVectorTrain:
         cfg = TrainConfig(c_init=2, c_max=4, seed=5, max_epochs=25)
         g = train(from_features(X), Y, cfg)
         v = vector_train(X, Y, cfg)
+        # one result type: node weights from the graph, positions from the vectors
+        assert type(g) is type(v) is TrainResult
+        assert g.prototypes.shape == (g.params.c, 30)
+        assert v.prototypes.shape == (v.params.c, 4)
         assert g.metrics.epochs == v.metrics.epochs
         np.testing.assert_allclose(g.metrics.sse_train, v.metrics.sse_train, atol=1e-8)
         np.testing.assert_allclose(g.metrics.sse_val, v.metrics.sse_val, atol=1e-8)
