@@ -63,7 +63,10 @@ def gaussian_kernel(d, sigma):
     sigma = np.asarray(sigma, dtype=float)
     if np.any(sigma <= 0):
         raise NonpositiveSigmaError("sigma must be strictly positive")
-    return np.exp(-np.asarray(d, dtype=float) / (2.0 * sigma**2))
+    # a huge finite sigma overflows to an infinite width: the intended kernel of 1
+    with np.errstate(over="ignore"):
+        width = 2.0 * sigma**2
+    return np.exp(-np.asarray(d, dtype=float) / width)
 
 
 def forward(d_state: DistanceState, params: NetworkParams) -> NetworkResponse:

@@ -3,7 +3,11 @@
 import functools
 import json
 import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -146,7 +150,9 @@ class TestTrainCommand:
 
     def test_overflowed_bandwidth_step_does_not_crash(self, tmp_path):
         # on this non-realizable graph, seeds 1 and 4 reach bandwidth steps
-        # that overflow to sigma = inf, which NetworkParams would reject
+        # that overflow to sigma = inf, which NetworkParams would reject; seed
+        # 1 also keeps a sigma of 4e273, whose square overflows to the
+        # intended kernel of 1 without a RuntimeWarning
         cfg = blob_config(
             tmp_path,
             dataset={
@@ -158,7 +164,9 @@ class TestTrainCommand:
             monte_carlo=1,
         )
         for seed in ("1", "4"):
-            assert main(["train", "--config", str(cfg), "--seed", seed]) == EXIT_OK
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(["train", "--config", str(cfg), "--seed", seed]) == EXIT_OK
 
     def test_byte_identical_reports(self, tmp_path):
         cfg = blob_config(tmp_path)
@@ -420,6 +428,30 @@ class TestOutputBytes:
             monkeypatch.setattr(module, "write_csv", savetxt)
         assert self.run_all(cfg, tmp_path / "savetxt") == fast
         assert sum(name.suffix == ".csv" for name in fast) >= 14
+
+    def test_commands_run_without_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: with every scipy import made
+        # to fail, each command still exits 0 and no scipy module is loaded
+        script = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from relrbf.cli import main\n"
+            "cfg, root, commands = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])\n"
+            "for command in commands:\n"
+            "    out = root + '/' + '_'.join(command)\n"
+            "    rc = main([command[0], '--config', cfg, *command[1:], '--out', out])\n"
+            "    if rc != 0:\n"
+            "        sys.exit(f'{command} exited {rc}')\n"
+            "loaded = [m for m, v in sys.modules.items() if m.startswith('scipy') and v]\n"
+            "sys.exit(f'scipy modules loaded: {loaded}' if loaded else 0)\n"
+        )
+        src = str(Path(relrbf.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        cfg = blob_config(tmp_path)
+        argv = [sys.executable, "-c", script, str(cfg), str(tmp_path), json.dumps(self.COMMANDS)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
     def test_subgraphs_match_validated_copies(self, tmp_path, monkeypatch, capsys):
         # the unchecked principal submatrix and power give the outputs the

@@ -2,11 +2,13 @@
 
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from relrbf import (
     AdjacencyMatrix,
@@ -24,7 +26,7 @@ from relrbf.errors import (
     NonzeroDiagonalError,
     ParseError,
 )
-from relrbf.graph import double_centered
+from relrbf.graph import _BLOCK, double_centered
 
 
 def double_centered_old(a):
@@ -45,6 +47,34 @@ def near_symmetric(draw, max_n=12):
     a += np.triu(rng.uniform(0.0, 8e-13, (n, n)), 1)
     np.fill_diagonal(a, 0.0)
     return a
+
+
+def sequential_sqeuclidean(x):
+    """Pure-Python oracle: every entry summed feature by feature from +0.0."""
+    rows = np.asarray(x, dtype=float).tolist()
+    r = np.empty((len(rows), len(rows)))
+    for p, a in enumerate(rows):
+        for q, b in enumerate(rows):
+            s = 0.0
+            for u, v in zip(a, b):
+                d = u - v
+                s += d * d
+            r[p, q] = s
+    return r
+
+
+@st.composite
+def scaled_features(draw):
+    """Feature matrices around the kernel's block edges, one scale per
+    feature from 1e-150 to 1e150, with some rows duplicated."""
+    n = draw(st.sampled_from([2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]))
+    d = draw(st.sampled_from([0, 1, 30]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exponents = draw(st.lists(st.integers(-150, 150), min_size=d, max_size=d))
+    x = rng.standard_normal((n, d)) * 10.0 ** np.array(exponents, dtype=float)
+    copies = draw(st.integers(0, n // 2))
+    x[rng.integers(0, n, copies)] = x[rng.integers(0, n, copies)]
+    return x
 
 
 def bits(a):
@@ -284,6 +314,74 @@ class TestFromFeatures:
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
             from_features(np.array([[1.0, 2.0]]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(scaled_features())
+    def test_bitwise_sequential_sum(self, x):
+        # the oracle is exactly symmetric with +0.0 wherever two rows are
+        # equal, the diagonal included; bits() compares signs too
+        R = from_features(x)
+        assert bits(R.values) == bits(sequential_sqeuclidean(x))
+        same = np.all(x[:, None, :] == x[None, :, :], axis=2)
+        assert np.all(R.values[same] == 0.0) and not np.any(np.signbit(R.values[same]))
+        assert not R.values.flags.writeable
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=7),
+            elements=st.floats(-1e150, 1e150, allow_nan=False),
+        )
+    )
+    def test_bitwise_sequential_sum_on_drawn_floats(self, x):
+        # zeros of both signs, subnormals and repeated values
+        assert bits(from_features(x).values) == bits(sequential_sqeuclidean(x))
+
+    @pytest.mark.parametrize("n", [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3, 300])
+    @pytest.mark.parametrize("d", [0, 1, 30])
+    def test_bitwise_equal_to_cdist(self, n, d):
+        distance = pytest.importorskip("scipy.spatial.distance")
+        rng = np.random.default_rng(n * 31 + d)
+        x = rng.standard_normal((n, d)) * rng.uniform(1e-3, 1e3, d)
+        assert bits(from_features(x).values) == bits(distance.cdist(x, x, "sqeuclidean"))
+
+    def test_overflow_boundary_matches_constructor(self):
+        # consecutive floats around the largest squared distance whose
+        # doubling is finite, on one and on two features, plus one whose
+        # square overflows: from_features raises exactly where the validating
+        # constructor rejects cdist's matrix, and warns nowhere
+        distance = pytest.importorskip("scipy.spatial.distance")
+        edge = float(np.sqrt(np.finfo(float).max / 2.0))
+        values = [edge]
+        for _ in range(4):
+            values = [np.nextafter(values[0], 0.0), *values, np.nextafter(values[-1], np.inf)]
+        for width in (1, 2):
+            outcomes = []
+            for v in [*values, 1e200]:
+                x = np.array([[0.0] * width, [v / np.sqrt(width)] * width])
+                try:
+                    AdjacencyMatrix(distance.cdist(x, x, "sqeuclidean"))
+                    rejected = False
+                except NonFiniteError:
+                    rejected = True
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    if rejected:
+                        with pytest.raises(NonFiniteError, match="non-finite entries"):
+                            from_features(x)
+                    else:
+                        assert np.isfinite(2.0 * from_features(x).values.max())
+                outcomes.append(rejected)
+            # accepted up to the boundary, rejected beyond it, and the
+            # boundary lies inside the nine consecutive floats
+            assert not outcomes[0] and outcomes[len(values) - 1]
+            assert outcomes == sorted(outcomes)
+
+    def test_holds_one_matrix(self):
+        n = 400
+        X = np.random.default_rng(2).standard_normal((n, 5))
+        assert traced_peak(lambda: from_features(X)) <= 1.2 * n * n * 8
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
