@@ -21,7 +21,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -181,15 +181,17 @@ def _hold_graph(graph) -> None:
 def _single_run(payload):
     """One lock-step group of seeded training runs on the held graph;
     module-level so worker pools can pickle it.  Returns {"runs": [...]}."""
-    cfg_dict, seeds = payload
+    cfg_dict, seeds, checkpoints = payload
     R, Y = _batch_graph
     results = train_group(R, Y, [TrainConfig(**{**cfg_dict, "seed": s}) for s in seeds])
-    return {"runs": [_run_record(result, Y, seed) for result, seed in zip(results, seeds)]}
+    return {"runs": [_run_record(r, Y, s, checkpoints) for r, s in zip(results, seeds)]}
 
 
-def _run_record(result, Y, seed: int) -> dict:
+def _run_record(result, Y, seed: int, checkpoint: bool) -> dict:
+    """A run's report entry; with `checkpoint`, also its checkpoint file's
+    text, encoded here so that each pool worker encodes its own runs."""
     ev = evaluate_network(result.params, result.d_state, Y, result.split)
-    return {
+    record = {
         "seed": seed,
         "epochs": result.metrics.epochs,
         "best_epoch": result.metrics.best_epoch,
@@ -205,8 +207,10 @@ def _run_record(result, Y, seed: int) -> dict:
             "test": result.metrics.sse_test,
         },
         "lr_scale_trace": result.metrics.lr_scale,
-        "checkpoint": checkpoint_dict(result, seed),
     }
+    if checkpoint:
+        record["checkpoint"] = json_text(checkpoint_dict(result, seed))
+    return record
 
 
 def checkpoint_dict(result, seed: int) -> dict:
@@ -250,13 +254,31 @@ def aggregate_runs(runs: list, bins: int) -> dict:
     return agg
 
 
+def json_text(obj: dict) -> str:
+    """The text of every JSON file the CLI writes."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def write_json(obj: dict, path: Path) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    path.write_text(json_text(obj))
+
+
+def _write_ingested(data: IngestResult, out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    write_adjacency(data.R, out / "adjacency.csv")
+    if data.labels is not None:
+        np.savetxt(out / "labels.csv", data.labels, fmt="%d")
 
 
 def cmd_ingest(config: ExperimentConfig, out: Path | None) -> int:
     data = load_dataset(config)
-    report = validate(data.R)
+    # the files are written on a helper thread while the spectrum is found
+    # here: eigvalsh releases the GIL, so the two overlap
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        written = helper.submit(_write_ingested, data, out) if out is not None else None
+        report = validate(data.R)
+        if written is not None:
+            written.result()
     print(f"ingested kind={data.kind} n={data.R.n}", end="")
     if data.labels is not None:
         counts = np.bincount(data.labels).tolist()
@@ -266,22 +288,30 @@ def cmd_ingest(config: ExperimentConfig, out: Path | None) -> int:
         f" min_eigenvalue={report.min_eigenvalue:.6e}"
     )
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        write_adjacency(data.R, out / "adjacency.csv")
-        if data.labels is not None:
-            np.savetxt(out / "labels.csv", data.labels, fmt="%d")
         print(f"wrote {out}/adjacency.csv")
     return EXIT_OK
 
 
-def run_batch(R: AdjacencyMatrix, Y, cfg_dict: dict, base_seed: int, count: int, workers: int):
+def run_batch(
+    R: AdjacencyMatrix,
+    Y,
+    cfg_dict: dict,
+    base_seed: int,
+    count: int,
+    workers: int,
+    *,
+    checkpoints: bool,
+):
     """Train `count` seeded runs on one graph, in lock-step groups of
     `GROUP_SIZE` consecutive seeds.  The groups depend on the seeds alone, so
     the results do not depend on `workers`.  Pool workers receive (R, Y)
     once, through the pool initializer: inherited under `fork`, pickled once
-    per worker under `spawn`/`forkserver`."""
+    per worker under `spawn`/`forkserver`.  With `checkpoints`, each run's
+    record carries its checkpoint file's text under "checkpoint"."""
     seeds = [base_seed + i for i in range(count)]
-    payloads = [(cfg_dict, seeds[i : i + GROUP_SIZE]) for i in range(0, count, GROUP_SIZE)]
+    payloads = [
+        (cfg_dict, seeds[i : i + GROUP_SIZE], checkpoints) for i in range(0, count, GROUP_SIZE)
+    ]
     _hold_graph((R, Y))
     try:
         if workers > 1:
@@ -302,9 +332,9 @@ def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
         raise ConfigError("training requires labels (dataset provides none)")
     R = apply_transform(data.R, config.transform)
     cfg_dict = dataclasses.asdict(config.train)
-    runs = run_batch(R, data.Y, cfg_dict, config.train.seed, config.monte_carlo, config.workers)
-
-    checkpoints = [r.pop("checkpoint") for r in runs]
+    seeds_and_workers = (config.train.seed, config.monte_carlo, config.workers)
+    runs = run_batch(R, data.Y, cfg_dict, *seeds_and_workers, checkpoints=out is not None)
+    checkpoints = [r.pop("checkpoint") for r in runs] if out is not None else []
     report = {
         "config": config.as_dict(),
         "n": int(R.n),
@@ -322,9 +352,7 @@ def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
         other_cfg = {**cfg_dict, "prototype_mode": other_mode}
         other_runs = [
             {k: r[k] for k in ("seed", "accuracy", "confusion")}
-            for r in run_batch(
-                R, data.Y, other_cfg, config.train.seed, config.monte_carlo, config.workers
-            )
+            for r in run_batch(R, data.Y, other_cfg, *seeds_and_workers, checkpoints=False)
         ]
         paired = {}
         for split_name in ("train", "test", "val"):
@@ -362,8 +390,8 @@ def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
         write_json(report, out / "report.json")
         ck_dir = out / "checkpoints"
         ck_dir.mkdir(exist_ok=True)
-        for i, ck in enumerate(checkpoints):
-            write_json(ck, ck_dir / f"run_{i}.json")
+        for i, text in enumerate(checkpoints):
+            (ck_dir / f"run_{i}.json").write_text(text)
         for split_name in ("train", "test", "val"):
             write_csv(
                 out / f"confusion_{split_name}.csv",

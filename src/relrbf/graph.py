@@ -22,6 +22,7 @@ from .errors import (
     NonSquareError,
     NonzeroDiagonalError,
     ParseError,
+    RelRbfError,
 )
 from .textio import write_csv
 
@@ -323,7 +324,9 @@ def read_adjacency(path) -> AdjacencyMatrix:
     """Read a headerless CSV adjacency matrix.
 
     Asymmetry up to 1e-12 is silently averaged away; anything larger is an
-    error.  Negative entries and nonzero diagonals are rejected.
+    error.  Negative entries and nonzero diagonals are rejected, by the
+    :class:`AdjacencyMatrix` constructor's checks, with the path in the
+    message.
     """
     try:
         a = np.loadtxt(path, delimiter=",", ndmin=2)
@@ -333,12 +336,10 @@ def read_adjacency(path) -> AdjacencyMatrix:
         raise ParseError(f"{path}: expected square table, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ParseError(f"{path}: non-finite entries")
-    asym = float(np.max(np.abs(a - a.T)))
-    if asym > SYMMETRY_TOL:
-        raise AsymmetryError(f"{path}: asymmetry {asym:.3e} exceeds 1e-12")
-    if a.min() < 0.0:
-        raise NegativeEntryError(f"{path}: negative entry {a.min():.3e}")
-    return AdjacencyMatrix(a)
+    try:
+        return AdjacencyMatrix(a)
+    except RelRbfError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def read_features(path) -> FeatureMatrix:

@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -17,8 +18,8 @@ import pytest
 import relrbf.cli
 import relrbf.graph
 import relrbf.transforms
-from relrbf import from_features
-from relrbf.cli import EXIT_CONFIG, EXIT_OK, ExperimentConfig, main
+from relrbf import from_features, validate, write_adjacency
+from relrbf.cli import EXIT_CONFIG, EXIT_OK, ExperimentConfig, load_dataset, main
 from relrbf.engine import TrainConfig
 from relrbf.errors import ConfigError
 from relrbf.vector_oracle import duality_check
@@ -98,6 +99,56 @@ class TestIngestCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "overflow" in err
 
+    def test_files_and_stdout_match_sequential_writes(self, tmp_path, monkeypatch, capsys):
+        # the files are written on a helper thread while validate runs on
+        # the main thread; the bytes are those of the calls made in turn
+        on_main = {}
+
+        def recording(name, fn):
+            def wrapper(*args):
+                on_main[name] = threading.current_thread() is threading.main_thread()
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(relrbf.cli, "validate", recording("validate", validate))
+        monkeypatch.setattr(
+            relrbf.cli, "write_adjacency", recording("write_adjacency", write_adjacency)
+        )
+        cfg = blob_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert on_main == {"validate": True, "write_adjacency": False}
+        stdout = capsys.readouterr().out
+
+        data = load_dataset(ExperimentConfig.from_file(cfg))
+        report = validate(data.R)
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        write_adjacency(data.R, ref / "adjacency.csv")
+        np.savetxt(ref / "labels.csv", data.labels, fmt="%d")
+        assert stdout == (
+            f"ingested kind=synthetic-blobs n=40 classes={data.class_names}"
+            f" counts={np.bincount(data.labels).tolist()}"
+            f" embeddable={report.euclidean_embeddable}"
+            f" min_eigenvalue={report.min_eigenvalue:.6e}\n"
+            f"wrote {out}/adjacency.csv\n"
+        )
+        for name in ("adjacency.csv", "labels.csv"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+    def test_failed_write_raises_and_leaves_no_thread(self, tmp_path, monkeypatch, capsys):
+        def full_disk(R, path):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(relrbf.cli, "write_adjacency", full_disk)
+        threads = threading.active_count()
+        cfg = blob_config(tmp_path)
+        with pytest.raises(OSError, match="no space left"):
+            main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert "wrote" not in capsys.readouterr().out
+        assert threading.active_count() == threads
+
     def test_cubic_triangle_check_off_the_path(self, tmp_path, monkeypatch):
         def forbidden(R):
             raise AssertionError("sqrt_triangle_ok is O(n^3) and must stay off the default path")
@@ -137,6 +188,36 @@ class TestTrainCommand:
                 assert run["accuracy"][split_name] == pytest.approx(
                     np.trace(conf) / total
                 )
+
+    def test_checkpoints_are_canonical_json(self, tmp_path):
+        # pool workers encode the checkpoints; each file is the text
+        # write_json gives its object
+        cfg = blob_config(tmp_path, workers=2, monte_carlo=3)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        paths = sorted((out / "checkpoints").iterdir())
+        assert [p.name for p in paths] == [f"run_{i}.json" for i in range(3)]
+        for path in paths:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+    def test_only_written_checkpoints_are_encoded(self, tmp_path, monkeypatch, capsys):
+        encoded = []
+        json_text = relrbf.cli.json_text
+
+        def counting(obj):
+            encoded.append(obj)
+            return json_text(obj)
+
+        monkeypatch.setattr(relrbf.cli, "json_text", counting)
+        cfg = blob_config(tmp_path, compare_prototype_modes=True, monte_carlo=3)
+        assert main(["train", "--config", str(cfg)]) == EXIT_OK
+        assert encoded == []
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+        # one text per run of the reported batch, none for the discarded
+        # batch of the other prototype mode, and report.json
+        assert [obj["seed"] for obj in encoded if "d_state" in obj] == [1, 2, 3]
+        assert len(encoded) == 4 and "paired_mode_comparison" in encoded[-1]
 
     def test_medoid_checkpoints_hold_basis_vectors(self, tmp_path):
         train = {"c_init": 2, "c_max": 4, "seed": 1, "max_epochs": 40, "patience_grow": 2}

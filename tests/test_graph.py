@@ -431,6 +431,29 @@ class TestFileRoundTrip:
         with pytest.raises(NegativeEntryError):
             read_adjacency(path)
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("0,1\n2,0\n", AsymmetryError),
+            ("0,-1\n-1,0\n", NegativeEntryError),
+            ("1,1\n1,0\n", NonzeroDiagonalError),
+        ],
+    )
+    def test_errors_name_the_path(self, tmp_path, text, error):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(error) as excinfo:
+            read_adjacency(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
+
+    def test_checks_without_extra_copies(self, tmp_path):
+        # the parsed table and the constructor's symmetrizing buffer: the
+        # structural checks run once, in the constructor
+        n = 400
+        path = tmp_path / "adj.csv"
+        write_adjacency(from_features(np.random.default_rng(0).standard_normal((n, 5))), path)
+        assert traced_peak(lambda: read_adjacency(path)) <= 2.2 * n * n * 8
+
     def test_malformed_csv(self, tmp_path):
         path = tmp_path / "junk.csv"
         path.write_text("0,1\nnot,numbers\n")
