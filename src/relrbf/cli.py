@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -57,6 +58,15 @@ TRANSFORMS = ("none", "cmds", "pmds")
 PROTOTYPE_MODES = ("free", "medoid")
 
 TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
+RANGE_FIELDS = ("eta_range", "weight_init_range", "sigma_init_range")
+
+
+def _count(obj: dict, key: str, default: int, name: str | None = None) -> int:
+    """The integer >= 1 at `key` (`default` when absent)."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name or key} must be an integer >= 1, got {value!r}")
+    return value
 
 
 @dataclass
@@ -103,11 +113,11 @@ class ExperimentConfig:
         unknown = set(train_raw) - TRAIN_FIELDS
         if unknown:
             raise ConfigError(f"unknown train option(s): {sorted(unknown)}")
-        for tuple_key in ("eta_range", "weight_init_range", "sigma_init_range"):
-            if tuple_key in train_raw:
-                train_raw[tuple_key] = tuple(train_raw[tuple_key])
         try:
-            train_cfg = TrainConfig(**train_raw)
+            # a copy: the caller's dict is left as it was
+            train_cfg = TrainConfig(
+                **{k: tuple(v) if k in RANGE_FIELDS else v for k, v in train_raw.items()}
+            )
         except (TypeError, ValueError, RelRbfError) as exc:
             raise ConfigError(f"invalid train config: {exc}") from exc
         if train_cfg.prototype_mode not in PROTOTYPE_MODES:
@@ -116,25 +126,25 @@ class ExperimentConfig:
         transform = raw.get("transform", "none")
         if transform not in TRANSFORMS:
             raise ConfigError(f"transform must be one of {TRANSFORMS}")
-        monte_carlo = int(raw.get("monte_carlo", 1))
-        if monte_carlo < 1:
-            raise ConfigError("monte_carlo must be >= 1")
-        histogram_bins = int(raw.get("histogram_bins", 21))
-        if histogram_bins < 1:
-            raise ConfigError("histogram_bins must be >= 1")
-        workers = int(raw.get("workers", 1))
-        if workers < 1:
-            raise ConfigError("workers must be >= 1")
         duality = raw.get("duality", {})
+        if not isinstance(duality, dict):
+            raise ConfigError("'duality' must be an object")
+        duality_tol = duality.get("tol", 1e-8)
+        try:
+            tol_ok = not isinstance(duality_tol, bool) and math.isfinite(duality_tol)
+        except (TypeError, OverflowError):
+            tol_ok = False
+        if not (tol_ok and duality_tol > 0):
+            raise ConfigError(f"duality.tol must be a finite number > 0, got {duality_tol!r}")
         return cls(
             dataset=dataset,
             train=train_cfg,
-            monte_carlo=monte_carlo,
+            monte_carlo=_count(raw, "monte_carlo", 1),
             transform=transform,
-            histogram_bins=histogram_bins,
-            workers=workers,
-            duality_epochs=int(duality.get("epochs", 20)),
-            duality_tol=float(duality.get("tol", 1e-8)),
+            histogram_bins=_count(raw, "histogram_bins", 21),
+            workers=_count(raw, "workers", 1),
+            duality_epochs=_count(duality, "epochs", 20, "duality.epochs"),
+            duality_tol=float(duality_tol),
             compare_prototype_modes=bool(raw.get("compare_prototype_modes", False)),
         )
 
@@ -513,17 +523,28 @@ def cmd_transform(config: ExperimentConfig, method: str, out: Path | None) -> in
     return EXIT_OK
 
 
+def _write_order(order, out: Path, name: str) -> None:
+    write_vat_csv(order, out / f"{name}_perm.csv", out / f"{name}_matrix.csv")
+    write_pgm(order.reordered, out / f"{name}.pgm")
+
+
 def cmd_diagnose(config: ExperimentConfig, out: Path | None) -> int:
     data = load_dataset(config)
-    order = vat(data.R)
-    iorder, transformed = ivat(data.R)
+    # VAT's files are written on a helper thread while iVAT is built here.
+    # Every n x n array is made on this thread, so none stays resident in
+    # the helper's malloc arena.
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        order = vat(data.R)
+        written = None
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+            written = helper.submit(_write_order, order, out, "vat")
+        iorder, _ = ivat(data.R)
+        if written is not None:
+            _write_order(iorder, out, "ivat")
+            written.result()
     print(f"vat: reordered {data.R.n} objects; first index {order.perm[0]}")
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        write_vat_csv(order, out / "vat_perm.csv", out / "vat_matrix.csv")
-        write_pgm(order.reordered, out / "vat.pgm")
-        write_vat_csv(iorder, out / "ivat_perm.csv", out / "ivat_matrix.csv")
-        write_pgm(iorder.reordered, out / "ivat.pgm")
         print(f"wrote {out}/vat.pgm and {out}/ivat.pgm")
     return EXIT_OK
 

@@ -172,9 +172,8 @@ def minimax_distances(R: AdjacencyMatrix) -> AdjacencyMatrix:
         # mp[parent[k], parent[k]] is 0, so the entry for the attach point is the edge.
         np.maximum(mp[parent[k], :k], edge[k], out=mp[k, :k])
         mp[:k, k] = mp[k, :k]
-    m = mp[np.ix_(pos, pos)]
-    del mp  # free before AdjacencyMatrix takes its own copies
-    return AdjacencyMatrix(m)
+    # symmetric, zero on the diagonal and non-negative by construction
+    return AdjacencyMatrix._derived(mp[np.ix_(pos, pos)])
 
 
 def ivat(R: AdjacencyMatrix) -> tuple[VatOrder, AdjacencyMatrix]:
@@ -196,17 +195,36 @@ def write_vat_csv(order: VatOrder, perm_path, matrix_path) -> None:
     write_csv(matrix_path, order.reordered)
 
 
-_PIXELS = np.array([str(i) for i in range(256)], dtype=object)
+_PGM_BLOCK = 1 << 14  # pixels formatted per block
+# each gray level's text and a space, padded to one 32-bit word
+_PIXEL_TEXT = [f"{i} ".encode() for i in range(256)]
+_PIXEL_WORDS = np.frombuffer(b"".join(t.ljust(4, b"\0") for t in _PIXEL_TEXT), dtype=np.uint32)
+_PIXEL_LENGTHS = np.array([len(t) for t in _PIXEL_TEXT])
+_PIXEL_KEEP = np.arange(4) < _PIXEL_LENGTHS[:, None]
 
 
 def write_pgm(matrix: np.ndarray, path) -> None:
-    """Grayscale PGM of a non-negative dissimilarity matrix (dark = similar)."""
+    """Grayscale PGM of a non-negative dissimilarity matrix (dark = similar).
+
+    Pixels are ``rint(255 * m / max(m))`` (all 0 when the maximum is 0),
+    separated by one space, one row per line.  The text is built in numpy,
+    whole rows of about 16k pixels at a time, from a table of the 256
+    levels' texts."""
     m = np.asarray(matrix, dtype=float)
     if m.size and m.min() < 0:
         raise ValueError("write_pgm needs a non-negative matrix")
     top = m.max()
-    with open(path, "w") as fh:
-        fh.write(f"P2\n{m.shape[1]} {m.shape[0]}\n255\n")
-        for row in m:
-            pixels = np.rint(255 * row / top).astype(int) if top > 0 else np.zeros(row.size, dtype=int)
-            fh.write(" ".join(_PIXELS[pixels].tolist()) + "\n")
+    rows = max(1, _PGM_BLOCK // m.shape[1])
+    with open(path, "wb") as fh:
+        fh.write(f"P2\n{m.shape[1]} {m.shape[0]}\n255\n".encode())
+        for i in range(0, m.shape[0], rows):
+            block = m[i:i + rows]
+            if top > 0:
+                levels = np.rint(255 * block / top).astype(int)
+            else:
+                levels = np.zeros(block.shape, dtype=int)
+            chars = np.take(_PIXEL_WORDS, levels).view(np.uint8).reshape(*levels.shape, 4)
+            # the space after each row's last pixel becomes the newline
+            last = levels[:, -1]
+            chars[np.arange(len(last)), -1, _PIXEL_LENGTHS[last] - 1] = ord("\n")
+            fh.write(chars[np.take(_PIXEL_KEEP, levels, axis=0)].tobytes())

@@ -22,6 +22,7 @@ from relrbf import from_features, validate, write_adjacency
 from relrbf.cli import EXIT_CONFIG, EXIT_OK, ExperimentConfig, load_dataset, main
 from relrbf.engine import TrainConfig
 from relrbf.errors import ConfigError
+from relrbf.transforms import ivat, vat, write_pgm, write_vat_csv
 from relrbf.vector_oracle import duality_check
 
 
@@ -77,6 +78,42 @@ class TestConfigValidation:
         cfg.write_text(json.dumps(raw))
         assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"monte_carlo": "many"},
+            {"workers": 1.7},
+            {"workers": "2"},
+            {"workers": True},
+            {"histogram_bins": "21"},
+            {"histogram_bins": 2.5},
+            {"duality": 5},
+            {"duality": {"epochs": 0}},
+            {"duality": {"epochs": -5}},
+            {"duality": {"epochs": "20"}},
+            {"duality": {"tol": 0}},
+            {"duality": {"tol": -1e-8}},
+            {"duality": {"tol": float("nan")}},
+            {"duality": {"tol": float("inf")}},
+            {"duality": {"tol": "1e-8"}},
+            {"train": {"eta_range": 5}},
+        ],
+        ids=repr,
+    )
+    def test_bad_numbers_exit_code(self, tmp_path, capsys, override):
+        cfg = blob_config(tmp_path, **override)
+        assert main(["duality", "--config", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
+    def test_from_dict_leaves_its_argument_unchanged(self, tmp_path):
+        raw = json.loads(blob_config(tmp_path).read_text())
+        raw["train"]["eta_range"] = [0.1, 1.5]
+        before = json.loads(json.dumps(raw))
+        config = ExperimentConfig.from_dict(raw)
+        assert config.train.eta_range == (0.1, 1.5)
+        assert raw == before and isinstance(raw["train"]["eta_range"], list)
 
 
 class TestIngestCommand:
@@ -474,6 +511,65 @@ class TestTransformDiagnoseCommands:
             assert (out / name).exists()
         perm = np.loadtxt(out / "vat_perm.csv", delimiter=",", dtype=int)
         assert sorted(perm.tolist()) == list(range(40))
+
+    def test_files_and_stdout_match_sequential_writes(self, tmp_path, monkeypatch, capsys):
+        # VAT's files are written on a helper thread while iVAT is built and
+        # written on the main thread; the bytes are those of the calls in turn
+        on_main = []
+
+        def recording(fn):
+            def wrapper(*args):
+                name = fn.__name__ if fn in (vat, ivat) else Path(args[-1]).name
+                on_main.append((name, threading.current_thread() is threading.main_thread()))
+                return fn(*args)
+
+            return wrapper
+
+        for fn in (vat, ivat, write_vat_csv, write_pgm):
+            monkeypatch.setattr(relrbf.cli, fn.__name__, recording(fn))
+        cfg = blob_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert sorted(on_main) == [
+            ("ivat", True),
+            ("ivat.pgm", True),
+            ("ivat_matrix.csv", True),
+            ("vat", True),
+            ("vat.pgm", False),
+            ("vat_matrix.csv", False),
+        ]
+        stdout = capsys.readouterr().out
+
+        R = load_dataset(ExperimentConfig.from_file(cfg)).R
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        order = vat(R)
+        write_vat_csv(order, ref / "vat_perm.csv", ref / "vat_matrix.csv")
+        write_pgm(order.reordered, ref / "vat.pgm")
+        iorder, _ = ivat(R)
+        write_vat_csv(iorder, ref / "ivat_perm.csv", ref / "ivat_matrix.csv")
+        write_pgm(iorder.reordered, ref / "ivat.pgm")
+        assert stdout == (
+            f"vat: reordered 40 objects; first index {order.perm[0]}\n"
+            f"wrote {out}/vat.pgm and {out}/ivat.pgm\n"
+        )
+        assert out_files(out) == out_files(ref)
+        assert len(out_files(out)) == 6
+
+    def test_failed_write_raises_and_leaves_no_thread(self, tmp_path, monkeypatch, capsys):
+        def full_disk(matrix, path):
+            if Path(path).name == "vat.pgm":
+                raise OSError("no space left on device")
+            write_pgm(matrix, path)
+
+        monkeypatch.setattr(relrbf.cli, "write_pgm", full_disk)
+        threads = threading.active_count()
+        cfg = blob_config(tmp_path)
+        with pytest.raises(OSError, match="no space left"):
+            main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        stdout = capsys.readouterr().out
+        assert "vat:" not in stdout and "wrote" not in stdout
+        assert threading.active_count() == threads
 
 
 def out_files(root):

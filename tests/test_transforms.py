@@ -28,6 +28,10 @@ def random_graphs(count=400, max_n=40, seed=11):
         yield AdjacencyMatrix(w + w.T)
 
 
+def forbidden_constructor(self):
+    raise AssertionError("AdjacencyMatrix re-validated a derived matrix")
+
+
 def block_matrix(low=1.0, high=9.0):
     a = np.full((6, 6), high)
     a[:3, :3] = low
@@ -164,6 +168,16 @@ class TestIvat:
             order, _ = ivat(R)
             np.testing.assert_array_equal(order.perm, vat(AdjacencyMatrix(expected)).perm)
 
+    def test_result_is_the_validated_matrix(self, monkeypatch):
+        # built without the constructor's checks, and bitwise what they give
+        graphs = [*random_graphs(count=40), from_features(np.random.default_rng(9).random((400, 3)))]
+        for R in graphs:
+            with monkeypatch.context() as patched:
+                patched.setattr(AdjacencyMatrix, "__post_init__", forbidden_constructor)
+                m = minimax_distances(R)
+            assert not m.values.flags.writeable
+            assert m.values.tobytes() == AdjacencyMatrix(m.values.copy()).values.tobytes()
+
     def test_sharper_blocks(self):
         R = block_matrix()
         order, transformed = ivat(R)
@@ -204,8 +218,12 @@ class TestWriters:
             np.random.default_rng(4).random((7, 5)) * 3.0,
             np.zeros((4, 4)),
             np.random.default_rng(5).random((300, 300)),
+            np.random.default_rng(6).random((301, 300)),
+            np.array([[2.5]]),
+            np.random.default_rng(7).random((1, 40)),
+            np.random.default_rng(8).random((40, 1)),
         ],
-        ids=["random", "zero", "every-level"],
+        ids=["random", "zero", "every-level", "mid-block", "1x1", "1xn", "nx1"],
     )
     def test_pgm_bytes_match_per_pixel_writer(self, tmp_path, matrix):
         def per_pixel_pgm(m, path):
