@@ -20,14 +20,13 @@ from .initialization import (
     split,
 )
 from .network import (
-    DistanceState,
     NetworkParams,
     NetworkResponse,
     forward,
     gaussian_kernel,
     predict_labels,
 )
-from .prototypes import RelationalPrototype, nearest_medoid, prototype_distances
+from .prototypes import nearest_medoid, prototype_distances
 from .training import evaluate_network, train
 from .transforms import Embedding, VatOrder, cmds, ivat, minimax_distances, pmds, vat
 from .vector_oracle import DualityReport, duality_check, vector_kmeans, vector_train

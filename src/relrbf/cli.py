@@ -34,7 +34,6 @@ from .errors import ConfigError, RelRbfError
 from .graph import AdjacencyMatrix, from_features, validate, write_adjacency
 from .initialization import split as make_split
 from .network import NetworkParams
-from .prototypes import DistanceState
 from .textio import write_csv
 # `train` is not called here, but perfbench/tracer.py wraps `cli.train`
 from .training import evaluate_network, train, train_group  # noqa: F401
@@ -66,6 +65,26 @@ def _count(obj: dict, key: str, default: int, name: str | None = None) -> int:
     value = obj.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ConfigError(f"{name or key} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _positive(obj: dict, key: str, default: float, name: str) -> float:
+    """The finite number > 0 at `key` (`default` when absent)."""
+    value = obj.get(key, default)
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value) and value > 0
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+    return value
+
+
+def _flag(obj: dict, key: str, default: bool, name: str | None = None) -> bool:
+    """The boolean at `key` (`default` when absent)."""
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name or key} must be true or false, got {value!r}")
     return value
 
 
@@ -101,11 +120,10 @@ class ExperimentConfig:
             raise ConfigError("config needs a 'dataset' object with a 'kind'")
         if dataset["kind"] not in KINDS:
             raise ConfigError(f"dataset.kind must be one of {KINDS}")
-        if dataset["kind"] not in ("synthetic-blobs",) and dataset["kind"] != "adjacency-csv":
-            if "path" not in dataset:
-                raise ConfigError(f"dataset.kind={dataset['kind']!r} requires dataset.path")
-        if dataset["kind"] == "adjacency-csv" and "path" not in dataset:
-            raise ConfigError("adjacency-csv requires dataset.path")
+        if dataset["kind"] != "synthetic-blobs" and "path" not in dataset:
+            raise ConfigError(f"dataset.kind={dataset['kind']!r} requires dataset.path")
+        _positive(dataset, "power", 1.0, "dataset.power")
+        _flag(dataset, "standardize", True, "dataset.standardize")
 
         train_raw = raw.get("train", {})
         if not isinstance(train_raw, dict):
@@ -129,13 +147,6 @@ class ExperimentConfig:
         duality = raw.get("duality", {})
         if not isinstance(duality, dict):
             raise ConfigError("'duality' must be an object")
-        duality_tol = duality.get("tol", 1e-8)
-        try:
-            tol_ok = not isinstance(duality_tol, bool) and math.isfinite(duality_tol)
-        except (TypeError, OverflowError):
-            tol_ok = False
-        if not (tol_ok and duality_tol > 0):
-            raise ConfigError(f"duality.tol must be a finite number > 0, got {duality_tol!r}")
         return cls(
             dataset=dataset,
             train=train_cfg,
@@ -144,8 +155,8 @@ class ExperimentConfig:
             histogram_bins=_count(raw, "histogram_bins", 21),
             workers=_count(raw, "workers", 1),
             duality_epochs=_count(duality, "epochs", 20, "duality.epochs"),
-            duality_tol=float(duality_tol),
-            compare_prototype_modes=bool(raw.get("compare_prototype_modes", False)),
+            duality_tol=float(_positive(duality, "tol", 1e-8, "duality.tol")),
+            compare_prototype_modes=_flag(raw, "compare_prototype_modes", False),
         )
 
     def as_dict(self) -> dict:
@@ -159,8 +170,8 @@ def load_dataset(config: ExperimentConfig) -> IngestResult:
     return ingest(
         ds["kind"],
         path=ds.get("path"),
-        standardize=bool(ds.get("standardize", True)),
-        power=float(ds.get("power", 1.0)),
+        standardize=ds.get("standardize", True),
+        power=ds.get("power", 1.0),
         labels_path=ds.get("labels_path"),
         blob_options=ds.get("blobs"),
     )
@@ -225,14 +236,14 @@ def _run_record(result, Y, seed: int, checkpoint: bool) -> dict:
 
 def checkpoint_dict(result, seed: int) -> dict:
     return {
-        "n": int(result.d_state.n),
+        "n": int(result.d_state.shape[1]),
         "c": int(result.params.c),
         "g": int(result.params.g),
         "w0": result.params.w0.tolist(),
         "W": result.params.W.tolist(),
         "sigma": result.params.sigma.tolist(),
         "prototypes": result.prototypes.tolist(),
-        "d_state": result.d_state.d.tolist(),
+        "d_state": result.d_state.tolist(),
         "seed": int(seed),
         "epoch": int(result.metrics.best_epoch),
     }
@@ -416,7 +427,7 @@ CHECKPOINT_KEYS = ("n", "g", "w0", "W", "sigma", "d_state", "seed", "epoch")
 
 def load_checkpoint(path: Path, n: int, g: int):
     """Read a checkpoint and check that it fits a dataset of `n` nodes and `g`
-    classes; returns (checkpoint dict, NetworkParams, DistanceState)."""
+    classes; returns (checkpoint dict, NetworkParams, (c, n) distances)."""
     try:
         ck = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -432,10 +443,10 @@ def load_checkpoint(path: Path, n: int, g: int):
         raise ConfigError(f"checkpoint g={ck['g']} does not match the dataset's {g} classes")
     try:
         params = NetworkParams(w0=ck["w0"], W=ck["W"], sigma=ck["sigma"])
-        d_state = DistanceState(np.asarray(ck["d_state"], dtype=float), epoch=ck["epoch"])
+        d_state = np.asarray(ck["d_state"], dtype=float)
     except (TypeError, ValueError, RelRbfError) as exc:
         raise ConfigError(f"invalid checkpoint {path}: {exc}") from exc
-    if params.g != g or d_state.d.shape != (params.c, n):
+    if params.g != g or d_state.shape != (params.c, n):
         raise ConfigError(
             f"checkpoint {path}: w0/W/sigma/d_state shapes do not fit g={g}, n={n}"
         )
@@ -474,11 +485,10 @@ def cmd_duality(config: ExperimentConfig, out: Path | None) -> int:
         epochs=config.duality_epochs,
         tol=config.duality_tol,
     )
-    powered = float(config.dataset.get("power", 1.0)) != 1.0
+    powered = config.dataset.get("power", 1.0) != 1.0
     if data.X is not None and not powered:
-        std = bool(config.dataset.get("standardize", True))
         X = data.X
-        if std:
+        if config.dataset.get("standardize", True):
             mean, sd = X.mean(axis=0), X.std(axis=0)
             keep = sd > 1e-12 * (np.abs(mean) + 1.0)
             X = (X[:, keep] - mean[keep]) / sd[keep]

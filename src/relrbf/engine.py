@@ -19,10 +19,11 @@ errors, verified by finite differences in the test suite.
 ``training_run`` is a generator: it yields its model whenever it needs the
 distances and receives them back.  ``run_lockstep`` advances a group of runs
 in rounds, answering every waiting relational run on one graph with its rows
-of a single stacked product ``V @ R`` (the Monte Carlo runs of ``relrbf
-train`` go through it in groups of consecutive seeds, and a process pool
-maps the groups); ``run_training`` is that driver over one run.  Every
-entry point, and both trainer front ends, return the same ``TrainResult``.
+of a single stacked ``prototype_distances`` call, one ``V @ R`` product (the
+Monte Carlo runs of ``relrbf train`` go through it in groups of consecutive
+seeds, and a process pool maps the groups); ``run_training`` is that driver
+over one run.  Every entry point, and both trainer front ends, return the
+same ``TrainResult``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .initialization import (
     split as make_split,
 )
 from .network import NetworkParams, gaussian_kernel
-from .prototypes import FREE, MEDOID, DistanceState, _distances
+from .prototypes import FREE, MEDOID, prototype_distances
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ class RelationalModel:
 
     def __init__(self, R: AdjacencyMatrix, weight_rows: np.ndarray, mode: str = FREE):
         self.R = R
-        self.V = np.atleast_2d(np.asarray(weight_rows, dtype=float)).copy()
+        self.V = weight_rows
         self.movable = mode == FREE
 
     @property
@@ -218,7 +219,7 @@ class RelationalModel:
         return self.V.shape[1]
 
     def distances(self) -> np.ndarray:
-        return _distances(self.R.values, self.V)
+        return prototype_distances(self.R, self.V)
 
     def shift(self, eps_h: np.ndarray, etas: np.ndarray) -> None:
         s = eps_h.sum(axis=1)
@@ -288,13 +289,11 @@ def relational_model_from_partition(
     mode: str = FREE,
 ) -> RelationalModel:
     """Embed prototypes fit on the training subgraph into full-length weights."""
-    n = R.n
-    V_sub = indicator_weights(assignment, c)
     if mode == MEDOID:
-        sub = R.submatrix(train_idx)
-        protos = medoid_prototypes(sub, Partition(assignment, c))
-        V_sub = np.stack([p.weights for p in protos])
-    V = np.zeros((c, n))
+        V_sub = medoid_prototypes(R.submatrix(train_idx), Partition(assignment, c))
+    else:
+        V_sub = indicator_weights(assignment, c)
+    V = np.zeros((c, R.n))
     V[:, train_idx] = V_sub
     return RelationalModel(R, V, mode=mode)
 
@@ -342,12 +341,13 @@ class TrainResult:
     """Best-validation network, prototypes, distances, and metric traces.
 
     ``prototypes`` is the best-epoch model state: (c, n) node weights from
-    the graph trainer, (c, d) positions from the vector trainer.
+    the graph trainer, (c, d) positions from the vector trainer.  ``d_state``
+    is a read-only copy of that epoch's (c, n) distances.
     """
 
     params: NetworkParams
     prototypes: np.ndarray
-    d_state: DistanceState
+    d_state: np.ndarray
     metrics: TrainMetrics
     split: SplitIndices
     config: TrainConfig
@@ -555,14 +555,12 @@ def training_run(
     if best is not None:
         w0, W, sigma, model_state, D = best
         model.set_state(model_state)
-        best_epoch = metrics.best_epoch
-    else:
-        best_epoch = metrics.epochs - 1
 
-    params = NetworkParams(w0=w0, W=W, sigma=sigma)
-    d_state = DistanceState(D, epoch=best_epoch)
+    # a copy, so that a result does not keep a stacked round's product alive
+    d_state = D.copy()
+    d_state.setflags(write=False)
     return TrainResult(
-        params=params,
+        params=NetworkParams(w0=w0, W=W, sigma=sigma),
         prototypes=model.get_state(),
         d_state=d_state,
         metrics=metrics,
@@ -576,7 +574,7 @@ def run_lockstep(runs: list) -> list[TrainResult]:
     """Advance ``training_run`` generators together and return their results.
 
     In each round every waiting relational run on the same graph gets its
-    rows of one stacked product ``_distances(R, [V_1; V_2; ...])``; a vector
+    rows of one stacked ``prototype_distances(R, [V_1; V_2; ...])``; a vector
     model computes its own.  Runs keep their own random streams, growth and
     stopping: a run that has finished simply stops asking.
     """
@@ -591,7 +589,7 @@ def run_lockstep(runs: list) -> list[TrainResult]:
                 answers[i] = model.distances()
         for members in stacks.values():
             models = [waiting[i] for i in members]
-            D = _distances(models[0].R.values, np.concatenate([m.V for m in models]))
+            D = prototype_distances(models[0].R, np.concatenate([m.V for m in models]))
             ends = np.cumsum([m.c for m in models])
             answers.update(zip(members, np.split(D, ends[:-1])))
         sent, waiting = waiting, {}

@@ -33,10 +33,6 @@ class DimensionMismatchError(RelRbfError):
     """Operands have incompatible shapes."""
 
 
-class UnnormalizedPrototypeError(RelRbfError):
-    """Prototype weights do not sum to one."""
-
-
 class EmptySetError(RelRbfError):
     """An index set that must be non-empty is empty."""
 

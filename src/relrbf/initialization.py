@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import InvalidClusterCountError, TooFewSamplesError
 from .graph import AdjacencyMatrix
-from .prototypes import FREE, MEDOID, RelationalPrototype, _distances, nearest_medoid
+from .prototypes import nearest_medoid, prototype_distances
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def relational_kmeans(
     cluster average in any latent realization.  Iterates until the partition
     stops changing.
 
-    Returns (Partition, [RelationalPrototype]); with ``return_history`` the
+    Returns (Partition, (c, n) indicator rows); with ``return_history`` the
     full assignment sequence is appended.
     """
     n = R.n
@@ -144,31 +144,20 @@ def relational_kmeans(
         init_assignment = _as_rng(seed, rng).integers(0, c, size=n)
 
     def compute(assignment):
-        return _distances(R.values, indicator_weights(assignment, c))
+        return prototype_distances(R, indicator_weights(assignment, c))
 
     history, _ = kmeans_partition_sequence(compute, init_assignment, c, max_iter)
-    final = history[-1]
-    prototypes = [
-        RelationalPrototype(w, mode=FREE) for w in indicator_weights(final, c)
-    ]
-    partition = Partition(final, c)
-    if return_history:
-        return partition, prototypes, history
-    return partition, prototypes
+    result = Partition(history[-1], c), indicator_weights(history[-1], c)
+    return (*result, history) if return_history else result
 
 
-def medoid_prototypes(
-    R: AdjacencyMatrix, partition: Partition
-) -> list[RelationalPrototype]:
-    """Snap each cluster to its medoid: the unit-basis prototype of the member
-    least dissimilar to the rest of the cluster."""
-    prototypes = []
+def medoid_prototypes(R: AdjacencyMatrix, partition: Partition) -> np.ndarray:
+    """Snap each cluster to its medoid: (c, n) rows, row j the unit basis
+    vector at the member of cluster j least dissimilar to the rest of it."""
+    V = np.zeros((partition.c, R.n))
     for j in range(partition.c):
-        m = nearest_medoid(R, partition.members(j))
-        w = np.zeros(R.n)
-        w[m] = 1.0
-        prototypes.append(RelationalPrototype(w, mode=MEDOID))
-    return prototypes
+        V[j, nearest_medoid(R, partition.members(j))] = 1.0
+    return V
 
 
 def init_params(c: int, g: int, config, seed=None, rng=None):

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NonpositiveSigmaError
-from .prototypes import DistanceState
 
 
 @dataclass(frozen=True)
@@ -69,17 +68,16 @@ def gaussian_kernel(d, sigma):
     return np.exp(-np.asarray(d, dtype=float) / width)
 
 
-def forward(d_state: DistanceState, params: NetworkParams) -> NetworkResponse:
-    """Propagate a distance state through the network.
+def forward(D: np.ndarray, params: NetworkParams) -> NetworkResponse:
+    """Propagate the (c, n) prototype distances ``D`` through the network.
 
-    output[i, k] = w0[k] + sum_j W[j, k] * exp(-d[j, i] / (2 sigma_j^2)).
+    output[i, k] = w0[k] + sum_j W[j, k] * exp(-D[j, i] / (2 sigma_j^2)).
     """
-    d = d_state.d
-    if d.shape[0] != params.c:
+    if D.shape[0] != params.c:
         raise DimensionMismatchError(
-            f"distance state has {d.shape[0]} prototype rows, params expect {params.c}"
+            f"distances have {D.shape[0]} prototype rows, params expect {params.c}"
         )
-    hidden = gaussian_kernel(d, params.sigma[:, None])
+    hidden = gaussian_kernel(D, params.sigma[:, None])
     output = hidden.T @ params.W + params.w0
     return NetworkResponse(hidden=hidden, output=output)
 

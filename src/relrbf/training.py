@@ -23,7 +23,6 @@ from .engine import (
 from .graph import AdjacencyMatrix
 from .initialization import SplitIndices, relational_kmeans
 from .network import NetworkParams, forward, predict_labels
-from .prototypes import DistanceState
 
 __all__ = ["TrainConfig", "TrainResult", "train", "train_group", "evaluate_network"]
 
@@ -73,10 +72,11 @@ def train_group(R: AdjacencyMatrix, Y, configs: list[TrainConfig]) -> list[Train
     return run_lockstep(runs)
 
 
-def evaluate_network(params: NetworkParams, d_state: DistanceState, Y, split: SplitIndices):
-    """Accuracies, confusion matrices, and response deviations per split."""
+def evaluate_network(params: NetworkParams, D: np.ndarray, Y, split: SplitIndices):
+    """Accuracies, confusion matrices, and response deviations per split, from
+    the network's (c, n) prototype distances ``D``."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    resp = forward(d_state, params)
+    resp = forward(D, params)
     predicted = predict_labels(resp.output)
     actual = np.argmax(Y, axis=1)
     g = Y.shape[1]

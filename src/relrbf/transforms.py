@@ -96,18 +96,16 @@ def pmds(R: AdjacencyMatrix) -> Embedding:
 
 @dataclass(frozen=True)
 class VatOrder:
-    """Permutation placing similar objects adjacently, plus the reordered matrix."""
+    """Permutation placing similar objects adjacently, plus the reordered
+    matrix.  Both arrays are marked read-only in place, not copied: ``vat``
+    builds them fresh."""
 
     perm: np.ndarray
     reordered: np.ndarray
 
     def __post_init__(self):
-        perm = np.asarray(self.perm, dtype=int).copy()
-        reordered = np.asarray(self.reordered, dtype=float).copy()
-        perm.setflags(write=False)
-        reordered.setflags(write=False)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "reordered", reordered)
+        self.perm.setflags(write=False)
+        self.reordered.setflags(write=False)
 
 
 def _prim(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

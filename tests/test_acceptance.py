@@ -24,7 +24,6 @@ from relrbf.engine import (
 )
 from relrbf.initialization import relational_kmeans
 from relrbf.network import NetworkParams, forward, gaussian_kernel
-from relrbf.prototypes import DistanceState
 from relrbf.training import evaluate_network, train
 from relrbf.vector_oracle import duality_check, vector_kmeans
 
@@ -144,15 +143,14 @@ def test_criterion_04_gradient_checks():
             sigma=rng.uniform(0.5, 2.5, c),
         )
         D = ((X[None, :, :] - P[:, None, :]) ** 2).sum(-1)
-        ds = DistanceState(D)
 
         def sse_at(w0_, W_, sigma_):
-            resp = forward(ds, NetworkParams(w0_, W_, sigma_))
+            resp = forward(D, NetworkParams(w0_, W_, sigma_))
             return float(np.sum((Y - resp.output) ** 2))
 
         def sse_at_prototypes(P_):
             D_ = ((X[None, :, :] - P_[:, None, :]) ** 2).sum(-1)
-            resp = forward(DistanceState(D_), params)
+            resp = forward(D_, params)
             return float(np.sum((Y - resp.output) ** 2))
 
         H = gaussian_kernel(D, params.sigma[:, None])

@@ -98,6 +98,15 @@ class TestConfigValidation:
             {"duality": {"tol": float("inf")}},
             {"duality": {"tol": "1e-8"}},
             {"train": {"eta_range": 5}},
+            {"dataset": {"kind": "synthetic-blobs", "power": "high"}},
+            {"dataset": {"kind": "synthetic-blobs", "power": 0}},
+            {"dataset": {"kind": "synthetic-blobs", "power": -1.5}},
+            {"dataset": {"kind": "synthetic-blobs", "power": True}},
+            {"dataset": {"kind": "synthetic-blobs", "power": float("inf")}},
+            {"dataset": {"kind": "synthetic-blobs", "standardize": "no"}},
+            {"dataset": {"kind": "synthetic-blobs", "standardize": 1}},
+            {"compare_prototype_modes": "false"},
+            {"compare_prototype_modes": 0},
         ],
         ids=repr,
     )
@@ -677,10 +686,32 @@ def test_duality_powered_dataset_uses_matrix_path(tmp_path, capsys):
 def test_benchmark_tracer_hooks_resolve(monkeypatch):
     # perfbench/tracer.py patches relrbf entry points by name: a renamed or
     # deleted hook fails here, not only in the traced benchmark runs
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
-    from perfbench.tracer import Tracer
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracer import Tracer
 
-    before = relrbf.cli.train
+    owners = {
+        "cli": relrbf.cli,
+        "engine": relrbf.engine,
+        "RelationalModel": relrbf.engine.RelationalModel,
+        "training": relrbf.training,
+        "transforms": relrbf.transforms,
+    }
+    before = {name: dict(vars(owner)) for name, owner in owners.items()}
+
+    def changed():
+        return {
+            f"{name}.{attr}"
+            for name, owner in owners.items()
+            for attr, value in vars(owner).items()
+            if value is not before[name].get(attr)
+        }
+
     with Tracer().installed():
-        assert relrbf.cli.train is not before
-    assert relrbf.cli.train is before
+        patched = changed()
+    hooks = {
+        "RelationalModel.distances", "RelationalModel.shift", "RelationalModel.grow",
+        "training.relational_kmeans", "training.relational_model_from_partition",
+        "training.run_training", "cli.train", "cli.run_batch", "cli._single_run",
+    }
+    assert hooks <= patched
+    assert changed() == set()

@@ -1,7 +1,6 @@
 """Adjacency-matrix construction, validation, and file round trips."""
 
 import pickle
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,6 +26,8 @@ from relrbf.errors import (
     ParseError,
 )
 from relrbf.graph import _BLOCK, double_centered
+
+from conftest import traced_peak
 
 
 def double_centered_old(a):
@@ -79,17 +80,6 @@ def scaled_features(draw):
 
 def bits(a):
     return np.ascontiguousarray(a).tobytes()
-
-
-def traced_peak(fn):
-    """Peak bytes numpy and Python allocate while `fn` runs."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 class TestAdjacencyMatrix:

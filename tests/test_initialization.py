@@ -46,14 +46,14 @@ class TestRelationalKmeans:
     def test_c_equals_n(self, three_point_R):
         partition, prototypes = relational_kmeans(three_point_R, 3, seed=0)
         assert sorted(partition.assignment.tolist()) == [0, 1, 2]
-        D = prototype_distances(three_point_R, np.stack([p.weights for p in prototypes]))
+        D = prototype_distances(three_point_R, prototypes)
         for j in range(3):
             member = np.flatnonzero(partition.assignment == j)[0]
             assert D[j, member] == pytest.approx(0.0, abs=1e-12)
 
     def test_c_one_uniform_prototype(self, three_point_R):
         _, prototypes = relational_kmeans(three_point_R, 1, seed=0)
-        np.testing.assert_allclose(prototypes[0].weights, np.full(3, 1 / 3))
+        np.testing.assert_allclose(prototypes, np.full((1, 3), 1 / 3))
 
     def test_invalid_cluster_count(self, three_point_R):
         with pytest.raises(InvalidClusterCountError):

@@ -14,7 +14,6 @@ from relrbf import (
     prototype_distances,
 )
 from relrbf.errors import DimensionMismatchError, NonpositiveSigmaError
-from relrbf.prototypes import DistanceState
 
 
 class TestGaussianKernel:
@@ -39,27 +38,27 @@ class TestGaussianKernel:
 class TestForward:
     def test_single_prototype_identity(self):
         params = NetworkParams(w0=[0.0], W=[[1.0]], sigma=[1.0])
-        resp = forward(DistanceState(np.zeros((1, 4))), params)
+        resp = forward(np.zeros((1, 4)), params)
         np.testing.assert_allclose(resp.output, 1.0)
 
     def test_bias_only(self):
         params = NetworkParams(w0=[0.7, -0.2], W=np.zeros((3, 2)), sigma=[1, 1, 1])
-        resp = forward(DistanceState(np.random.default_rng(0).uniform(0, 4, (3, 5))), params)
+        resp = forward(np.random.default_rng(0).uniform(0, 4, (3, 5)), params)
         np.testing.assert_allclose(resp.output, np.tile([0.7, -0.2], (5, 1)))
 
     def test_known_value(self):
         params = NetworkParams(w0=[0.5], W=[[2.0]], sigma=[1.0])
-        resp = forward(DistanceState([[2.0]]), params)
+        resp = forward(np.array([[2.0]]), params)
         assert resp.output[0, 0] == pytest.approx(0.5 + 2.0 * math.exp(-1.0))
 
     def test_dimension_mismatch(self):
         params = NetworkParams(w0=[0.0], W=[[1.0]], sigma=[1.0])
         with pytest.raises(DimensionMismatchError):
-            forward(DistanceState(np.zeros((2, 4))), params)
+            forward(np.zeros((2, 4)), params)
 
     def test_linear_in_output_weights(self):
         rng = np.random.default_rng(1)
-        ds = DistanceState(rng.uniform(0, 5, (3, 6)))
+        D = rng.uniform(0, 5, (3, 6))
         sigma = rng.uniform(0.5, 2.0, 3)
         pa = NetworkParams(w0=rng.normal(size=2), W=rng.normal(size=(3, 2)), sigma=sigma)
         pb = NetworkParams(w0=rng.normal(size=2), W=rng.normal(size=(3, 2)), sigma=sigma)
@@ -70,8 +69,8 @@ class TestForward:
             sigma=sigma,
         )
         np.testing.assert_allclose(
-            forward(ds, mixed).output,
-            lam * forward(ds, pa).output + (1 - lam) * forward(ds, pb).output,
+            forward(D, mixed).output,
+            lam * forward(D, pa).output + (1 - lam) * forward(D, pb).output,
             atol=1e-12,
         )
 
@@ -89,8 +88,8 @@ class TestForward:
         params = NetworkParams(
             w0=rng.normal(size=2), W=rng.normal(size=(4, 2)), sigma=rng.uniform(0.5, 2, 4)
         )
-        out_rel = forward(DistanceState(D_rel), params).output
-        out_vec = forward(DistanceState(D_vec), params).output
+        out_rel = forward(D_rel, params).output
+        out_vec = forward(D_vec, params).output
         rel_err = np.abs(out_rel - out_vec) / np.maximum(1.0, np.abs(out_vec))
         assert rel_err.max() <= 1e-10
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relrbf import from_features, nearest_medoid, prototype_distances
-from relrbf.errors import DimensionMismatchError, EmptySetError, UnnormalizedPrototypeError
-from relrbf.prototypes import MEDOID, RelationalPrototype
+from relrbf.errors import EmptySetError
+from relrbf.initialization import Partition, indicator_weights, medoid_prototypes
 
 from conftest import brute_force_distance
 
@@ -31,10 +31,6 @@ class TestRelationalDistance:
         expected = brute_force_distance(three_points, v)
         np.testing.assert_allclose(expected, [2.0 / 9.0, 5.0 / 9.0, 5.0 / 9.0], atol=1e-15)
         np.testing.assert_allclose(d, expected, atol=1e-12)
-
-    def test_dimension_mismatch(self, three_point_R):
-        with pytest.raises(DimensionMismatchError):
-            prototype_distances(three_point_R, np.array([[0.5, 0.5]]))
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=50, deadline=None)
@@ -90,16 +86,37 @@ class TestRelationalDistance:
             assert np.max(np.abs(num - analytic) / np.maximum(1.0, np.abs(analytic))) <= 1e-6
 
 
-class TestRelationalPrototype:
-    def test_unnormalized_rejected(self):
-        with pytest.raises(UnnormalizedPrototypeError):
-            RelationalPrototype(np.array([0.5, 0.5, 0.5]))
+def occupied_partition(rng, n, c):
+    """A random assignment of n objects to c clusters, none of them empty."""
+    assignment = np.concatenate([np.arange(c), rng.integers(0, c, size=n - c)])
+    return Partition(rng.permutation(assignment), c)
 
-    def test_medoid_mode_requires_basis_vector(self):
-        p = RelationalPrototype(np.array([0.0, 1.0, 0.0]), mode=MEDOID)
-        np.testing.assert_array_equal(p.weights, [0.0, 1.0, 0.0])
-        with pytest.raises(ValueError):
-            RelationalPrototype(np.array([0.5, 0.5, 0.0]), mode=MEDOID)
+
+class TestPrototypeRows:
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=50, deadline=None)
+    def test_indicator_rows_sum_to_one(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        partition = occupied_partition(rng, n, int(rng.integers(1, n + 1)))
+        V = indicator_weights(partition.assignment, partition.c)
+        assert V.shape == (partition.c, n)
+        assert np.max(np.abs(V.sum(axis=1) - 1.0)) <= 1e-12
+        for j in range(partition.c):
+            np.testing.assert_array_equal(np.flatnonzero(V[j]), partition.members(j))
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=25, deadline=None)
+    def test_medoid_rows_are_basis_vectors(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        R = from_features(rng.standard_normal((n, 2)))
+        partition = occupied_partition(rng, n, int(rng.integers(1, n + 1)))
+        V = medoid_prototypes(R, partition)
+        expected = np.zeros((partition.c, n))
+        for j in range(partition.c):
+            expected[j, nearest_medoid(R, partition.members(j))] = 1.0
+        np.testing.assert_array_equal(V, expected)
 
 
 class TestNearestMedoid:

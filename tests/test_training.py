@@ -22,7 +22,6 @@ from relrbf.engine import (
     shift_coefficients,
 )
 from relrbf.errors import NonpositiveEtaError, NonpositiveSigmaError
-from relrbf.prototypes import DistanceState
 from relrbf.training import evaluate_network, train, train_group
 from relrbf.vector_oracle import vector_train
 
@@ -44,17 +43,17 @@ def random_instance(seed, n=None, d=None, c=None, g=None):
         sigma=rng.uniform(0.5, 2.5, c),
     )
     D = ((X[None, :, :] - P[:, None, :]) ** 2).sum(-1)
-    return rng, X, P, Y, params, DistanceState(D)
+    return rng, X, P, Y, params, D
 
 
-def sse_of(Y, ds, params):
-    resp = forward(ds, params)
+def sse_of(Y, D, params):
+    resp = forward(D, params)
     return float(np.sum((np.asarray(Y) - resp.output) ** 2))
 
 
-def kernel_and_errors(Y, ds, params):
+def kernel_and_errors(Y, D, params):
     """The engine's hidden responses and residuals at a parameter point."""
-    H = gaussian_kernel(ds.d, params.sigma[:, None])
+    H = gaussian_kernel(D, params.sigma[:, None])
     return H, output_errors(np.atleast_2d(Y), H, params.W, params.w0)
 
 
@@ -117,9 +116,9 @@ class TestUpdateWeights:
     """``output_step``: the engine's output-layer rule."""
 
     def test_zero_errors_no_change(self):
-        _, _, _, Y, params, ds = random_instance(0)
-        H, eps = kernel_and_errors(Y, ds, params)
-        tr, _ = all_train(ds.n)
+        _, _, _, Y, params, D = random_instance(0)
+        H, eps = kernel_and_errors(Y, D, params)
+        tr, _ = all_train(D.shape[1])
         w0, W = output_step(params.w0, params.W, H, np.zeros_like(eps), 0.3, 0.3, tr)
         assert np.array_equal(w0, params.w0) and np.array_equal(W, params.W)
 
@@ -133,15 +132,15 @@ class TestUpdateWeights:
 
     def test_small_step_decreases_sse(self):
         for seed in range(10):
-            _, _, _, Y, params, ds = random_instance(seed)
-            H, eps = kernel_and_errors(Y, ds, params)
-            tr, _ = all_train(ds.n)
+            _, _, _, Y, params, D = random_instance(seed)
+            H, eps = kernel_and_errors(Y, D, params)
+            tr, _ = all_train(D.shape[1])
             w0, W = output_step(params.w0, params.W, H, eps, 1e-4, 1e-4, tr)
-            assert sse_of(Y, ds, NetworkParams(w0, W, params.sigma)) < sse_of(Y, ds, params)
+            assert sse_of(Y, D, NetworkParams(w0, W, params.sigma)) < sse_of(Y, D, params)
 
     def test_sums_training_rows_only(self):
-        _, _, _, Y, params, ds = random_instance(6, n=12)
-        H, eps = kernel_and_errors(Y, ds, params)
+        _, _, _, Y, params, D = random_instance(6, n=12)
+        H, eps = kernel_and_errors(Y, D, params)
         tr = np.arange(0, 12, 2)
         noisy = eps.copy()
         noisy[1::2] += 100.0
@@ -155,9 +154,9 @@ class TestUpdateWeights:
         h = 1e-6
         worst = 0.0
         for seed in range(20):
-            _, _, _, Y, params, ds = random_instance(seed)
-            H, eps = kernel_and_errors(Y, ds, params)
-            tr, _ = all_train(ds.n)
+            _, _, _, Y, params, D = random_instance(seed)
+            H, eps = kernel_and_errors(Y, D, params)
+            tr, _ = all_train(D.shape[1])
             _, W_step = output_step(params.w0, params.W, H, eps, 1.0, 1.0, tr)
             dW_analytic = W_step - params.W
             for j in range(params.c):
@@ -166,8 +165,8 @@ class TestUpdateWeights:
                     Wp[j, k] += h
                     Wm[j, k] -= h
                     num = (
-                        sse_of(Y, ds, NetworkParams(params.w0, Wp, params.sigma))
-                        - sse_of(Y, ds, NetworkParams(params.w0, Wm, params.sigma))
+                        sse_of(Y, D, NetworkParams(params.w0, Wp, params.sigma))
+                        - sse_of(Y, D, NetworkParams(params.w0, Wm, params.sigma))
                     ) / (2 * h)
                     ana = -2.0 * dW_analytic[j, k]
                     worst = max(worst, abs(num - ana) / max(1.0, abs(ana)))
@@ -178,9 +177,9 @@ class TestHiddenErrors:
     """``shift_coefficients``: the engine's backpropagated shift rule."""
 
     def test_zero_output_errors(self):
-        _, _, _, Y, params, ds = random_instance(2)
-        H, eps = kernel_and_errors(Y, ds, params)
-        _, mask = all_train(ds.n)
+        _, _, _, Y, params, D = random_instance(2)
+        H, eps = kernel_and_errors(Y, D, params)
+        _, mask = all_train(D.shape[1])
         eps_h = shift_coefficients(params.W, H, np.zeros_like(eps), params.sigma, mask)
         assert np.all(eps_h == 0)
 
@@ -191,8 +190,8 @@ class TestHiddenErrors:
         assert eps_h[0, 0] == pytest.approx(1.0)
 
     def test_zeroed_off_training_set(self):
-        _, _, _, Y, params, ds = random_instance(7, n=10)
-        H, eps = kernel_and_errors(Y, ds, params)
+        _, _, _, Y, params, D = random_instance(7, n=10)
+        H, eps = kernel_and_errors(Y, D, params)
         mask = np.arange(10) % 3 == 0
         eps_h = shift_coefficients(params.W, H, eps, params.sigma, mask)
         full = shift_coefficients(params.W, H, eps, params.sigma, np.ones(10, dtype=bool))
@@ -204,9 +203,9 @@ class TestHiddenErrors:
         h = 1e-6
         worst = 0.0
         for seed in range(20):
-            rng, X, P, Y, params, ds = random_instance(seed)
-            H, eps = kernel_and_errors(Y, ds, params)
-            _, mask = all_train(ds.n)
+            rng, X, P, Y, params, D = random_instance(seed)
+            H, eps = kernel_and_errors(Y, D, params)
+            _, mask = all_train(D.shape[1])
             eps_h = shift_coefficients(params.W, H, eps, params.sigma, mask)
             for j in range(params.c):
                 for dim in range(X.shape[1]):
@@ -215,7 +214,7 @@ class TestHiddenErrors:
                     Pm[j, dim] -= h
                     def at(Pl):
                         Dl = ((X[None, :, :] - Pl[:, None, :]) ** 2).sum(-1)
-                        return sse_of(Y, DistanceState(Dl), params)
+                        return sse_of(Y, Dl, params)
                     num = (at(Pp) - at(Pm)) / (2 * h)
                     ana = -2.0 * float(eps_h[j] @ (X[:, dim] - P[j, dim]))
                     worst = max(worst, abs(num - ana) / max(1.0, abs(ana)))
@@ -305,42 +304,42 @@ class TestUpdateBandwidths:
 
     SIGMA_MIN = TrainConfig().sigma_min
 
-    def step(self, params, ds, eps, eta, H=None):
-        H = gaussian_kernel(ds.d, params.sigma[:, None]) if H is None else H
-        tr, _ = all_train(ds.n)
-        return bandwidth_step(params.sigma, params.W, H, ds.d, eps, eta, tr, self.SIGMA_MIN)
+    def step(self, params, D, eps, eta, H=None):
+        H = gaussian_kernel(D, params.sigma[:, None]) if H is None else H
+        tr, _ = all_train(D.shape[1])
+        return bandwidth_step(params.sigma, params.W, H, D, eps, eta, tr, self.SIGMA_MIN)
 
     def test_zero_errors_no_change(self):
-        _, _, _, Y, params, ds = random_instance(4)
-        _, eps = kernel_and_errors(Y, ds, params)
-        assert np.array_equal(self.step(params, ds, np.zeros_like(eps), 0.2), params.sigma)
+        _, _, _, Y, params, D = random_instance(4)
+        _, eps = kernel_and_errors(Y, D, params)
+        assert np.array_equal(self.step(params, D, np.zeros_like(eps), 0.2), params.sigma)
 
     def test_zero_distances_no_change(self):
         params = NetworkParams(w0=[0.0], W=[[1.0]], sigma=[1.5])
-        ds = DistanceState(np.zeros((1, 6)))
-        assert np.array_equal(self.step(params, ds, np.full((6, 1), 0.7), 0.2), params.sigma)
+        D = np.zeros((1, 6))
+        assert np.array_equal(self.step(params, D, np.full((6, 1), 0.7), 0.2), params.sigma)
 
     def test_clamped_below(self):
         params = NetworkParams(w0=[0.0], W=[[5.0]], sigma=[1.0])
-        ds = DistanceState(np.full((1, 4), 1.0))
+        D = np.full((1, 4), 1.0)
         # strongly negative errors drive sigma far below zero: clamp engages
-        assert self.step(params, ds, np.full((4, 1), -10.0), 1.0)[0] == pytest.approx(1e-3)
+        assert self.step(params, D, np.full((4, 1), -10.0), 1.0)[0] == pytest.approx(1e-3)
 
     def test_matches_finite_differences(self):
         h = 1e-6
         eta = 1e-3  # small enough that the lower clamp never engages
         worst = 0.0
         for seed in range(20):
-            _, _, _, Y, params, ds = random_instance(seed)
-            H, eps = kernel_and_errors(Y, ds, params)
-            delta = (self.step(params, ds, eps, eta, H) - params.sigma) / eta
+            _, _, _, Y, params, D = random_instance(seed)
+            H, eps = kernel_and_errors(Y, D, params)
+            delta = (self.step(params, D, eps, eta, H) - params.sigma) / eta
             for j in range(params.c):
                 sp, sm = params.sigma.copy(), params.sigma.copy()
                 sp[j] += h
                 sm[j] -= h
                 num = (
-                    sse_of(Y, ds, NetworkParams(params.w0, params.W, sp))
-                    - sse_of(Y, ds, NetworkParams(params.w0, params.W, sm))
+                    sse_of(Y, D, NetworkParams(params.w0, params.W, sp))
+                    - sse_of(Y, D, NetworkParams(params.w0, params.W, sm))
                 ) / (2 * h)
                 ana = -2.0 * delta[j]
                 worst = max(worst, abs(num - ana) / max(1.0, abs(ana)))
@@ -463,7 +462,7 @@ class TestTrainingPath:
     @pytest.mark.parametrize(
         "owner, name",
         # relational distances come from one stacked product in the driver
-        [(RelationalModel, "shift"), (engine, "_distances")],
+        [(RelationalModel, "shift"), (engine, "prototype_distances")],
         ids=["shift", "distances"],
     )
     def test_relational_model_runs_in_graph_trainer(self, monkeypatch, data, owner, name):
@@ -630,5 +629,5 @@ class TestLockstep:
         assert type(g) is type(a) is TrainResult
         assert np.array_equal(g.prototypes, a.prototypes)
         assert g.metrics.as_dict() == a.metrics.as_dict()
-        assert np.array_equal(g.d_state.d, a.d_state.d)
+        assert np.array_equal(g.d_state, a.d_state)
         assert np.array_equal(g.params.W, a.params.W)

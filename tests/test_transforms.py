@@ -7,6 +7,8 @@ from relrbf import AdjacencyMatrix, cmds, from_features, ivat, minimax_distances
 from relrbf.graph import double_centered
 from relrbf.transforms import write_embedding_csv, write_pgm, write_vat_csv
 
+from conftest import traced_peak
+
 
 def floyd_warshall_minimax(R):
     """Oracle: minimax path distances by Floyd-Warshall over every pivot."""
@@ -132,6 +134,12 @@ class TestVat:
         np.testing.assert_allclose(
             order.reordered, R.values[np.ix_(order.perm, order.perm)]
         )
+
+    def test_holds_one_matrix(self):
+        # the reordered matrix is the one n x n array a call allocates
+        n = 1000
+        R = from_features(np.random.default_rng(4).standard_normal((n, 3)))
+        assert traced_peak(lambda: vat(R)) <= 1.2 * n * n * 8
 
 
 class TestIvat:
