@@ -3,11 +3,9 @@
 from .engine import TrainConfig, TrainMetrics, TrainResult
 from .graph import (
     AdjacencyMatrix,
-    FeatureMatrix,
     RealizabilityReport,
     from_features,
     read_adjacency,
-    read_features,
     sqrt_triangle_ok,
     validate,
     write_adjacency,

@@ -54,7 +54,8 @@ EXIT_CONFIG = 2
 EXIT_DUALITY = 3
 
 TRANSFORMS = ("none", "cmds", "pmds")
-PROTOTYPE_MODES = ("free", "medoid")
+# the commands that read train.seed, and so take --seed
+SEEDED_COMMANDS = ("train", "duality")
 
 TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 RANGE_FIELDS = ("eta_range", "weight_init_range", "sigma_init_range")
@@ -68,15 +69,25 @@ def _count(obj: dict, key: str, default: int, name: str | None = None) -> int:
     return value
 
 
-def _positive(obj: dict, key: str, default: float, name: str) -> float:
-    """The finite number > 0 at `key` (`default` when absent)."""
+def _seed(obj: dict, key: str, default: int, name: str) -> int:
+    """The integer >= 0 at `key` (`default` when absent): a random seed."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
+    return value
+
+
+def _number(obj: dict, key: str, default: float, name: str, positive: bool = False) -> float:
+    """The finite number at `key` (`default` when absent), > 0 if `positive`."""
     value = obj.get(key, default)
     try:
-        ok = not isinstance(value, bool) and math.isfinite(value) and value > 0
+        ok = not isinstance(value, bool) and math.isfinite(value)
+        ok = ok and (value > 0 or not positive)
     except (TypeError, OverflowError):
         ok = False
     if not ok:
-        raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+        bound = " > 0" if positive else ""
+        raise ConfigError(f"{name} must be a finite number{bound}, got {value!r}")
     return value
 
 
@@ -122,8 +133,17 @@ class ExperimentConfig:
             raise ConfigError(f"dataset.kind must be one of {KINDS}")
         if dataset["kind"] != "synthetic-blobs" and "path" not in dataset:
             raise ConfigError(f"dataset.kind={dataset['kind']!r} requires dataset.path")
-        _positive(dataset, "power", 1.0, "dataset.power")
+        _number(dataset, "power", 1.0, "dataset.power", positive=True)
         _flag(dataset, "standardize", True, "dataset.standardize")
+        # ingest supplies the values of absent keys
+        blobs = dataset.get("blobs", {})
+        if not isinstance(blobs, dict):
+            raise ConfigError("dataset.blobs must be an object")
+        for key in ("n", "classes", "dim"):
+            _count(blobs, key, 1, f"dataset.blobs.{key}")
+        _seed(blobs, "seed", 0, "dataset.blobs.seed")
+        for key in ("sep", "noise"):
+            _number(blobs, key, 1.0, f"dataset.blobs.{key}")
 
         train_raw = raw.get("train", {})
         if not isinstance(train_raw, dict):
@@ -138,8 +158,6 @@ class ExperimentConfig:
             )
         except (TypeError, ValueError, RelRbfError) as exc:
             raise ConfigError(f"invalid train config: {exc}") from exc
-        if train_cfg.prototype_mode not in PROTOTYPE_MODES:
-            raise ConfigError(f"prototype_mode must be one of {PROTOTYPE_MODES}")
 
         transform = raw.get("transform", "none")
         if transform not in TRANSFORMS:
@@ -155,7 +173,7 @@ class ExperimentConfig:
             histogram_bins=_count(raw, "histogram_bins", 21),
             workers=_count(raw, "workers", 1),
             duality_epochs=_count(duality, "epochs", 20, "duality.epochs"),
-            duality_tol=float(_positive(duality, "tol", 1e-8, "duality.tol")),
+            duality_tol=float(_number(duality, "tol", 1e-8, "duality.tol", positive=True)),
             compare_prototype_modes=_flag(raw, "compare_prototype_modes", False),
         )
 
@@ -170,7 +188,7 @@ def load_dataset(config: ExperimentConfig) -> IngestResult:
     return ingest(
         ds["kind"],
         path=ds.get("path"),
-        standardize=ds.get("standardize", True),
+        standardized=ds.get("standardize", True),
         power=ds.get("power", 1.0),
         labels_path=ds.get("labels_path"),
         blob_options=ds.get("blobs"),
@@ -441,6 +459,7 @@ def load_checkpoint(path: Path, n: int, g: int):
         raise ConfigError(f"checkpoint n={ck['n']} does not match dataset n={n}")
     if ck["g"] != g:
         raise ConfigError(f"checkpoint g={ck['g']} does not match the dataset's {g} classes")
+    _seed(ck, "seed", None, f"checkpoint {path}: seed")
     try:
         params = NetworkParams(w0=ck["w0"], W=ck["W"], sigma=ck["sigma"])
         d_state = np.asarray(ck["d_state"], dtype=float)
@@ -485,17 +504,11 @@ def cmd_duality(config: ExperimentConfig, out: Path | None) -> int:
         epochs=config.duality_epochs,
         tol=config.duality_tol,
     )
-    powered = config.dataset.get("power", 1.0) != 1.0
-    if data.X is not None and not powered:
-        X = data.X
-        if config.dataset.get("standardize", True):
-            mean, sd = X.mean(axis=0), X.std(axis=0)
-            keep = sd > 1e-12 * (np.abs(mean) + 1.0)
-            X = (X[:, keep] - mean[keep]) / sd[keep]
-        report = duality_check(X=X, **kwargs)
+    if data.X is not None:
+        report = duality_check(X=data.X, **kwargs)
     else:
-        # entrywise powers change the graph away from the feature realization,
-        # so the check must start from the matrix itself
+        # a read or powered graph has no features: the check starts from the
+        # matrix itself
         report = duality_check(R=data.R, **kwargs)
     if report.no_oracle:
         print(f"duality: no oracle available ({report.message})")
@@ -568,7 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("ingest", "train", "eval", "duality", "transform", "diagnose"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--seed", type=int, default=None, help="override train seed")
+        if name in SEEDED_COMMANDS:
+            p.add_argument("--seed", type=int, default=None, help="override train seed")
         p.add_argument("--out", default=None, help="output directory")
         if name == "eval":
             p.add_argument("--checkpoint", required=True, help="checkpoint JSON")
@@ -581,7 +595,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = ExperimentConfig.from_file(args.config)
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             config = replace(config, train=replace(config.train, seed=args.seed))
         out = Path(args.out) if args.out else None
         if args.command == "ingest":

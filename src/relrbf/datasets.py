@@ -9,19 +9,25 @@ non-realizable code paths.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedFileError, UnknownKindError
-from .graph import AdjacencyMatrix, FeatureMatrix, from_features, read_adjacency
+from .errors import MalformedFileError, NonFiniteError, UnknownKindError
+from .graph import AdjacencyMatrix, from_features, read_adjacency
 
 KINDS = ("wdbc", "voting", "heart-cleveland", "adjacency-csv", "synthetic-blobs")
 
 
 @dataclass
 class IngestResult:
-    """Graph, one-hot targets, and provenance for one ingested dataset."""
+    """Graph, one-hot targets, and provenance for one ingested dataset.
+
+    ``X`` holds the features whose squared distances are ``R`` (standardized
+    when ingest standardized them); it is None for ``adjacency-csv`` and
+    after an entrywise power, which leaves no feature realization of ``R``.
+    """
 
     R: AdjacencyMatrix
     Y: np.ndarray | None
@@ -158,18 +164,31 @@ def read_labels_csv(path) -> np.ndarray:
     return labels
 
 
-def apply_power(R: AdjacencyMatrix, power: float) -> AdjacencyMatrix:
-    """Entrywise power of the dissimilarities (power > 1 is generally not
-    realizable by any vector configuration)."""
-    if power == 1.0:
-        return R
-    return R.power(power)
+def standardize(X) -> np.ndarray:
+    """Z-score every column of a feature array (population std).
+
+    Constant columns are dropped with a warning.
+    """
+    x = np.asarray(X, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteError("feature matrix contains non-finite entries")
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    keep = std > 1e-12 * (np.abs(mean) + 1.0)
+    if not np.all(keep):
+        dropped = np.flatnonzero(~keep)
+        warnings.warn(
+            f"dropping {dropped.size} zero-variance feature column(s): {dropped.tolist()}",
+            UserWarning,
+            stacklevel=2,
+        )
+    return (x[:, keep] - mean[keep]) / std[keep]
 
 
 def ingest(
     kind: str,
     path=None,
-    standardize: bool = True,
+    standardized: bool = True,
     power: float = 1.0,
     labels_path=None,
     blob_options: dict | None = None,
@@ -178,7 +197,8 @@ def ingest(
 
     File-backed kinds require ``path``.  ``adjacency-csv`` reads the graph
     directly (labels optional, via ``labels_path``); all vector kinds build
-    the graph with the standardized squared Euclidean distance.
+    the graph with the squared Euclidean distance of their features, z-scored
+    by :func:`standardize` when ``standardized`` is set.
     """
     if kind not in KINDS:
         raise UnknownKindError(f"unknown dataset kind {kind!r}; expected one of {KINDS}")
@@ -215,8 +235,12 @@ def ingest(
             X, labels, class_names = load_voting(path)
         elif kind == "heart-cleveland":
             X, labels, class_names = load_heart_cleveland(path)
-        R = from_features(FeatureMatrix(X), standardize=standardize)
+        if standardized:
+            X = standardize(X)
+        R = from_features(X)
 
-    R = apply_power(R, power)
+    if power != 1.0:
+        R = R.power(power)
+        X = None
     Y = one_hot(labels, len(class_names) or None) if labels is not None else None
     return IngestResult(R=R, Y=Y, labels=labels, class_names=class_names, X=X, kind=kind)

@@ -319,22 +319,6 @@ class TrainMetrics:
     def epochs(self) -> int:
         return len(self.sse_train)
 
-    def as_dict(self) -> dict:
-        return {
-            "sse_train": list(map(float, self.sse_train)),
-            "sse_val": list(map(float, self.sse_val)),
-            "sse_test": list(map(float, self.sse_test)),
-            "mse_train": list(map(float, self.mse_train)),
-            "lr_scale": list(map(float, self.lr_scale)),
-            "n_prototypes": list(map(int, self.n_prototypes)),
-            "negative_distances": list(map(int, self.negative_distances)),
-            "accepted": list(map(bool, self.accepted)),
-            "grew": list(map(bool, self.grew)),
-            "best_epoch": int(self.best_epoch),
-            "best_val_sse": float(self.best_val_sse),
-            "stop_reason": self.stop_reason,
-        }
-
 
 @dataclass
 class TrainResult:

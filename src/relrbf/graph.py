@@ -10,7 +10,6 @@ guarantee in this package.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ from .textio import write_csv
 # Absolute asymmetry tolerated on input before raising (serialization slop).
 SYMMETRY_TOL = 1e-12
 # Relative PSD slack used by the embeddability test.
-DEFAULT_PSD_TOL = 1e-8
+PSD_TOL = 1e-8
 # Rows of the distance matrix that `_sqeuclidean` computes at a time: its two
 # buffers stay small next to the n x n result, and 16 to 32 rows ran at one
 # speed for n from 569 to 2000.
@@ -108,52 +107,20 @@ class AdjacencyMatrix:
 
 
 @dataclass(frozen=True)
-class FeatureMatrix:
-    """Plain n x d matrix of vector observations (rows are observations)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.values, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        if x.ndim != 2:
-            raise NonSquareError(f"expected a 2-d feature array, got ndim={x.ndim}")
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteError("feature matrix contains non-finite entries")
-        x = x.copy()
-        x.setflags(write=False)
-        object.__setattr__(self, "values", x)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
 class RealizabilityReport:
-    """Structural and spectral diagnostics for an adjacency matrix.
+    """Spectral diagnostics for an adjacency matrix.
 
     ``euclidean_embeddable`` is the operative realizability test: the
     double-centered matrix -J R J / 2 must be PSD up to tolerance.  The
-    square-root triangle inequality is neither necessary nor sufficient for
-    embeddability of squared distances, so it is not reported here;
-    :func:`sqrt_triangle_ok` checks it separately in O(n^3).
+    structural properties (symmetry, sign, zero diagonal) are the
+    :class:`AdjacencyMatrix` constructor's to check, so they are not reported
+    here.  The square-root triangle inequality is neither necessary nor
+    sufficient for embeddability of squared distances; :func:`sqrt_triangle_ok`
+    checks it separately in O(n^3).
     """
 
-    is_symmetric: bool
-    is_nonnegative: bool
-    is_antireflexive: bool
     euclidean_embeddable: bool
     min_eigenvalue: float
-
-    @property
-    def all_structural(self) -> bool:
-        return self.is_symmetric and self.is_nonnegative and self.is_antireflexive
 
 
 def _double_center(a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -179,62 +146,28 @@ def double_centered(values: np.ndarray) -> np.ndarray:
     return _double_center(a, np.empty_like(a))
 
 
-def validate(R, tol_psd: float = DEFAULT_PSD_TOL) -> RealizabilityReport:
-    """Check structural invariants and embeddability of a dissimilarity matrix.
+def validate(R: AdjacencyMatrix) -> RealizabilityReport:
+    """Check that a graph has a vector realization.
 
-    Parameters
-    ----------
-    R : AdjacencyMatrix or array_like
-        Square matrix of pairwise dissimilarities (squared-distance scale).
-    tol_psd : float
-        Relative slack for the PSD test: the matrix is embeddable when the
-        smallest eigenvalue of its double-centered form is at least
-        ``-tol_psd * max(|eigenvalues|)``.
-
-    Returns
-    -------
-    RealizabilityReport
+    The graph is embeddable when the smallest eigenvalue of -J R J / 2 is at
+    least ``-PSD_TOL * max(|eigenvalues|)``.  One n x n buffer holds the
+    double-centered matrix.
     """
-    a = R.values if isinstance(R, AdjacencyMatrix) else np.asarray(R, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteError("matrix contains non-finite entries")
-
-    # one n x n buffer: |a|, then |a - a^T|, then -J ((a + a^T) / 2) J / 2
-    buf = np.abs(a)
-    scale = float(buf.max()) if a.size else 0.0
-    tol = SYMMETRY_TOL * max(1.0, scale)
-    np.subtract(a, a.T, out=buf)
-    is_symmetric = bool(np.abs(buf, out=buf).max() <= tol) if a.size else True
-    is_nonnegative = bool(a.min() >= -tol) if a.size else True
-    is_antireflexive = bool(np.max(np.abs(np.diagonal(a))) <= tol) if a.size else True
-
-    np.add(a, a.T, out=buf)
-    buf /= 2.0
-    eigvals = np.linalg.eigvalsh(_double_center(buf, buf))
+    eigvals = np.linalg.eigvalsh(double_centered(R.values))
     min_eig = float(eigvals.min())
-    thresh = tol_psd * float(np.max(np.abs(eigvals)))
-    euclidean_embeddable = bool(
-        is_symmetric and is_nonnegative and is_antireflexive and min_eig >= -thresh
-    )
     return RealizabilityReport(
-        is_symmetric=is_symmetric,
-        is_nonnegative=is_nonnegative,
-        is_antireflexive=is_antireflexive,
-        euclidean_embeddable=euclidean_embeddable,
+        euclidean_embeddable=bool(min_eig >= -PSD_TOL * float(np.max(np.abs(eigvals)))),
         min_eigenvalue=min_eig,
     )
 
 
-def sqrt_triangle_ok(R) -> bool:
+def sqrt_triangle_ok(R: AdjacencyMatrix) -> bool:
     """Triangle inequality on sqrt(entries) over all triples, small float slack.
 
     O(n^3) in time, so no command runs it; it neither implies nor is implied
     by embeddability (see :class:`RealizabilityReport`).
     """
-    a = R.values if isinstance(R, AdjacencyMatrix) else np.asarray(R, dtype=float)
-    s = np.sqrt(np.clip((a + a.T) / 2.0, 0.0, None))
+    s = np.sqrt(R.values)
     n = s.shape[0]
     slack = 1e-12 * max(1.0, float(s.max())) if n else 0.0
     for j in range(n):
@@ -243,41 +176,28 @@ def sqrt_triangle_ok(R) -> bool:
     return True
 
 
-def from_features(X, standardize: bool = False) -> AdjacencyMatrix:
+def from_features(X) -> AdjacencyMatrix:
     """Build the squared-Euclidean dissimilarity matrix of a point set.
 
     Parameters
     ----------
-    X : FeatureMatrix or array_like, shape (n, d)
-    standardize : bool
-        Z-score every column (population std) before computing distances.
-        Constant columns are dropped with a warning.
+    X : array_like, shape (n, d) or (n,)
+        One observation per row; a 1-d array is one feature.
 
     Returns
     -------
     AdjacencyMatrix
-        r[p, q] = ||x_p - x_q||^2 after optional standardization.
+        r[p, q] = ||x_p - x_q||^2.
     """
-    x = X.values if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=float)
+    x = np.asarray(X, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
+    if x.ndim != 2:
+        raise NonSquareError(f"expected a 2-d feature array, got ndim={x.ndim}")
     if x.shape[0] < 2:
         raise ValueError("need at least two observations")
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("feature matrix contains non-finite entries")
-    if standardize:
-        mean = x.mean(axis=0)
-        std = x.std(axis=0)
-        keep = std > 1e-12 * (np.abs(mean) + 1.0)
-        if not np.all(keep):
-            dropped = np.flatnonzero(~keep)
-            warnings.warn(
-                f"dropping {dropped.size} zero-variance feature column(s): "
-                f"{dropped.tolist()}",
-                UserWarning,
-                stacklevel=2,
-            )
-        x = (x[:, keep] - mean[keep]) / std[keep]
     with np.errstate(over="ignore"):
         r = _sqeuclidean(x)
         # the entries the constructor's symmetrizing sum would overflow on
@@ -340,12 +260,3 @@ def read_adjacency(path) -> AdjacencyMatrix:
         return AdjacencyMatrix(a)
     except RelRbfError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
-
-
-def read_features(path) -> FeatureMatrix:
-    """Read a feature CSV: one observation per row, optional '#' header."""
-    try:
-        x = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    except (ValueError, OSError) as exc:
-        raise ParseError(f"cannot parse feature CSV {path}: {exc}") from exc
-    return FeatureMatrix(x)

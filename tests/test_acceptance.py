@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from relrbf import cmds, from_features, pmds, prototype_distances, validate
-from relrbf.datasets import apply_power, ingest, one_hot, synthetic_blobs
+from relrbf.datasets import ingest, one_hot, synthetic_blobs
 from relrbf.engine import (
     RelationalModel,
     TrainConfig,
@@ -354,7 +354,7 @@ def test_criterion_10_transform_degradation():
     stands in for the unavailable proprietary-graph comparisons."""
     X, y = synthetic_blobs(90, classes=3, sep=2.5, noise=1.0, seed=21)
     Y = one_hot(y, 3)
-    R = apply_power(from_features(X), 1.5)
+    R = from_features(X).power(1.5)
     assert not validate(R).euclidean_embeddable
     variants = {
         "untransformed": R,

@@ -98,6 +98,7 @@ class TestConfigValidation:
             {"duality": {"tol": float("inf")}},
             {"duality": {"tol": "1e-8"}},
             {"train": {"eta_range": 5}},
+            {"train": {"prototype_mode": "fixed"}},
             {"dataset": {"kind": "synthetic-blobs", "power": "high"}},
             {"dataset": {"kind": "synthetic-blobs", "power": 0}},
             {"dataset": {"kind": "synthetic-blobs", "power": -1.5}},
@@ -105,6 +106,16 @@ class TestConfigValidation:
             {"dataset": {"kind": "synthetic-blobs", "power": float("inf")}},
             {"dataset": {"kind": "synthetic-blobs", "standardize": "no"}},
             {"dataset": {"kind": "synthetic-blobs", "standardize": 1}},
+            {"dataset": {"kind": "synthetic-blobs", "blobs": [1]}},
+            {"dataset": {"kind": "synthetic-blobs", "blobs": {"n": "x"}}},
+            {"dataset": {"kind": "synthetic-blobs", "blobs": {"n": 2.5}}},
+            {"dataset": {"kind": "synthetic-blobs", "blobs": {"classes": 0}}},
+            {"dataset": {"kind": "synthetic-blobs", "blobs": {"dim": True}}},
+            {"dataset": {"kind": "synthetic-blobs", "blobs": {"seed": -1}}},
+            {"dataset": {"kind": "synthetic-blobs", "blobs": {"seed": "0"}}},
+            {"dataset": {"kind": "synthetic-blobs", "blobs": {"sep": "far"}}},
+            {"dataset": {"kind": "synthetic-blobs", "blobs": {"sep": float("inf")}}},
+            {"dataset": {"kind": "synthetic-blobs", "blobs": {"noise": float("nan")}}},
             {"compare_prototype_modes": "false"},
             {"compare_prototype_modes": 0},
         ],
@@ -115,6 +126,18 @@ class TestConfigValidation:
         assert main(["duality", "--config", str(cfg)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
+
+    @pytest.mark.parametrize("command", ["ingest", "eval", "transform", "diagnose"])
+    def test_seed_only_where_it_is_read(self, tmp_path, capsys, command):
+        # only train and duality read train.seed
+        cfg = blob_config(tmp_path)
+        argv = [command, "--config", str(cfg), "--seed", "99"]
+        if command == "eval":
+            argv += ["--checkpoint", str(tmp_path / "ck.json")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --seed 99" in capsys.readouterr().err
 
     def test_from_dict_leaves_its_argument_unchanged(self, tmp_path):
         raw = json.loads(blob_config(tmp_path).read_text())
@@ -445,8 +468,12 @@ class TestEvalCommand:
             lambda ck: ck.update(d_state=[row[:-1] for row in ck["d_state"]]),
             lambda ck: ck.update(sigma=ck["sigma"][:-1]),
             lambda ck: ck.update(w0="abc"),
+            lambda ck: ck.update(seed="x"),
+            lambda ck: ck.update(seed=-4),
+            lambda ck: ck.update(seed=True),
         ],
-        ids=["W-columns", "d_state-width", "sigma-length", "w0-type"],
+        ids=["W-columns", "d_state-width", "sigma-length", "w0-type", "seed-type",
+             "seed-negative", "seed-boolean"],
     )
     def test_arrays_that_do_not_fit(self, tmp_path, capsys, tamper):
         ck = self.train_checkpoint(tmp_path)

@@ -5,16 +5,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relrbf import validate
+from relrbf import from_features, validate
 from relrbf.datasets import (
     ingest,
     load_heart_cleveland,
     load_voting,
     load_wdbc,
     one_hot,
+    standardize,
     synthetic_blobs,
 )
-from relrbf.errors import MalformedFileError, UnknownKindError
+from relrbf.errors import MalformedFileError, NonFiniteError, UnknownKindError
 
 from conftest import find_dataset_file
 
@@ -125,7 +126,38 @@ class TestSyntheticBlobs:
         np.testing.assert_array_equal(np.bincount(labels), [4, 3, 3])
 
 
+class TestStandardize:
+    def test_drops_constant_column(self):
+        X = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
+        with pytest.warns(UserWarning, match="zero-variance"):
+            Z = standardize(X)
+        # remaining column standardized: (-1.22.., 0, 1.22..)
+        z = (X[:, 0] - X[:, 0].mean()) / X[:, 0].std()
+        np.testing.assert_allclose(Z, z[:, None], atol=1e-12)
+
+    def test_rejects_non_finite(self):
+        # an infinite column has no variance to keep, so it is an error,
+        # not a dropped column
+        X = np.array([[1.0, np.inf], [2.0, 0.0], [3.0, 1.0]])
+        with pytest.raises(NonFiniteError):
+            standardize(X)
+
+
 class TestIngest:
+    BLOBS = {"n": 30, "classes": 3, "sep": 4.0, "seed": 2}
+
+    @pytest.mark.parametrize("standardized", [True, False])
+    def test_features_realize_the_graph(self, standardized):
+        result = ingest("synthetic-blobs", standardized=standardized, blob_options=self.BLOBS)
+        X, _ = synthetic_blobs(**self.BLOBS)
+        expected = standardize(X) if standardized else X
+        assert np.array_equal(result.X, expected)
+        assert np.array_equal(from_features(result.X).values, result.R.values)
+
+    def test_power_leaves_no_features(self):
+        result = ingest("synthetic-blobs", power=1.5, blob_options=self.BLOBS)
+        assert result.X is None
+
     def test_unknown_kind(self):
         with pytest.raises(UnknownKindError):
             ingest("mystery")

@@ -478,11 +478,9 @@ class TestTrain:
         # the training subgraph of a validated graph is taken as one
         # principal-submatrix copy (0.49 n^2 doubles), not re-validated into a
         # second buffer
-        from relrbf.datasets import apply_power
-
         n = 400
         X, y = synthetic_blobs(n, classes=2, dim=5, seed=0)
-        R = apply_power(from_features(X), 1.5)
+        R = from_features(X).power(1.5)
         Y = one_hot(y, 2)
         config = TrainConfig(c_init=5, c_max=8, max_epochs=20, prototype_mode=mode)
         tracemalloc.start()
@@ -522,9 +520,7 @@ class TestTrain:
         R = from_features(X)
         Y = one_hot(y, 2)
         cfg = TrainConfig(c_init=2, c_max=4, seed=11, max_epochs=60)
-        a = train(R, Y, cfg).metrics.as_dict()
-        b = train(R, Y, cfg).metrics.as_dict()
-        assert a == b
+        assert train(R, Y, cfg).metrics == train(R, Y, cfg).metrics
 
     def test_accepted_mse_never_worse_than_threshold(self):
         X, y = synthetic_blobs(40, classes=2, sep=2.0, seed=6)
@@ -546,10 +542,8 @@ class TestTrain:
         assert any(accepted)
 
     def test_negative_distances_recorded_on_nonrealizable_graph(self):
-        from relrbf.datasets import apply_power
-
         X, y = synthetic_blobs(40, classes=2, sep=2.0, seed=8)
-        R = apply_power(from_features(X), 1.5)
+        R = from_features(X).power(1.5)
         Y = one_hot(y, 2)
         res = train(R, Y, TrainConfig(c_init=3, c_max=5, seed=1, max_epochs=150))
         assert res.metrics.epochs > 0  # completes without blowing up
@@ -628,6 +622,6 @@ class TestLockstep:
         (g,), a = train_group(R, Y, [cfg]), train(R, Y, cfg)
         assert type(g) is type(a) is TrainResult
         assert np.array_equal(g.prototypes, a.prototypes)
-        assert g.metrics.as_dict() == a.metrics.as_dict()
+        assert g.metrics == a.metrics
         assert np.array_equal(g.d_state, a.d_state)
         assert np.array_equal(g.params.W, a.params.W)
