@@ -10,13 +10,7 @@ from .graph import (
     validate,
     write_adjacency,
 )
-from .initialization import (
-    Partition,
-    SplitIndices,
-    init_params,
-    relational_kmeans,
-    split,
-)
+from .initialization import SplitIndices, init_params, relational_kmeans, split
 from .network import (
     NetworkParams,
     NetworkResponse,

@@ -29,10 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import KINDS, IngestResult, ingest
-from .engine import TrainConfig
+from .engine import TrainConfig, draw_split
 from .errors import ConfigError, RelRbfError
 from .graph import AdjacencyMatrix, from_features, validate, write_adjacency
-from .initialization import split as make_split
 from .network import NetworkParams
 from .textio import write_csv
 # `train` is not called here, but perfbench/tracer.py wraps `cli.train`
@@ -133,6 +132,9 @@ class ExperimentConfig:
             raise ConfigError(f"dataset.kind must be one of {KINDS}")
         if dataset["kind"] != "synthetic-blobs" and "path" not in dataset:
             raise ConfigError(f"dataset.kind={dataset['kind']!r} requires dataset.path")
+        for key in ("path", "labels_path"):
+            if key in dataset and not isinstance(dataset[key], str):
+                raise ConfigError(f"dataset.{key} must be a string, got {dataset[key]!r}")
         _number(dataset, "power", 1.0, "dataset.power", positive=True)
         _flag(dataset, "standardize", True, "dataset.standardize")
         # ingest supplies the values of absent keys
@@ -478,10 +480,7 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path: Path, out: Path | None) 
         raise ConfigError("evaluation requires labels (dataset provides none)")
     R = apply_transform(data.R, config.transform)
     ck, params, d_state = load_checkpoint(checkpoint_path, R.n, data.Y.shape[1])
-    # replay the run's split draw (it is the first draw from the run's seed)
-    rng = np.random.default_rng(ck["seed"])
-    labels = np.argmax(data.Y, axis=1) if config.train.stratify_split else None
-    si = make_split(R.n, rng=rng, labels=labels, stratify=config.train.stratify_split)
+    _, si = draw_split(data.Y, replace(config.train, seed=ck["seed"]))
     ev = evaluate_network(params, d_state, data.Y, si)
     result = {
         "checkpoint": str(checkpoint_path),

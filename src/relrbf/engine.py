@@ -44,7 +44,6 @@ from .initialization import (
     indicator_weights,
     init_params,
     medoid_prototypes,
-    Partition,
     split as make_split,
 )
 from .network import NetworkParams, gaussian_kernel
@@ -290,7 +289,7 @@ def relational_model_from_partition(
 ) -> RelationalModel:
     """Embed prototypes fit on the training subgraph into full-length weights."""
     if mode == MEDOID:
-        V_sub = medoid_prototypes(R.submatrix(train_idx), Partition(assignment, c))
+        V_sub = medoid_prototypes(R.submatrix(train_idx), assignment, c)
     else:
         V_sub = indicator_weights(assignment, c)
     V = np.zeros((c, R.n))
@@ -305,9 +304,7 @@ class TrainMetrics:
     sse_train: list = field(default_factory=list)
     sse_val: list = field(default_factory=list)
     sse_test: list = field(default_factory=list)
-    mse_train: list = field(default_factory=list)
     lr_scale: list = field(default_factory=list)
-    n_prototypes: list = field(default_factory=list)
     negative_distances: list = field(default_factory=list)
     accepted: list = field(default_factory=list)
     grew: list = field(default_factory=list)
@@ -338,13 +335,19 @@ class TrainResult:
     trace: list | None = None
 
 
-def training_run(
-    build_model,
-    Y,
-    config: TrainConfig,
-    split_indices: SplitIndices | None = None,
-    record_trace: bool = False,
-):
+def draw_split(Y: np.ndarray, config: TrainConfig) -> tuple[np.random.Generator, SplitIndices]:
+    """A run's generator and its first draw, the split of the (n, g) targets
+    ``Y`` (stratified by class when ``config.stratify_split``).
+
+    ``training_run`` goes on drawing from the returned generator; ``relrbf
+    eval`` calls this alone to recover a checkpointed run's split.
+    """
+    rng = np.random.default_rng(config.seed)
+    labels = np.argmax(Y, axis=1) if config.stratify_split else None
+    return rng, make_split(Y.shape[0], rng, labels)
+
+
+def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False):
     """The full training protocol over an arbitrary prototype backend, as a
     generator driven by ``run_lockstep``.
 
@@ -352,31 +355,24 @@ def training_run(
     shift, after growth) it yields the model and expects the (c, n) distance
     matrix to be sent back; it returns its ``TrainResult``.
 
-    ``build_model(init_assignment, split_indices)`` must return a prototype
-    model whose initial prototypes derive from the given training-set
-    partition.  When ``split_indices`` is supplied the internal split draw is
-    skipped (used for paired-seed comparisons).
+    ``build_model(init_assignment, si)`` gets the k-means start over the
+    training rows and the run's ``SplitIndices``; it must return a prototype
+    model whose initial prototypes derive from that training-set partition.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n, g = Y.shape
-    rng = np.random.default_rng(config.seed)
-
-    if split_indices is None:
-        labels = np.argmax(Y, axis=1) if config.stratify_split else None
-        split_indices = make_split(
-            n, rng=rng, labels=labels, stratify=config.stratify_split
-        )
-    tr, va, te = split_indices.train, split_indices.val, split_indices.test
+    rng, si = draw_split(Y, config)
+    tr, va, te = si.train, si.val, si.test
     if config.c_init > tr.size:
         raise InvalidClusterCountError(
             f"c_init={config.c_init} exceeds training-set size {tr.size}"
         )
 
     init_assignment = rng.integers(0, config.c_init, size=tr.size)
-    model = build_model(init_assignment, split_indices)
+    model = build_model(init_assignment, si)
     c = model.c
 
-    params0 = init_params(c, g, config, rng=rng)
+    params0 = init_params(c, g, config, rng)
     w0, W, sigma = params0.w0.copy(), params0.W.copy(), params0.sigma.copy()
     rates = draw_rates(c, g, config.eta_range, rng)
 
@@ -480,9 +476,7 @@ def training_run(
         metrics.sse_train.append(ev["sse_train"])
         metrics.sse_val.append(ev["sse_val"])
         metrics.sse_test.append(ev["sse_test"])
-        metrics.mse_train.append(ev["sse_train"] / tr.size)
         metrics.lr_scale.append(rates.scale)
-        metrics.n_prototypes.append(W.shape[0])
         metrics.negative_distances.append(int(np.count_nonzero(D < 0)))
         metrics.accepted.append(accepted)
 
@@ -548,7 +542,7 @@ def training_run(
         prototypes=model.get_state(),
         d_state=d_state,
         metrics=metrics,
-        split=split_indices,
+        split=si,
         config=config,
         trace=trace,
     )
@@ -585,12 +579,6 @@ def run_lockstep(runs: list) -> list[TrainResult]:
     return results
 
 
-def run_training(
-    build_model,
-    Y,
-    config: TrainConfig,
-    split_indices: SplitIndices | None = None,
-    record_trace: bool = False,
-) -> TrainResult:
+def run_training(build_model, Y, config: TrainConfig, record_trace: bool = False) -> TrainResult:
     """Run the full training protocol (``training_run``) for one run."""
-    return run_lockstep([training_run(build_model, Y, config, split_indices, record_trace)])[0]
+    return run_lockstep([training_run(build_model, Y, config, record_trace)])[0]

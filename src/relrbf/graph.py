@@ -22,6 +22,7 @@ from .errors import (
     NonzeroDiagonalError,
     ParseError,
     RelRbfError,
+    TooFewSamplesError,
 )
 from .textio import write_csv
 
@@ -195,7 +196,7 @@ def from_features(X) -> AdjacencyMatrix:
     if x.ndim != 2:
         raise NonSquareError(f"expected a 2-d feature array, got ndim={x.ndim}")
     if x.shape[0] < 2:
-        raise ValueError("need at least two observations")
+        raise TooFewSamplesError(f"need at least two observations, got {x.shape[0]}")
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("feature matrix contains non-finite entries")
     with np.errstate(over="ignore"):

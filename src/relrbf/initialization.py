@@ -1,4 +1,10 @@
-"""Prototype initialization (relational k-means), parameter draws, data splits."""
+"""Prototype initialization (relational k-means), parameter draws, data splits.
+
+Nothing here makes a generator: ``split`` and ``init_params`` draw from the
+one that ``relrbf.engine`` passes in, in the run's fixed order, and k-means
+starts from the assignment the engine drew.  A partition is an (n,) int
+array with every cluster index occupied.
+"""
 
 from __future__ import annotations
 
@@ -9,22 +15,6 @@ import numpy as np
 from .errors import InvalidClusterCountError, TooFewSamplesError
 from .graph import AdjacencyMatrix
 from .prototypes import nearest_medoid, prototype_distances
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Cluster assignment over n objects; every cluster index is occupied."""
-
-    assignment: np.ndarray
-    c: int
-
-    def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=int).copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "assignment", a)
-
-    def members(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == j)
 
 
 @dataclass(frozen=True)
@@ -46,10 +36,8 @@ class SplitIndices:
         return self.train.size + self.test.size + self.val.size
 
 
-def _as_rng(seed=None, rng=None) -> np.random.Generator:
-    if rng is not None:
-        return rng
-    return np.random.default_rng(seed)
+# the most assignment rounds k-means makes before it stops unconverged
+MAX_ITER = 500
 
 
 def _ensure_nonempty(assignment: np.ndarray, c: int) -> np.ndarray:
@@ -85,7 +73,7 @@ def _repair_empty(assignment: np.ndarray, D: np.ndarray, c: int) -> np.ndarray:
     return assignment
 
 
-def kmeans_partition_sequence(compute_distances, init_assignment, c, max_iter=500):
+def kmeans_partition_sequence(compute_distances, init_assignment, c):
     """Generic alternating assignment loop shared by the relational and
     vector k-means variants.
 
@@ -97,7 +85,7 @@ def kmeans_partition_sequence(compute_distances, init_assignment, c, max_iter=50
     assignment = _ensure_nonempty(np.asarray(init_assignment, dtype=int), c)
     history = [assignment.copy()]
     D = compute_distances(assignment)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         new_assignment = np.argmin(D, axis=0)
         new_assignment = _repair_empty(new_assignment, D, c)
         if np.array_equal(new_assignment, assignment):
@@ -118,49 +106,40 @@ def indicator_weights(assignment: np.ndarray, c: int) -> np.ndarray:
     return V
 
 
-def relational_kmeans(
-    R: AdjacencyMatrix,
-    c: int,
-    seed=None,
-    rng=None,
-    init_assignment=None,
-    max_iter: int = 500,
-    return_history: bool = False,
-):
-    """Cluster graph objects with indicator prototypes and node distances.
+def relational_kmeans(R: AdjacencyMatrix, c: int, init_assignment, return_history: bool = False):
+    """Cluster graph objects with indicator prototypes and node distances,
+    starting from ``init_assignment`` (n ints in [0, c)).
 
     Each prototype is the normalized indicator of its cluster, so its
     distance to object i is exactly the squared distance from i to the
     cluster average in any latent realization.  Iterates until the partition
     stops changing.
 
-    Returns (Partition, (c, n) indicator rows); with ``return_history`` the
+    Returns (assignment, (c, n) indicator rows); with ``return_history`` the
     full assignment sequence is appended.
     """
     n = R.n
     if not 1 <= c <= n:
         raise InvalidClusterCountError(f"c={c} outside [1, {n}]")
-    if init_assignment is None:
-        init_assignment = _as_rng(seed, rng).integers(0, c, size=n)
 
     def compute(assignment):
         return prototype_distances(R, indicator_weights(assignment, c))
 
-    history, _ = kmeans_partition_sequence(compute, init_assignment, c, max_iter)
-    result = Partition(history[-1], c), indicator_weights(history[-1], c)
+    history, _ = kmeans_partition_sequence(compute, init_assignment, c)
+    result = history[-1], indicator_weights(history[-1], c)
     return (*result, history) if return_history else result
 
 
-def medoid_prototypes(R: AdjacencyMatrix, partition: Partition) -> np.ndarray:
+def medoid_prototypes(R: AdjacencyMatrix, assignment: np.ndarray, c: int) -> np.ndarray:
     """Snap each cluster to its medoid: (c, n) rows, row j the unit basis
     vector at the member of cluster j least dissimilar to the rest of it."""
-    V = np.zeros((partition.c, R.n))
-    for j in range(partition.c):
-        V[j, nearest_medoid(R, partition.members(j))] = 1.0
+    V = np.zeros((c, R.n))
+    for j in range(c):
+        V[j, nearest_medoid(R, np.flatnonzero(assignment == j))] = 1.0
     return V
 
 
-def init_params(c: int, g: int, config, seed=None, rng=None):
+def init_params(c: int, g: int, config, rng: np.random.Generator):
     """Draw output weights and bandwidths uniformly from the configured ranges.
 
     Draw order is fixed (biases, weights, bandwidths) so that two trainers
@@ -168,39 +147,29 @@ def init_params(c: int, g: int, config, seed=None, rng=None):
     """
     from .network import NetworkParams
 
-    r = _as_rng(seed, rng)
     lo_w, hi_w = config.weight_init_range
     lo_s, hi_s = config.sigma_init_range
-    w0 = r.uniform(lo_w, hi_w, size=g)
-    W = r.uniform(lo_w, hi_w, size=(c, g))
-    sigma = r.uniform(lo_s, hi_s, size=c)
+    w0 = rng.uniform(lo_w, hi_w, size=g)
+    W = rng.uniform(lo_w, hi_w, size=(c, g))
+    sigma = rng.uniform(lo_s, hi_s, size=c)
     return NetworkParams(w0=w0, W=W, sigma=sigma)
 
 
-def split(
-    n: int,
-    seed=None,
-    rng=None,
-    labels=None,
-    stratify: bool = False,
-) -> SplitIndices:
+def split(n: int, rng: np.random.Generator, labels=None) -> SplitIndices:
     """Randomly bin 70% of the data for training; split the rest evenly into
     test and validation (odd remainder: the extra observation goes to test).
 
-    With ``stratify=True`` (requires labels) the 70/15/15 proportions are
-    applied within each class.
+    Given class ``labels``, the 70/15/15 proportions are applied within each
+    class.
     """
     if n < 10:
         raise TooFewSamplesError(f"need n >= 10 to split, got {n}")
-    r = _as_rng(seed, rng)
-    if stratify:
-        if labels is None:
-            raise ValueError("stratified split requires labels")
+    if labels is not None:
         labels = np.asarray(labels, dtype=int)
         train_parts, test_parts, val_parts = [], [], []
         for cls in np.unique(labels):
             members = np.flatnonzero(labels == cls)
-            perm = members[r.permutation(members.size)]
+            perm = members[rng.permutation(members.size)]
             tr, te, va = _cut(perm)
             train_parts.append(tr)
             test_parts.append(te)
@@ -209,7 +178,7 @@ def split(
         test = np.concatenate(test_parts)
         val = np.concatenate(val_parts)
     else:
-        perm = r.permutation(n)
+        perm = rng.permutation(n)
         train, test, val = _cut(perm)
     return SplitIndices(np.sort(train), np.sort(test), np.sort(val))
 

@@ -29,23 +29,15 @@ __all__ = ["TrainConfig", "TrainResult", "train", "train_group", "evaluate_netwo
 
 def _builder(R: AdjacencyMatrix, config: TrainConfig):
     def build(init_assignment, si: SplitIndices):
-        partition, _ = relational_kmeans(
-            R.submatrix(si.train), config.c_init, init_assignment=init_assignment
-        )
+        assignment, _ = relational_kmeans(R.submatrix(si.train), config.c_init, init_assignment)
         return relational_model_from_partition(
-            R, partition.assignment, si.train, config.c_init, mode=config.prototype_mode
+            R, assignment, si.train, config.c_init, mode=config.prototype_mode
         )
 
     return build
 
 
-def train(
-    R: AdjacencyMatrix,
-    Y,
-    config: TrainConfig,
-    split_indices: SplitIndices | None = None,
-    record_trace: bool = False,
-) -> TrainResult:
+def train(R: AdjacencyMatrix, Y, config: TrainConfig, record_trace: bool = False) -> TrainResult:
     """Train a graph-based RBF network on an adjacency matrix.
 
     Prototypes are initialized by relational k-means over the training
@@ -55,9 +47,7 @@ def train(
     stopping with prototype growth.  Returns the parameters that achieved the
     best validation error.
     """
-    return run_training(
-        _builder(R, config), Y, config, split_indices=split_indices, record_trace=record_trace
-    )
+    return run_training(_builder(R, config), Y, config, record_trace=record_trace)
 
 
 def train_group(R: AdjacencyMatrix, Y, configs: list[TrainConfig]) -> list[TrainResult]:

@@ -16,71 +16,46 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import TrainConfig, TrainResult, VectorModel, run_training
-from .errors import ConfigError
+from .errors import ConfigError, InvalidClusterCountError
 from .graph import AdjacencyMatrix, from_features, validate
-from .initialization import (
-    InvalidClusterCountError,
-    Partition,
-    SplitIndices,
-    _as_rng,
-    indicator_weights,
-    kmeans_partition_sequence,
-)
+from .initialization import SplitIndices, indicator_weights, kmeans_partition_sequence
 from .transforms import cmds
 
 DUALITY_TOL = 1e-8
 TRACE_FIELDS = ("w0", "W", "sigma", "d", "hidden", "output")
 
 
-def vector_kmeans(
-    X,
-    c: int,
-    seed=None,
-    rng=None,
-    init_assignment=None,
-    max_iter: int = 500,
-    return_history: bool = False,
-):
+def vector_kmeans(X, c: int, init_assignment, return_history: bool = False):
     """Lloyd's k-means sharing the assignment/repair loop of the relational
-    variant, so partition sequences are directly comparable."""
+    variant, so partition sequences are directly comparable.
+
+    Returns (assignment, (c, d) centroids); with ``return_history`` the full
+    assignment sequence is appended.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
     if not 1 <= c <= n:
         raise InvalidClusterCountError(f"c={c} outside [1, {n}]")
-    if init_assignment is None:
-        init_assignment = _as_rng(seed, rng).integers(0, c, size=n)
 
     def compute(assignment):
         return VectorModel(X, indicator_weights(assignment, c) @ X).distances()
 
-    history, _ = kmeans_partition_sequence(compute, init_assignment, c, max_iter)
-    final = history[-1]
-    centroids = indicator_weights(final, c) @ X
-    partition = Partition(final, c)
-    if return_history:
-        return partition, centroids, history
-    return partition, centroids
+    history, _ = kmeans_partition_sequence(compute, init_assignment, c)
+    result = history[-1], indicator_weights(history[-1], c) @ X
+    return (*result, history) if return_history else result
 
 
-def vector_train(
-    X,
-    Y,
-    config: TrainConfig,
-    split_indices: SplitIndices | None = None,
-    record_trace: bool = False,
-) -> TrainResult:
+def vector_train(X, Y, config: TrainConfig, record_trace: bool = False) -> TrainResult:
     """Train the vector-space twin with the protocol of the graph trainer."""
     if config.prototype_mode != "free":
         raise ValueError("the vector reference trainer only supports free prototypes")
     X = np.atleast_2d(np.asarray(X, dtype=float))
 
     def build(init_assignment, si: SplitIndices):
-        partition, centroids = vector_kmeans(
-            X[si.train], config.c_init, init_assignment=init_assignment
-        )
+        _, centroids = vector_kmeans(X[si.train], config.c_init, init_assignment)
         return VectorModel(X, centroids)
 
-    return run_training(build, Y, config, split_indices=split_indices, record_trace=record_trace)
+    return run_training(build, Y, config, record_trace=record_trace)
 
 
 @dataclass

@@ -213,10 +213,8 @@ def test_criterion_05_kmeans_equivalence():
         c = int(rng.integers(2, 6))
         X = rng.standard_normal((n, d)) + rng.integers(0, 3, (n, 1)) * 2.0
         init = rng.integers(0, c, n)
-        _, _, h_rel = relational_kmeans(
-            from_features(X), c, init_assignment=init, return_history=True
-        )
-        _, _, h_vec = vector_kmeans(X, c, init_assignment=init, return_history=True)
+        _, _, h_rel = relational_kmeans(from_features(X), c, init, return_history=True)
+        _, _, h_vec = vector_kmeans(X, c, init, return_history=True)
         same = len(h_rel) == len(h_vec) and all(
             np.array_equal(a, b) for a, b in zip(h_rel, h_vec)
         )

@@ -116,6 +116,10 @@ class TestConfigValidation:
             {"dataset": {"kind": "synthetic-blobs", "blobs": {"sep": "far"}}},
             {"dataset": {"kind": "synthetic-blobs", "blobs": {"sep": float("inf")}}},
             {"dataset": {"kind": "synthetic-blobs", "blobs": {"noise": float("nan")}}},
+            {"dataset": {"kind": "synthetic-blobs", "blobs": {"n": 1}}},
+            {"dataset": {"kind": "wdbc", "path": 0}},
+            {"dataset": {"kind": "adjacency-csv", "path": ["0,1", "1,0"]}},
+            {"dataset": {"kind": "adjacency-csv", "path": "graph.csv", "labels_path": 7}},
             {"compare_prototype_modes": "false"},
             {"compare_prototype_modes": 0},
         ],
@@ -425,6 +429,24 @@ class TestEvalCommand:
             assert evaluated["accuracy"][split_name] == pytest.approx(
                 report["runs"][0]["accuracy"][split_name]
             )
+
+    def test_stratified_round_trip_is_exact(self, tmp_path):
+        # eval re-draws a stratified split from the checkpoint's seed
+        train = {"c_init": 2, "c_max": 4, "seed": 1, "max_epochs": 40, "stratify_split": True}
+        cfg = blob_config(tmp_path, train=train, monte_carlo=3)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        run = json.loads((out / "report.json").read_text())["runs"][2]
+        code = main([
+            "eval",
+            "--config", str(cfg),
+            "--checkpoint", str(out / "checkpoints" / "run_2.json"),
+            "--out", str(tmp_path / "evalout"),
+        ])
+        assert code == EXIT_OK
+        evaluated = json.loads((tmp_path / "evalout" / "eval.json").read_text())
+        assert evaluated["accuracy"] == run["accuracy"]
+        assert evaluated["confusion"] == run["confusion"]
 
     def train_checkpoint(self, tmp_path, **overrides):
         out = tmp_path / "trained"

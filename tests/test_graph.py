@@ -25,6 +25,7 @@ from relrbf.errors import (
     NonSquareError,
     NonzeroDiagonalError,
     ParseError,
+    TooFewSamplesError,
 )
 from relrbf.graph import _BLOCK, double_centered
 
@@ -299,7 +300,7 @@ class TestFromFeatures:
             from_features(np.zeros((3, 2, 2)))
 
     def test_needs_two_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TooFewSamplesError):
             from_features(np.array([[1.0, 2.0]]))
 
     @settings(max_examples=60, deadline=None)

@@ -11,6 +11,11 @@ from relrbf.errors import InvalidClusterCountError, TooFewSamplesError
 from relrbf.prototypes import prototype_distances
 
 
+def start(seed, c, n):
+    """A k-means start: n random cluster labels in [0, c), drawn from ``seed``."""
+    return np.random.default_rng(seed).integers(0, c, size=n)
+
+
 def two_block_matrix():
     a = np.full((6, 6), 25.0)
     a[:3, :3] = 1.0
@@ -22,8 +27,8 @@ def two_block_matrix():
 class TestRelationalKmeans:
     def test_two_blocks_recovered(self):
         R = two_block_matrix()
-        partition, prototypes = relational_kmeans(R, 2, seed=4)
-        groups = {tuple(sorted(np.flatnonzero(partition.assignment == j))) for j in range(2)}
+        assignment, prototypes = relational_kmeans(R, 2, start(4, 2, 6))
+        groups = {tuple(sorted(np.flatnonzero(assignment == j))) for j in range(2)}
         assert groups == {(0, 1, 2), (3, 4, 5)}
         # exhaustive oracle: of all 2-part splits, the block split minimizes
         # the total within-cluster prototype distance
@@ -41,35 +46,35 @@ class TestRelationalKmeans:
         best = min(
             (objective(a), a) for a in itertools.product([0, 1], repeat=6)
         )[1]
-        assert objective(partition.assignment) == pytest.approx(objective(best))
+        assert objective(assignment) == pytest.approx(objective(best))
 
     def test_c_equals_n(self, three_point_R):
-        partition, prototypes = relational_kmeans(three_point_R, 3, seed=0)
-        assert sorted(partition.assignment.tolist()) == [0, 1, 2]
+        assignment, prototypes = relational_kmeans(three_point_R, 3, start(0, 3, 3))
+        assert sorted(assignment.tolist()) == [0, 1, 2]
         D = prototype_distances(three_point_R, prototypes)
         for j in range(3):
-            member = np.flatnonzero(partition.assignment == j)[0]
+            member = np.flatnonzero(assignment == j)[0]
             assert D[j, member] == pytest.approx(0.0, abs=1e-12)
 
     def test_c_one_uniform_prototype(self, three_point_R):
-        _, prototypes = relational_kmeans(three_point_R, 1, seed=0)
+        _, prototypes = relational_kmeans(three_point_R, 1, start(0, 1, 3))
         np.testing.assert_allclose(prototypes, np.full((1, 3), 1 / 3))
 
     def test_invalid_cluster_count(self, three_point_R):
         with pytest.raises(InvalidClusterCountError):
-            relational_kmeans(three_point_R, 4, seed=0)
+            relational_kmeans(three_point_R, 4, start(0, 4, 3))
 
     def test_every_cluster_occupied(self):
         rng = np.random.default_rng(0)
         R = from_features(rng.standard_normal((20, 2)))
-        partition, _ = relational_kmeans(R, 5, seed=9)
-        assert set(partition.assignment) == set(range(5))
+        assignment, _ = relational_kmeans(R, 5, start(9, 5, 20))
+        assert set(assignment) == set(range(5))
 
     def test_objective_non_increasing_on_realizable(self):
         rng = np.random.default_rng(12)
         X = rng.standard_normal((30, 3))
         R = from_features(X)
-        _, _, history = relational_kmeans(R, 4, seed=2, return_history=True)
+        _, _, history = relational_kmeans(R, 4, start(2, 4, 30), return_history=True)
 
         def objective(assignment):
             total = 0.0
@@ -87,15 +92,15 @@ class TestRelationalKmeans:
 class TestInitParams:
     def test_reproducible(self):
         cfg = TrainConfig(c_init=3)
-        a = init_params(3, 2, cfg, seed=5)
-        b = init_params(3, 2, cfg, seed=5)
+        a = init_params(3, 2, cfg, np.random.default_rng(5))
+        b = init_params(3, 2, cfg, np.random.default_rng(5))
         assert np.array_equal(a.w0, b.w0) and np.array_equal(a.W, b.W)
         assert np.array_equal(a.sigma, b.sigma)
 
     def test_distinct_seeds_differ(self):
         cfg = TrainConfig(c_init=3)
-        a = init_params(3, 2, cfg, seed=5)
-        b = init_params(3, 2, cfg, seed=6)
+        a = init_params(3, 2, cfg, np.random.default_rng(5))
+        b = init_params(3, 2, cfg, np.random.default_rng(6))
         assert not np.array_equal(a.W, b.W)
 
     def test_draws_within_ranges(self):
@@ -103,7 +108,7 @@ class TestInitParams:
         rng = np.random.default_rng(0)
         lows_w, highs_w = [], []
         for _ in range(100):
-            p = init_params(10, 5, cfg, rng=rng)
+            p = init_params(10, 5, cfg, rng)
             all_w = np.concatenate([p.w0, p.W.ravel()])
             lows_w.append(all_w.min())
             highs_w.append(all_w.max())
@@ -115,31 +120,31 @@ class TestInitParams:
 
 class TestSplit:
     def test_100_gives_70_15_15(self):
-        s = split(100, seed=1)
+        s = split(100, np.random.default_rng(1))
         assert (s.train.size, s.test.size, s.val.size) == (70, 15, 15)
 
     def test_10_gives_7_2_1(self):
-        s = split(10, seed=1)
+        s = split(10, np.random.default_rng(1))
         assert (s.train.size, s.test.size, s.val.size) == (7, 2, 1)
 
     def test_deterministic(self):
-        a, b = split(40, seed=3), split(40, seed=3)
+        a, b = split(40, np.random.default_rng(3)), split(40, np.random.default_rng(3))
         assert np.array_equal(a.train, b.train)
         assert np.array_equal(a.test, b.test)
         assert np.array_equal(a.val, b.val)
 
     def test_disjoint_cover(self):
-        s = split(53, seed=8)
+        s = split(53, np.random.default_rng(8))
         merged = np.concatenate([s.train, s.test, s.val])
         assert sorted(merged.tolist()) == list(range(53))
 
     def test_too_few(self):
         with pytest.raises(TooFewSamplesError):
-            split(9, seed=0)
+            split(9, np.random.default_rng(0))
 
     def test_stratified_proportions(self):
         labels = np.array([0] * 40 + [1] * 60)
-        s = split(100, seed=2, labels=labels, stratify=True)
+        s = split(100, np.random.default_rng(2), labels)
         train_labels = labels[s.train]
         assert (train_labels == 0).sum() == 28  # 70% of 40
         assert (train_labels == 1).sum() == 42  # 70% of 60

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from relrbf import from_features, nearest_medoid, prototype_distances
 from relrbf.errors import EmptySetError
-from relrbf.initialization import Partition, indicator_weights, medoid_prototypes
+from relrbf.initialization import indicator_weights, medoid_prototypes
 
 from conftest import brute_force_distance
 
@@ -86,10 +86,9 @@ class TestRelationalDistance:
             assert np.max(np.abs(num - analytic) / np.maximum(1.0, np.abs(analytic))) <= 1e-6
 
 
-def occupied_partition(rng, n, c):
+def occupied_assignment(rng, n, c):
     """A random assignment of n objects to c clusters, none of them empty."""
-    assignment = np.concatenate([np.arange(c), rng.integers(0, c, size=n - c)])
-    return Partition(rng.permutation(assignment), c)
+    return rng.permutation(np.concatenate([np.arange(c), rng.integers(0, c, size=n - c)]))
 
 
 class TestPrototypeRows:
@@ -98,12 +97,13 @@ class TestPrototypeRows:
     def test_indicator_rows_sum_to_one(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 60))
-        partition = occupied_partition(rng, n, int(rng.integers(1, n + 1)))
-        V = indicator_weights(partition.assignment, partition.c)
-        assert V.shape == (partition.c, n)
+        c = int(rng.integers(1, n + 1))
+        assignment = occupied_assignment(rng, n, c)
+        V = indicator_weights(assignment, c)
+        assert V.shape == (c, n)
         assert np.max(np.abs(V.sum(axis=1) - 1.0)) <= 1e-12
-        for j in range(partition.c):
-            np.testing.assert_array_equal(np.flatnonzero(V[j]), partition.members(j))
+        for j in range(c):
+            np.testing.assert_array_equal(np.flatnonzero(V[j]), np.flatnonzero(assignment == j))
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=25, deadline=None)
@@ -111,11 +111,12 @@ class TestPrototypeRows:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 30))
         R = from_features(rng.standard_normal((n, 2)))
-        partition = occupied_partition(rng, n, int(rng.integers(1, n + 1)))
-        V = medoid_prototypes(R, partition)
-        expected = np.zeros((partition.c, n))
-        for j in range(partition.c):
-            expected[j, nearest_medoid(R, partition.members(j))] = 1.0
+        c = int(rng.integers(1, n + 1))
+        assignment = occupied_assignment(rng, n, c)
+        V = medoid_prototypes(R, assignment, c)
+        expected = np.zeros((c, n))
+        for j in range(c):
+            expected[j, nearest_medoid(R, np.flatnonzero(assignment == j))] = 1.0
         np.testing.assert_array_equal(V, expected)
 
 

@@ -527,7 +527,7 @@ class TestTrain:
         R = from_features(X)
         Y = one_hot(y, 2)
         res = train(R, Y, TrainConfig(c_init=3, c_max=5, seed=2, max_epochs=150))
-        mse = res.metrics.mse_train
+        mse = [sse / res.split.train.size for sse in res.metrics.sse_train]
         accepted = res.metrics.accepted
         grew = res.metrics.grew
         prev = None
@@ -566,8 +566,9 @@ class TestTrain:
         X, y = synthetic_blobs(40, classes=2, sep=1.0, noise=2.0, seed=9)
         R = from_features(X)
         Y = one_hot(y, 2)
-        res = train(R, Y, TrainConfig(c_init=2, c_max=4, seed=4, max_epochs=300))
-        assert max(res.metrics.n_prototypes) <= 4
+        cfg = TrainConfig(c_init=2, c_max=4, seed=4, max_epochs=300)
+        res = train(R, Y, cfg)
+        assert cfg.c_init + sum(res.metrics.grew) <= cfg.c_max
 
     def test_best_validation_params_returned(self):
         X, y = synthetic_blobs(40, classes=2, sep=3.0, seed=10)

@@ -5,8 +5,8 @@ import pytest
 
 from relrbf import TrainResult, from_features
 from relrbf.datasets import one_hot, synthetic_blobs
-from relrbf.engine import TrainConfig, VectorModel
-from relrbf.initialization import init_params, split as make_split
+from relrbf.engine import TrainConfig, VectorModel, draw_split
+from relrbf.initialization import init_params
 from relrbf.training import train
 from relrbf.vector_oracle import duality_check, vector_kmeans, vector_train
 
@@ -34,19 +34,17 @@ class TestVectorKmeans:
         rng = np.random.default_rng(3)
         X = rng.standard_normal((25, 3)) + rng.integers(0, 2, (25, 1)) * 4.0
         init = rng.integers(0, 3, 25)
-        _, _, h_rel = relational_kmeans(
-            from_features(X), 3, init_assignment=init, return_history=True
-        )
-        _, _, h_vec = vector_kmeans(X, 3, init_assignment=init, return_history=True)
+        _, _, h_rel = relational_kmeans(from_features(X), 3, init, return_history=True)
+        _, _, h_vec = vector_kmeans(X, 3, init, return_history=True)
         assert len(h_rel) == len(h_vec)
         for a, b in zip(h_rel, h_vec):
             np.testing.assert_array_equal(a, b)
 
     def test_centroids_are_cluster_means(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 10.0], [11.0, 10.0]])
-        partition, centroids = vector_kmeans(X, 2, init_assignment=[0, 0, 1, 1])
+        assignment, centroids = vector_kmeans(X, 2, [0, 0, 1, 1])
         for j in range(2):
-            members = np.flatnonzero(partition.assignment == j)
+            members = np.flatnonzero(assignment == j)
             np.testing.assert_allclose(centroids[j], X[members].mean(axis=0))
 
 
@@ -56,11 +54,10 @@ class TestVectorTrain:
         Y = one_hot(y, 2)
         cfg = TrainConfig(c_init=2, seed=9, max_epochs=0)
         res = vector_train(X, Y, cfg)
-        # replay the engine's draw order: split, partition, then parameters
-        rng = np.random.default_rng(9)
-        si = make_split(20, rng=rng)
+        # the engine's draw order: split, partition, then parameters
+        rng, si = draw_split(Y, cfg)
         rng.integers(0, 2, size=si.train.size)
-        expected = init_params(2, 2, cfg, rng=rng)
+        expected = init_params(2, 2, cfg, rng)
         np.testing.assert_array_equal(res.params.w0, expected.w0)
         np.testing.assert_array_equal(res.params.W, expected.W)
         np.testing.assert_array_equal(res.params.sigma, expected.sigma)
