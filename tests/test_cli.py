@@ -412,41 +412,29 @@ class TestTrainCommand:
 
 
 class TestEvalCommand:
-    def test_checkpoint_round_trip(self, tmp_path, capsys):
-        cfg = blob_config(tmp_path)
-        out = tmp_path / "out"
-        main(["train", "--config", str(cfg), "--out", str(out)])
-        report = json.loads((out / "report.json").read_text())
-        code = main([
-            "eval",
-            "--config", str(cfg),
-            "--checkpoint", str(out / "checkpoints" / "run_0.json"),
-            "--out", str(tmp_path / "evalout"),
-        ])
-        assert code == EXIT_OK
-        evaluated = json.loads((tmp_path / "evalout" / "eval.json").read_text())
-        for split_name in ("train", "test", "val"):
-            assert evaluated["accuracy"][split_name] == pytest.approx(
-                report["runs"][0]["accuracy"][split_name]
-            )
-
-    def test_stratified_round_trip_is_exact(self, tmp_path):
-        # eval re-draws a stratified split from the checkpoint's seed
-        train = {"c_init": 2, "c_max": 4, "seed": 1, "max_epochs": 40, "stratify_split": True}
+    @pytest.mark.parametrize(
+        ("train", "run"),
+        [({}, 0), ({"stratify_split": True}, 2)],
+        ids=["plain", "stratified"],
+    )
+    def test_checkpoint_round_trip(self, tmp_path, train, run):
+        # eval re-draws the run's split from the checkpoint's seed, so it
+        # reproduces the run's numbers exactly
+        train = {"c_init": 2, "c_max": 4, "seed": 1, "max_epochs": 40, **train}
         cfg = blob_config(tmp_path, train=train, monte_carlo=3)
         out = tmp_path / "out"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        run = json.loads((out / "report.json").read_text())["runs"][2]
+        expected = json.loads((out / "report.json").read_text())["runs"][run]
         code = main([
             "eval",
             "--config", str(cfg),
-            "--checkpoint", str(out / "checkpoints" / "run_2.json"),
+            "--checkpoint", str(out / "checkpoints" / f"run_{run}.json"),
             "--out", str(tmp_path / "evalout"),
         ])
         assert code == EXIT_OK
         evaluated = json.loads((tmp_path / "evalout" / "eval.json").read_text())
-        assert evaluated["accuracy"] == run["accuracy"]
-        assert evaluated["confusion"] == run["confusion"]
+        assert evaluated["accuracy"] == expected["accuracy"]
+        assert evaluated["confusion"] == expected["confusion"]
 
     def train_checkpoint(self, tmp_path, **overrides):
         out = tmp_path / "trained"

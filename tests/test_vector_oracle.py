@@ -5,8 +5,8 @@ import pytest
 
 from relrbf import TrainResult, from_features
 from relrbf.datasets import one_hot, synthetic_blobs
-from relrbf.engine import TrainConfig, VectorModel, draw_split
-from relrbf.initialization import init_params
+from relrbf.engine import TrainConfig, VectorModel
+from relrbf.initialization import init_params, split
 from relrbf.training import train
 from relrbf.vector_oracle import duality_check, vector_kmeans, vector_train
 
@@ -54,10 +54,12 @@ class TestVectorTrain:
         Y = one_hot(y, 2)
         cfg = TrainConfig(c_init=2, seed=9, max_epochs=0)
         res = vector_train(X, Y, cfg)
-        # the engine's draw order: split, partition, then parameters
-        rng, si = draw_split(Y, cfg)
+        # replay the engine's draw order: split, partition, then parameters
+        rng = np.random.default_rng(9)
+        si = split(20, rng)
         rng.integers(0, 2, size=si.train.size)
         expected = init_params(2, 2, cfg, rng)
+        np.testing.assert_array_equal(res.split.train, si.train)
         np.testing.assert_array_equal(res.params.w0, expected.w0)
         np.testing.assert_array_equal(res.params.W, expected.W)
         np.testing.assert_array_equal(res.params.sigma, expected.sigma)
