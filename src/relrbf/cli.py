@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -29,10 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import KINDS, IngestResult, ingest
-from .engine import TrainConfig, draw_split
+from .engine import TrainConfig
 from .errors import ConfigError, RelRbfError
 from .graph import AdjacencyMatrix, from_features, validate, write_adjacency
+from .initialization import SplitIndices
 from .network import NetworkParams
+from .prototypes import prototype_distances
 from .textio import write_csv
 # `train` is not called here, but perfbench/tracer.py wraps `cli.train`
 from .training import evaluate_network, train, train_group  # noqa: F401
@@ -209,8 +212,10 @@ def apply_transform(R: AdjacencyMatrix, method: str) -> AdjacencyMatrix:
 # sharing one stacked V @ R product per round.
 GROUP_SIZE = 5
 
-# (R, Y) of the batch being run: set in the parent by `run_batch` and in each
-# pool worker by its initializer, so a run's payload carries no n x n array.
+# (R, Y, digest) of the batch being run: set in the parent by `run_batch` and
+# in each pool worker by its initializer, so a run's payload carries no n x n
+# array.  `digest` is R's `graph_digest` when the runs' checkpoints are
+# wanted, else None.
 _batch_graph = None
 
 
@@ -222,15 +227,15 @@ def _hold_graph(graph) -> None:
 def _single_run(payload):
     """One lock-step group of seeded training runs on the held graph;
     module-level so worker pools can pickle it.  Returns {"runs": [...]}."""
-    cfg_dict, seeds, checkpoints = payload
-    R, Y = _batch_graph
+    cfg_dict, seeds = payload
+    R, Y, digest = _batch_graph
     results = train_group(R, Y, [TrainConfig(**{**cfg_dict, "seed": s}) for s in seeds])
-    return {"runs": [_run_record(r, Y, s, checkpoints) for r, s in zip(results, seeds)]}
+    return {"runs": [_run_record(r, Y, s, digest) for r, s in zip(results, seeds)]}
 
 
-def _run_record(result, Y, seed: int, checkpoint: bool) -> dict:
-    """A run's report entry; with `checkpoint`, also its checkpoint file's
-    text, encoded here so that each pool worker encodes its own runs."""
+def _run_record(result, Y, seed: int, digest: str | None) -> dict:
+    """A run's report entry; given the graph's `digest`, also its checkpoint
+    file's text, encoded here so that each pool worker encodes its own runs."""
     ev = evaluate_network(result.params, result.d_state, Y, result.split)
     record = {
         "seed": seed,
@@ -249,21 +254,32 @@ def _run_record(result, Y, seed: int, checkpoint: bool) -> dict:
         },
         "lr_scale_trace": result.metrics.lr_scale,
     }
-    if checkpoint:
-        record["checkpoint"] = json_text(checkpoint_dict(result, seed))
+    if digest is not None:
+        record["checkpoint"] = json_text(checkpoint_dict(result, seed, digest))
     return record
 
 
-def checkpoint_dict(result, seed: int) -> dict:
+def graph_digest(R: AdjacencyMatrix) -> str:
+    """SHA-256 of the graph's entries: the fingerprint a checkpoint keeps of
+    the graph it was trained on."""
+    return hashlib.sha256(np.ascontiguousarray(R.values)).hexdigest()
+
+
+def checkpoint_dict(result, seed: int, digest: str) -> dict:
+    """A run's model: its network, its prototype weights over its training
+    nodes (the weights of every other node are 0), its split and the
+    `graph_digest` of its graph."""
+    si = result.split
     return {
-        "n": int(result.d_state.shape[1]),
+        "n": si.n,
         "c": int(result.params.c),
         "g": int(result.params.g),
         "w0": result.params.w0.tolist(),
         "W": result.params.W.tolist(),
         "sigma": result.params.sigma.tolist(),
-        "prototypes": result.prototypes.tolist(),
-        "d_state": result.d_state.tolist(),
+        "prototypes": result.prototypes[:, si.train].tolist(),
+        "split": {k: getattr(si, k).tolist() for k in ("train", "test", "val")},
+        "graph_sha256": digest,
         "seed": int(seed),
         "epoch": int(result.metrics.best_epoch),
     }
@@ -348,16 +364,16 @@ def run_batch(
     the results do not depend on `workers`.  Pool workers receive (R, Y)
     once, through the pool initializer: inherited under `fork`, pickled once
     per worker under `spawn`/`forkserver`.  With `checkpoints`, each run's
-    record carries its checkpoint file's text under "checkpoint"."""
+    record carries its checkpoint file's text under "checkpoint", and the
+    graph is hashed once for all of them."""
     seeds = [base_seed + i for i in range(count)]
-    payloads = [
-        (cfg_dict, seeds[i : i + GROUP_SIZE], checkpoints) for i in range(0, count, GROUP_SIZE)
-    ]
-    _hold_graph((R, Y))
+    payloads = [(cfg_dict, seeds[i : i + GROUP_SIZE]) for i in range(0, count, GROUP_SIZE)]
+    graph = (R, Y, graph_digest(R) if checkpoints else None)
+    _hold_graph(graph)
     try:
         if workers > 1:
             with ProcessPoolExecutor(
-                max_workers=workers, initializer=_hold_graph, initargs=((R, Y),)
+                max_workers=workers, initializer=_hold_graph, initargs=(graph,)
             ) as pool:
                 groups = list(pool.map(_single_run, payloads))
         else:
@@ -442,12 +458,14 @@ def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
     return EXIT_OK
 
 
-CHECKPOINT_KEYS = ("n", "g", "w0", "W", "sigma", "d_state", "seed", "epoch")
+# the keys `relrbf eval` reads; "seed" and "epoch" only record the run
+CHECKPOINT_KEYS = ("n", "g", "w0", "W", "sigma", "prototypes", "split", "graph_sha256")
 
 
-def load_checkpoint(path: Path, n: int, g: int):
-    """Read a checkpoint and check that it fits a dataset of `n` nodes and `g`
-    classes; returns (checkpoint dict, NetworkParams, (c, n) distances)."""
+def load_checkpoint(path: Path, R: AdjacencyMatrix, g: int):
+    """Read a checkpoint and check that it was trained on the graph `R` with
+    `g` classes; returns (NetworkParams, (c, n) prototype weights,
+    SplitIndices)."""
     try:
         ck = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -457,21 +475,35 @@ def load_checkpoint(path: Path, n: int, g: int):
     missing = [k for k in CHECKPOINT_KEYS if k not in ck]
     if missing:
         raise ConfigError(f"checkpoint {path} lacks key(s) {missing}")
+    n = R.n
     if ck["n"] != n:
         raise ConfigError(f"checkpoint n={ck['n']} does not match dataset n={n}")
     if ck["g"] != g:
         raise ConfigError(f"checkpoint g={ck['g']} does not match the dataset's {g} classes")
-    _seed(ck, "seed", None, f"checkpoint {path}: seed")
+    if ck["graph_sha256"] != graph_digest(R):
+        raise ConfigError(f"checkpoint {path} was trained on another graph (graph_sha256)")
+    split = ck["split"]
+    lists = [split.get(k) for k in ("train", "test", "val")] if isinstance(split, dict) else [None]
+    if not all(isinstance(a, list) and all(type(i) is int for i in a) for a in lists):
+        raise ConfigError(f"checkpoint {path}: split must map train, test and val to integer lists")
+    if sorted(i for a in lists for i in a) != list(range(n)):
+        raise ConfigError(f"checkpoint {path}: split does not partition the {n} nodes")
+    si = SplitIndices(*lists)
     try:
         params = NetworkParams(w0=ck["w0"], W=ck["W"], sigma=ck["sigma"])
-        d_state = np.asarray(ck["d_state"], dtype=float)
+        weights = np.asarray(ck["prototypes"], dtype=float)
     except (TypeError, ValueError, RelRbfError) as exc:
         raise ConfigError(f"invalid checkpoint {path}: {exc}") from exc
-    if params.g != g or d_state.shape != (params.c, n):
+    if params.g != g or weights.shape != (params.c, si.train.size):
         raise ConfigError(
-            f"checkpoint {path}: w0/W/sigma/d_state shapes do not fit g={g}, n={n}"
+            f"checkpoint {path}: w0/W/sigma/prototypes shapes do not fit g={g} and "
+            f"{si.train.size} training nodes"
         )
-    return ck, params, d_state
+    if not np.all(np.isfinite(weights)):
+        raise ConfigError(f"checkpoint {path}: prototypes must be finite")
+    V = np.zeros((params.c, n))
+    V[:, si.train] = weights
+    return params, V, si
 
 
 def cmd_eval(config: ExperimentConfig, checkpoint_path: Path, out: Path | None) -> int:
@@ -479,9 +511,8 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path: Path, out: Path | None) 
     if data.Y is None:
         raise ConfigError("evaluation requires labels (dataset provides none)")
     R = apply_transform(data.R, config.transform)
-    ck, params, d_state = load_checkpoint(checkpoint_path, R.n, data.Y.shape[1])
-    _, si = draw_split(data.Y, replace(config.train, seed=ck["seed"]))
-    ev = evaluate_network(params, d_state, data.Y, si)
+    params, V, si = load_checkpoint(checkpoint_path, R, data.Y.shape[1])
+    ev = evaluate_network(params, prototype_distances(R, V), data.Y, si)
     result = {
         "checkpoint": str(checkpoint_path),
         "accuracy": {k: ev[k]["accuracy"] for k in ("train", "test", "val")},

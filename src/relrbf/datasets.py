@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedFileError, NonFiniteError, UnknownKindError
+from .errors import MalformedFileError, NonFiniteError, TooFewSamplesError, UnknownKindError
 from .graph import AdjacencyMatrix, from_features, read_adjacency
 
 KINDS = ("wdbc", "voting", "heart-cleveland", "adjacency-csv", "synthetic-blobs")
@@ -157,19 +157,26 @@ def synthetic_blobs(
 
 
 def read_labels_csv(path) -> np.ndarray:
+    """Class labels: one column of integers >= 0, one line per node."""
     try:
-        labels = np.loadtxt(path, dtype=int, ndmin=1)
-    except (ValueError, OSError) as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt only warns on an empty file
+            labels = np.loadtxt(path, dtype=int, ndmin=2)
+    except (ValueError, OSError, UserWarning) as exc:
         raise MalformedFileError(f"cannot parse labels file {path}: {exc}") from exc
-    return labels
+    if labels.shape[1] != 1 or np.any(labels < 0):
+        raise MalformedFileError(f"labels file {path} must hold one column of integers >= 0")
+    return labels[:, 0]
 
 
 def standardize(X) -> np.ndarray:
     """Z-score every column of a feature array (population std).
 
-    Constant columns are dropped with a warning.
+    Needs at least two rows.  Constant columns are dropped with a warning.
     """
     x = np.asarray(X, dtype=float)
+    if x.shape[0] < 2:
+        raise TooFewSamplesError(f"need at least two observations, got {x.shape[0]}")
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("feature matrix contains non-finite entries")
     mean = x.mean(axis=0)

@@ -335,18 +335,6 @@ class TrainResult:
     trace: list | None = None
 
 
-def draw_split(Y: np.ndarray, config: TrainConfig) -> tuple[np.random.Generator, SplitIndices]:
-    """A run's generator and its first draw, the split of the (n, g) targets
-    ``Y`` (stratified by class when ``config.stratify_split``).
-
-    ``training_run`` goes on drawing from the returned generator; ``relrbf
-    eval`` calls this alone to recover a checkpointed run's split.
-    """
-    rng = np.random.default_rng(config.seed)
-    labels = np.argmax(Y, axis=1) if config.stratify_split else None
-    return rng, make_split(Y.shape[0], rng, labels)
-
-
 def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False):
     """The full training protocol over an arbitrary prototype backend, as a
     generator driven by ``run_lockstep``.
@@ -355,13 +343,17 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
     shift, after growth) it yields the model and expects the (c, n) distance
     matrix to be sent back; it returns its ``TrainResult``.
 
-    ``build_model(init_assignment, si)`` gets the k-means start over the
-    training rows and the run's ``SplitIndices``; it must return a prototype
-    model whose initial prototypes derive from that training-set partition.
+    The run's one generator is seeded by ``config.seed``; its first draw is
+    the split (stratified by class when ``config.stratify_split``), its
+    second the k-means start.  ``build_model(init_assignment, si)`` gets that
+    start over the training rows and the run's ``SplitIndices``; it must
+    return a prototype model whose initial prototypes derive from that
+    training-set partition.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n, g = Y.shape
-    rng, si = draw_split(Y, config)
+    rng = np.random.default_rng(config.seed)
+    si = make_split(n, rng, np.argmax(Y, axis=1) if config.stratify_split else None)
     tr, va, te = si.train, si.val, si.test
     if config.c_init > tr.size:
         raise InvalidClusterCountError(

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour on small synthetic configurations."""
 
 import functools
+import hashlib
 import json
 import multiprocessing
 import os
@@ -20,6 +21,7 @@ import relrbf.graph
 import relrbf.transforms
 from relrbf import from_features, validate, write_adjacency
 from relrbf.cli import EXIT_CONFIG, EXIT_OK, ExperimentConfig, load_dataset, main
+from relrbf.datasets import synthetic_blobs
 from relrbf.engine import TrainConfig
 from relrbf.errors import ConfigError
 from relrbf.transforms import ivat, vat, write_pgm, write_vat_csv
@@ -222,6 +224,32 @@ class TestIngestCommand:
         assert "wrote" not in capsys.readouterr().out
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("last", ["-1", "0 1", None], ids=["negative", "two-columns", "empty"])
+    @pytest.mark.parametrize("command", ["ingest", "train"])
+    def test_labels_file_needs_one_column_of_classes(self, tmp_path, capsys, command, last):
+        X, y = synthetic_blobs(12, seed=0)
+        write_adjacency(from_features(X), tmp_path / "graph.csv")
+        text = "" if last is None else "\n".join(map(str, y[:-1])) + f"\n{last}\n"
+        (tmp_path / "labels.csv").write_text(text)
+        dataset = {
+            "kind": "adjacency-csv",
+            "path": str(tmp_path / "graph.csv"),
+            "labels_path": str(tmp_path / "labels.csv"),
+        }
+        cfg = blob_config(tmp_path, dataset=dataset)
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error:") and "labels.csv" in captured.err
+
+    def test_one_observation_fails_before_standardizing(self, tmp_path, capsys):
+        dataset = {"kind": "synthetic-blobs", "blobs": {"n": 1}}
+        cfg = blob_config(tmp_path, dataset=dataset)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["ingest", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "need at least two observations" in capsys.readouterr().err
+
     def test_cubic_triangle_check_off_the_path(self, tmp_path, monkeypatch):
         def forbidden(R):
             raise AssertionError("sqrt_triangle_ok is O(n^3) and must stay off the default path")
@@ -246,10 +274,14 @@ class TestTrainCommand:
         assert len(agg["deviation"]["bin_edges"]) == 22  # 21 bins
         ck = json.loads((out / "checkpoints" / "run_0.json").read_text())
         assert set(ck) == {
-            "n", "c", "g", "w0", "W", "sigma", "prototypes", "d_state", "seed", "epoch",
+            "n", "c", "g", "w0", "W", "sigma", "prototypes", "split", "graph_sha256",
+            "seed", "epoch",
         }
         assert ck["n"] == 40
-        assert len(ck["prototypes"]) == ck["c"]
+        assert sorted(sum(ck["split"].values(), [])) == list(range(40))
+        assert np.shape(ck["prototypes"]) == (ck["c"], len(ck["split"]["train"]))
+        R = load_dataset(ExperimentConfig.from_file(cfg)).R
+        assert ck["graph_sha256"] == hashlib.sha256(R.values.tobytes()).hexdigest()
         for path in (out / "checkpoints").iterdir():
             rows = np.array(json.loads(path.read_text())["prototypes"])
             assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)
@@ -289,7 +321,7 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
         # one text per run of the reported batch, none for the discarded
         # batch of the other prototype mode, and report.json
-        assert [obj["seed"] for obj in encoded if "d_state" in obj] == [1, 2, 3]
+        assert [obj["seed"] for obj in encoded if "graph_sha256" in obj] == [1, 2, 3]
         assert len(encoded) == 4 and "paired_mode_comparison" in encoded[-1]
 
     def test_medoid_checkpoints_hold_basis_vectors(self, tmp_path):
@@ -418,8 +450,9 @@ class TestEvalCommand:
         ids=["plain", "stratified"],
     )
     def test_checkpoint_round_trip(self, tmp_path, train, run):
-        # eval re-draws the run's split from the checkpoint's seed, so it
-        # reproduces the run's numbers exactly
+        # eval scores the checkpoint's split with the distances of its
+        # prototypes, recomputed from the graph, so it reproduces the run's
+        # numbers exactly
         train = {"c_init": 2, "c_max": 4, "seed": 1, "max_epochs": 40, **train}
         cfg = blob_config(tmp_path, train=train, monte_carlo=3)
         out = tmp_path / "out"
@@ -442,14 +475,15 @@ class TestEvalCommand:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         return out / "checkpoints" / "run_0.json"
 
-    def assert_eval_rejects(self, tmp_path, capsys, checkpoint):
-        cfg = blob_config(tmp_path)
+    def assert_eval_rejects(self, tmp_path, capsys, checkpoint, **overrides):
+        cfg = blob_config(tmp_path, **overrides)
         capsys.readouterr()
         code = main(["eval", "--config", str(cfg), "--checkpoint", str(checkpoint)])
         assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
-        return err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        return captured.err
 
     def test_class_count_mismatch(self, tmp_path, capsys):
         ck = self.train_checkpoint(
@@ -462,7 +496,28 @@ class TestEvalCommand:
         err = self.assert_eval_rejects(tmp_path, capsys, ck)
         assert "g=3" in err
 
-    @pytest.mark.parametrize("key", ["w0", "d_state", "n"])
+    def test_graph_from_another_seed(self, tmp_path, capsys):
+        # same n and g: only the graph's digest tells the graphs apart
+        ck = self.train_checkpoint(tmp_path)
+        blobs = {"n": 40, "classes": 2, "sep": 8.0, "dim": 2, "seed": 4}
+        dataset = {"kind": "synthetic-blobs", "blobs": blobs}
+        err = self.assert_eval_rejects(tmp_path, capsys, ck, dataset=dataset)
+        assert "graph_sha256" in err
+
+    def test_seed_and_epoch_only_record_the_run(self, tmp_path, capsys):
+        # eval replays no draws: without the seed it scores the same split
+        ck = self.train_checkpoint(tmp_path)
+        argv = ["eval", "--config", str(tmp_path / "config.json"), "--checkpoint", str(ck)]
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        kept = capsys.readouterr().out
+        raw = json.loads(ck.read_text())
+        del raw["seed"], raw["epoch"]
+        ck.write_text(json.dumps(raw))
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == kept
+
+    @pytest.mark.parametrize("key", ["w0", "prototypes", "split", "graph_sha256", "n"])
     def test_missing_key(self, tmp_path, capsys, key):
         ck = self.train_checkpoint(tmp_path)
         raw = json.loads(ck.read_text())
@@ -475,15 +530,19 @@ class TestEvalCommand:
         "tamper",
         [
             lambda ck: ck.update(W=[row + [0.0] for row in ck["W"]]),
-            lambda ck: ck.update(d_state=[row[:-1] for row in ck["d_state"]]),
+            lambda ck: ck.update(prototypes=[row[:-1] for row in ck["prototypes"]]),
             lambda ck: ck.update(sigma=ck["sigma"][:-1]),
             lambda ck: ck.update(w0="abc"),
-            lambda ck: ck.update(seed="x"),
-            lambda ck: ck.update(seed=-4),
-            lambda ck: ck.update(seed=True),
+            lambda ck: ck["split"]["test"].append(ck["split"]["train"][0]),
+            lambda ck: ck["split"]["val"].__setitem__(-1, ck["n"]),
+            # True == 1, so only the entry's type is wrong
+            lambda ck: ck["split"].update(
+                {k: [True if i == 1 else i for i in v] for k, v in ck["split"].items()}
+            ),
+            lambda ck: ck.update(split=[]),
         ],
-        ids=["W-columns", "d_state-width", "sigma-length", "w0-type", "seed-type",
-             "seed-negative", "seed-boolean"],
+        ids=["W-columns", "prototypes-width", "sigma-length", "w0-type", "split-overlap",
+             "split-out-of-range", "split-boolean", "split-type"],
     )
     def test_arrays_that_do_not_fit(self, tmp_path, capsys, tamper):
         ck = self.train_checkpoint(tmp_path)

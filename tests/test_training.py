@@ -570,6 +570,20 @@ class TestTrain:
         res = train(R, Y, cfg)
         assert cfg.c_init + sum(res.metrics.grew) <= cfg.c_max
 
+    def test_prototypes_weigh_training_nodes_only(self):
+        # a checkpoint keeps the weights over the training nodes alone: the
+        # weights of every other node stay exactly 0 through shifts and growth
+        X, y = synthetic_blobs(60, classes=2, sep=1.0, dim=5, seed=4)
+        R, Y = from_features(X), one_hot(y, 2)
+        counts = []
+        for seed in range(2):
+            cfg = TrainConfig(c_init=2, c_max=5, patience_grow=2, seed=seed, max_epochs=100)
+            res = train(R, Y, cfg)
+            off = np.setdiff1d(np.arange(60), res.split.train)
+            assert np.all(res.prototypes[:, off] == 0.0)
+            counts.append(res.params.c)
+        assert max(counts) > 2  # a kept prototype was grown
+
     def test_best_validation_params_returned(self):
         X, y = synthetic_blobs(40, classes=2, sep=3.0, seed=10)
         R = from_features(X)
