@@ -6,18 +6,11 @@ from .graph import (
     RealizabilityReport,
     from_features,
     read_adjacency,
-    sqrt_triangle_ok,
     validate,
     write_adjacency,
 )
 from .initialization import SplitIndices, init_params, relational_kmeans, split
-from .network import (
-    NetworkParams,
-    NetworkResponse,
-    forward,
-    gaussian_kernel,
-    predict_labels,
-)
+from .network import NetworkParams, forward, gaussian_kernel, predict_labels
 from .prototypes import nearest_medoid, prototype_distances
 from .training import evaluate_network, train
 from .transforms import Embedding, VatOrder, cmds, ivat, minimax_distances, pmds, vat

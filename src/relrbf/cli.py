@@ -34,7 +34,7 @@ from .engine import TrainConfig
 from .errors import ConfigError, RelRbfError
 from .graph import AdjacencyMatrix, from_features, validate, write_adjacency
 from .initialization import SplitIndices
-from .network import NetworkParams
+from .network import NetworkParams, forward
 from .prototypes import prototype_distances
 from .textio import write_csv
 # `train` is not called here, but perfbench/tracer.py wraps `cli.train`
@@ -56,6 +56,7 @@ EXIT_CONFIG = 2
 EXIT_DUALITY = 3
 
 TRANSFORMS = ("none", "cmds", "pmds")
+SPLITS = ("train", "test", "val")
 # the commands that read train.seed, and so take --seed
 SEEDED_COMMANDS = ("train", "duality")
 
@@ -233,10 +234,16 @@ def _single_run(payload):
     return {"runs": [_run_record(r, Y, s, digest) for r, s in zip(results, seeds)]}
 
 
+def _finite_or_null(values) -> list:
+    """`values` as a JSON list, each non-finite number written as null (an
+    overflowed network can respond with inf or nan)."""
+    return [v if math.isfinite(v) else None for v in np.asarray(values, dtype=float).tolist()]
+
+
 def _run_record(result, Y, seed: int, digest: str | None) -> dict:
     """A run's report entry; given the graph's `digest`, also its checkpoint
     file's text, encoded here so that each pool worker encodes its own runs."""
-    ev = evaluate_network(result.params, result.d_state, Y, result.split)
+    ev = evaluate_network(result.output, Y, result.split)
     record = {
         "seed": seed,
         "epochs": result.metrics.epochs,
@@ -244,14 +251,10 @@ def _run_record(result, Y, seed: int, digest: str | None) -> dict:
         "stop_reason": result.metrics.stop_reason,
         "n_prototypes": int(result.params.c),
         "negative_distance_events": int(sum(result.metrics.negative_distances)),
-        "accuracy": {k: ev[k]["accuracy"] for k in ("train", "test", "val")},
-        "confusion": {k: ev[k]["confusion"].tolist() for k in ("train", "test", "val")},
-        "deviation": {k: ev[k]["deviation"].ravel().tolist() for k in ("train", "test", "val")},
-        "sse_trace": {
-            "train": result.metrics.sse_train,
-            "val": result.metrics.sse_val,
-            "test": result.metrics.sse_test,
-        },
+        "accuracy": {k: ev[k]["accuracy"] for k in SPLITS},
+        "confusion": {k: ev[k]["confusion"].tolist() for k in SPLITS},
+        "deviation": {k: _finite_or_null(ev[k]["deviation"].ravel()) for k in SPLITS},
+        "sse_trace": {k: _finite_or_null(getattr(result.metrics, f"sse_{k}")) for k in SPLITS},
         "lr_scale_trace": result.metrics.lr_scale,
     }
     if digest is not None:
@@ -278,7 +281,7 @@ def checkpoint_dict(result, seed: int, digest: str) -> dict:
         "W": result.params.W.tolist(),
         "sigma": result.params.sigma.tolist(),
         "prototypes": result.prototypes[:, si.train].tolist(),
-        "split": {k: getattr(si, k).tolist() for k in ("train", "test", "val")},
+        "split": {k: getattr(si, k).tolist() for k in SPLITS},
         "graph_sha256": digest,
         "seed": int(seed),
         "epoch": int(result.metrics.best_epoch),
@@ -286,18 +289,20 @@ def checkpoint_dict(result, seed: int, digest: str) -> dict:
 
 
 def aggregate_runs(runs: list, bins: int) -> dict:
-    """Deterministic ordered fold over the per-run results."""
+    """Deterministic ordered fold over the per-run results; the deviation
+    summary covers the finite deviations (the others are null)."""
     edges = np.linspace(-1.0, 1.0, bins + 1)
     agg: dict = {"accuracy_mean": {}, "accuracy_std": {}, "confusion_mean": {}}
     all_devs = []
     histograms = {}
-    for split_name in ("train", "test", "val"):
+    for split_name in SPLITS:
         accs = np.array([r["accuracy"][split_name] for r in runs])
         agg["accuracy_mean"][split_name] = float(accs.mean())
         agg["accuracy_std"][split_name] = float(accs.std())
         conf = np.mean([np.array(r["confusion"][split_name]) for r in runs], axis=0)
         agg["confusion_mean"][split_name] = conf.tolist()
-        devs = np.concatenate([np.asarray(r["deviation"][split_name]) for r in runs])
+        devs = np.concatenate([np.asarray(r["deviation"][split_name], dtype=float) for r in runs])
+        devs = devs[np.isfinite(devs)]
         all_devs.append(devs)
         counts, _ = np.histogram(np.clip(devs, -1.0, 1.0), bins=edges)
         histograms[split_name] = counts.tolist()
@@ -313,7 +318,7 @@ def aggregate_runs(runs: list, bins: int) -> dict:
 
 def json_text(obj: dict) -> str:
     """The text of every JSON file the CLI writes."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(obj: dict, path: Path) -> None:
@@ -373,7 +378,9 @@ def run_batch(
     try:
         if workers > 1:
             with ProcessPoolExecutor(
-                max_workers=workers, initializer=_hold_graph, initargs=(graph,)
+                max_workers=min(workers, len(payloads)),
+                initializer=_hold_graph,
+                initargs=(graph,),
             ) as pool:
                 groups = list(pool.map(_single_run, payloads))
         else:
@@ -412,7 +419,7 @@ def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
             for r in run_batch(R, data.Y, other_cfg, *seeds_and_workers, checkpoints=False)
         ]
         paired = {}
-        for split_name in ("train", "test", "val"):
+        for split_name in SPLITS:
             deltas = [
                 a["accuracy"][split_name] - b["accuracy"][split_name]
                 for a, b in zip(runs, other_runs)
@@ -426,7 +433,7 @@ def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
             "other_mode": other_mode,
             "other_accuracy_mean": {
                 k: float(np.mean([r["accuracy"][k] for r in other_runs]))
-                for k in ("train", "test", "val")
+                for k in SPLITS
             },
             "accuracy_delta": paired,
         }
@@ -436,12 +443,17 @@ def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
         )
     acc = report["aggregate"]["accuracy_mean"]
     std = report["aggregate"]["accuracy_std"]
-    for split_name in ("train", "test", "val"):
+    for split_name in SPLITS:
         print(
             f"{split_name:5s} accuracy {acc[split_name]:.4f} +/- {std[split_name]:.4f}"
         )
     dev = report["aggregate"]["deviation"]
-    print(f"response deviation {dev['mean']:+.4f} +/- {dev['std']:.4f}")
+    responses = [v for r in runs for k in SPLITS for v in r["deviation"][k]]
+    non_finite = responses.count(None)
+    print(
+        f"response deviation {dev['mean']:+.4f} +/- {dev['std']:.4f}"
+        + (f" ({non_finite} of {len(responses)} responses not finite)" if non_finite else "")
+    )
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         write_json(report, out / "report.json")
@@ -449,7 +461,7 @@ def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
         ck_dir.mkdir(exist_ok=True)
         for i, text in enumerate(checkpoints):
             (ck_dir / f"run_{i}.json").write_text(text)
-        for split_name in ("train", "test", "val"):
+        for split_name in SPLITS:
             write_csv(
                 out / f"confusion_{split_name}.csv",
                 report["aggregate"]["confusion_mean"][split_name],
@@ -483,7 +495,7 @@ def load_checkpoint(path: Path, R: AdjacencyMatrix, g: int):
     if ck["graph_sha256"] != graph_digest(R):
         raise ConfigError(f"checkpoint {path} was trained on another graph (graph_sha256)")
     split = ck["split"]
-    lists = [split.get(k) for k in ("train", "test", "val")] if isinstance(split, dict) else [None]
+    lists = [split.get(k) for k in SPLITS] if isinstance(split, dict) else [None]
     if not all(isinstance(a, list) and all(type(i) is int for i in a) for a in lists):
         raise ConfigError(f"checkpoint {path}: split must map train, test and val to integer lists")
     if sorted(i for a in lists for i in a) != list(range(n)):
@@ -512,13 +524,13 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path: Path, out: Path | None) 
         raise ConfigError("evaluation requires labels (dataset provides none)")
     R = apply_transform(data.R, config.transform)
     params, V, si = load_checkpoint(checkpoint_path, R, data.Y.shape[1])
-    ev = evaluate_network(params, prototype_distances(R, V), data.Y, si)
+    ev = evaluate_network(forward(prototype_distances(R, V), params), data.Y, si)
     result = {
         "checkpoint": str(checkpoint_path),
-        "accuracy": {k: ev[k]["accuracy"] for k in ("train", "test", "val")},
-        "confusion": {k: ev[k]["confusion"].tolist() for k in ("train", "test", "val")},
+        "accuracy": {k: ev[k]["accuracy"] for k in SPLITS},
+        "confusion": {k: ev[k]["confusion"].tolist() for k in SPLITS},
     }
-    for split_name in ("train", "test", "val"):
+    for split_name in SPLITS:
         print(f"{split_name:5s} accuracy {result['accuracy'][split_name]:.4f}")
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)

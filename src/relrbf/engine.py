@@ -16,13 +16,13 @@ small array function below (``output_step``, ``shift_coefficients``,
 signs are fixed so that an infinitesimal step decreases the sum of squared
 errors, verified by finite differences in the test suite.
 
-``training_run`` is a generator: it yields its model whenever it needs the
-distances and receives them back.  ``run_lockstep`` advances a group of runs
-in rounds, answering every waiting relational run on one graph with its rows
-of a single stacked ``prototype_distances`` call, one ``V @ R`` product (the
-Monte Carlo runs of ``relrbf train`` go through it in groups of consecutive
-seeds, and a process pool maps the groups); ``run_training`` is that driver
-over one run.  Every entry point, and both trainer front ends, return the
+``training_run`` is a generator: it yields its backend and a prototype array
+whenever it needs their distances and receives them back.  ``run_lockstep``
+advances a group of runs in rounds, answering every waiting relational run on
+one graph with its rows of a single stacked ``prototype_distances`` call, one
+``V @ R`` product (the Monte Carlo runs of ``relrbf train`` go through it in
+groups of consecutive seeds, and a process pool maps the groups);
+``run_training`` is that driver over one run.  Every entry point, and both trainer front ends, return the
 same ``TrainResult``.
 """
 
@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateShiftError,
     InvalidClusterCountError,
     NonpositiveEtaError,
@@ -48,6 +49,30 @@ from .initialization import (
 )
 from .network import NetworkParams, gaussian_kernel
 from .prototypes import FREE, MEDOID, prototype_distances
+
+
+# the integer fields of a TrainConfig, each with its least value
+INTEGER_FIELDS = (
+    ("c_init", 1),
+    ("c_max", 1),
+    ("seed", 0),
+    ("max_epochs", 0),
+    ("patience_stop", 1),
+    ("patience_grow", 1),
+    ("exit_window", 1),
+)
+
+# the number and number-pair fields of a TrainConfig
+FLOAT_FIELDS = (
+    "eta_range",
+    "weight_init_range",
+    "sigma_init_range",
+    "lr_decay",
+    "lr_growth",
+    "mse_reject_ratio",
+    "exit_tol",
+    "sigma_min",
+)
 
 
 @dataclass(frozen=True)
@@ -75,9 +100,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.c_max is None:
             object.__setattr__(self, "c_max", self.c_init)
-        if self.c_init < 1 or self.c_init > self.c_max:
+        for name, least in INTEGER_FIELDS:
+            value = getattr(self, name)
+            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not integer or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        if self.c_init > self.c_max:
             raise InvalidClusterCountError(
-                f"need 1 <= c_init <= c_max, got {self.c_init}, {self.c_max}"
+                f"need c_init <= c_max, got {self.c_init}, {self.c_max}"
             )
         if not (0.0 < self.lr_decay < 1.0 < self.lr_growth):
             raise ValueError("need 0 < lr_decay < 1 < lr_growth")
@@ -87,6 +117,11 @@ class TrainConfig:
             lo, hi = getattr(self, name)
             if not lo < hi:
                 raise ValueError(f"{name} must be an increasing pair")
+        # report.json echoes the config as strict JSON, and no draw takes an
+        # infinite range
+        for name in FLOAT_FIELDS:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.eta_range[0] <= 0:
             raise NonpositiveEtaError(f"eta_range must be positive, got {self.eta_range}")
         if self.sigma_min <= 0:
@@ -194,90 +229,56 @@ def grow_step(val_run, err, tr, W, sigma, rates, config, rng):
 
 
 class RelationalModel:
-    """Prototype backend over an adjacency matrix: weight rows that sum to 1.
+    """Prototype backend over an adjacency matrix: (c, n) weight rows that
+    sum to 1.
 
     Prototype repositioning is simulated: instead of moving a latent point,
     ``shift`` recombines the node weights so that the recomputed node
-    distances are exactly the distances to the shifted latent point.
-
-    ``get_state`` and ``set_state`` share ``V`` by reference, so ``shift``
-    and ``grow`` must rebind ``V``, never mutate it in place.
+    distances are exactly the distances to the shifted latent point.  The
+    backend holds no prototypes: each method takes the weight rows and
+    returns new ones.
     """
 
-    def __init__(self, R: AdjacencyMatrix, weight_rows: np.ndarray, mode: str = FREE):
+    def __init__(self, R: AdjacencyMatrix, mode: str = FREE):
         self.R = R
-        self.V = weight_rows
         self.movable = mode == FREE
 
-    @property
-    def c(self) -> int:
-        return self.V.shape[0]
+    def distances(self, V: np.ndarray) -> np.ndarray:
+        return prototype_distances(self.R, V)
 
-    @property
-    def n(self) -> int:
-        return self.V.shape[1]
-
-    def distances(self) -> np.ndarray:
-        return prototype_distances(self.R, self.V)
-
-    def shift(self, eps_h: np.ndarray, etas: np.ndarray) -> None:
+    def shift(self, V: np.ndarray, eps_h: np.ndarray, etas: np.ndarray) -> np.ndarray:
         s = eps_h.sum(axis=1)
-        new_V = (1.0 - etas * s)[:, None] * self.V + etas[:, None] * eps_h
+        new_V = (1.0 - etas * s)[:, None] * V + etas[:, None] * eps_h
         # Sums equal 1 up to roundoff; renormalize so drift cannot accumulate.
         sums = new_V.sum(axis=1)
         if np.any(np.abs(sums) < 1e-12):
             raise DegenerateShiftError("shifted weights sum to zero")
-        self.V = new_V / sums[:, None]
+        return new_V / sums[:, None]
 
-    def grow(self, m: int) -> None:
-        row = np.zeros((1, self.n))
+    def grow(self, V: np.ndarray, m: int) -> np.ndarray:
+        row = np.zeros((1, V.shape[1]))
         row[0, m] = 1.0
-        self.V = np.vstack([self.V, row])
-
-    def get_state(self) -> np.ndarray:
-        return self.V
-
-    def set_state(self, state: np.ndarray) -> None:
-        self.V = state
+        return np.vstack([V, row])
 
 
 class VectorModel:
-    """Prototype backend over explicit feature vectors.
-
-    ``get_state`` and ``set_state`` share ``P`` by reference, so ``shift``
-    and ``grow`` must rebind ``P``, never mutate it in place.
-    """
+    """Prototype backend over explicit feature vectors: (c, d) positions."""
 
     movable = True
 
-    def __init__(self, X: np.ndarray, positions: np.ndarray):
+    def __init__(self, X: np.ndarray):
         self.X = np.asarray(X, dtype=float)
-        self.P = np.atleast_2d(np.asarray(positions, dtype=float)).copy()
 
-    @property
-    def c(self) -> int:
-        return self.P.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    def distances(self) -> np.ndarray:
-        diff = self.X[None, :, :] - self.P[:, None, :]
+    def distances(self, P: np.ndarray) -> np.ndarray:
+        diff = self.X[None, :, :] - P[:, None, :]
         return np.einsum("cnd,cnd->cn", diff, diff)
 
-    def shift(self, eps_h: np.ndarray, etas: np.ndarray) -> None:
+    def shift(self, P: np.ndarray, eps_h: np.ndarray, etas: np.ndarray) -> np.ndarray:
         s = eps_h.sum(axis=1)
-        self.P = self.P + etas[:, None] * (eps_h @ self.X - s[:, None] * self.P)
+        return P + etas[:, None] * (eps_h @ self.X - s[:, None] * P)
 
-    def grow(self, m: int) -> None:
-        self.P = np.vstack([self.P, self.X[m][None, :]])
-
-    def get_state(self) -> np.ndarray:
-        return self.P
-
-    def set_state(self, state: np.ndarray) -> None:
-        self.P = state
+    def grow(self, P: np.ndarray, m: int) -> np.ndarray:
+        return np.vstack([P, self.X[m][None, :]])
 
 
 def relational_model_from_partition(
@@ -286,15 +287,16 @@ def relational_model_from_partition(
     train_idx: np.ndarray,
     c: int,
     mode: str = FREE,
-) -> RelationalModel:
-    """Embed prototypes fit on the training subgraph into full-length weights."""
+) -> tuple[RelationalModel, np.ndarray]:
+    """The backend over ``R`` and its start prototypes: prototypes fit on the
+    training subgraph, embedded into full-length (c, n) weights."""
     if mode == MEDOID:
         V_sub = medoid_prototypes(R.submatrix(train_idx), assignment, c)
     else:
         V_sub = indicator_weights(assignment, c)
     V = np.zeros((c, R.n))
     V[:, train_idx] = V_sub
-    return RelationalModel(R, V, mode=mode)
+    return RelationalModel(R, mode=mode), V
 
 
 @dataclass
@@ -319,19 +321,19 @@ class TrainMetrics:
 
 @dataclass
 class TrainResult:
-    """Best-validation network, prototypes, distances, and metric traces.
+    """Best-validation network, prototypes, responses, and metric traces.
 
-    ``prototypes`` is the best-epoch model state: (c, n) node weights from
-    the graph trainer, (c, d) positions from the vector trainer.  ``d_state``
-    is a read-only copy of that epoch's (c, n) distances.
+    ``prototypes`` are the best epoch's: (c, n) node weights from the graph
+    trainer, (c, d) positions from the vector trainer.  ``output`` is the
+    (n, g) network response the engine computed for that epoch.  Both are
+    the final state's when no epoch became best.
     """
 
     params: NetworkParams
     prototypes: np.ndarray
-    d_state: np.ndarray
+    output: np.ndarray
     metrics: TrainMetrics
     split: SplitIndices
-    config: TrainConfig
     trace: list | None = None
 
 
@@ -339,15 +341,17 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
     """The full training protocol over an arbitrary prototype backend, as a
     generator driven by ``run_lockstep``.
 
-    Wherever the protocol needs the model's distances (at the start, after a
-    shift, after growth) it yields the model and expects the (c, n) distance
-    matrix to be sent back; it returns its ``TrainResult``.
+    Wherever the protocol needs distances (at the start, for a shifted
+    candidate, after growth) it yields ``(model, P)`` and expects the (c, n)
+    distances of the prototypes ``P`` to be sent back; it returns its
+    ``TrainResult``.  The run owns its arrays: a step builds new ones, and
+    only an accepted step adopts them.
 
     The run's one generator is seeded by ``config.seed``; its first draw is
     the split (stratified by class when ``config.stratify_split``), its
     second the k-means start.  ``build_model(init_assignment, si)`` gets that
     start over the training rows and the run's ``SplitIndices``; it must
-    return a prototype model whose initial prototypes derive from that
+    return the prototype backend and its start prototypes, derived from that
     training-set partition.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -361,22 +365,21 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
         )
 
     init_assignment = rng.integers(0, config.c_init, size=tr.size)
-    model = build_model(init_assignment, si)
-    c = model.c
+    model, P = build_model(init_assignment, si)
+    c = P.shape[0]
 
-    params0 = init_params(c, g, config, rng)
-    w0, W, sigma = params0.w0.copy(), params0.W.copy(), params0.sigma.copy()
+    w0, W, sigma = init_params(c, g, config, rng)
     rates = draw_rates(c, g, config.eta_range, rng)
 
     train_mask = np.zeros(n, dtype=bool)
     train_mask[tr] = True
 
-    D = yield model
+    D = yield model, P
     metrics = TrainMetrics()
     trace = [] if record_trace else None
 
     val_run = 0
-    best = None  # (w0, W, sigma, model_state, D)
+    best = None  # (w0, W, sigma, P, output)
     stop_reason = "max_epochs"
 
     def evaluate(D_, w0_, W_, sigma_):
@@ -396,20 +399,15 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
             "sse_test": float(sq[te].sum()) if te.size else 0.0,
         }
 
-    # The initial network is the first acceptance baseline, so an exploding
-    # first step gets rejected like any other.
+    # ``last`` always evaluates the current state, and the initial network is
+    # the first acceptance baseline, so an exploding first step gets rejected
+    # like any other.
     last = evaluate(D, w0, W, sigma)
     mse_prev: float | None = last["sse_train"] / tr.size
     accepted_sse: list[float] = []
 
     for t in range(config.max_epochs):
-        # These arrays are only ever rebound, so the snapshot, ``best`` and
-        # the trace hold references, not copies.
-        snap = (w0, W, sigma, model.get_state(), D)
-
         with np.errstate(over="ignore", invalid="ignore"):
-            # ``last`` always evaluates the current state (after an accept, a
-            # reject or a growth), so its kernel and residuals open the epoch.
             H = last["H"]
             w0_new, W_new = output_step(
                 w0, W, H, last["err"], rates.scale * rates.w0, rates.scale * rates.W, tr
@@ -418,36 +416,28 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
                 W_new, H, output_errors(Y, H, W_new, w0_new), sigma, train_mask
             )
 
-        rejected_by_shift = False
-        if model.movable:
-            try:
-                model.shift(eps_h, rates.scale * rates.proto)
-                D = yield model
-            except DegenerateShiftError:
-                rejected_by_shift = True
-
-        if rejected_by_shift:
-            w0, W, sigma, state, D = snap
-            model.set_state(state)
+        accepted = False
+        try:
+            P_new = model.shift(P, eps_h, rates.scale * rates.proto) if model.movable else P
+        except DegenerateShiftError:
             rates.scale *= 0.5
-            accepted = False
-            ev = last
         else:
+            D_new = (yield model, P_new) if model.movable else D
             with np.errstate(over="ignore", invalid="ignore"):
                 # Bandwidth update at the shifted distances.
-                H2 = gaussian_kernel(D, sigma[:, None])
+                H2 = gaussian_kernel(D_new, sigma[:, None])
                 sigma_new = bandwidth_step(
                     sigma,
                     W_new,
                     H2,
-                    D,
+                    D_new,
                     output_errors(Y, H2, W_new, w0_new),
                     rates.scale * rates.sigma,
                     tr,
                     config.sigma_min,
                 )
 
-            ev_new = evaluate(D, w0_new, W_new, sigma_new)
+            ev_new = evaluate(D_new, w0_new, W_new, sigma_new)
             mse_new = ev_new["sse_train"] / tr.size
             # Negative distances can overflow sigma to inf, where the kernel
             # is 1 and the MSE stays finite; such a step has diverged too.
@@ -455,19 +445,14 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
                 mse_new = np.inf
             rates.scale, accepted = adapt_learning_rate(rates.scale, mse_new, mse_prev, config)
             if accepted:
-                w0, W, sigma = w0_new, W_new, sigma_new
+                w0, W, sigma, P, D = w0_new, W_new, sigma_new, P_new, D_new
                 mse_prev = mse_new
-                ev = ev_new
+                last = ev_new
                 accepted_sse.append(ev_new["sse_train"])
-            else:
-                w0, W, sigma, state, D = snap
-                model.set_state(state)
-                ev = last
 
-        last = ev
-        metrics.sse_train.append(ev["sse_train"])
-        metrics.sse_val.append(ev["sse_val"])
-        metrics.sse_test.append(ev["sse_test"])
+        metrics.sse_train.append(last["sse_train"])
+        metrics.sse_val.append(last["sse_val"])
+        metrics.sse_test.append(last["sse_test"])
         metrics.lr_scale.append(rates.scale)
         metrics.negative_distances.append(int(np.count_nonzero(D < 0)))
         metrics.accepted.append(accepted)
@@ -479,13 +464,13 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
                     "W": W,
                     "sigma": sigma,
                     "d": D,
-                    "hidden": ev["H"],
-                    "output": ev["Yhat"],
+                    "hidden": last["H"],
+                    "output": last["Yhat"],
                 }
             )
 
         # Early-stopping bookkeeping on the retained validation error.
-        val_sse = ev["sse_val"]
+        val_sse = last["sse_val"]
         if t > 0 and val_sse > metrics.sse_val[t - 1]:
             val_run += 1
         elif t > 0:
@@ -493,16 +478,15 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
         if val_sse < metrics.best_val_sse:
             metrics.best_val_sse = val_sse
             metrics.best_epoch = t
-            best = (w0, W, sigma, model.get_state(), D)
+            best = (w0, W, sigma, P, last["Yhat"])
 
-        grown = grow_step(val_run, ev["err"], tr, W, sigma, rates, config, rng)
+        grown = grow_step(val_run, last["err"], tr, W, sigma, rates, config, rng)
         if grown is not None:
             m, W, sigma = grown
-            model.grow(m)
-            D = yield model
+            P = model.grow(P, m)
+            D = yield model, P
             # Growth changes the network between epochs; re-baseline the
-            # acceptance test and the cached evaluation on the grown state so
-            # a following rejection restores and records consistent values.
+            # acceptance test and the current evaluation on the grown state.
             last = evaluate(D, w0, W, sigma)
             mse_prev = last["sse_train"] / tr.size
         metrics.grew.append(grown is not None)
@@ -521,21 +505,13 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
             break
 
     metrics.stop_reason = stop_reason
-
-    if best is not None:
-        w0, W, sigma, model_state, D = best
-        model.set_state(model_state)
-
-    # a copy, so that a result does not keep a stacked round's product alive
-    d_state = D.copy()
-    d_state.setflags(write=False)
+    w0, W, sigma, P, output = best if best is not None else (w0, W, sigma, P, last["Yhat"])
     return TrainResult(
         params=NetworkParams(w0=w0, W=W, sigma=sigma),
-        prototypes=model.get_state(),
-        d_state=d_state,
+        prototypes=P,
+        output=output,
         metrics=metrics,
         split=si,
-        config=config,
         trace=trace,
     )
 
@@ -544,7 +520,7 @@ def run_lockstep(runs: list) -> list[TrainResult]:
     """Advance ``training_run`` generators together and return their results.
 
     In each round every waiting relational run on the same graph gets its
-    rows of one stacked ``prototype_distances(R, [V_1; V_2; ...])``; a vector
+    rows of one stacked ``prototype_distances(R, [P_1; P_2; ...])``; a vector
     model computes its own.  Runs keep their own random streams, growth and
     stopping: a run that has finished simply stops asking.
     """
@@ -552,15 +528,16 @@ def run_lockstep(runs: list) -> list[TrainResult]:
     waiting = {i: next(run) for i, run in enumerate(runs)}
     while waiting:
         answers, stacks = {}, {}
-        for i, model in waiting.items():
+        for i, (model, P) in waiting.items():
             if isinstance(model, RelationalModel):
                 stacks.setdefault(id(model.R), []).append(i)
             else:
-                answers[i] = model.distances()
+                answers[i] = model.distances(P)
         for members in stacks.values():
-            models = [waiting[i] for i in members]
-            D = prototype_distances(models[0].R, np.concatenate([m.V for m in models]))
-            ends = np.cumsum([m.c for m in models])
+            R = waiting[members[0]][0].R
+            Ps = [waiting[i][1] for i in members]
+            D = prototype_distances(R, np.concatenate(Ps))
+            ends = np.cumsum([P.shape[0] for P in Ps])
             answers.update(zip(members, np.split(D, ends[:-1])))
         sent, waiting = waiting, {}
         for i in sent:

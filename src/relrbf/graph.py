@@ -115,9 +115,7 @@ class RealizabilityReport:
     double-centered matrix -J R J / 2 must be PSD up to tolerance.  The
     structural properties (symmetry, sign, zero diagonal) are the
     :class:`AdjacencyMatrix` constructor's to check, so they are not reported
-    here.  The square-root triangle inequality is neither necessary nor
-    sufficient for embeddability of squared distances; :func:`sqrt_triangle_ok`
-    checks it separately in O(n^3).
+    here.
     """
 
     euclidean_embeddable: bool
@@ -160,21 +158,6 @@ def validate(R: AdjacencyMatrix) -> RealizabilityReport:
         euclidean_embeddable=bool(min_eig >= -PSD_TOL * float(np.max(np.abs(eigvals)))),
         min_eigenvalue=min_eig,
     )
-
-
-def sqrt_triangle_ok(R: AdjacencyMatrix) -> bool:
-    """Triangle inequality on sqrt(entries) over all triples, small float slack.
-
-    O(n^3) in time, so no command runs it; it neither implies nor is implied
-    by embeddability (see :class:`RealizabilityReport`).
-    """
-    s = np.sqrt(R.values)
-    n = s.shape[0]
-    slack = 1e-12 * max(1.0, float(s.max())) if n else 0.0
-    for j in range(n):
-        if np.any(s > s[:, j : j + 1] + s[j : j + 1, :] + slack):
-            return False
-    return True
 
 
 def from_features(X) -> AdjacencyMatrix:

@@ -106,7 +106,7 @@ def indicator_weights(assignment: np.ndarray, c: int) -> np.ndarray:
     return V
 
 
-def relational_kmeans(R: AdjacencyMatrix, c: int, init_assignment, return_history: bool = False):
+def relational_kmeans(R: AdjacencyMatrix, c: int, init_assignment):
     """Cluster graph objects with indicator prototypes and node distances,
     starting from ``init_assignment`` (n ints in [0, c)).
 
@@ -115,8 +115,7 @@ def relational_kmeans(R: AdjacencyMatrix, c: int, init_assignment, return_histor
     cluster average in any latent realization.  Iterates until the partition
     stops changing.
 
-    Returns (assignment, (c, n) indicator rows); with ``return_history`` the
-    full assignment sequence is appended.
+    Returns (assignment, (c, n) indicator rows).
     """
     n = R.n
     if not 1 <= c <= n:
@@ -126,8 +125,7 @@ def relational_kmeans(R: AdjacencyMatrix, c: int, init_assignment, return_histor
         return prototype_distances(R, indicator_weights(assignment, c))
 
     history, _ = kmeans_partition_sequence(compute, init_assignment, c)
-    result = history[-1], indicator_weights(history[-1], c)
-    return (*result, history) if return_history else result
+    return history[-1], indicator_weights(history[-1], c)
 
 
 def medoid_prototypes(R: AdjacencyMatrix, assignment: np.ndarray, c: int) -> np.ndarray:
@@ -142,17 +140,15 @@ def medoid_prototypes(R: AdjacencyMatrix, assignment: np.ndarray, c: int) -> np.
 def init_params(c: int, g: int, config, rng: np.random.Generator):
     """Draw output weights and bandwidths uniformly from the configured ranges.
 
-    Draw order is fixed (biases, weights, bandwidths) so that two trainers
+    Returns (w0, W, sigma), drawn in that fixed order so that two trainers
     sharing a generator consume the stream identically.
     """
-    from .network import NetworkParams
-
     lo_w, hi_w = config.weight_init_range
     lo_s, hi_s = config.sigma_init_range
     w0 = rng.uniform(lo_w, hi_w, size=g)
     W = rng.uniform(lo_w, hi_w, size=(c, g))
     sigma = rng.uniform(lo_s, hi_s, size=c)
-    return NetworkParams(w0=w0, W=W, sigma=sigma)
+    return w0, W, sigma
 
 
 def split(n: int, rng: np.random.Generator, labels=None) -> SplitIndices:

@@ -49,14 +49,6 @@ class NetworkParams:
         return self.w0.shape[0]
 
 
-@dataclass(frozen=True)
-class NetworkResponse:
-    """hidden[j, i] = kernel response of prototype j at observation i; output[i, k]."""
-
-    hidden: np.ndarray
-    output: np.ndarray
-
-
 def gaussian_kernel(d, sigma):
     """exp(-d / (2 sigma^2)); elementwise over broadcastable inputs."""
     sigma = np.asarray(sigma, dtype=float)
@@ -68,8 +60,9 @@ def gaussian_kernel(d, sigma):
     return np.exp(-np.asarray(d, dtype=float) / width)
 
 
-def forward(D: np.ndarray, params: NetworkParams) -> NetworkResponse:
-    """Propagate the (c, n) prototype distances ``D`` through the network.
+def forward(D: np.ndarray, params: NetworkParams) -> np.ndarray:
+    """Propagate the (c, n) prototype distances ``D`` through the network to
+    the (n, g) outputs.
 
     output[i, k] = w0[k] + sum_j W[j, k] * exp(-D[j, i] / (2 sigma_j^2)).
     """
@@ -77,9 +70,7 @@ def forward(D: np.ndarray, params: NetworkParams) -> NetworkResponse:
         raise DimensionMismatchError(
             f"distances have {D.shape[0]} prototype rows, params expect {params.c}"
         )
-    hidden = gaussian_kernel(D, params.sigma[:, None])
-    output = hidden.T @ params.W + params.w0
-    return NetworkResponse(hidden=hidden, output=output)
+    return gaussian_kernel(D, params.sigma[:, None]).T @ params.W + params.w0
 
 
 def predict_labels(output: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@
 training subgraph and runs the shared protocol of ``relrbf.engine``, which
 holds the update rules; ``train_group`` does the same for several configs in
 lock-step.  Both return the engine's ``TrainResult``, whose ``prototypes``
-are the (c, n) best-epoch node weights.  ``evaluate_network`` scores a
-trained network on each split.
+are the (c, n) best-epoch node weights and whose ``output`` is that epoch's
+(n, g) response.  ``evaluate_network`` scores a response on each split.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .engine import (
 )
 from .graph import AdjacencyMatrix
 from .initialization import SplitIndices, relational_kmeans
-from .network import NetworkParams, forward, predict_labels
+from .network import predict_labels
 
 __all__ = ["TrainConfig", "TrainResult", "train", "train_group", "evaluate_network"]
 
@@ -62,12 +62,11 @@ def train_group(R: AdjacencyMatrix, Y, configs: list[TrainConfig]) -> list[Train
     return run_lockstep(runs)
 
 
-def evaluate_network(params: NetworkParams, D: np.ndarray, Y, split: SplitIndices):
+def evaluate_network(output: np.ndarray, Y, split: SplitIndices):
     """Accuracies, confusion matrices, and response deviations per split, from
-    the network's (c, n) prototype distances ``D``."""
+    the network's (n, g) ``output``."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    resp = forward(D, params)
-    predicted = predict_labels(resp.output)
+    predicted = predict_labels(output)
     actual = np.argmax(Y, axis=1)
     g = Y.shape[1]
     out = {}
@@ -78,6 +77,6 @@ def evaluate_network(params: NetworkParams, D: np.ndarray, Y, split: SplitIndice
         out[name] = {
             "accuracy": float(np.trace(conf) / max(1, idx.size)),
             "confusion": conf,
-            "deviation": resp.output[idx] - Y[idx],
+            "deviation": output[idx] - Y[idx],
         }
     return out

@@ -25,12 +25,11 @@ DUALITY_TOL = 1e-8
 TRACE_FIELDS = ("w0", "W", "sigma", "d", "hidden", "output")
 
 
-def vector_kmeans(X, c: int, init_assignment, return_history: bool = False):
+def vector_kmeans(X, c: int, init_assignment):
     """Lloyd's k-means sharing the assignment/repair loop of the relational
     variant, so partition sequences are directly comparable.
 
-    Returns (assignment, (c, d) centroids); with ``return_history`` the full
-    assignment sequence is appended.
+    Returns (assignment, (c, d) centroids).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
@@ -38,11 +37,10 @@ def vector_kmeans(X, c: int, init_assignment, return_history: bool = False):
         raise InvalidClusterCountError(f"c={c} outside [1, {n}]")
 
     def compute(assignment):
-        return VectorModel(X, indicator_weights(assignment, c) @ X).distances()
+        return VectorModel(X).distances(indicator_weights(assignment, c) @ X)
 
     history, _ = kmeans_partition_sequence(compute, init_assignment, c)
-    result = history[-1], indicator_weights(history[-1], c) @ X
-    return (*result, history) if return_history else result
+    return history[-1], indicator_weights(history[-1], c) @ X
 
 
 def vector_train(X, Y, config: TrainConfig, record_trace: bool = False) -> TrainResult:
@@ -53,7 +51,7 @@ def vector_train(X, Y, config: TrainConfig, record_trace: bool = False) -> Train
 
     def build(init_assignment, si: SplitIndices):
         _, centroids = vector_kmeans(X[si.train], config.c_init, init_assignment)
-        return VectorModel(X, centroids)
+        return VectorModel(X), centroids
 
     return run_training(build, Y, config, record_trace=record_trace)
 

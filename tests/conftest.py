@@ -49,6 +49,24 @@ def brute_force_distance(X, weights):
     return np.array([float((x - latent) @ (x - latent)) for x in X])
 
 
+def kmeans_history(module, kmeans, *args):
+    """The assignment sequence of the call ``kmeans(*args)``, recorded from
+    the shared loop ``kmeans_partition_sequence`` as ``module`` calls it."""
+    loop = module.kmeans_partition_sequence
+    histories = []
+
+    def recording(*loop_args):
+        history, D = loop(*loop_args)
+        histories.append(history)
+        return history, D
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "kmeans_partition_sequence", recording)
+        kmeans(*args)
+    (history,) = histories
+    return history
+
+
 @pytest.fixture(scope="session")
 def wdbc_file(tmp_path_factory):
     """The diagnostic breast-mass dataset written in its canonical file

@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from relrbf import cmds, from_features, pmds, prototype_distances, validate
+from relrbf import cmds, from_features, initialization, pmds, prototype_distances, validate
+from relrbf import vector_oracle
 from relrbf.datasets import ingest, one_hot, synthetic_blobs
 from relrbf.engine import (
     RelationalModel,
@@ -27,7 +28,7 @@ from relrbf.network import NetworkParams, forward, gaussian_kernel
 from relrbf.training import evaluate_network, train
 from relrbf.vector_oracle import duality_check, vector_kmeans
 
-from conftest import brute_force_distance, find_dataset_file
+from conftest import brute_force_distance, find_dataset_file, kmeans_history
 
 
 def report(criterion, passed, detail):
@@ -105,9 +106,8 @@ def test_criterion_03_shift_equivalence():
         w = u / u.sum()
         eps = rng.standard_normal(n) * 0.5
         eta = float(rng.uniform(0.01, 1.5))
-        model = RelationalModel(R, w[None, :])
-        model.shift(eps[None, :], np.array([eta]))
-        new_d = model.distances()[0]
+        model = RelationalModel(R)
+        new_d = model.distances(model.shift(w[None, :], eps[None, :], np.array([eta])))[0]
         latent = w @ X
         shifted = latent + eta * (eps @ (X - latent))
         oracle = ((X - shifted) ** 2).sum(axis=1)
@@ -146,12 +146,12 @@ def test_criterion_04_gradient_checks():
 
         def sse_at(w0_, W_, sigma_):
             resp = forward(D, NetworkParams(w0_, W_, sigma_))
-            return float(np.sum((Y - resp.output) ** 2))
+            return float(np.sum((Y - resp) ** 2))
 
         def sse_at_prototypes(P_):
             D_ = ((X[None, :, :] - P_[:, None, :]) ** 2).sum(-1)
             resp = forward(D_, params)
-            return float(np.sum((Y - resp.output) ** 2))
+            return float(np.sum((Y - resp) ** 2))
 
         H = gaussian_kernel(D, params.sigma[:, None])
         eps = output_errors(Y, H, params.W, params.w0)
@@ -213,8 +213,8 @@ def test_criterion_05_kmeans_equivalence():
         c = int(rng.integers(2, 6))
         X = rng.standard_normal((n, d)) + rng.integers(0, 3, (n, 1)) * 2.0
         init = rng.integers(0, c, n)
-        _, _, h_rel = relational_kmeans(from_features(X), c, init, return_history=True)
-        _, _, h_vec = vector_kmeans(X, c, init, return_history=True)
+        h_rel = kmeans_history(initialization, relational_kmeans, from_features(X), c, init)
+        h_vec = kmeans_history(vector_oracle, vector_kmeans, X, c, init)
         same = len(h_rel) == len(h_vec) and all(
             np.array_equal(a, b) for a, b in zip(h_rel, h_vec)
         )
@@ -236,7 +236,7 @@ def run_monte_carlo(R, Y, c_init, c_max, base_seed=0, max_epochs=800):
     for i in range(MC_RUNS):
         cfg = TrainConfig(c_init=c_init, c_max=c_max, seed=base_seed + i, max_epochs=max_epochs)
         res = train(R, Y, cfg)
-        ev = evaluate_network(res.params, res.d_state, Y, res.split)
+        ev = evaluate_network(res.output, Y, res.split)
         for k in accs:
             accs[k].append(ev[k]["accuracy"])
             deviations.append(ev[k]["deviation"].ravel())
@@ -318,7 +318,7 @@ def test_criterion_08_medoid_mode_degradation():
                 c_init=6, c_max=12, seed=seed, max_epochs=400, prototype_mode=mode
             )
             res = train(R, Y, cfg)
-            ev = evaluate_network(res.params, res.d_state, Y, res.split)
+            ev = evaluate_network(res.output, Y, res.split)
             accs.append(ev["test"]["accuracy"])
     free_mean, medoid_mean = np.mean(free_acc), np.mean(medoid_acc)
     report(
@@ -365,7 +365,7 @@ def test_criterion_10_transform_degradation():
         for seed in range(10):
             cfg = TrainConfig(c_init=3, c_max=9, seed=seed, max_epochs=300)
             res = train(R_used, Y, cfg)
-            ev = evaluate_network(res.params, res.d_state, Y, res.split)
+            ev = evaluate_network(res.output, Y, res.split)
             accs.append(ev["test"]["accuracy"])
         means[name] = float(np.mean(accs))
     ok = (

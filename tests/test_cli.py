@@ -20,7 +20,14 @@ import relrbf.cli
 import relrbf.graph
 import relrbf.transforms
 from relrbf import from_features, validate, write_adjacency
-from relrbf.cli import EXIT_CONFIG, EXIT_OK, ExperimentConfig, load_dataset, main
+from relrbf.cli import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    SEEDED_COMMANDS,
+    ExperimentConfig,
+    load_dataset,
+    main,
+)
 from relrbf.datasets import synthetic_blobs
 from relrbf.engine import TrainConfig
 from relrbf.errors import ConfigError
@@ -101,6 +108,19 @@ class TestConfigValidation:
             {"duality": {"tol": "1e-8"}},
             {"train": {"eta_range": 5}},
             {"train": {"prototype_mode": "fixed"}},
+            {"train": {"patience_grow": 0}},
+            {"train": {"patience_stop": 0}},
+            {"train": {"exit_window": 0}},
+            {"train": {"max_epochs": 2.5}},
+            {"train": {"max_epochs": -3}},
+            {"train": {"c_init": 2.5}},
+            {"train": {"c_init": True}},
+            {"train": {"c_max": 3.0}},
+            {"train": {"seed": -1}},
+            {"train": {"seed": True}},
+            {"train": {"exit_tol": float("inf")}},
+            {"train": {"mse_reject_ratio": float("inf")}},
+            {"train": {"weight_init_range": [float("-inf"), 1.0]}},
             {"dataset": {"kind": "synthetic-blobs", "power": "high"}},
             {"dataset": {"kind": "synthetic-blobs", "power": 0}},
             {"dataset": {"kind": "synthetic-blobs", "power": -1.5}},
@@ -130,6 +150,13 @@ class TestConfigValidation:
     def test_bad_numbers_exit_code(self, tmp_path, capsys, override):
         cfg = blob_config(tmp_path, **override)
         assert main(["duality", "--config", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
+    @pytest.mark.parametrize("command", SEEDED_COMMANDS)
+    def test_negative_seed_option(self, tmp_path, capsys, command):
+        cfg = blob_config(tmp_path)
+        assert main([command, "--config", str(cfg), "--seed", "-1"]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
 
@@ -250,16 +277,6 @@ class TestIngestCommand:
             assert main(["ingest", "--config", str(cfg)]) == EXIT_CONFIG
         assert "need at least two observations" in capsys.readouterr().err
 
-    def test_cubic_triangle_check_off_the_path(self, tmp_path, monkeypatch):
-        def forbidden(R):
-            raise AssertionError("sqrt_triangle_ok is O(n^3) and must stay off the default path")
-
-        monkeypatch.setattr(relrbf.graph, "sqrt_triangle_ok", forbidden)
-        cfg = blob_config(tmp_path)
-        assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
-        R = from_features(np.random.default_rng(31).standard_normal((24, 3)))
-        assert duality_check(R=R, config=TrainConfig(c_init=2, seed=3), epochs=2).passed
-
 
 class TestTrainCommand:
     def test_report_and_checkpoints(self, tmp_path, capsys):
@@ -354,6 +371,44 @@ class TestTrainCommand:
                 warnings.simplefilter("error", RuntimeWarning)
                 assert main(["train", "--config", str(cfg), "--seed", seed]) == EXIT_OK
 
+    def test_overflowed_responses_are_written_as_null(self, tmp_path, capsys):
+        # at seed 11 the best network's kernel overflows at 3 test nodes, and
+        # most of the run's test SSEs are infinite: the report stays strict
+        # JSON, and the deviation summary covers the finite deviations
+        cfg = blob_config(
+            tmp_path,
+            dataset={
+                "kind": "synthetic-blobs",
+                "power": 1.3,
+                "blobs": {"n": 300, "classes": 3, "dim": 5, "sep": 2.0, "seed": 4},
+            },
+            train={
+                "c_init": 3, "c_max": 8, "max_epochs": 150, "patience_grow": 2,
+                "stratify_split": True,
+            },
+            monte_carlo=1,
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            argv = ["train", "--config", str(cfg), "--seed", "11", "--out", str(out)]
+            assert main(argv) == EXIT_OK
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        json.loads((out / "checkpoints" / "run_0.json").read_text(), parse_constant=reject)
+        run = report["runs"][0]
+        deviations = [v for k in ("train", "test", "val") for v in run["deviation"][k]]
+        assert deviations.count(None) == 3 and len(deviations) == 900
+        assert None in run["deviation"]["test"] and None in run["sse_trace"]["test"]
+        finite = [v for v in deviations if v is not None]
+        assert report["aggregate"]["deviation"]["mean"] == pytest.approx(np.mean(finite))
+        histogram = report["aggregate"]["deviation"]["histogram"]
+        assert sum(histogram["test"]) == len(run["deviation"]["test"]) - 3
+        assert "(3 of 900 responses not finite)" in capsys.readouterr().out
+
     def test_byte_identical_reports(self, tmp_path):
         cfg = blob_config(tmp_path)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -437,6 +492,20 @@ class TestTrainCommand:
         # one payload per lock-step group: the three seeds form one group
         assert len(sizes) == 1 and max(sizes) < 1024
         assert relrbf.cli._batch_graph is None
+
+    def test_pool_no_larger_than_its_groups(self, tmp_path, monkeypatch):
+        # the three seeds form one lock-step group, so one worker is enough
+        sizes = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(relrbf.cli, "ProcessPoolExecutor", RecordingPool)
+        cfg = blob_config(tmp_path, workers=8, monte_carlo=3)
+        assert main(["train", "--config", str(cfg)]) == EXIT_OK
+        assert sizes == [1]
 
     def test_transform_option_runs(self, tmp_path):
         cfg = blob_config(tmp_path, transform="cmds")

@@ -14,7 +14,6 @@ from relrbf import (
     from_features,
     minimax_distances,
     read_adjacency,
-    sqrt_triangle_ok,
     validate,
     write_adjacency,
 )
@@ -147,7 +146,6 @@ class TestAdjacencyMatrix:
 class TestValidate:
     def test_three_point_realizable(self, three_points, three_point_R):
         report = validate(three_point_R)
-        assert sqrt_triangle_ok(three_point_R)
         assert report.euclidean_embeddable
         # independent oracle: eigenvalues of the centered Gram built from the
         # known coordinates must match the report's spectrum bound
@@ -163,14 +161,12 @@ class TestValidate:
         R = AdjacencyMatrix(np.zeros((3, 3)))
         report = validate(R)
         assert report.min_eigenvalue == 0.0
-        assert sqrt_triangle_ok(R)
         assert report.euclidean_embeddable
 
     def test_triangle_violation(self):
         # sqrt entries 3, 1, 1: 3 > 1 + 1
         R = AdjacencyMatrix([[0, 1, 9], [1, 0, 1], [9, 1, 0]])
         report = validate(R)
-        assert not sqrt_triangle_ok(R)
         # triple enumeration oracle
         s = np.sqrt(R.values)
         violated = any(

@@ -5,10 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from relrbf import AdjacencyMatrix, from_features, init_params, relational_kmeans, split
+from relrbf import AdjacencyMatrix, NetworkParams, from_features, init_params, initialization
+from relrbf import relational_kmeans, split
 from relrbf.engine import TrainConfig
 from relrbf.errors import InvalidClusterCountError, TooFewSamplesError
 from relrbf.prototypes import prototype_distances
+
+from conftest import kmeans_history
 
 
 def start(seed, c, n):
@@ -74,7 +77,7 @@ class TestRelationalKmeans:
         rng = np.random.default_rng(12)
         X = rng.standard_normal((30, 3))
         R = from_features(X)
-        _, _, history = relational_kmeans(R, 4, start(2, 4, 30), return_history=True)
+        history = kmeans_history(initialization, relational_kmeans, R, 4, start(2, 4, 30))
 
         def objective(assignment):
             total = 0.0
@@ -92,15 +95,15 @@ class TestRelationalKmeans:
 class TestInitParams:
     def test_reproducible(self):
         cfg = TrainConfig(c_init=3)
-        a = init_params(3, 2, cfg, np.random.default_rng(5))
-        b = init_params(3, 2, cfg, np.random.default_rng(5))
+        a = NetworkParams(*init_params(3, 2, cfg, np.random.default_rng(5)))
+        b = NetworkParams(*init_params(3, 2, cfg, np.random.default_rng(5)))
         assert np.array_equal(a.w0, b.w0) and np.array_equal(a.W, b.W)
         assert np.array_equal(a.sigma, b.sigma)
 
     def test_distinct_seeds_differ(self):
         cfg = TrainConfig(c_init=3)
-        a = init_params(3, 2, cfg, np.random.default_rng(5))
-        b = init_params(3, 2, cfg, np.random.default_rng(6))
+        a = NetworkParams(*init_params(3, 2, cfg, np.random.default_rng(5)))
+        b = NetworkParams(*init_params(3, 2, cfg, np.random.default_rng(6)))
         assert not np.array_equal(a.W, b.W)
 
     def test_draws_within_ranges(self):
@@ -108,7 +111,7 @@ class TestInitParams:
         rng = np.random.default_rng(0)
         lows_w, highs_w = [], []
         for _ in range(100):
-            p = init_params(10, 5, cfg, rng)
+            p = NetworkParams(*init_params(10, 5, cfg, rng))
             all_w = np.concatenate([p.w0, p.W.ravel()])
             lows_w.append(all_w.min())
             highs_w.append(all_w.max())

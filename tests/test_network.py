@@ -39,17 +39,17 @@ class TestForward:
     def test_single_prototype_identity(self):
         params = NetworkParams(w0=[0.0], W=[[1.0]], sigma=[1.0])
         resp = forward(np.zeros((1, 4)), params)
-        np.testing.assert_allclose(resp.output, 1.0)
+        np.testing.assert_allclose(resp, 1.0)
 
     def test_bias_only(self):
         params = NetworkParams(w0=[0.7, -0.2], W=np.zeros((3, 2)), sigma=[1, 1, 1])
         resp = forward(np.random.default_rng(0).uniform(0, 4, (3, 5)), params)
-        np.testing.assert_allclose(resp.output, np.tile([0.7, -0.2], (5, 1)))
+        np.testing.assert_allclose(resp, np.tile([0.7, -0.2], (5, 1)))
 
     def test_known_value(self):
         params = NetworkParams(w0=[0.5], W=[[2.0]], sigma=[1.0])
         resp = forward(np.array([[2.0]]), params)
-        assert resp.output[0, 0] == pytest.approx(0.5 + 2.0 * math.exp(-1.0))
+        assert resp[0, 0] == pytest.approx(0.5 + 2.0 * math.exp(-1.0))
 
     def test_dimension_mismatch(self):
         params = NetworkParams(w0=[0.0], W=[[1.0]], sigma=[1.0])
@@ -69,8 +69,8 @@ class TestForward:
             sigma=sigma,
         )
         np.testing.assert_allclose(
-            forward(D, mixed).output,
-            lam * forward(D, pa).output + (1 - lam) * forward(D, pb).output,
+            forward(D, mixed),
+            lam * forward(D, pa) + (1 - lam) * forward(D, pb),
             atol=1e-12,
         )
 
@@ -88,8 +88,8 @@ class TestForward:
         params = NetworkParams(
             w0=rng.normal(size=2), W=rng.normal(size=(4, 2)), sigma=rng.uniform(0.5, 2, 4)
         )
-        out_rel = forward(D_rel, params).output
-        out_vec = forward(D_vec, params).output
+        out_rel = forward(D_rel, params)
+        out_vec = forward(D_vec, params)
         rel_err = np.abs(out_rel - out_vec) / np.maximum(1.0, np.abs(out_vec))
         assert rel_err.max() <= 1e-10
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from relrbf import NetworkParams, TrainResult, forward, from_features, gaussian_kernel
+from relrbf import prototype_distances
 from relrbf import engine
 from relrbf.datasets import one_hot, synthetic_blobs
 from relrbf.engine import (
@@ -48,7 +49,7 @@ def random_instance(seed, n=None, d=None, c=None, g=None):
 
 def sse_of(Y, D, params):
     resp = forward(D, params)
-    return float(np.sum((np.asarray(Y) - resp.output) ** 2))
+    return float(np.sum((np.asarray(Y) - resp) ** 2))
 
 
 def kernel_and_errors(Y, D, params):
@@ -63,10 +64,11 @@ def all_train(n):
 
 
 def shifted_model(R, weights, eps, eta):
-    """One-prototype RelationalModel after a single shift step."""
-    model = RelationalModel(R, np.asarray(weights, dtype=float)[None, :])
-    model.shift(np.atleast_2d(eps), np.array([eta]))
-    return model
+    """A RelationalModel and one prototype's weight rows after a single
+    shift step."""
+    model = RelationalModel(R)
+    V = model.shift(np.asarray(weights, dtype=float)[None, :], np.atleast_2d(eps), np.array([eta]))
+    return model, V
 
 
 def distance_offset_terms(R, v, eps, eta):
@@ -226,19 +228,19 @@ class TestOffsetDistances:
 
     def test_zero_errors_no_change(self, three_point_R):
         w = np.array([0.5, 0.5, 0.0])
-        before = RelationalModel(three_point_R, w[None, :]).distances()
-        model = shifted_model(three_point_R, w, np.zeros(3), 0.4)
-        np.testing.assert_array_equal(model.distances(), before)
-        np.testing.assert_array_equal(model.V[0], w)
+        before = RelationalModel(three_point_R).distances(w[None, :])
+        model, V = shifted_model(three_point_R, w, np.zeros(3), 0.4)
+        np.testing.assert_array_equal(model.distances(V), before)
+        np.testing.assert_array_equal(V[0], w)
 
     def test_explicit_shift_example(self, three_points, three_point_R):
         # prototype at the first node, pulled a quarter of the way to the
         # second: latent point (0.25, 0)
-        model = shifted_model(three_point_R, [1.0, 0.0, 0.0], np.array([0.0, 1.0, 0.0]), 0.25)
-        d = model.distances()[0]
-        np.testing.assert_allclose(model.V[0], [0.75, 0.25, 0.0], atol=1e-15)
+        model, V = shifted_model(three_point_R, [1.0, 0.0, 0.0], np.array([0.0, 1.0, 0.0]), 0.25)
+        d = model.distances(V)[0]
+        np.testing.assert_allclose(V[0], [0.75, 0.25, 0.0], atol=1e-15)
         np.testing.assert_allclose(d, [0.0625, 0.5625, 1.0625], atol=1e-12)
-        np.testing.assert_allclose(d, brute_force_distance(three_points, model.V[0]), atol=1e-12)
+        np.testing.assert_allclose(d, brute_force_distance(three_points, V[0]), atol=1e-12)
 
     def test_first_order_in_eta(self):
         rng = np.random.default_rng(3)
@@ -250,7 +252,8 @@ class TestOffsetDistances:
         eps_h = rng.standard_normal(15)
         deltas = []
         for eta in (1e-3, 1e-4, 1e-5):
-            d = shifted_model(R, w, eps_h, eta).distances()[0]
+            model, V = shifted_model(R, w, eps_h, eta)
+            d = model.distances(V)[0]
             deltas.append(np.linalg.norm(d - d0))
         # shrinking eta tenfold shrinks the offset tenfold (first order)
         assert deltas[0] / deltas[1] == pytest.approx(10.0, rel=1e-2)
@@ -268,7 +271,8 @@ class TestOffsetDistances:
             w = u / u.sum()
             eps = rng.standard_normal(n) * 0.5
             eta = float(rng.uniform(0.01, 1.5))
-            new_d = shifted_model(R, w, eps, eta).distances()[0]
+            model, V = shifted_model(R, w, eps, eta)
+            new_d = model.distances(V)[0]
             latent = w @ X
             shifted = latent + eta * (eps @ (X - latent))
             oracle = ((X - shifted) ** 2).sum(axis=1)
@@ -286,17 +290,18 @@ class TestOffsetDistances:
             eps = rng.standard_normal(3)
             eta = float(rng.uniform(0.01, 1.0))
             d0 = brute_force_distance(three_points, w)
-            new_d = shifted_model(three_point_R, w, eps, eta).distances()[0]
+            model, V = shifted_model(three_point_R, w, eps, eta)
+            new_d = model.distances(V)[0]
             poly = d0 + distance_offset_terms(three_point_R, w, eps, eta)
             np.testing.assert_allclose(new_d, poly, rtol=1e-9, atol=1e-12)
 
     def test_weights_stay_normalized(self):
         rng = np.random.default_rng(5)
         R = from_features(np.random.default_rng(0).standard_normal((8, 2)))
-        model = RelationalModel(R, np.full((1, 8), 1 / 8))
+        model, V = RelationalModel(R), np.full((1, 8), 1 / 8)
         for _ in range(200):
-            model.shift(rng.standard_normal((1, 8)), np.array([0.3]))
-        assert abs(model.V[0].sum() - 1.0) <= 1e-12
+            V = model.shift(V, rng.standard_normal((1, 8)), np.array([0.3]))
+        assert abs(V[0].sum() - 1.0) <= 1e-12
 
 
 class TestUpdateBandwidths:
@@ -398,10 +403,10 @@ class TestMaybeGrowPrototype:
         assert rates.sigma[1] == ref.uniform(*config.eta_range)
         assert rates.proto[1] == ref.uniform(*config.eta_range)
         # the grown prototype's distance row is column m of the matrix
-        model = RelationalModel(three_point_R, np.full((1, 3), 1 / 3))
-        model.grow(m)
-        np.testing.assert_array_equal(model.V[1], [0.0, 1.0, 0.0])
-        np.testing.assert_allclose(model.distances()[1], three_point_R.values[:, 1])
+        model = RelationalModel(three_point_R)
+        V = model.grow(np.full((1, 3), 1 / 3), m)
+        np.testing.assert_array_equal(V[1], [0.0, 1.0, 0.0])
+        np.testing.assert_allclose(model.distances(V)[1], three_point_R.values[:, 1])
 
     def test_at_capacity_no_op(self):
         assert self._grow(5, c_max=1)[0] is None
@@ -497,7 +502,7 @@ class TestTrain:
         R = from_features(X)
         Y = one_hot(y, 2)
         res = train(R, Y, TrainConfig(c_init=2, c_max=6, seed=0, max_epochs=200))
-        ev = evaluate_network(res.params, res.d_state, Y, res.split)
+        ev = evaluate_network(res.output, Y, res.split)
         assert ev["train"]["accuracy"] == 1.0
         assert res.metrics.epochs <= 200
 
@@ -508,12 +513,12 @@ class TestTrain:
         res = train(R, Y, TrainConfig(c_init=2, seed=3, max_epochs=800))
         best = res.metrics.best_epoch
         assert res.metrics.sse_train[best] < 0.1
-        ev = evaluate_network(res.params, res.d_state, Y, res.split)
+        ev = evaluate_network(res.output, Y, res.split)
         assert ev["train"]["accuracy"] == 1.0
         # response approaches the constant target everywhere
-        resp = forward(res.d_state, res.params)
-        assert np.max(np.abs(resp.output - Y)) < 0.25
-        assert np.mean(np.abs(resp.output - Y)) < 0.05
+        resp = res.output
+        assert np.max(np.abs(resp - Y)) < 0.25
+        assert np.mean(np.abs(resp - Y)) < 0.05
 
     def test_identical_seed_identical_metrics(self):
         X, y = synthetic_blobs(30, classes=2, sep=4.0, seed=5)
@@ -584,6 +589,24 @@ class TestTrain:
             counts.append(res.params.c)
         assert max(counts) > 2  # a kept prototype was grown
 
+    @pytest.mark.parametrize(
+        "mode, max_epochs", [("free", 100), ("medoid", 100), ("free", 0)]
+    )
+    def test_output_is_the_returned_networks_response(self, mode, max_epochs):
+        # the returned responses are bitwise those that `relrbf eval`
+        # recomputes from the returned network and prototypes; with no epoch
+        # they are the initial network's
+        X, y = synthetic_blobs(60, classes=2, sep=1.0, dim=5, seed=4)
+        R, Y = from_features(X).power(1.5), one_hot(y, 2)
+        cfg = TrainConfig(
+            c_init=2, c_max=5, patience_grow=2, seed=0, max_epochs=max_epochs,
+            prototype_mode=mode,
+        )
+        res = train(R, Y, cfg)
+        assert max_epochs == 0 or (any(res.metrics.grew) and res.metrics.best_epoch > 0)
+        expected = forward(prototype_distances(R, res.prototypes), res.params)
+        assert np.array_equal(res.output, expected)
+
     def test_best_validation_params_returned(self):
         X, y = synthetic_blobs(40, classes=2, sep=3.0, seed=10)
         R = from_features(X)
@@ -625,8 +648,8 @@ class TestLockstep:
                 np.testing.assert_allclose(
                     getattr(g.metrics, name), getattr(a.metrics, name), rtol=1e-12, atol=0
                 )
-            ev_g = evaluate_network(g.params, g.d_state, Y, g.split)
-            ev_a = evaluate_network(a.params, a.d_state, Y, a.split)
+            ev_g = evaluate_network(g.output, Y, g.split)
+            ev_a = evaluate_network(a.output, Y, a.split)
             for split_name in ("train", "test", "val"):
                 assert ev_g[split_name]["accuracy"] == ev_a[split_name]["accuracy"]
 
@@ -638,5 +661,5 @@ class TestLockstep:
         assert type(g) is type(a) is TrainResult
         assert np.array_equal(g.prototypes, a.prototypes)
         assert g.metrics == a.metrics
-        assert np.array_equal(g.d_state, a.d_state)
+        assert np.array_equal(g.output, a.output)
         assert np.array_equal(g.params.W, a.params.W)

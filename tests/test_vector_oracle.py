@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
-from relrbf import TrainResult, from_features
+from relrbf import NetworkParams, TrainResult, from_features
 from relrbf.datasets import one_hot, synthetic_blobs
 from relrbf.engine import TrainConfig, VectorModel
 from relrbf.initialization import init_params, split
 from relrbf.training import train
 from relrbf.vector_oracle import duality_check, vector_kmeans, vector_train
 
+from conftest import kmeans_history
+
 
 def squared_distance(x, v) -> float:
     """Squared distance from observation x to prototype v, by ``VectorModel``."""
-    return float(VectorModel(np.array([x]), np.array([v])).distances()[0, 0])
+    return float(VectorModel(np.array([x])).distances(np.array([v]))[0, 0])
 
 
 class TestVectorDistance:
@@ -29,13 +31,14 @@ class TestVectorDistance:
 
 class TestVectorKmeans:
     def test_matches_relational_sequence(self):
+        from relrbf import initialization, vector_oracle
         from relrbf.initialization import relational_kmeans
 
         rng = np.random.default_rng(3)
         X = rng.standard_normal((25, 3)) + rng.integers(0, 2, (25, 1)) * 4.0
         init = rng.integers(0, 3, 25)
-        _, _, h_rel = relational_kmeans(from_features(X), 3, init, return_history=True)
-        _, _, h_vec = vector_kmeans(X, 3, init, return_history=True)
+        h_rel = kmeans_history(initialization, relational_kmeans, from_features(X), 3, init)
+        h_vec = kmeans_history(vector_oracle, vector_kmeans, X, 3, init)
         assert len(h_rel) == len(h_vec)
         for a, b in zip(h_rel, h_vec):
             np.testing.assert_array_equal(a, b)
@@ -58,7 +61,7 @@ class TestVectorTrain:
         rng = np.random.default_rng(9)
         si = split(20, rng)
         rng.integers(0, 2, size=si.train.size)
-        expected = init_params(2, 2, cfg, rng)
+        expected = NetworkParams(*init_params(2, 2, cfg, rng))
         np.testing.assert_array_equal(res.split.train, si.train)
         np.testing.assert_array_equal(res.params.w0, expected.w0)
         np.testing.assert_array_equal(res.params.W, expected.W)
