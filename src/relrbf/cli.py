@@ -25,6 +25,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from .graph import AdjacencyMatrix, from_features, validate, write_adjacency
 from .initialization import SplitIndices
 from .network import NetworkParams, forward
 from .prototypes import prototype_distances
-from .textio import write_csv
+from .textio import finite_or_null, write_csv
 # `train` is not called here, but perfbench/tracer.py wraps `cli.train`
 from .training import evaluate_network, train, train_group  # noqa: F401
 from .transforms import (
@@ -64,25 +65,15 @@ TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 RANGE_FIELDS = ("eta_range", "weight_init_range", "sigma_init_range")
 
 
-def _count(obj: dict, key: str, default: int, name: str | None = None) -> int:
-    """The integer >= 1 at `key` (`default` when absent)."""
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{name or key} must be an integer >= 1, got {value!r}")
+def _count(value, name: str, least: int = 1) -> int:
+    """An integer >= `least`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
     return value
 
 
-def _seed(obj: dict, key: str, default: int, name: str) -> int:
-    """The integer >= 0 at `key` (`default` when absent): a random seed."""
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
-    return value
-
-
-def _number(obj: dict, key: str, default: float, name: str, positive: bool = False) -> float:
-    """The finite number at `key` (`default` when absent), > 0 if `positive`."""
-    value = obj.get(key, default)
+def _number(value, name: str, positive: bool = False) -> float:
+    """A finite number, > 0 if `positive`."""
     try:
         ok = not isinstance(value, bool) and math.isfinite(value)
         ok = ok and (value > 0 or not positive)
@@ -94,12 +85,65 @@ def _number(obj: dict, key: str, default: float, name: str, positive: bool = Fal
     return value
 
 
-def _flag(obj: dict, key: str, default: bool, name: str | None = None) -> bool:
-    """The boolean at `key` (`default` when absent)."""
-    value = obj.get(key, default)
+def _flag(value, name: str) -> bool:
     if not isinstance(value, bool):
-        raise ConfigError(f"{name or key} must be true or false, got {value!r}")
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
     return value
+
+
+def _text(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _one_of(choices: tuple, value, name: str):
+    if value not in choices:
+        raise ConfigError(f"{name} must be one of {choices}")
+    return value
+
+
+def _object(checks: dict, value, name: str = "") -> dict:
+    """The JSON object `value` with each key's value passed through its check
+    in `checks`, the one unknown-key rule of every level of a config.  A
+    check takes a value and its dotted key, returns the value the config
+    keeps and raises ConfigError naming the key."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name or 'config root'} must be a JSON object")
+    prefix = f"{name}." if name else ""
+    unknown = [prefix + key for key in value if key not in checks]
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {unknown}")
+    return {key: checks[key](v, prefix + key) for key, v in value.items()}
+
+
+def _train(value, name: str) -> TrainConfig:
+    """The TrainConfig of the `train` object, which checks the values."""
+    fields = _object(dict.fromkeys(TRAIN_FIELDS, lambda v, _: v), value, name)
+    try:
+        return TrainConfig(**{k: tuple(v) if k in RANGE_FIELDS else v for k, v in fields.items()})
+    except (TypeError, ValueError, RelRbfError) as exc:
+        raise ConfigError(f"invalid train config: {exc}") from exc
+
+
+# The keys each level of a config may hold, with their checks.  The dataset
+# keys are the parameters of `ingest` and the `blobs` keys those of
+# `synthetic_blobs`, which state their defaults; an absent key of another
+# level takes its ExperimentConfig default.
+BLOB_KEYS = {"n": _count, "classes": _count, "dim": _count, "sep": _number, "noise": _number,
+             "seed": partial(_count, least=0)}
+DATASET_KEYS = {
+    "kind": partial(_one_of, KINDS), "path": _text, "standardize": _flag,
+    "power": partial(_number, positive=True), "labels_path": _text,
+    "blobs": partial(_object, BLOB_KEYS),
+}
+DUALITY_KEYS = {"epochs": _count, "tol": lambda v, name: float(_number(v, name, positive=True))}
+CONFIG_KEYS = {
+    "dataset": partial(_object, DATASET_KEYS), "train": _train,
+    "monte_carlo": _count, "histogram_bins": _count, "workers": _count,
+    "transform": partial(_one_of, TRANSFORMS), "compare_prototype_modes": _flag,
+    "duality": partial(_object, DUALITY_KEYS),
+}
 
 
 @dataclass
@@ -107,7 +151,7 @@ class ExperimentConfig:
     """Validated experiment description (parsed from a JSON file)."""
 
     dataset: dict
-    train: TrainConfig
+    train: TrainConfig = dataclasses.field(default_factory=TrainConfig)
     monte_carlo: int = 1
     transform: str = "none"
     histogram_bins: int = 21
@@ -127,78 +171,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        dataset = raw.get("dataset")
-        if not isinstance(dataset, dict) or "kind" not in dataset:
+        """The one reader of a config: every level rejects an unknown key,
+        and only the keys present are checked."""
+        fields = _object(CONFIG_KEYS, raw)
+        dataset = fields.get("dataset", {})
+        if "kind" not in dataset:
             raise ConfigError("config needs a 'dataset' object with a 'kind'")
-        if dataset["kind"] not in KINDS:
-            raise ConfigError(f"dataset.kind must be one of {KINDS}")
         if dataset["kind"] != "synthetic-blobs" and "path" not in dataset:
             raise ConfigError(f"dataset.kind={dataset['kind']!r} requires dataset.path")
-        for key in ("path", "labels_path"):
-            if key in dataset and not isinstance(dataset[key], str):
-                raise ConfigError(f"dataset.{key} must be a string, got {dataset[key]!r}")
-        _number(dataset, "power", 1.0, "dataset.power", positive=True)
-        _flag(dataset, "standardize", True, "dataset.standardize")
-        # ingest supplies the values of absent keys
-        blobs = dataset.get("blobs", {})
-        if not isinstance(blobs, dict):
-            raise ConfigError("dataset.blobs must be an object")
-        for key in ("n", "classes", "dim"):
-            _count(blobs, key, 1, f"dataset.blobs.{key}")
-        _seed(blobs, "seed", 0, "dataset.blobs.seed")
-        for key in ("sep", "noise"):
-            _number(blobs, key, 1.0, f"dataset.blobs.{key}")
-
-        train_raw = raw.get("train", {})
-        if not isinstance(train_raw, dict):
-            raise ConfigError("'train' must be an object")
-        unknown = set(train_raw) - TRAIN_FIELDS
-        if unknown:
-            raise ConfigError(f"unknown train option(s): {sorted(unknown)}")
-        try:
-            # a copy: the caller's dict is left as it was
-            train_cfg = TrainConfig(
-                **{k: tuple(v) if k in RANGE_FIELDS else v for k, v in train_raw.items()}
-            )
-        except (TypeError, ValueError, RelRbfError) as exc:
-            raise ConfigError(f"invalid train config: {exc}") from exc
-
-        transform = raw.get("transform", "none")
-        if transform not in TRANSFORMS:
-            raise ConfigError(f"transform must be one of {TRANSFORMS}")
-        duality = raw.get("duality", {})
-        if not isinstance(duality, dict):
-            raise ConfigError("'duality' must be an object")
-        return cls(
-            dataset=dataset,
-            train=train_cfg,
-            monte_carlo=_count(raw, "monte_carlo", 1),
-            transform=transform,
-            histogram_bins=_count(raw, "histogram_bins", 21),
-            workers=_count(raw, "workers", 1),
-            duality_epochs=_count(duality, "epochs", 20, "duality.epochs"),
-            duality_tol=float(_number(duality, "tol", 1e-8, "duality.tol", positive=True)),
-            compare_prototype_modes=_flag(raw, "compare_prototype_modes", False),
-        )
-
-    def as_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["train"] = dataclasses.asdict(self.train)
-        return d
+        duality = fields.pop("duality", {})
+        return cls(**fields, **{f"duality_{k}": v for k, v in duality.items()})
 
 
 def load_dataset(config: ExperimentConfig) -> IngestResult:
-    ds = config.dataset
-    return ingest(
-        ds["kind"],
-        path=ds.get("path"),
-        standardized=ds.get("standardize", True),
-        power=ds.get("power", 1.0),
-        labels_path=ds.get("labels_path"),
-        blob_options=ds.get("blobs"),
-    )
+    return ingest(**config.dataset)
 
 
 def apply_transform(R: AdjacencyMatrix, method: str) -> AdjacencyMatrix:
@@ -234,12 +220,6 @@ def _single_run(payload):
     return {"runs": [_run_record(r, Y, s, digest) for r, s in zip(results, seeds)]}
 
 
-def _finite_or_null(values) -> list:
-    """`values` as a JSON list, each non-finite number written as null (an
-    overflowed network can respond with inf or nan)."""
-    return [v if math.isfinite(v) else None for v in np.asarray(values, dtype=float).tolist()]
-
-
 def _run_record(result, Y, seed: int, digest: str | None) -> dict:
     """A run's report entry; given the graph's `digest`, also its checkpoint
     file's text, encoded here so that each pool worker encodes its own runs."""
@@ -253,8 +233,8 @@ def _run_record(result, Y, seed: int, digest: str | None) -> dict:
         "negative_distance_events": int(sum(result.metrics.negative_distances)),
         "accuracy": {k: ev[k]["accuracy"] for k in SPLITS},
         "confusion": {k: ev[k]["confusion"].tolist() for k in SPLITS},
-        "deviation": {k: _finite_or_null(ev[k]["deviation"].ravel()) for k in SPLITS},
-        "sse_trace": {k: _finite_or_null(getattr(result.metrics, f"sse_{k}")) for k in SPLITS},
+        "deviation": {k: finite_or_null(ev[k]["deviation"].ravel()) for k in SPLITS},
+        "sse_trace": {k: finite_or_null(getattr(result.metrics, f"sse_{k}")) for k in SPLITS},
         "lr_scale_trace": result.metrics.lr_scale,
     }
     if digest is not None:
@@ -400,7 +380,7 @@ def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
     runs = run_batch(R, data.Y, cfg_dict, *seeds_and_workers, checkpoints=out is not None)
     checkpoints = [r.pop("checkpoint") for r in runs] if out is not None else []
     report = {
-        "config": config.as_dict(),
+        "config": dataclasses.asdict(config),
         "n": int(R.n),
         "g": int(data.Y.shape[1]),
         "class_names": list(data.class_names),
@@ -524,7 +504,10 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path: Path, out: Path | None) 
         raise ConfigError("evaluation requires labels (dataset provides none)")
     R = apply_transform(data.R, config.transform)
     params, V, si = load_checkpoint(checkpoint_path, R, data.Y.shape[1])
-    ev = evaluate_network(forward(prototype_distances(R, V), params), data.Y, si)
+    # as in training, a kernel that overflows at some nodes is scored, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        output = forward(prototype_distances(R, V), params)
+    ev = evaluate_network(output, data.Y, si)
     result = {
         "checkpoint": str(checkpoint_path),
         "accuracy": {k: ev[k]["accuracy"] for k in SPLITS},

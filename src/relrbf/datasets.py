@@ -17,9 +17,6 @@ import numpy as np
 from .errors import MalformedFileError, NonFiniteError, TooFewSamplesError, UnknownKindError
 from .graph import AdjacencyMatrix, from_features, read_adjacency
 
-KINDS = ("wdbc", "voting", "heart-cleveland", "adjacency-csv", "synthetic-blobs")
-
-
 @dataclass
 class IngestResult:
     """Graph, one-hot targets, and provenance for one ingested dataset.
@@ -44,28 +41,41 @@ def one_hot(labels, g: int | None = None) -> np.ndarray:
     return np.eye(g)[labels]
 
 
+def _rows(path, fields: int, parse) -> list:
+    """``parse(row)`` of each non-blank row of the CSV file at ``path``, each
+    row checked to hold ``fields`` fields.  A ValueError or KeyError that
+    ``parse`` raises becomes a MalformedFileError naming ``path:line``."""
+    parsed = []
+    with open(path, newline="") as fh:
+        for ln, row in enumerate(csv.reader(fh), 1):
+            if not row:
+                continue
+            if len(row) != fields:
+                raise MalformedFileError(f"{path}:{ln}: expected {fields} fields, got {len(row)}")
+            try:
+                parsed.append(parse(row))
+            except (ValueError, KeyError) as exc:
+                # a KeyError's text is the missing key alone
+                why = f"unknown code {exc}" if isinstance(exc, KeyError) else exc
+                raise MalformedFileError(f"{path}:{ln}: {why}") from exc
+    if not parsed:
+        raise MalformedFileError(f"{path}: no data rows")
+    return parsed
+
+
 def load_wdbc(path):
     """Diagnostic breast-mass dataset: ``id,diagnosis,30 real features``.
 
     Diagnosis codes: B (benign, class 0) and M (malignant, class 1).
     """
-    features, labels = [], []
-    with open(path, newline="") as fh:
-        for ln, row in enumerate(csv.reader(fh), 1):
-            if not row:
-                continue
-            if len(row) != 32:
-                raise MalformedFileError(f"{path}:{ln}: expected 32 fields, got {len(row)}")
-            code = row[1].strip().upper()
-            if code not in ("B", "M"):
-                raise MalformedFileError(f"{path}:{ln}: bad diagnosis {row[1]!r}")
-            labels.append(0 if code == "B" else 1)
-            try:
-                features.append([float(v) for v in row[2:]])
-            except ValueError as exc:
-                raise MalformedFileError(f"{path}:{ln}: {exc}") from exc
-    if not features:
-        raise MalformedFileError(f"{path}: no data rows")
+
+    def parse(row):
+        code = row[1].strip().upper()
+        if code not in ("B", "M"):
+            raise ValueError(f"bad diagnosis {row[1]!r}")
+        return [float(v) for v in row[2:]], int(code == "M")
+
+    features, labels = zip(*_rows(path, 32, parse))
     return np.array(features), np.array(labels), ["benign", "malignant"]
 
 
@@ -78,52 +88,30 @@ def load_voting(path):
     Votes are trinary: yea (+1), nay (-1), position unknown (0).  Party codes
     democrat (class 0) and republican (class 1).
     """
-    features, labels = [], []
-    with open(path, newline="") as fh:
-        for ln, row in enumerate(csv.reader(fh), 1):
-            if not row:
-                continue
-            if len(row) != 17:
-                raise MalformedFileError(f"{path}:{ln}: expected 17 fields, got {len(row)}")
-            party = row[0].strip().lower()
-            if party not in ("democrat", "republican"):
-                raise MalformedFileError(f"{path}:{ln}: bad party {row[0]!r}")
-            labels.append(0 if party == "democrat" else 1)
-            try:
-                features.append([VOTE_CODES[v.strip().lower()] for v in row[1:]])
-            except KeyError as exc:
-                raise MalformedFileError(f"{path}:{ln}: bad vote code {exc}") from exc
-    if not features:
-        raise MalformedFileError(f"{path}: no data rows")
+
+    def parse(row):
+        party = row[0].strip().lower()
+        if party not in ("democrat", "republican"):
+            raise ValueError(f"bad party {row[0]!r}")
+        return [VOTE_CODES[v.strip().lower()] for v in row[1:]], int(party == "republican")
+
+    features, labels = zip(*_rows(path, 17, parse))
     return np.array(features), np.array(labels), ["democrat", "republican"]
 
 
 def load_heart_cleveland(path):
     """Cleveland heart-disease records: 13 features plus a 0-4 severity code.
 
-    Missing values ('?') are imputed by the column median; the target is
-    binarized to absence (0) vs presence (severity >= 1, class 1).
+    Missing values ('?' or empty) are imputed by the column median; the
+    target is binarized to absence (0) vs presence (severity >= 1, class 1).
     """
-    rows, labels = [], []
-    with open(path, newline="") as fh:
-        for ln, row in enumerate(csv.reader(fh), 1):
-            if not row:
-                continue
-            if len(row) != 14:
-                raise MalformedFileError(f"{path}:{ln}: expected 14 fields, got {len(row)}")
-            vals = []
-            for v in row[:13]:
-                v = v.strip()
-                vals.append(np.nan if v in ("?", "") else float(v))
-            rows.append(vals)
-            try:
-                severity = float(row[13])
-            except ValueError as exc:
-                raise MalformedFileError(f"{path}:{ln}: bad target {row[13]!r}") from exc
-            labels.append(0 if severity == 0 else 1)
-    if not rows:
-        raise MalformedFileError(f"{path}: no data rows")
-    X = np.array(rows)
+
+    def parse(row):
+        features = [np.nan if v.strip() in ("?", "") else float(v) for v in row[:13]]
+        return features, int(float(row[13]) != 0)
+
+    features, labels = zip(*_rows(path, 14, parse))
+    X = np.array(features)
     for j in range(X.shape[1]):
         col = X[:, j]
         missing = np.isnan(col)
@@ -133,7 +121,7 @@ def load_heart_cleveland(path):
 
 
 def synthetic_blobs(
-    n: int,
+    n: int = 60,
     classes: int = 2,
     sep: float = 10.0,
     dim: int = 2,
@@ -192,20 +180,30 @@ def standardize(X) -> np.ndarray:
     return (x[:, keep] - mean[keep]) / std[keep]
 
 
+# ingest's `standardize` flag hides the function of that name
+_zscore = standardize
+
+LOADERS = {"wdbc": load_wdbc, "voting": load_voting, "heart-cleveland": load_heart_cleveland}
+KINDS = (*LOADERS, "adjacency-csv", "synthetic-blobs")
+
+
 def ingest(
     kind: str,
     path=None,
-    standardized: bool = True,
+    standardize: bool = True,
     power: float = 1.0,
     labels_path=None,
-    blob_options: dict | None = None,
+    blobs: dict | None = None,
 ) -> IngestResult:
     """Build (adjacency matrix, one-hot targets) for a named dataset kind.
 
-    File-backed kinds require ``path``.  ``adjacency-csv`` reads the graph
-    directly (labels optional, via ``labels_path``); all vector kinds build
-    the graph with the squared Euclidean distance of their features, z-scored
-    by :func:`standardize` when ``standardized`` is set.
+    The parameters are the keys of a config's ``dataset`` object, and their
+    defaults are the defaults of an absent key.  File-backed kinds require
+    ``path``.  ``adjacency-csv`` reads the graph directly (labels optional,
+    via ``labels_path``); all vector kinds build the graph with the squared
+    Euclidean distance of their features, z-scored when ``standardize`` is
+    set.  ``synthetic-blobs`` passes ``blobs`` to :func:`synthetic_blobs` as
+    keyword arguments.
     """
     if kind not in KINDS:
         raise UnknownKindError(f"unknown dataset kind {kind!r}; expected one of {KINDS}")
@@ -226,24 +224,12 @@ def ingest(
             class_names = [str(c) for c in range(int(labels.max()) + 1)]
     else:
         if kind == "synthetic-blobs":
-            opts = dict(blob_options or {})
-            X, labels = synthetic_blobs(
-                n=int(opts.get("n", 60)),
-                classes=int(opts.get("classes", 2)),
-                sep=float(opts.get("sep", 10.0)),
-                dim=int(opts.get("dim", 2)),
-                noise=float(opts.get("noise", 1.0)),
-                seed=int(opts.get("seed", 0)),
-            )
+            X, labels = synthetic_blobs(**(blobs or {}))
             class_names = [f"class{k}" for k in range(int(labels.max()) + 1)]
-        elif kind == "wdbc":
-            X, labels, class_names = load_wdbc(path)
-        elif kind == "voting":
-            X, labels, class_names = load_voting(path)
-        elif kind == "heart-cleveland":
-            X, labels, class_names = load_heart_cleveland(path)
-        if standardized:
-            X = standardize(X)
+        else:
+            X, labels, class_names = LOADERS[kind](path)
+        if standardize:
+            X = _zscore(X)
         R = from_features(X)
 
     if power != 1.0:

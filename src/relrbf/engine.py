@@ -42,7 +42,6 @@ from .errors import (
 from .graph import AdjacencyMatrix
 from .initialization import (
     SplitIndices,
-    indicator_weights,
     init_params,
     medoid_prototypes,
     split as make_split,
@@ -113,6 +112,8 @@ class TrainConfig:
             raise ValueError("need 0 < lr_decay < 1 < lr_growth")
         if self.prototype_mode not in (FREE, MEDOID):
             raise ValueError(f"unknown prototype_mode {self.prototype_mode!r}")
+        if not isinstance(self.stratify_split, bool):
+            raise ConfigError(f"stratify_split must be true or false, got {self.stratify_split!r}")
         for name in ("eta_range", "weight_init_range", "sigma_init_range"):
             lo, hi = getattr(self, name)
             if not lo < hi:
@@ -283,17 +284,20 @@ class VectorModel:
 
 def relational_model_from_partition(
     R: AdjacencyMatrix,
-    assignment: np.ndarray,
     train_idx: np.ndarray,
-    c: int,
+    R_train: AdjacencyMatrix,
+    kmeans: tuple,
     mode: str = FREE,
 ) -> tuple[RelationalModel, np.ndarray]:
-    """The backend over ``R`` and its start prototypes: prototypes fit on the
-    training subgraph, embedded into full-length (c, n) weights."""
+    """The backend over ``R`` and its start prototypes, embedded into
+    full-length (c, n) weights.  ``kmeans`` is the (assignment, indicator
+    rows) that ``relational_kmeans`` found on ``R_train``, the subgraph on
+    ``train_idx``; the indicator rows are the free start prototypes, and
+    medoid mode snaps each cluster to its medoid instead."""
+    assignment, V_sub = kmeans
+    c = V_sub.shape[0]
     if mode == MEDOID:
-        V_sub = medoid_prototypes(R.submatrix(train_idx), assignment, c)
-    else:
-        V_sub = indicator_weights(assignment, c)
+        V_sub = medoid_prototypes(R_train, assignment, c)
     V = np.zeros((c, R.n))
     V[:, train_idx] = V_sub
     return RelationalModel(R, mode=mode), V

@@ -1,4 +1,4 @@
-"""Full-precision CSV text of float arrays.
+"""Text of float arrays: full-precision CSV, and strict-JSON lists.
 
 Every matrix the CLI writes as CSV goes through :func:`write_csv`.  Its bytes
 are exactly those of ``np.savetxt(path, a, delimiter=",", fmt="%.17g")``:
@@ -26,6 +26,8 @@ How one finite value ``x`` with ``1e-280 <= |x| <= 1e280`` is formatted:
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -230,3 +232,9 @@ def write_csv(path, a) -> None:
         blocks = _Blocks(min(rows, a.shape[0]), a.shape[1])
         for i in range(0, a.shape[0], rows):
             fh.write(blocks.format(a[i:i + rows].ravel()))
+
+
+def finite_or_null(values) -> list:
+    """`values` as a JSON list, each non-finite number written as null (an
+    overflowed network can respond with inf or nan)."""
+    return [v if math.isfinite(v) else None for v in np.asarray(values, dtype=float).tolist()]

@@ -29,9 +29,10 @@ __all__ = ["TrainConfig", "TrainResult", "train", "train_group", "evaluate_netwo
 
 def _builder(R: AdjacencyMatrix, config: TrainConfig):
     def build(init_assignment, si: SplitIndices):
-        assignment, _ = relational_kmeans(R.submatrix(si.train), config.c_init, init_assignment)
+        R_train = R.submatrix(si.train)
+        kmeans = relational_kmeans(R_train, config.c_init, init_assignment)
         return relational_model_from_partition(
-            R, assignment, si.train, config.c_init, mode=config.prototype_mode
+            R, si.train, R_train, kmeans, mode=config.prototype_mode
         )
 
     return build

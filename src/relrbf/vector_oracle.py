@@ -19,6 +19,7 @@ from .engine import TrainConfig, TrainResult, VectorModel, run_training
 from .errors import ConfigError, InvalidClusterCountError
 from .graph import AdjacencyMatrix, from_features, validate
 from .initialization import SplitIndices, indicator_weights, kmeans_partition_sequence
+from .textio import finite_or_null
 from .transforms import cmds
 
 DUALITY_TOL = 1e-8
@@ -76,17 +77,19 @@ class DualityReport:
 
     @property
     def max_deviation(self) -> float:
-        return max(self.per_epoch_max_dev) if self.per_epoch_max_dev else 0.0
+        # np.max, unlike max, keeps a NaN
+        return float(np.max(self.per_epoch_max_dev)) if self.per_epoch_max_dev else 0.0
 
     def as_dict(self) -> dict:
+        """The report as strict JSON: a non-finite deviation is null."""
         return {
             "passed": self.passed,
             "no_oracle": self.no_oracle,
             "epochs": self.epochs,
             "tol": self.tol,
-            "max_deviation": float(self.max_deviation),
-            "per_epoch_max_dev": [float(v) for v in self.per_epoch_max_dev],
-            "field_max_dev": {k: float(v) for k, v in self.field_max_dev.items()},
+            "max_deviation": finite_or_null([self.max_deviation])[0],
+            "per_epoch_max_dev": finite_or_null(self.per_epoch_max_dev),
+            "field_max_dev": {k: finite_or_null([v])[0] for k, v in self.field_max_dev.items()},
             "message": self.message,
         }
 
@@ -186,8 +189,9 @@ def duality_check(
                     message=f"shape mismatch in {f}: {g_rec[f].shape} vs {v_rec[f].shape}",
                 )
             dev = float(np.max(np.abs(g_rec[f] - v_rec[f]))) if g_rec[f].size else 0.0
-            field_max[f] = max(field_max[f], dev)
-            worst = max(worst, dev)
+            # np.maximum keeps a NaN, which then fails the check
+            field_max[f] = float(np.maximum(field_max[f], dev))
+            worst = float(np.maximum(worst, dev))
         per_epoch.append(worst)
 
     passed = all(dev <= tol for dev in per_epoch)
@@ -198,5 +202,5 @@ def duality_check(
         tol=tol,
         per_epoch_max_dev=per_epoch,
         field_max_dev=field_max,
-        message="" if passed else f"max deviation {max(per_epoch):.3e} exceeds {tol:.0e}",
+        message="" if passed else f"max deviation {np.max(per_epoch):.3e} exceeds {tol:.0e}",
     )

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import inspect
 import json
 import multiprocessing
 import os
@@ -21,6 +22,8 @@ import relrbf.graph
 import relrbf.transforms
 from relrbf import from_features, validate, write_adjacency
 from relrbf.cli import (
+    BLOB_KEYS,
+    DATASET_KEYS,
     EXIT_CONFIG,
     EXIT_OK,
     SEEDED_COMMANDS,
@@ -28,7 +31,7 @@ from relrbf.cli import (
     load_dataset,
     main,
 )
-from relrbf.datasets import synthetic_blobs
+from relrbf.datasets import ingest, synthetic_blobs
 from relrbf.engine import TrainConfig
 from relrbf.errors import ConfigError
 from relrbf.transforms import ivat, vat, write_pgm, write_vat_csv
@@ -144,6 +147,15 @@ class TestConfigValidation:
             {"dataset": {"kind": "adjacency-csv", "path": "graph.csv", "labels_path": 7}},
             {"compare_prototype_modes": "false"},
             {"compare_prototype_modes": 0},
+            {"train": {"stratify_split": "false"}},
+            {"train": {"stratify_split": 0}},
+            # one misspelled key per level
+            {"monte_carol": 10},
+            {"dataset": {"kind": "synthetic-blobs", "blob": {"n": 12}}},
+            {"dataset": {"kind": "synthetic-blobs", "standardise": False}},
+            {"dataset": {"kind": "synthetic-blobs", "blobs": {"n": 12, "sed": 3}}},
+            {"duality": {"epoch": 5}},
+            {"train": {"max_epoch": 5}},
         ],
         ids=repr,
     )
@@ -152,6 +164,26 @@ class TestConfigValidation:
         assert main(["duality", "--config", str(cfg)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ({"monte_carol": 10}, "'monte_carol'"),
+            ({"dataset": {"kind": "synthetic-blobs", "blob": {}}}, "'dataset.blob'"),
+            ({"dataset": {"kind": "synthetic-blobs", "blobs": {"sed": 3}}}, "'dataset.blobs.sed'"),
+            ({"duality": {"epoch": 5}}, "'duality.epoch'"),
+            ({"train": {"max_epoch": 5}}, "'train.max_epoch'"),
+        ],
+    )
+    def test_unknown_key_is_named(self, tmp_path, capsys, override, key):
+        cfg = blob_config(tmp_path, **override)
+        assert main(["ingest", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: unknown config key(s) [{key}]\n"
+
+    def test_dataset_keys_are_ingest_parameters(self):
+        # the config checks the keys; ingest and synthetic_blobs hold their defaults
+        assert set(DATASET_KEYS) == set(inspect.signature(ingest).parameters)
+        assert set(BLOB_KEYS) == set(inspect.signature(synthetic_blobs).parameters)
 
     @pytest.mark.parametrize("command", SEEDED_COMMANDS)
     def test_negative_seed_option(self, tmp_path, capsys, command):
@@ -408,6 +440,16 @@ class TestTrainCommand:
         histogram = report["aggregate"]["deviation"]["histogram"]
         assert sum(histogram["test"]) == len(run["deviation"]["test"]) - 3
         assert "(3 of 900 responses not finite)" in capsys.readouterr().out
+
+        # eval scores the overflowing checkpoint as training did, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            argv = ["eval", "--config", str(cfg), "--out", str(out / "eval")]
+            argv += ["--checkpoint", str(out / "checkpoints" / "run_0.json")]
+            assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        evaluated = json.loads((out / "eval" / "eval.json").read_text())
+        assert evaluated["accuracy"] == run["accuracy"]
 
     def test_byte_identical_reports(self, tmp_path):
         cfg = blob_config(tmp_path)

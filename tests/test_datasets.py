@@ -1,5 +1,6 @@
 """Dataset loaders, synthetic generators, and the ingest front end."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -106,13 +107,37 @@ class TestHeartCleveland:
         assert (labels == 0).sum() == 164 and (labels == 1).sum() == 139
 
 
+@pytest.mark.parametrize(
+    "loader, text, line",
+    [
+        (load_wdbc, "1,B," + ",".join(["1.0"] * 30) + "\n2,M," + ",".join(["abc"] * 30), 2),
+        (load_voting, VOTING_FIXTURE + "democrat," + ",".join(["y"] * 15) + ",x\n", 5),
+        (load_heart_cleveland, HEART_FIXTURE + "\n" + "abc," + HEART_FIXTURE.split(",", 1)[1], 6),
+    ],
+    ids=["wdbc", "voting", "heart-cleveland"],
+)
+def test_unparsable_field_names_its_line(tmp_path, loader, text, line):
+    path = tmp_path / "bad.data"
+    path.write_text(text)
+    with pytest.raises(MalformedFileError, match=f"^{re.escape(str(path))}:{line}: "):
+        loader(path)
+
+
+@pytest.mark.parametrize("loader", [load_wdbc, load_voting, load_heart_cleveland])
+def test_blank_file_has_no_data_rows(tmp_path, loader):
+    path = tmp_path / "blank.data"
+    path.write_text("\n\n")
+    with pytest.raises(MalformedFileError, match="no data rows"):
+        loader(path)
+
+
 class TestSyntheticBlobs:
     def test_generator_contract(self):
         X, labels = synthetic_blobs(60, classes=2, sep=10.0, seed=1)
         assert X.shape == (60, 2)
         counts = np.bincount(labels)
         np.testing.assert_array_equal(counts, [30, 30])
-        result = ingest("synthetic-blobs", blob_options={"n": 60, "classes": 2, "sep": 10.0, "seed": 1})
+        result = ingest("synthetic-blobs", blobs={"n": 60, "classes": 2, "sep": 10.0, "seed": 1})
         assert validate(result.R).euclidean_embeddable
         assert result.Y.shape == (60, 2)
 
@@ -148,14 +173,14 @@ class TestIngest:
 
     @pytest.mark.parametrize("standardized", [True, False])
     def test_features_realize_the_graph(self, standardized):
-        result = ingest("synthetic-blobs", standardized=standardized, blob_options=self.BLOBS)
+        result = ingest("synthetic-blobs", standardize=standardized, blobs=self.BLOBS)
         X, _ = synthetic_blobs(**self.BLOBS)
         expected = standardize(X) if standardized else X
         assert np.array_equal(result.X, expected)
         assert np.array_equal(from_features(result.X).values, result.R.values)
 
     def test_power_leaves_no_features(self):
-        result = ingest("synthetic-blobs", power=1.5, blob_options=self.BLOBS)
+        result = ingest("synthetic-blobs", power=1.5, blobs=self.BLOBS)
         assert result.X is None
 
     def test_unknown_kind(self):
@@ -188,7 +213,7 @@ class TestIngest:
         result = ingest(
             "synthetic-blobs",
             power=1.5,
-            blob_options={"n": 30, "classes": 3, "sep": 4.0, "seed": 2},
+            blobs={"n": 30, "classes": 3, "sep": 4.0, "seed": 2},
         )
         assert not validate(result.R).euclidean_embeddable
 
@@ -201,7 +226,7 @@ class TestIngest:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            ingest("synthetic-blobs", power=1.5, blob_options=blobs)
+            ingest("synthetic-blobs", power=1.5, blobs=blobs)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

@@ -560,7 +560,7 @@ class TestTrain:
         from relrbf.datasets import ingest
 
         blobs = {"n": 300, "dim": 5, "classes": 3, "sep": 2.0, "seed": 5}
-        data = ingest("synthetic-blobs", power=1.5, blob_options=blobs)
+        data = ingest("synthetic-blobs", power=1.5, blobs=blobs)
         R, Y = data.R, data.Y
         for seed in range(1, 7):
             cfg = TrainConfig(c_init=3, c_max=8, max_epochs=120, patience_grow=2, seed=seed)

@@ -1,5 +1,7 @@
 """Vector-space reference trainer and the lock-step equivalence check."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,27 @@ class TestDualityCheck:
         assert report.passed
         assert report.epochs == 20
         assert report.max_deviation <= 1e-8
+
+    def test_nan_deviation_fails(self, monkeypatch):
+        # a NaN in one trainer's trace is a deviation no tolerance covers
+        from relrbf import vector_oracle
+
+        def poisoned(*args, **kwargs):
+            result = real(*args, **kwargs)
+            for rec in result.trace:
+                rec["output"] = rec["output"].copy()
+                rec["output"][0, 0] = np.nan
+            return result
+
+        real = vector_oracle.vector_train
+        monkeypatch.setattr(vector_oracle, "vector_train", poisoned)
+        X = np.random.default_rng(17).standard_normal((40, 5))
+        report = duality_check(X=X, config=TrainConfig(c_init=3, c_max=5, seed=7), epochs=20)
+        assert report.passed is False and np.isnan(report.max_deviation)
+        # written as strict JSON, the non-finite deviations are null
+        written = json.loads(json.dumps(report.as_dict(), allow_nan=False))
+        assert written["max_deviation"] is None and written["field_max_dev"]["output"] is None
+        assert written["per_epoch_max_dev"] == [None] * 20
 
     def test_duplicated_points_benign(self):
         rng = np.random.default_rng(23)
