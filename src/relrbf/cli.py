@@ -18,6 +18,7 @@ config and seed.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -25,12 +26,12 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 
-from .datasets import KINDS, IngestResult, ingest
+from .datasets import KINDS, LOADERS, IngestResult, ingest
 from .engine import TrainConfig
 from .errors import ConfigError, RelRbfError
 from .graph import AdjacencyMatrix, from_features, validate, write_adjacency
@@ -137,6 +138,12 @@ DATASET_KEYS = {
     "power": partial(_number, positive=True), "labels_path": _text,
     "blobs": partial(_object, BLOB_KEYS),
 }
+# the dataset keys besides `kind` and `power` that each kind reads
+KIND_KEYS = {
+    **dict.fromkeys(LOADERS, ("path", "standardize")),
+    "adjacency-csv": ("path", "labels_path"),
+    "synthetic-blobs": ("standardize", "blobs"),
+}
 DUALITY_KEYS = {"epochs": _count, "tol": lambda v, name: float(_number(v, name, positive=True))}
 CONFIG_KEYS = {
     "dataset": partial(_object, DATASET_KEYS), "train": _train,
@@ -177,8 +184,12 @@ class ExperimentConfig:
         dataset = fields.get("dataset", {})
         if "kind" not in dataset:
             raise ConfigError("config needs a 'dataset' object with a 'kind'")
-        if dataset["kind"] != "synthetic-blobs" and "path" not in dataset:
-            raise ConfigError(f"dataset.kind={dataset['kind']!r} requires dataset.path")
+        kind = dataset["kind"]
+        stray = [f"dataset.{k}" for k in dataset if k not in ("kind", "power", *KIND_KEYS[kind])]
+        if stray:
+            raise ConfigError(f"config key(s) {stray} do not apply to dataset.kind={kind!r}")
+        if "path" in KIND_KEYS[kind] and "path" not in dataset:
+            raise ConfigError(f"dataset.kind={kind!r} requires dataset.path")
         duality = fields.pop("duality", {})
         return cls(**fields, **{f"duality_{k}": v for k, v in duality.items()})
 
@@ -200,15 +211,44 @@ def apply_transform(R: AdjacencyMatrix, method: str) -> AdjacencyMatrix:
 GROUP_SIZE = 5
 
 # (R, Y, digest) of the batch being run: set in the parent by `run_batch` and
-# in each pool worker by its initializer, so a run's payload carries no n x n
-# array.  `digest` is R's `graph_digest` when the runs' checkpoints are
-# wanted, else None.
+# in each pool worker by its initializer, which also gives the worker one BLAS
+# thread, so a run's payload carries no n x n array.  `digest` is R's
+# `graph_digest` when the runs' checkpoints are wanted, else None.
 _batch_graph = None
 
 
 def _hold_graph(graph) -> None:
     global _batch_graph
     _batch_graph = graph
+    _one_blas_thread()
+
+
+@cache
+def _blas_thread_setter():
+    """numpy's bundled OpenBLAS's thread-count setter, or None (with a note
+    on stderr, once) when this numpy has no such library."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            setter = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        return setter
+    print(
+        "note: cannot find numpy's bundled OpenBLAS to set one BLAS thread; "
+        "results may depend on the BLAS thread count",
+        file=sys.stderr,
+    )
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Run BLAS on one thread in this process.  The reports' bytes depend on
+    the BLAS thread count, and the pool gives `train` its parallelism."""
+    setter = _blas_thread_setter()
+    if setter is not None:
+        setter(1)
 
 
 def _single_run(payload):
@@ -305,22 +345,14 @@ def write_json(obj: dict, path: Path) -> None:
     path.write_text(json_text(obj))
 
 
-def _write_ingested(data: IngestResult, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    write_adjacency(data.R, out / "adjacency.csv")
-    if data.labels is not None:
-        np.savetxt(out / "labels.csv", data.labels, fmt="%d")
-
-
 def cmd_ingest(config: ExperimentConfig, out: Path | None) -> int:
     data = load_dataset(config)
-    # the files are written on a helper thread while the spectrum is found
-    # here: eigvalsh releases the GIL, so the two overlap
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        written = helper.submit(_write_ingested, data, out) if out is not None else None
-        report = validate(data.R)
-        if written is not None:
-            written.result()
+    report = validate(data.R, data.X)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        write_adjacency(data.R, out / "adjacency.csv")
+        if data.labels is not None:
+            np.savetxt(out / "labels.csv", data.labels, fmt="%d")
     print(f"ingested kind={data.kind} n={data.R.n}", end="")
     if data.labels is not None:
         counts = np.bincount(data.labels).tolist()
@@ -618,6 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _one_blas_thread()
     try:
         config = ExperimentConfig.from_file(args.config)
         if getattr(args, "seed", None) is not None:

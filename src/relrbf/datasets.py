@@ -115,6 +115,8 @@ def load_heart_cleveland(path):
     for j in range(X.shape[1]):
         col = X[:, j]
         missing = np.isnan(col)
+        if missing.all():
+            raise MalformedFileError(f"{path}: column {j + 1} has no value in any row")
         if missing.any():
             col[missing] = np.median(col[~missing])
     return X, np.array(labels), ["absent", "present"]
@@ -222,6 +224,8 @@ def ingest(
                     f"labels count {labels.size} != matrix size {R.n}"
                 )
             class_names = [str(c) for c in range(int(labels.max()) + 1)]
+        if power != 1.0:
+            R = R.power(power)
     else:
         if kind == "synthetic-blobs":
             X, labels = synthetic_blobs(**(blobs or {}))
@@ -230,10 +234,8 @@ def ingest(
             X, labels, class_names = LOADERS[kind](path)
         if standardize:
             X = _zscore(X)
-        R = from_features(X)
-
-    if power != 1.0:
-        R = R.power(power)
-        X = None
+        R = from_features(X, power)
+        if power != 1.0:
+            X = None
     Y = one_hot(labels, len(class_names) or None) if labels is not None else None
     return IngestResult(R=R, Y=Y, labels=labels, class_names=class_names, X=X, kind=kind)

@@ -26,12 +26,13 @@ from relrbf.cli import (
     DATASET_KEYS,
     EXIT_CONFIG,
     EXIT_OK,
+    KIND_KEYS,
     SEEDED_COMMANDS,
     ExperimentConfig,
     load_dataset,
     main,
 )
-from relrbf.datasets import ingest, synthetic_blobs
+from relrbf.datasets import KINDS, ingest, synthetic_blobs
 from relrbf.engine import TrainConfig
 from relrbf.errors import ConfigError
 from relrbf.transforms import ivat, vat, write_pgm, write_vat_csv
@@ -184,6 +185,30 @@ class TestConfigValidation:
         # the config checks the keys; ingest and synthetic_blobs hold their defaults
         assert set(DATASET_KEYS) == set(inspect.signature(ingest).parameters)
         assert set(BLOB_KEYS) == set(inspect.signature(synthetic_blobs).parameters)
+        assert set(KIND_KEYS) == set(KINDS)
+        assert {"kind", "power"}.union(*KIND_KEYS.values()) == set(DATASET_KEYS)
+
+    @pytest.mark.parametrize(
+        "dataset, key",
+        [
+            ({"kind": "synthetic-blobs", "path": "nowhere.data"}, "path"),
+            ({"kind": "synthetic-blobs", "labels_path": "nowhere.csv"}, "labels_path"),
+            ({"kind": "wdbc", "path": "nowhere.data", "blobs": {"n": 20}}, "blobs"),
+            ({"kind": "voting", "path": "nowhere.data", "labels_path": "nowhere.csv"}, "labels_path"),
+            ({"kind": "heart-cleveland", "path": "nowhere.data", "blobs": {}}, "blobs"),
+            ({"kind": "adjacency-csv", "path": "nowhere.csv", "standardize": False}, "standardize"),
+            ({"kind": "adjacency-csv", "path": "nowhere.csv", "blobs": {"n": 20}}, "blobs"),
+        ],
+    )
+    def test_key_of_another_kind_is_named(self, tmp_path, capsys, dataset, key):
+        # each of these keys is valid for some kind, so only the kind can
+        # reject it; the config is rejected before any file is opened
+        cfg = blob_config(tmp_path, dataset=dataset)
+        assert main(["ingest", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: config key(s) ['dataset.{key}'] do not apply to "
+            f"dataset.kind={dataset['kind']!r}\n"
+        )
 
     @pytest.mark.parametrize("command", SEEDED_COMMANDS)
     def test_negative_seed_option(self, tmp_path, capsys, command):
@@ -234,13 +259,14 @@ class TestIngestCommand:
         assert err.startswith("error:") and "overflow" in err
 
     def test_files_and_stdout_match_sequential_writes(self, tmp_path, monkeypatch, capsys):
-        # the files are written on a helper thread while validate runs on
-        # the main thread; the bytes are those of the calls made in turn
-        on_main = {}
+        # ingest starts no thread: it validates the graph with the features
+        # that realize it, then writes, and the bytes are those of the calls
+        # made in turn
+        calls = []
 
         def recording(name, fn):
             def wrapper(*args):
-                on_main[name] = threading.current_thread() is threading.main_thread()
+                calls.append((name, threading.active_count()))
                 return fn(*args)
 
             return wrapper
@@ -249,14 +275,16 @@ class TestIngestCommand:
         monkeypatch.setattr(
             relrbf.cli, "write_adjacency", recording("write_adjacency", write_adjacency)
         )
+        threads = threading.active_count()
         cfg = blob_config(tmp_path)
         out = tmp_path / "out"
         assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        assert on_main == {"validate": True, "write_adjacency": False}
+        assert calls == [("validate", threads), ("write_adjacency", threads)]
         stdout = capsys.readouterr().out
 
         data = load_dataset(ExperimentConfig.from_file(cfg))
-        report = validate(data.R)
+        report = validate(data.R, data.X)
+        assert report == relrbf.graph.RealizabilityReport(True, 0.0)
         ref = tmp_path / "ref"
         ref.mkdir()
         write_adjacency(data.R, ref / "adjacency.csv")
@@ -264,8 +292,7 @@ class TestIngestCommand:
         assert stdout == (
             f"ingested kind=synthetic-blobs n=40 classes={data.class_names}"
             f" counts={np.bincount(data.labels).tolist()}"
-            f" embeddable={report.euclidean_embeddable}"
-            f" min_eigenvalue={report.min_eigenvalue:.6e}\n"
+            " embeddable=True min_eigenvalue=0.000000e+00\n"
             f"wrote {out}/adjacency.csv\n"
         )
         for name in ("adjacency.csv", "labels.csv"):
@@ -308,6 +335,60 @@ class TestIngestCommand:
             warnings.simplefilter("error")
             assert main(["ingest", "--config", str(cfg)]) == EXIT_CONFIG
         assert "need at least two observations" in capsys.readouterr().err
+
+
+def src_env(**extra):
+    """The environment of a subprocess that imports this checkout's relrbf."""
+    src = str(Path(relrbf.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize(
+        "command, workers",
+        [(["train"], 1), (["train"], 2), (["transform", "--method", "cmds"], 1)],
+        ids=["train", "train-pool", "transform"],
+    )
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path, command, workers):
+        # at n=400 the products' and spectra's last bits depend on the BLAS
+        # thread count unless the CLI pins it to one thread, in the parent
+        # and in each pool worker
+        if relrbf.cli._blas_thread_setter() is None:
+            pytest.skip("this numpy bundles no scipy-openblas library")
+        dataset = {"kind": "synthetic-blobs", "blobs": {"n": 400, "dim": 30, "sep": 3.0, "seed": 11}}
+        train = {"c_init": 10, "c_max": 20, "max_epochs": 20, "seed": 11}
+        monte_carlo = 1 if workers == 1 else 6
+        cfg = blob_config(
+            tmp_path, dataset=dataset, train=train, monte_carlo=monte_carlo, workers=workers
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            argv = [sys.executable, "-m", "relrbf.cli", command[0], "--config", str(cfg),
+                    *command[1:], "--out", str(out)]
+            env = src_env(OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            outputs.append(out_files(out))
+        assert len(outputs[0]) >= 3 and outputs[0] == outputs[1]
+
+    def test_missing_openblas_is_noted_on_stderr(self, tmp_path, monkeypatch, capsys):
+        # with no bundled OpenBLAS beside numpy, a command still runs, and
+        # says once on stderr that it could not pin the thread count
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        relrbf.cli._blas_thread_setter.cache_clear()
+        try:
+            cfg = blob_config(tmp_path)
+            out = tmp_path / "out"
+            assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+        finally:
+            monkeypatch.undo()
+            relrbf.cli._blas_thread_setter.cache_clear()
+        err = capsys.readouterr().err
+        assert err.startswith("note: cannot find numpy's bundled OpenBLAS") and err.count("\n") == 1
+        assert "OpenBLAS" not in (out / "report.json").read_text()
 
 
 class TestTrainCommand:
@@ -838,12 +919,9 @@ class TestOutputBytes:
             "loaded = [m for m, v in sys.modules.items() if m.startswith('scipy') and v]\n"
             "sys.exit(f'scipy modules loaded: {loaded}' if loaded else 0)\n"
         )
-        src = str(Path(relrbf.cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         cfg = blob_config(tmp_path)
         argv = [sys.executable, "-c", script, str(cfg), str(tmp_path), json.dumps(self.COMMANDS)]
-        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        proc = subprocess.run(argv, env=src_env(), capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
 
     def test_subgraphs_match_validated_copies(self, tmp_path, monkeypatch, capsys):
@@ -859,10 +937,9 @@ class TestOutputBytes:
             "submatrix",
             lambda R, idx: relrbf.graph.AdjacencyMatrix(R.values[np.ix_(idx, idx)]),
         )
+        # `power` and the in-place power of `from_features` both raise through `_raised`
         monkeypatch.setattr(
-            relrbf.graph.AdjacencyMatrix,
-            "power",
-            lambda R, p: relrbf.graph.AdjacencyMatrix(R.values**p),
+            relrbf.graph, "_raised", lambda a, p: relrbf.graph.AdjacencyMatrix(a**p)
         )
         assert self.run_all(cfg, tmp_path / "validated") == fast
 

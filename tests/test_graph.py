@@ -26,7 +26,8 @@ from relrbf.errors import (
     ParseError,
     TooFewSamplesError,
 )
-from relrbf.graph import _BLOCK, double_centered
+import relrbf.graph
+from relrbf.graph import _BLOCK, _LANCZOS_STEPS, PSD_TOL, RealizabilityReport, double_centered
 
 from conftest import traced_peak
 
@@ -231,6 +232,90 @@ class TestValidate:
         assert traced_peak(lambda: validate(R)) <= 1.2 * n * n * 8
 
 
+def eigvalsh_verdict(R):
+    """The full-spectrum test, written out: (embeddable, min eigenvalue)."""
+    eigvals = np.linalg.eigvalsh(double_centered(R.values))
+    return bool(eigvals.min() >= -PSD_TOL * np.abs(eigvals).max()), float(eigvals.min())
+
+
+def refuse(*args):
+    raise AssertionError("no spectrum should be computed")
+
+
+class TestRealizabilityRoutes:
+    """The three routes of `validate`: features, a Lanczos certificate above
+    the cut-off, and the full spectrum otherwise."""
+
+    CUT = 4 * _LANCZOS_STEPS
+
+    def test_features_need_no_spectrum(self, monkeypatch):
+        X = np.random.default_rng(0).standard_normal((self.CUT + 5, 3))
+        R = from_features(X)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(relrbf.graph, "_certified_min_eigenvalue", refuse)
+        assert validate(R, X) == RealizabilityReport(True, 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(CUT + 1, CUT + 60),
+        dim=st.integers(1, 40),
+        power=st.sampled_from([0.5, 1.0, 1.01, 1.5, 2.0, 3.0]),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_verdict_matches_full_spectrum(self, n, dim, power, scale, seed):
+        # powers <= 1 of a feature graph are realizable (Schoenberg), and at
+        # power 1 every graph here has rank <= 40 < n: passed without X, the
+        # Krylov space runs out, which must never certify such a graph
+        X = np.random.default_rng(seed).standard_normal((n, dim)) * scale
+        R = from_features(X, power)
+        report = validate(R)
+        embeddable, min_eig = eigvalsh_verdict(R)
+        assert report.euclidean_embeddable == embeddable
+        assert embeddable or power > 1.0
+        assert f"{report.min_eigenvalue:.6e}" == f"{min_eig:.6e}"
+        assert validate(R) == report
+
+    @pytest.mark.parametrize("dim, power", [(5, 1.5), (30, 1.02), (2, 3.0)])
+    def test_certificate_needs_no_full_spectrum(self, monkeypatch, dim, power):
+        # at powers 1.02 and 3 the first Rayleigh quotients are positive
+        X = np.random.default_rng(4).standard_normal((600, dim))
+        R = from_features(X, power)
+        embeddable, min_eig = eigvalsh_verdict(R)
+        assert not embeddable
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        report = validate(R)
+        assert not report.euclidean_embeddable
+        assert f"{report.min_eigenvalue:.6e}" == f"{min_eig:.6e}"
+        # a Rayleigh quotient bounds the smallest eigenvalue from above
+        assert report.min_eigenvalue >= min_eig - 1e-9 * abs(min_eig)
+
+    def test_converged_positive_eigenvalue_is_no_certificate(self):
+        # -JRJ/2 has the eigenvalues 0 (on 1), 1 and 100 to 200: the lowest
+        # Ritz value converges to 1, which ends the search without a
+        # certificate, and the full spectrum finds the graph embeddable
+        n = self.CUT + 10
+        rng = np.random.default_rng(9)
+        ones_and_noise = np.column_stack([np.ones(n), rng.standard_normal((n, n - 1))])
+        basis = np.linalg.qr(ones_and_noise)[0][:, 1:]
+        X = basis * np.sqrt(np.concatenate([[1.0], np.linspace(100.0, 200.0, n - 2)]))
+        R = from_features(X)
+        assert relrbf.graph._certified_min_eigenvalue(R.values) is None
+        assert validate(R) == RealizabilityReport(*eigvalsh_verdict(R))
+        assert validate(R).euclidean_embeddable
+
+    def test_certificate_forms_no_n_by_n_matrix(self):
+        n = 1000
+        R = from_features(np.random.default_rng(5).standard_normal((n, 5)), 1.5)
+        assert traced_peak(lambda: validate(R)) <= 0.25 * n * n * 8
+        assert not validate(R).euclidean_embeddable
+
+    def test_small_graphs_take_the_full_spectrum(self, monkeypatch):
+        R = from_features(np.random.default_rng(6).standard_normal((self.CUT, 5)), 1.5)
+        monkeypatch.setattr(relrbf.graph, "_certified_min_eigenvalue", refuse)
+        assert validate(R) == RealizabilityReport(*eigvalsh_verdict(R))
+
+
 class TestDerivedGraphs:
     """`submatrix` and `power` skip the constructor's checks and copies; the
     constructor applied to the same arrays is the bitwise oracle."""
@@ -274,6 +359,25 @@ class TestDerivedGraphs:
         n = 400
         R, _ = self.graph(3, n=n)
         assert traced_peak(lambda: R.power(1.5)) <= 1.2 * n * n * 8
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_features_power_in_place(self, p):
+        # from_features raises its own fresh buffer to the power: bitwise
+        # the powered copy, in one n x n buffer
+        n = 400
+        X = np.random.default_rng(7).standard_normal((n, 5))
+        powered = from_features(X, p)
+        assert bits(powered.values) == bits(from_features(X).power(p).values)
+        assert bits(powered.values) == bits(AdjacencyMatrix(from_features(X).values ** p).values)
+        assert not powered.values.flags.writeable
+        assert traced_peak(lambda: from_features(X, p)) <= 1.2 * n * n * 8
+
+    def test_features_power_checks(self):
+        X = np.array([[0.0], [1e100]])
+        with pytest.raises(ValueError):
+            from_features(X, 0.0)
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
+            from_features(X, 2.0)
 
 
 class TestFromFeatures:
