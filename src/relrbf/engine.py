@@ -141,7 +141,7 @@ class LearningRates:
 
 
 def adapt_learning_rate(
-    scale: float, mse_new: float, mse_old: float | None, config: TrainConfig
+    scale: float, mse_new: float, mse_old: float, config: TrainConfig
 ) -> tuple[float, bool]:
     """Bold-driver schedule: reject steps that worsen the training MSE by
     more than ``config.mse_reject_ratio`` (decaying the rate scale), otherwise
@@ -150,12 +150,9 @@ def adapt_learning_rate(
     ``training_run`` passes an infinite MSE for a step whose bandwidths
     overflowed, so that step is rejected as well.  Returns the new scale and
     whether the step is accepted."""
-    diverged = not np.isfinite(mse_new)
-    if mse_old is not None and (diverged or mse_new > config.mse_reject_ratio * mse_old):
+    if not np.isfinite(mse_new) or mse_new > config.mse_reject_ratio * mse_old:
         return scale * config.lr_decay, False
-    if diverged:
-        raise FloatingPointError("training diverged with no acceptance baseline")
-    if mse_old is not None and mse_new < mse_old:
+    if mse_new < mse_old:
         return scale * config.lr_growth, True
     return scale, True
 
@@ -263,16 +260,24 @@ class RelationalModel:
 
 
 class VectorModel:
-    """Prototype backend over explicit feature vectors: (c, d) positions."""
+    """Prototype backend over explicit feature vectors: (c, d) positions.
+
+    Distances are sum_k s_k (x_k - p_k)^2 over the ``signature`` s of +1 and
+    -1 entries (None: all +1, Euclidean); a signed space realizes any graph.
+    The affine ``shift`` and ``grow`` do not depend on s."""
 
     movable = True
 
-    def __init__(self, X: np.ndarray):
+    def __init__(self, X: np.ndarray, signature: np.ndarray | None = None):
         self.X = np.asarray(X, dtype=float)
+        d = self.X.shape[1]
+        self.signature = np.ones(d) if signature is None else np.asarray(signature, dtype=float)
+        self.norms = np.einsum("nd,d,nd->n", self.X, self.signature, self.X)
 
     def distances(self, P: np.ndarray) -> np.ndarray:
-        diff = self.X[None, :, :] - P[:, None, :]
-        return np.einsum("cnd,cnd->cn", diff, diff)
+        # |x|_s^2 - 2 x S p' + |p|_s^2 by matmul: no (c, n, d) temporary
+        SP = P * self.signature
+        return self.norms - 2.0 * (SP @ self.X.T) + np.einsum("cd,cd->c", SP, P)[:, None]
 
     def shift(self, P: np.ndarray, eps_h: np.ndarray, etas: np.ndarray) -> np.ndarray:
         s = eps_h.sum(axis=1)
@@ -407,7 +412,7 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
     # the first acceptance baseline, so an exploding first step gets rejected
     # like any other.
     last = evaluate(D, w0, W, sigma)
-    mse_prev: float | None = last["sse_train"] / tr.size
+    mse_prev: float = last["sse_train"] / tr.size
     accepted_sse: list[float] = []
 
     for t in range(config.max_epochs):

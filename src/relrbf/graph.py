@@ -137,27 +137,19 @@ class RealizabilityReport:
     min_eigenvalue: float
 
 
-def _double_center(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write -J a J / 2 into ``out``, which may be ``a`` itself.
+def double_centered(values: np.ndarray) -> np.ndarray:
+    """Return -J A J / 2 with J = I - (1/n) 11^T (the latent Gram matrix),
+    in a new array.
 
-    The means are taken before ``out`` is written, and the steps run in the
-    order of ``-0.5 * (a - row_mean - col_mean + mean)``, so the result is
-    bitwise that expression's.
+    The steps run in the order of ``-0.5 * (a - row_mean - col_mean + mean)``,
+    so the result is bitwise that expression's.
     """
-    row_mean = a.mean(axis=1, keepdims=True)
-    col_mean = a.mean(axis=0, keepdims=True)
-    mean = a.mean()
-    np.subtract(a, row_mean, out=out)
-    out -= col_mean
-    out += mean
+    a = np.asarray(values, dtype=float)
+    out = np.subtract(a, a.mean(axis=1, keepdims=True))
+    out -= a.mean(axis=0, keepdims=True)
+    out += a.mean()
     out *= -0.5
     return out
-
-
-def double_centered(values: np.ndarray) -> np.ndarray:
-    """Return -J A J / 2 with J = I - (1/n) 11^T (the latent Gram matrix)."""
-    a = np.asarray(values, dtype=float)
-    return _double_center(a, np.empty_like(a))
 
 
 def validate(R: AdjacencyMatrix, X=None) -> RealizabilityReport:

@@ -6,9 +6,10 @@ Gram matrix of a centered realization.  The classical embedding keeps only
 its positive spectrum (an affine projection onto the PSD cone); the proximal
 variant instead shifts the whole spectrum up by the magnitude of its most
 negative eigenvalue, which uniformly inflates off-diagonal dissimilarities
-by twice that amount.  The reordering diagnostics expose cluster structure
-as dark diagonal blocks; the improved variant first replaces every entry
-with the minimax path distance through the graph.
+by twice that amount; the pseudo-Euclidean one keeps both signs of the
+spectrum and reproduces any graph.  The reordering diagnostics expose
+cluster structure as dark diagonal blocks; the improved variant first
+replaces every entry with the minimax path distance through the graph.
 """
 
 from __future__ import annotations
@@ -61,11 +62,14 @@ def _fix_signs(X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _embed(eigvals: np.ndarray, eigvecs: np.ndarray) -> tuple[np.ndarray, int]:
+def _embed(eigvals: np.ndarray, eigvecs: np.ndarray, signed: bool = False):
+    """Columns sqrt(|eigenvalue|) u for the eigenpairs above the floor (in
+    magnitude when ``signed``), and the mask of those pairs."""
     floor = EIGENVALUE_FLOOR * max(1.0, float(np.max(np.abs(eigvals))) if eigvals.size else 0.0)
-    keep = eigvals > floor
-    X = eigvecs[:, keep] * np.sqrt(eigvals[keep])
-    return _fix_signs(X), int(keep.sum())
+    magnitude = np.abs(eigvals) if signed else eigvals
+    keep = magnitude > floor
+    X = eigvecs[:, keep] * np.sqrt(magnitude[keep])
+    return _fix_signs(X), keep
 
 
 def cmds(R: AdjacencyMatrix) -> Embedding:
@@ -76,8 +80,21 @@ def cmds(R: AdjacencyMatrix) -> Embedding:
     entries change.
     """
     eigvals, eigvecs = _descending_eig(double_centered(R.values))
-    X, d_prime = _embed(eigvals, eigvecs)
-    return Embedding(X=X, eigenvalues=eigvals, d_prime=d_prime)
+    X, keep = _embed(eigvals, eigvecs)
+    return Embedding(X=X, eigenvalues=eigvals, d_prime=int(keep.sum()))
+
+
+def pseudo_euclidean(R: AdjacencyMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The signed realization (X, s) that every graph has.
+
+    With -J R J / 2 = U L U', X = U |L|^(1/2) and s = sign(L), over the
+    eigenvalues whose magnitude is above the floor; then
+    R_ij = sum_k s_k (x_ik - x_jk)^2.  A realizable graph has every s_k = +1
+    and the classical embedding as X.
+    """
+    eigvals, eigvecs = _descending_eig(double_centered(R.values))
+    X, keep = _embed(eigvals, eigvecs, signed=True)
+    return X, np.sign(eigvals[keep])
 
 
 def pmds(R: AdjacencyMatrix) -> Embedding:
@@ -90,8 +107,8 @@ def pmds(R: AdjacencyMatrix) -> Embedding:
     eigvals, eigvecs = _descending_eig(double_centered(R.values))
     min_eig = float(eigvals.min()) if eigvals.size else 0.0
     shifted = eigvals + abs(min_eig) if min_eig < 0 else eigvals
-    X, d_prime = _embed(shifted, eigvecs)
-    return Embedding(X=X, eigenvalues=shifted, d_prime=d_prime)
+    X, keep = _embed(shifted, eigvecs)
+    return Embedding(X=X, eigenvalues=shifted, d_prime=int(keep.sum()))
 
 
 @dataclass(frozen=True)

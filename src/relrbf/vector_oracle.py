@@ -3,10 +3,11 @@
 This trainer runs the identical protocol as the graph trainer but holds its
 prototypes as explicit coordinate vectors; it returns the same
 ``TrainResult``, whose ``prototypes`` are the (c, d) best-epoch positions.
-On any dissimilarity matrix that is realizable by a point configuration, the
-two trainers consume the same random stream and must produce the same
-trajectory; ``duality_check`` runs them one after the other and reports the
-worst per-epoch deviation.
+Every symmetric hollow dissimilarity matrix is realized by a point
+configuration in a Euclidean or, with a signature of +1 and -1 per
+coordinate, a pseudo-Euclidean space; on it the two trainers consume the same
+random stream and must produce the same trajectory.  ``duality_check`` runs
+them one after the other and reports the worst per-epoch deviation.
 """
 
 from __future__ import annotations
@@ -17,18 +18,19 @@ import numpy as np
 
 from .engine import TrainConfig, TrainResult, VectorModel, run_training
 from .errors import ConfigError, InvalidClusterCountError
-from .graph import AdjacencyMatrix, from_features, validate
+from .graph import AdjacencyMatrix, from_features
 from .initialization import SplitIndices, indicator_weights, kmeans_partition_sequence
 from .textio import finite_or_null
-from .transforms import cmds
+from .transforms import pseudo_euclidean
 
 DUALITY_TOL = 1e-8
 TRACE_FIELDS = ("w0", "W", "sigma", "d", "hidden", "output")
 
 
-def vector_kmeans(X, c: int, init_assignment):
+def vector_kmeans(X, c: int, init_assignment, signature=None):
     """Lloyd's k-means sharing the assignment/repair loop of the relational
-    variant, so partition sequences are directly comparable.
+    variant, so partition sequences are directly comparable.  Distances are
+    ``VectorModel``'s, signed when a ``signature`` is given.
 
     Returns (assignment, (c, d) centroids).
     """
@@ -36,23 +38,27 @@ def vector_kmeans(X, c: int, init_assignment):
     n = X.shape[0]
     if not 1 <= c <= n:
         raise InvalidClusterCountError(f"c={c} outside [1, {n}]")
+    model = VectorModel(X, signature)
 
     def compute(assignment):
-        return VectorModel(X).distances(indicator_weights(assignment, c) @ X)
+        return model.distances(indicator_weights(assignment, c) @ X)
 
     history, _ = kmeans_partition_sequence(compute, init_assignment, c)
     return history[-1], indicator_weights(history[-1], c) @ X
 
 
-def vector_train(X, Y, config: TrainConfig, record_trace: bool = False) -> TrainResult:
-    """Train the vector-space twin with the protocol of the graph trainer."""
+def vector_train(
+    X, Y, config: TrainConfig, record_trace: bool = False, signature=None
+) -> TrainResult:
+    """Train the vector-space twin with the protocol of the graph trainer,
+    in the space of ``signature`` (None: Euclidean)."""
     if config.prototype_mode != "free":
         raise ValueError("the vector reference trainer only supports free prototypes")
     X = np.atleast_2d(np.asarray(X, dtype=float))
 
     def build(init_assignment, si: SplitIndices):
-        _, centroids = vector_kmeans(X[si.train], config.c_init, init_assignment)
-        return VectorModel(X), centroids
+        _, centroids = vector_kmeans(X[si.train], config.c_init, init_assignment, signature)
+        return VectorModel(X, signature), centroids
 
     return run_training(build, Y, config, record_trace=record_trace)
 
@@ -61,18 +67,20 @@ def vector_train(X, Y, config: TrainConfig, record_trace: bool = False) -> Train
 class DualityReport:
     """Outcome of an epoch-by-epoch graph-vs-vector training comparison.
 
-    ``passed`` is None when no vector realization exists (nothing to compare
-    against); otherwise it records whether every per-epoch deviation across
-    distances, activations, outputs, weights, and bandwidths stayed within
-    tolerance.
+    ``per_epoch_max_dev`` and ``field_max_dev`` hold absolute deviations
+    across distances, activations, outputs, weights, and bandwidths;
+    ``max_scaled_deviation`` divides each by max(1, that field's largest
+    magnitude in the graph trainer's epoch record).  A Euclidean twin passes
+    when every absolute deviation is within ``tol``, an indefinite one when
+    every scaled deviation is: its negative distances can make the kernel huge.
     """
 
-    passed: bool | None
-    no_oracle: bool
+    passed: bool
     epochs: int
     tol: float
     per_epoch_max_dev: list
     field_max_dev: dict
+    max_scaled_deviation: float = 0.0
     message: str = ""
 
     @property
@@ -84,10 +92,10 @@ class DualityReport:
         """The report as strict JSON: a non-finite deviation is null."""
         return {
             "passed": self.passed,
-            "no_oracle": self.no_oracle,
             "epochs": self.epochs,
             "tol": self.tol,
             "max_deviation": finite_or_null([self.max_deviation])[0],
+            "max_scaled_deviation": finite_or_null([self.max_scaled_deviation])[0],
             "per_epoch_max_dev": finite_or_null(self.per_epoch_max_dev),
             "field_max_dev": {k: finite_or_null([v])[0] for k, v in self.field_max_dev.items()},
             "message": self.message,
@@ -108,10 +116,10 @@ def duality_check(
 
     Provide either feature vectors ``X`` (the graph side trains on their
     squared-distance matrix) or an adjacency matrix ``R`` (the vector side
-    trains on its double-centered embedding).  A non-realizable ``R`` has no
-    vector twin, so the report flags ``no_oracle`` instead of failing.  A
-    medoid-mode ``config`` raises ``ConfigError`` before any training: the
-    vector twin only has free prototypes.
+    trains on its pseudo-Euclidean realization, which every graph has and
+    which is Euclidean for a realizable one).  A medoid-mode ``config``
+    raises ``ConfigError`` before any training: the vector twin only has
+    free prototypes.
     When no targets ``Y`` are given, balanced one-hot labels are drawn from a
     stream derived from the config seed (the comparison is indifferent to the
     labeling).
@@ -129,24 +137,11 @@ def duality_check(
         )
 
     if R is not None:
-        report = validate(R)
-        if not report.euclidean_embeddable:
-            return DualityReport(
-                passed=None,
-                no_oracle=True,
-                epochs=0,
-                tol=tol,
-                per_epoch_max_dev=[],
-                field_max_dev={},
-                message=(
-                    "no vector realization exists "
-                    f"(min eigenvalue {report.min_eigenvalue:.3e}); no oracle available"
-                ),
-            )
-        X = cmds(R).X
+        X, signature = pseudo_euclidean(R)
     else:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X, signature = np.atleast_2d(np.asarray(X, dtype=float)), None
         R = from_features(X)
+    euclidean = signature is None or bool(np.all(signature > 0))
 
     n = X.shape[0]
     if Y is None:
@@ -156,51 +151,48 @@ def duality_check(
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
 
     config = replace(config, max_epochs=epochs)
-    graph_res = graph_train(R, Y, config, record_trace=True)
-    vector_res = vector_train(X, Y, config, record_trace=True)
+    g_trace = graph_train(R, Y, config, record_trace=True).trace
+    v_trace = vector_train(X, Y, config, record_trace=True, signature=signature).trace
 
-    if len(graph_res.trace) != len(vector_res.trace):
+    def layout(trace):
+        return [tuple(rec[f].shape for f in TRACE_FIELDS) for rec in trace]
+
+    # a different epoch count or prototype count
+    if layout(g_trace) != layout(v_trace):
         return DualityReport(
             passed=False,
-            no_oracle=False,
-            epochs=max(len(graph_res.trace), len(vector_res.trace)),
+            epochs=max(len(g_trace), len(v_trace)),
             tol=tol,
             per_epoch_max_dev=[],
             field_max_dev={},
-            message=(
-                f"trainers diverged in control flow: {len(graph_res.trace)} vs "
-                f"{len(vector_res.trace)} epochs"
-            ),
+            message=f"trainers diverged in control flow: {len(g_trace)} vs {len(v_trace)} epochs",
         )
 
     per_epoch = []
-    field_max = {f: 0.0 for f in TRACE_FIELDS}
-    for g_rec, v_rec in zip(graph_res.trace, vector_res.trace):
-        worst = 0.0
-        for f in TRACE_FIELDS:
-            if g_rec[f].shape != v_rec[f].shape:
-                return DualityReport(
-                    passed=False,
-                    no_oracle=False,
-                    epochs=len(graph_res.trace),
-                    tol=tol,
-                    per_epoch_max_dev=per_epoch,
-                    field_max_dev=field_max,
-                    message=f"shape mismatch in {f}: {g_rec[f].shape} vs {v_rec[f].shape}",
-                )
-            dev = float(np.max(np.abs(g_rec[f] - v_rec[f]))) if g_rec[f].size else 0.0
-            # np.maximum keeps a NaN, which then fails the check
+    field_max = dict.fromkeys(TRACE_FIELDS, 0.0)
+    scaled_max = 0.0
+    for g_rec, v_rec in zip(g_trace, v_trace):
+        # np.max and np.maximum keep a NaN, which then fails the check
+        devs = {f: float(np.max(np.abs(g_rec[f] - v_rec[f]), initial=0.0)) for f in TRACE_FIELDS}
+        per_epoch.append(float(np.max(list(devs.values()))))
+        for f, dev in devs.items():
             field_max[f] = float(np.maximum(field_max[f], dev))
-            worst = float(np.maximum(worst, dev))
-        per_epoch.append(worst)
+            scaled = dev / np.max(np.abs(g_rec[f]), initial=1.0)
+            scaled_max = float(np.maximum(scaled_max, scaled))
 
-    passed = all(dev <= tol for dev in per_epoch)
+    # negative distances can make an indefinite twin's kernel huge, so it is
+    # held to the scaled bound; a Euclidean twin keeps the absolute one
+    label, value = (
+        ("max deviation", float(np.max(per_epoch, initial=0.0))) if euclidean
+        else ("max scaled deviation", scaled_max)
+    )
+    passed = bool(value <= tol)
     return DualityReport(
         passed=passed,
-        no_oracle=False,
         epochs=len(per_epoch),
         tol=tol,
         per_epoch_max_dev=per_epoch,
         field_max_dev=field_max,
-        message="" if passed else f"max deviation {np.max(per_epoch):.3e} exceeds {tol:.0e}",
+        max_scaled_deviation=scaled_max,
+        message="" if passed else f"{label} {value:.3e} exceeds {tol:.0e}",
     )

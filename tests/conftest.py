@@ -29,6 +29,24 @@ def nonrealizable_R():
     return R
 
 
+@pytest.fixture
+def graph_negatives(monkeypatch):
+    """The negative-distance events of each graph training run that goes
+    through ``relrbf.training.train`` during the test, one total per run."""
+    import relrbf.training
+
+    counts = []
+    real = relrbf.training.train
+
+    def counting(*args, **kwargs):
+        result = real(*args, **kwargs)
+        counts.append(sum(result.metrics.negative_distances))
+        return result
+
+    monkeypatch.setattr(relrbf.training, "train", counting)
+    return counts
+
+
 def traced_peak(fn):
     """Peak bytes numpy and Python allocate while `fn` runs."""
     tracemalloc.start()

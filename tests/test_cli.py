@@ -758,7 +758,7 @@ class TestDualityCommand:
         saved = json.loads((out / "duality.json").read_text())
         assert saved["passed"] is True
 
-    def test_no_oracle_on_nonrealizable(self, tmp_path, capsys):
+    def test_pass_on_nonrealizable(self, tmp_path, capsys, graph_negatives):
         cfg = blob_config(tmp_path)
         raw = json.loads(cfg.read_text())
         raw["dataset"]["power"] = 1.5
@@ -771,8 +771,14 @@ class TestDualityCommand:
         write_adjacency(data.R, apath)
         raw["dataset"] = {"kind": "adjacency-csv", "path": str(apath)}
         cfg.write_text(json.dumps(raw))
-        assert main(["duality", "--config", str(cfg)]) == EXIT_OK
-        assert "no oracle" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["duality", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert "PASS" in capsys.readouterr().out
+        # the signed twin trained through the graph's negative distances
+        assert graph_negatives[0] > 0
+        saved = json.loads((out / "duality.json").read_text())
+        assert saved["passed"] is True and "no_oracle" not in saved
+        assert saved["max_scaled_deviation"] <= saved["tol"]
 
     def test_medoid_mode_is_a_config_error(self, tmp_path, capsys):
         cfg = blob_config(tmp_path)
@@ -958,13 +964,15 @@ class TestPairedModeComparison:
         assert "paired free vs medoid" in capsys.readouterr().out
 
 
-def test_duality_powered_dataset_uses_matrix_path(tmp_path, capsys):
+def test_duality_powered_dataset_passes(tmp_path, capsys, graph_negatives):
+    # a powered graph has no features: its twin is the signed realization
     cfg = blob_config(tmp_path)
     raw = json.loads(cfg.read_text())
     raw["dataset"]["power"] = 1.5
     cfg.write_text(json.dumps(raw))
     assert main(["duality", "--config", str(cfg)]) == EXIT_OK
-    assert "no oracle" in capsys.readouterr().out
+    assert "PASS" in capsys.readouterr().out
+    assert graph_negatives[0] > 0
 
 
 def test_benchmark_tracer_hooks_resolve(monkeypatch):

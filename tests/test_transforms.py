@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relrbf import AdjacencyMatrix, cmds, from_features, ivat, minimax_distances, pmds, vat
+from relrbf.datasets import synthetic_blobs
 from relrbf.graph import double_centered
-from relrbf.transforms import write_embedding_csv, write_pgm, write_vat_csv
+from relrbf.transforms import pseudo_euclidean, write_embedding_csv, write_pgm, write_vat_csv
 
 from conftest import traced_peak
 
@@ -111,6 +114,40 @@ class TestPmds:
         # strictly larger than the classical projection's entries
         cm = from_features(cmds(nonrealizable_R).X)
         assert back.values[off].mean() > cm.values[off].mean()
+
+
+class TestPseudoEuclidean:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(3, 60),
+        st.floats(0.5, 3.0),
+        st.floats(0.5, 10.0),
+        st.integers(0, 10_000),
+    )
+    def test_signed_distances_reproduce_powered_blobs(self, n, power, sep, seed):
+        X0, _ = synthetic_blobs(n, classes=3, sep=sep, dim=4, seed=seed)
+        R = from_features(X0, power)
+        X, s = pseudo_euclidean(R)
+        assert X.shape == (n, s.size) and set(s) <= {-1.0, 1.0}
+        diff = X[:, None, :] - X[None, :, :]
+        back = np.einsum("ijk,k->ij", diff**2, s)
+        np.testing.assert_allclose(back, R.values, rtol=0, atol=1e-9 * R.values.max())
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(3, 60), st.integers(0, 10_000))
+    def test_feature_graph_is_euclidean(self, n, seed):
+        # at power 1 the realization is the classical one, every sign +1
+        X0, _ = synthetic_blobs(n, classes=3, sep=4.0, dim=4, seed=seed)
+        X, s = pseudo_euclidean(from_features(X0))
+        assert np.all(s == 1.0)
+        np.testing.assert_array_equal(X, cmds(from_features(X0)).X)
+
+    def test_nonrealizable_keeps_negative_spectrum(self, nonrealizable_R):
+        X, s = pseudo_euclidean(nonrealizable_R)
+        assert np.any(s < 0)
+        diff = X[:, None, :] - X[None, :, :]
+        back = np.einsum("ijk,k->ij", diff**2, s)
+        np.testing.assert_allclose(back, nonrealizable_R.values, atol=1e-12)
 
 
 class TestVat:

@@ -6,13 +6,20 @@ import numpy as np
 import pytest
 
 from relrbf import NetworkParams, TrainResult, from_features
-from relrbf.datasets import one_hot, synthetic_blobs
+from relrbf.datasets import ingest, one_hot, synthetic_blobs
 from relrbf.engine import TrainConfig, VectorModel
 from relrbf.initialization import init_params, split
 from relrbf.training import train
 from relrbf.vector_oracle import duality_check, vector_kmeans, vector_train
 
-from conftest import kmeans_history
+from conftest import kmeans_history, traced_peak
+
+
+def powered_blobs(n, power, sep, seed):
+    """A three-class blob graph raised to ``power``; above 1 it is not
+    realizable."""
+    blobs = dict(n=n, classes=3, dim=5, sep=sep, seed=seed)
+    return ingest("synthetic-blobs", power=power, blobs=blobs)
 
 
 def squared_distance(x, v) -> float:
@@ -29,6 +36,19 @@ class TestVectorDistance:
 
     def test_centroid_case(self):
         assert squared_distance([1.0, 0.0], [1 / 3, 1 / 3]) == pytest.approx(5.0 / 9.0)
+
+    def test_signed_distance(self):
+        # the second coordinate counts negatively: 1 - 4
+        model = VectorModel(np.array([[1.0, 2.0]]), signature=np.array([1.0, -1.0]))
+        assert model.distances(np.zeros((1, 2)))[0, 0] == pytest.approx(-3.0)
+
+    def test_no_prototype_by_observation_temporary(self):
+        # the (c, n, d) difference array would take 25.5 MB here
+        rng = np.random.default_rng(5)
+        c, n, d = 20, 400, 399
+        X, P = rng.standard_normal((n, d)), rng.standard_normal((c, d))
+        peak = traced_peak(lambda: VectorModel(X).distances(P))
+        assert peak < 16 * c * n * 8
 
 
 class TestVectorKmeans:
@@ -136,11 +156,40 @@ class TestDualityCheck:
         report = duality_check(X=X, config=TrainConfig(c_init=2, seed=1), epochs=15)
         assert report.passed
 
-    def test_nonrealizable_matrix_flags_no_oracle(self, nonrealizable_R):
-        report = duality_check(R=nonrealizable_R, config=TrainConfig(c_init=2, seed=0))
-        assert report.no_oracle
-        assert report.passed is None
-        assert "no oracle" in report.message
+    def test_nonrealizable_matrix_passes_on_signed_twin(self, graph_negatives):
+        data = powered_blobs(120, 1.5, 2.0, 0)
+        report = duality_check(R=data.R, Y=data.Y, config=TrainConfig(c_init=3, c_max=8))
+        assert report.passed and report.epochs == 20
+        assert report.max_scaled_deviation <= 1e-8
+        # the graph trainer met negative distances, and the twin followed it
+        assert graph_negatives[0] > 0
+
+    def test_indefinite_twin_held_to_scaled_bound(self, graph_negatives):
+        # negative distances make the kernel huge here: its absolute deviation
+        # is past the tolerance, its deviation relative to the fields is not
+        data = powered_blobs(400, 2.0, 2.0, 0)
+        report = duality_check(R=data.R, Y=data.Y, config=TrainConfig(c_init=3, c_max=8))
+        assert report.passed
+        assert report.max_deviation > report.tol >= report.max_scaled_deviation
+        assert graph_negatives[0] > 0
+
+    def test_realizable_matrix_one_spectrum(self, monkeypatch):
+        # no realizability test before the twin: one n x n eigh builds it
+        shapes = []
+        real_eigh = np.linalg.eigh
+
+        def eigh(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return real_eigh(a, *args, **kwargs)
+
+        def eigvalsh(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        R = from_features(np.random.default_rng(31).standard_normal((24, 3)))
+        assert duality_check(R=R, config=TrainConfig(c_init=2, seed=3), epochs=10).passed
+        assert shapes == [(24, 24)]
 
     def test_realizable_matrix_direct(self, three_points):
         rng = np.random.default_rng(31)
