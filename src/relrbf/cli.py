@@ -22,7 +22,6 @@ import ctypes
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -32,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import KINDS, LOADERS, IngestResult, ingest
-from .engine import TrainConfig
+from .engine import TRAIN_CHECKS, TrainConfig, flag, integer, number, one_of
 from .errors import ConfigError, RelRbfError
 from .graph import AdjacencyMatrix, from_features, validate, write_adjacency
 from .initialization import SplitIndices
@@ -62,45 +61,10 @@ SPLITS = ("train", "test", "val")
 # the commands that read train.seed, and so take --seed
 SEEDED_COMMANDS = ("train", "duality")
 
-TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
-RANGE_FIELDS = ("eta_range", "weight_init_range", "sigma_init_range")
-
-
-def _count(value, name: str, least: int = 1) -> int:
-    """An integer >= `least`."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-    return value
-
-
-def _number(value, name: str, positive: bool = False) -> float:
-    """A finite number, > 0 if `positive`."""
-    try:
-        ok = not isinstance(value, bool) and math.isfinite(value)
-        ok = ok and (value > 0 or not positive)
-    except (TypeError, OverflowError):
-        ok = False
-    if not ok:
-        bound = " > 0" if positive else ""
-        raise ConfigError(f"{name} must be a finite number{bound}, got {value!r}")
-    return value
-
-
-def _flag(value, name: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
-    return value
-
 
 def _text(value, name: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{name} must be a string, got {value!r}")
-    return value
-
-
-def _one_of(choices: tuple, value, name: str):
-    if value not in choices:
-        raise ConfigError(f"{name} must be one of {choices}")
     return value
 
 
@@ -119,11 +83,13 @@ def _object(checks: dict, value, name: str = "") -> dict:
 
 
 def _train(value, name: str) -> TrainConfig:
-    """The TrainConfig of the `train` object, which checks the values."""
-    fields = _object(dict.fromkeys(TRAIN_FIELDS, lambda v, _: v), value, name)
+    """The TrainConfig of the `train` object: each field passes its rule in
+    `TRAIN_CHECKS` here, where its error names the key, and TrainConfig
+    checks the fields against each other."""
+    fields = _object(TRAIN_CHECKS, value, name)
     try:
-        return TrainConfig(**{k: tuple(v) if k in RANGE_FIELDS else v for k, v in fields.items()})
-    except (TypeError, ValueError, RelRbfError) as exc:
+        return TrainConfig(**fields)
+    except (ValueError, RelRbfError) as exc:
         raise ConfigError(f"invalid train config: {exc}") from exc
 
 
@@ -131,11 +97,11 @@ def _train(value, name: str) -> TrainConfig:
 # keys are the parameters of `ingest` and the `blobs` keys those of
 # `synthetic_blobs`, which state their defaults; an absent key of another
 # level takes its ExperimentConfig default.
-BLOB_KEYS = {"n": _count, "classes": _count, "dim": _count, "sep": _number, "noise": _number,
-             "seed": partial(_count, least=0)}
+BLOB_KEYS = {"n": integer, "classes": integer, "dim": integer, "sep": number, "noise": number,
+             "seed": partial(integer, least=0)}
 DATASET_KEYS = {
-    "kind": partial(_one_of, KINDS), "path": _text, "standardize": _flag,
-    "power": partial(_number, positive=True), "labels_path": _text,
+    "kind": partial(one_of, KINDS), "path": _text, "standardize": flag,
+    "power": partial(number, positive=True), "labels_path": _text,
     "blobs": partial(_object, BLOB_KEYS),
 }
 # the dataset keys besides `kind` and `power` that each kind reads
@@ -144,11 +110,11 @@ KIND_KEYS = {
     "adjacency-csv": ("path", "labels_path"),
     "synthetic-blobs": ("standardize", "blobs"),
 }
-DUALITY_KEYS = {"epochs": _count, "tol": lambda v, name: float(_number(v, name, positive=True))}
+DUALITY_KEYS = {"epochs": integer, "tol": lambda v, name: float(number(v, name, positive=True))}
 CONFIG_KEYS = {
     "dataset": partial(_object, DATASET_KEYS), "train": _train,
-    "monte_carlo": _count, "histogram_bins": _count, "workers": _count,
-    "transform": partial(_one_of, TRANSFORMS), "compare_prototype_modes": _flag,
+    "monte_carlo": integer, "histogram_bins": integer, "workers": integer,
+    "transform": partial(one_of, TRANSFORMS), "compare_prototype_modes": flag,
     "duality": partial(_object, DUALITY_KEYS),
 }
 
@@ -210,10 +176,11 @@ def apply_transform(R: AdjacencyMatrix, method: str) -> AdjacencyMatrix:
 # sharing one stacked V @ R product per round.
 GROUP_SIZE = 5
 
-# (R, Y, digest) of the batch being run: set in the parent by `run_batch` and
-# in each pool worker by its initializer, which also gives the worker one BLAS
-# thread, so a run's payload carries no n x n array.  `digest` is R's
-# `graph_digest` when the runs' checkpoints are wanted, else None.
+# (R, Y, ck_dir, digest) of the batch being run: set in the parent by
+# `run_batch` and in each pool worker by its initializer, which also gives the
+# worker one BLAS thread, so a run's payload carries no n x n array.  `ck_dir`
+# is the directory the runs' checkpoints go to and `digest` R's `graph_digest`,
+# both None when no checkpoints are wanted.
 _batch_graph = None
 
 
@@ -252,19 +219,23 @@ def _one_blas_thread() -> None:
 
 
 def _single_run(payload):
-    """One lock-step group of seeded training runs on the held graph;
-    module-level so worker pools can pickle it.  Returns {"runs": [...]}."""
-    cfg_dict, seeds = payload
-    R, Y, digest = _batch_graph
+    """One lock-step group of seeded training runs on the held graph, the
+    batch's runs `first`, `first` + 1, ...; module-level so worker pools can
+    pickle it.  Writes each run's checkpoint file `run_<index>.json` when the
+    batch has a checkpoint directory.  Returns {"runs": [...]}."""
+    cfg_dict, first, seeds = payload
+    R, Y, ck_dir, digest = _batch_graph
     results = train_group(R, Y, [TrainConfig(**{**cfg_dict, "seed": s}) for s in seeds])
-    return {"runs": [_run_record(r, Y, s, digest) for r, s in zip(results, seeds)]}
+    if ck_dir is not None:
+        for i, (result, seed) in enumerate(zip(results, seeds), first):
+            write_json(checkpoint_dict(result, seed, digest), ck_dir / f"run_{i}.json")
+    return {"runs": [_run_record(r, Y, s) for r, s in zip(results, seeds)]}
 
 
-def _run_record(result, Y, seed: int, digest: str | None) -> dict:
-    """A run's report entry; given the graph's `digest`, also its checkpoint
-    file's text, encoded here so that each pool worker encodes its own runs."""
+def _run_record(result, Y, seed: int) -> dict:
+    """A run's report entry."""
     ev = evaluate_network(result.output, Y, result.split)
-    record = {
+    return {
         "seed": seed,
         "epochs": result.metrics.epochs,
         "best_epoch": result.metrics.best_epoch,
@@ -277,9 +248,6 @@ def _run_record(result, Y, seed: int, digest: str | None) -> dict:
         "sse_trace": {k: finite_or_null(getattr(result.metrics, f"sse_{k}")) for k in SPLITS},
         "lr_scale_trace": result.metrics.lr_scale,
     }
-    if digest is not None:
-        record["checkpoint"] = json_text(checkpoint_dict(result, seed, digest))
-    return record
 
 
 def graph_digest(R: AdjacencyMatrix) -> str:
@@ -374,18 +342,20 @@ def run_batch(
     count: int,
     workers: int,
     *,
-    checkpoints: bool,
+    checkpoints: Path | None,
 ):
     """Train `count` seeded runs on one graph, in lock-step groups of
-    `GROUP_SIZE` consecutive seeds.  The groups depend on the seeds alone, so
-    the results do not depend on `workers`.  Pool workers receive (R, Y)
-    once, through the pool initializer: inherited under `fork`, pickled once
-    per worker under `spawn`/`forkserver`.  With `checkpoints`, each run's
-    record carries its checkpoint file's text under "checkpoint", and the
-    graph is hashed once for all of them."""
+    `GROUP_SIZE` consecutive seeds, and return their report entries.  The
+    groups depend on the seeds alone, so the results do not depend on
+    `workers`.  Pool workers receive (R, Y) once, through the pool
+    initializer: inherited under `fork`, pickled once per worker under
+    `spawn`/`forkserver`.  Given a `checkpoints` directory, the process that
+    trains run i writes its checkpoint to `checkpoints/run_<i>.json`, and
+    the graph is hashed once for all of them."""
     seeds = [base_seed + i for i in range(count)]
-    payloads = [(cfg_dict, seeds[i : i + GROUP_SIZE]) for i in range(0, count, GROUP_SIZE)]
-    graph = (R, Y, graph_digest(R) if checkpoints else None)
+    payloads = [(cfg_dict, i, seeds[i : i + GROUP_SIZE]) for i in range(0, count, GROUP_SIZE)]
+    digest = graph_digest(R) if checkpoints is not None else None
+    graph = (R, Y, checkpoints, digest)
     _hold_graph(graph)
     try:
         if workers > 1:
@@ -409,8 +379,11 @@ def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
     R = apply_transform(data.R, config.transform)
     cfg_dict = dataclasses.asdict(config.train)
     seeds_and_workers = (config.train.seed, config.monte_carlo, config.workers)
-    runs = run_batch(R, data.Y, cfg_dict, *seeds_and_workers, checkpoints=out is not None)
-    checkpoints = [r.pop("checkpoint") for r in runs] if out is not None else []
+    ck_dir = None
+    if out is not None:
+        ck_dir = out / "checkpoints"
+        ck_dir.mkdir(parents=True, exist_ok=True)
+    runs = run_batch(R, data.Y, cfg_dict, *seeds_and_workers, checkpoints=ck_dir)
     report = {
         "config": dataclasses.asdict(config),
         "n": int(R.n),
@@ -428,7 +401,7 @@ def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
         other_cfg = {**cfg_dict, "prototype_mode": other_mode}
         other_runs = [
             {k: r[k] for k in ("seed", "accuracy", "confusion")}
-            for r in run_batch(R, data.Y, other_cfg, *seeds_and_workers, checkpoints=False)
+            for r in run_batch(R, data.Y, other_cfg, *seeds_and_workers, checkpoints=None)
         ]
         paired = {}
         for split_name in SPLITS:
@@ -467,12 +440,7 @@ def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
         + (f" ({non_finite} of {len(responses)} responses not finite)" if non_finite else "")
     )
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
         write_json(report, out / "report.json")
-        ck_dir = out / "checkpoints"
-        ck_dir.mkdir(exist_ok=True)
-        for i, text in enumerate(checkpoints):
-            (ck_dir / f"run_{i}.json").write_text(text)
         for split_name in SPLITS:
             write_csv(
                 out / f"confusion_{split_name}.csv",

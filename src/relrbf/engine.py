@@ -22,13 +22,15 @@ advances a group of runs in rounds, answering every waiting relational run on
 one graph with its rows of a single stacked ``prototype_distances`` call, one
 ``V @ R`` product (the Monte Carlo runs of ``relrbf train`` go through it in
 groups of consecutive seeds, and a process pool maps the groups);
-``run_training`` is that driver over one run.  Every entry point, and both trainer front ends, return the
-same ``TrainResult``.
+``run_training`` is that driver over one run.  Every entry point, and both
+trainer front ends, return the same ``TrainResult``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -46,32 +48,62 @@ from .initialization import (
     medoid_prototypes,
     split as make_split,
 )
-from .network import NetworkParams, gaussian_kernel
+from .network import NetworkParams, gaussian_kernel, response
 from .prototypes import FREE, MEDOID, prototype_distances
 
 
-# the integer fields of a TrainConfig, each with its least value
-INTEGER_FIELDS = (
-    ("c_init", 1),
-    ("c_max", 1),
-    ("seed", 0),
-    ("max_epochs", 0),
-    ("patience_stop", 1),
-    ("patience_grow", 1),
-    ("exit_window", 1),
-)
+def integer(value, name: str, least: int = 1):
+    """An integer >= `least` (a numpy integer too, but not a boolean)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
 
-# the number and number-pair fields of a TrainConfig
-FLOAT_FIELDS = (
-    "eta_range",
-    "weight_init_range",
-    "sigma_init_range",
-    "lr_decay",
-    "lr_growth",
-    "mse_reject_ratio",
-    "exit_tol",
-    "sigma_min",
-)
+
+def number(value, name: str, positive: bool = False):
+    """A finite number, > 0 if `positive`; a boolean is not a number."""
+    try:
+        ok = not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
+        ok = ok and (value > 0 or not positive)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        bound = " > 0" if positive else ""
+        raise ConfigError(f"{name} must be a finite number{bound}, got {value!r}")
+    return value
+
+
+def flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def one_of(choices: tuple, value, name: str):
+    if value not in choices:
+        raise ConfigError(f"{name} must be one of {choices}")
+    return value
+
+
+def increasing_pair(value, name: str) -> tuple:
+    """Two finite numbers lo < hi, as a tuple."""
+    pair = tuple(value) if isinstance(value, (list, tuple, np.ndarray)) else ()
+    if len(pair) != 2 or not number(pair[0], name) < number(pair[1], name):
+        raise ConfigError(f"{name} must be an increasing pair of numbers, got {value!r}")
+    return pair
+
+
+# The value rule of each TrainConfig field: it takes a value and its name,
+# returns the value (a pair as a tuple) and raises ConfigError naming the
+# field.  The CLI checks a config's `train` object with the same table.
+TRAIN_CHECKS = {
+    "c_init": integer, "c_max": lambda v, name: v if v is None else integer(v, name),
+    "seed": partial(integer, least=0), "eta_range": increasing_pair,
+    "weight_init_range": increasing_pair, "sigma_init_range": increasing_pair,
+    "lr_decay": number, "lr_growth": number, "mse_reject_ratio": number,
+    "patience_stop": integer, "patience_grow": integer, "max_epochs": partial(integer, least=0),
+    "exit_tol": number, "exit_window": integer, "sigma_min": number,
+    "prototype_mode": partial(one_of, (FREE, MEDOID)), "stratify_split": flag,
+}
 
 
 @dataclass(frozen=True)
@@ -97,32 +129,18 @@ class TrainConfig:
     stratify_split: bool = False
 
     def __post_init__(self):
+        # every number is finite: report.json echoes the config as strict
+        # JSON, and no draw takes an infinite range
+        for name, check in TRAIN_CHECKS.items():
+            object.__setattr__(self, name, check(getattr(self, name), name))
         if self.c_max is None:
             object.__setattr__(self, "c_max", self.c_init)
-        for name, least in INTEGER_FIELDS:
-            value = getattr(self, name)
-            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            if not integer or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.c_init > self.c_max:
             raise InvalidClusterCountError(
                 f"need c_init <= c_max, got {self.c_init}, {self.c_max}"
             )
         if not (0.0 < self.lr_decay < 1.0 < self.lr_growth):
             raise ValueError("need 0 < lr_decay < 1 < lr_growth")
-        if self.prototype_mode not in (FREE, MEDOID):
-            raise ValueError(f"unknown prototype_mode {self.prototype_mode!r}")
-        if not isinstance(self.stratify_split, bool):
-            raise ConfigError(f"stratify_split must be true or false, got {self.stratify_split!r}")
-        for name in ("eta_range", "weight_init_range", "sigma_init_range"):
-            lo, hi = getattr(self, name)
-            if not lo < hi:
-                raise ValueError(f"{name} must be an increasing pair")
-        # report.json echoes the config as strict JSON, and no draw takes an
-        # infinite range
-        for name in FLOAT_FIELDS:
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.eta_range[0] <= 0:
             raise NonpositiveEtaError(f"eta_range must be positive, got {self.eta_range}")
         if self.sigma_min <= 0:
@@ -169,7 +187,7 @@ def draw_rates(c: int, g: int, eta_range, rng) -> LearningRates:
 
 def output_errors(Y: np.ndarray, H: np.ndarray, W: np.ndarray, w0: np.ndarray) -> np.ndarray:
     """Residuals eps_o = Y - (H' W + w0): desired minus produced, (n, g)."""
-    return Y - (H.T @ W + w0)
+    return Y - response(H, W, w0)
 
 
 def output_step(w0, W, H, eps_o, eta_w0, eta_W, tr):
@@ -396,7 +414,7 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
         # is rejected by the acceptance rule rather than raising here.
         with np.errstate(over="ignore", invalid="ignore"):
             H = gaussian_kernel(D_, sigma_[:, None])
-            Yhat = H.T @ W_ + w0_
+            Yhat = response(H, W_, w0_)
             err = Y - Yhat
             sq = np.sum(err**2, axis=1)
         return {
@@ -404,8 +422,8 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
             "Yhat": Yhat,
             "err": err,
             "sse_train": float(sq[tr].sum()),
-            "sse_val": float(sq[va].sum()) if va.size else 0.0,
-            "sse_test": float(sq[te].sum()) if te.size else 0.0,
+            "sse_val": float(sq[va].sum()),
+            "sse_test": float(sq[te].sum()),
         }
 
     # ``last`` always evaluates the current state, and the initial network is

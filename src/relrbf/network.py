@@ -70,7 +70,13 @@ def forward(D: np.ndarray, params: NetworkParams) -> np.ndarray:
         raise DimensionMismatchError(
             f"distances have {D.shape[0]} prototype rows, params expect {params.c}"
         )
-    return gaussian_kernel(D, params.sigma[:, None]).T @ params.W + params.w0
+    return response(gaussian_kernel(D, params.sigma[:, None]), params.W, params.w0)
+
+
+def response(H: np.ndarray, W: np.ndarray, w0: np.ndarray) -> np.ndarray:
+    """The linear output layer: the (n, g) responses H' W + w0 to the (c, n)
+    hidden activations ``H``."""
+    return H.T @ W + w0
 
 
 def predict_labels(output: np.ndarray) -> np.ndarray:

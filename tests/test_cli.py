@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour on small synthetic configurations."""
 
+import dataclasses
 import functools
 import hashlib
 import inspect
@@ -125,6 +126,13 @@ class TestConfigValidation:
             {"train": {"exit_tol": float("inf")}},
             {"train": {"mse_reject_ratio": float("inf")}},
             {"train": {"weight_init_range": [float("-inf"), 1.0]}},
+            # a boolean is not a number at the train level either
+            {"train": {"sigma_min": True}},
+            {"train": {"exit_tol": True}},
+            {"train": {"mse_reject_ratio": True}},
+            {"train": {"eta_range": [True, 2.0]}},
+            {"train": {"sigma_init_range": [True, 2.0]}},
+            {"train": {"weight_init_range": [False, True]}},
             {"dataset": {"kind": "synthetic-blobs", "power": "high"}},
             {"dataset": {"kind": "synthetic-blobs", "power": 0}},
             {"dataset": {"kind": "synthetic-blobs", "power": -1.5}},
@@ -180,6 +188,17 @@ class TestConfigValidation:
         cfg = blob_config(tmp_path, **override)
         assert main(["ingest", "--config", str(cfg)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: unknown config key(s) [{key}]\n"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("sigma_min", True), ("lr_decay", False), ("eta_range", [True, 2.0]),
+         ("c_max", True), ("stratify_split", 0), ("prototype_mode", "fixed")],
+    )
+    def test_bad_train_value_is_named(self, tmp_path, capsys, key, value):
+        cfg = blob_config(tmp_path, train={key: value})
+        assert main(["ingest", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: train.{key} must be ") and err.count("\n") == 1
 
     def test_dataset_keys_are_ingest_parameters(self):
         # the config checks the keys; ingest and synthetic_blobs hold their defaults
@@ -391,6 +410,13 @@ class TestBlasThreads:
         assert "OpenBLAS" not in (out / "report.json").read_text()
 
 
+# the keys of a run's entry in report.json
+RUN_KEYS = (
+    "seed", "epochs", "best_epoch", "stop_reason", "n_prototypes", "negative_distance_events",
+    "accuracy", "confusion", "deviation", "sse_trace", "lr_scale_trace",
+)
+
+
 class TestTrainCommand:
     def test_report_and_checkpoints(self, tmp_path, capsys):
         cfg = blob_config(tmp_path)
@@ -425,7 +451,7 @@ class TestTrainCommand:
                 )
 
     def test_checkpoints_are_canonical_json(self, tmp_path):
-        # pool workers encode the checkpoints; each file is the text
+        # pool workers write the checkpoints; each file is the text
         # write_json gives its object
         cfg = blob_config(tmp_path, workers=2, monte_carlo=3)
         out = tmp_path / "out"
@@ -435,6 +461,22 @@ class TestTrainCommand:
         for path in paths:
             text = path.read_text()
             assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+    def test_pool_workers_write_the_checkpoints(self, tmp_path):
+        # seven runs form two groups, and each worker writes its group's
+        # files under the batch's run indices; the records that come back
+        # carry no checkpoint text
+        data = load_dataset(ExperimentConfig.from_file(blob_config(tmp_path)))
+        cfg = dataclasses.asdict(TrainConfig(c_init=2, c_max=3, max_epochs=10))
+        ck_dir = tmp_path / "checkpoints"
+        ck_dir.mkdir()
+        runs = relrbf.cli.run_batch(data.R, data.Y, cfg, 4, 7, 2, checkpoints=ck_dir)
+        assert [r["seed"] for r in runs] == list(range(4, 11))
+        assert all(set(r) == set(RUN_KEYS) for r in runs)
+        assert sorted(p.name for p in ck_dir.iterdir()) == [f"run_{i}.json" for i in range(7)]
+        for i, run in enumerate(runs):
+            ck = json.loads((ck_dir / f"run_{i}.json").read_text())
+            assert ck["seed"] == run["seed"] and ck["epoch"] == run["best_epoch"]
 
     def test_only_written_checkpoints_are_encoded(self, tmp_path, monkeypatch, capsys):
         encoded = []

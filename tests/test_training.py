@@ -2,6 +2,7 @@
 coordinate-space oracle), the guard that they are the rules training runs,
 and the full training loop."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from relrbf.engine import (
     output_step,
     shift_coefficients,
 )
-from relrbf.errors import NonpositiveEtaError, NonpositiveSigmaError
+from relrbf.errors import ConfigError, NonpositiveEtaError, NonpositiveSigmaError
 from relrbf.training import evaluate_network, train, train_group
 from relrbf.vector_oracle import vector_train
 
@@ -423,6 +424,25 @@ class TestTrainConfig:
         for sigma_min in (0.0, -1e-3):
             with pytest.raises(NonpositiveSigmaError):
                 TrainConfig(sigma_min=sigma_min)
+
+    def test_boolean_is_not_a_number(self):
+        for boolean in (True, np.True_):
+            with pytest.raises(ConfigError, match="sigma_min must be a finite number"):
+                TrainConfig(sigma_min=boolean)
+        with pytest.raises(ConfigError, match="eta_range"):
+            TrainConfig(eta_range=(True, 2.0))
+        with pytest.raises(ConfigError, match="c_init"):
+            TrainConfig(c_init=True)
+
+    def test_values_are_kept(self):
+        # numpy integers pass, and a pair becomes a tuple of its own values
+        config = TrainConfig(c_init=np.int64(2), seed=np.int64(3), eta_range=[0.1, 1])
+        assert type(config.seed) is np.int64 and config.c_max is config.c_init
+        assert config.eta_range == (0.1, 1) and type(config.eta_range[1]) is int
+
+    def test_every_field_has_a_check(self):
+        # the CLI's `train` level accepts exactly the keys of this table
+        assert list(engine.TRAIN_CHECKS) == [f.name for f in dataclasses.fields(TrainConfig)]
 
 
 class Sentinel(Exception):
