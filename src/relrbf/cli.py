@@ -23,7 +23,7 @@ import dataclasses
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from pathlib import Path
@@ -35,9 +35,8 @@ from .engine import TRAIN_CHECKS, TrainConfig, flag, integer, number, one_of
 from .errors import ConfigError, RelRbfError
 from .graph import AdjacencyMatrix, from_features, validate, write_adjacency
 from .initialization import SplitIndices
-from .network import NetworkParams, forward
+from .network import NetworkParams, finite_or_null, forward
 from .prototypes import prototype_distances
-from .textio import finite_or_null, write_csv
 # `train` is not called here, but perfbench/tracer.py wraps `cli.train`
 from .training import evaluate_network, train, train_group  # noqa: F401
 from .transforms import (
@@ -318,7 +317,7 @@ def cmd_ingest(config: ExperimentConfig, out: Path | None) -> int:
     report = validate(data.R, data.X)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        write_adjacency(data.R, out / "adjacency.csv")
+        write_adjacency(data.R, out / "adjacency.npy")
         if data.labels is not None:
             np.savetxt(out / "labels.csv", data.labels, fmt="%d")
     print(f"ingested kind={data.kind} n={data.R.n}", end="")
@@ -330,7 +329,7 @@ def cmd_ingest(config: ExperimentConfig, out: Path | None) -> int:
         f" min_eigenvalue={report.min_eigenvalue:.6e}"
     )
     if out is not None:
-        print(f"wrote {out}/adjacency.csv")
+        print(f"wrote {out}/adjacency.npy")
     return EXIT_OK
 
 
@@ -442,9 +441,11 @@ def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
     if out is not None:
         write_json(report, out / "report.json")
         for split_name in SPLITS:
-            write_csv(
+            np.savetxt(
                 out / f"confusion_{split_name}.csv",
                 report["aggregate"]["confusion_mean"][split_name],
+                delimiter=",",
+                fmt="%.17g",
             )
         print(f"wrote {out}/report.json")
     return EXIT_OK
@@ -556,34 +557,28 @@ def cmd_transform(config: ExperimentConfig, method: str, out: Path | None) -> in
     )
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        write_embedding_csv(embedding, out / f"{method}_embedding.csv")
+        write_embedding_csv(embedding, out / f"{method}_embedding.npy")
         write_eigenvalues_csv(embedding, out / f"{method}_eigenvalues.csv")
         if transformed is not None:
-            write_adjacency(transformed, out / f"{method}_adjacency.csv")
-        print(f"wrote {out}/{method}_embedding.csv")
+            write_adjacency(transformed, out / f"{method}_adjacency.npy")
+        print(f"wrote {out}/{method}_embedding.npy")
     return EXIT_OK
 
 
 def _write_order(order, out: Path, name: str) -> None:
-    write_vat_csv(order, out / f"{name}_perm.csv", out / f"{name}_matrix.csv")
+    write_vat_csv(order, out / f"{name}_perm.csv", out / f"{name}_matrix.npy")
     write_pgm(order.reordered, out / f"{name}.pgm")
 
 
 def cmd_diagnose(config: ExperimentConfig, out: Path | None) -> int:
     data = load_dataset(config)
-    # VAT's files are written on a helper thread while iVAT is built here.
-    # Every n x n array is made on this thread, so none stays resident in
-    # the helper's malloc arena.
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        order = vat(data.R)
-        written = None
-        if out is not None:
-            out.mkdir(parents=True, exist_ok=True)
-            written = helper.submit(_write_order, order, out, "vat")
-        iorder, _ = ivat(data.R)
-        if written is not None:
-            _write_order(iorder, out, "ivat")
-            written.result()
+    order = vat(data.R)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        _write_order(order, out, "vat")
+    iorder, _ = ivat(data.R)
+    if out is not None:
+        _write_order(iorder, out, "ivat")
     print(f"vat: reordered {data.R.n} objects; first index {order.perm[0]}")
     if out is not None:
         print(f"wrote {out}/vat.pgm and {out}/ivat.pgm")

@@ -24,7 +24,6 @@ from .errors import (
     RelRbfError,
     TooFewSamplesError,
 )
-from .textio import write_csv
 
 # Absolute asymmetry tolerated on input before raising (serialization slop).
 SYMMETRY_TOL = 1e-12
@@ -292,23 +291,38 @@ def _sqeuclidean(x: np.ndarray) -> np.ndarray:
     return r
 
 
+def save_npy(a: np.ndarray, path) -> None:
+    """Write `a` as a ``.npy`` file, bit-exact, at `path` itself (given a
+    name, ``np.save`` would append ``.npy`` to one without that suffix)."""
+    with open(path, "wb") as fh:
+        np.save(fh, a)
+
+
 def write_adjacency(R: AdjacencyMatrix, path) -> None:
-    """Write an adjacency matrix as headerless CSV at full float precision."""
-    write_csv(path, R.values)
+    """Write an adjacency matrix as a ``.npy`` file."""
+    save_npy(R.values, path)
 
 
 def read_adjacency(path) -> AdjacencyMatrix:
-    """Read a headerless CSV adjacency matrix.
+    """Read an adjacency matrix: a ``.npy`` file when `path` ends in
+    ``.npy`` (no pickled objects), else a headerless CSV.
 
-    Asymmetry up to 1e-12 is silently averaged away; anything larger is an
-    error.  Negative entries and nonzero diagonals are rejected, by the
+    The file must hold a square table of real numbers.  Asymmetry up to
+    1e-12 is silently averaged away; anything larger is an error.  Negative
+    entries and nonzero diagonals are rejected, by the
     :class:`AdjacencyMatrix` constructor's checks, with the path in the
     message.
     """
     try:
-        a = np.loadtxt(path, delimiter=",", ndmin=2)
-    except (ValueError, OSError) as exc:
-        raise ParseError(f"cannot parse adjacency CSV {path}: {exc}") from exc
+        if str(path).endswith(".npy"):
+            with open(path, "rb") as fh:
+                a = np.load(fh, allow_pickle=False)
+        else:
+            a = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (ValueError, OSError, EOFError) as exc:
+        raise ParseError(f"cannot parse adjacency file {path}: {exc}") from exc
+    if not isinstance(a, np.ndarray) or a.dtype.kind not in "iuf":
+        raise ParseError(f"{path}: expected an array of real numbers")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParseError(f"{path}: expected square table, got shape {a.shape}")
     if not np.all(np.isfinite(a)):

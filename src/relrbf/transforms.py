@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import AdjacencyMatrix, double_centered
-from .textio import write_csv
+from .graph import AdjacencyMatrix, double_centered, save_npy
 
 EIGENVALUE_FLOOR = 1e-12
 
@@ -198,48 +197,32 @@ def ivat(R: AdjacencyMatrix) -> tuple[VatOrder, AdjacencyMatrix]:
 
 
 def write_embedding_csv(embedding: Embedding, path) -> None:
-    write_csv(path, embedding.X)
+    """The embedding's coordinates, as ``.npy``."""
+    save_npy(embedding.X, path)
 
 
 def write_eigenvalues_csv(embedding: Embedding, path) -> None:
-    write_csv(path, embedding.eigenvalues)
+    np.savetxt(path, embedding.eigenvalues, delimiter=",", fmt="%.17g")
 
 
 def write_vat_csv(order: VatOrder, perm_path, matrix_path) -> None:
+    """The permutation as one CSV row, the reordered matrix as ``.npy``."""
     np.savetxt(perm_path, order.perm[None, :], delimiter=",", fmt="%d")
-    write_csv(matrix_path, order.reordered)
-
-
-_PGM_BLOCK = 1 << 14  # pixels formatted per block
-# each gray level's text and a space, padded to one 32-bit word
-_PIXEL_TEXT = [f"{i} ".encode() for i in range(256)]
-_PIXEL_WORDS = np.frombuffer(b"".join(t.ljust(4, b"\0") for t in _PIXEL_TEXT), dtype=np.uint32)
-_PIXEL_LENGTHS = np.array([len(t) for t in _PIXEL_TEXT])
-_PIXEL_KEEP = np.arange(4) < _PIXEL_LENGTHS[:, None]
+    save_npy(order.reordered, matrix_path)
 
 
 def write_pgm(matrix: np.ndarray, path) -> None:
-    """Grayscale PGM of a non-negative dissimilarity matrix (dark = similar).
-
-    Pixels are ``rint(255 * m / max(m))`` (all 0 when the maximum is 0),
-    separated by one space, one row per line.  The text is built in numpy,
-    whole rows of about 16k pixels at a time, from a table of the 256
-    levels' texts."""
+    """Binary (P5) grayscale PGM of a non-negative dissimilarity matrix
+    (dark = similar): one byte per pixel, ``rint(255 * m / max(m))``, all 0
+    when the maximum is 0."""
     m = np.asarray(matrix, dtype=float)
     if m.size and m.min() < 0:
         raise ValueError("write_pgm needs a non-negative matrix")
     top = m.max()
-    rows = max(1, _PGM_BLOCK // m.shape[1])
+    levels = np.multiply(m, 255.0)  # all zeros when top is 0
+    if top > 0:
+        levels /= top
+        np.rint(levels, out=levels)
     with open(path, "wb") as fh:
-        fh.write(f"P2\n{m.shape[1]} {m.shape[0]}\n255\n".encode())
-        for i in range(0, m.shape[0], rows):
-            block = m[i:i + rows]
-            if top > 0:
-                levels = np.rint(255 * block / top).astype(int)
-            else:
-                levels = np.zeros(block.shape, dtype=int)
-            chars = np.take(_PIXEL_WORDS, levels).view(np.uint8).reshape(*levels.shape, 4)
-            # the space after each row's last pixel becomes the newline
-            last = levels[:, -1]
-            chars[np.arange(len(last)), -1, _PIXEL_LENGTHS[last] - 1] = ord("\n")
-            fh.write(chars[np.take(_PIXEL_KEEP, levels, axis=0)].tobytes())
+        fh.write(f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode())
+        fh.write(levels.astype(np.uint8).tobytes())

@@ -20,7 +20,7 @@ from .engine import TrainConfig, TrainResult, VectorModel, run_training
 from .errors import ConfigError, InvalidClusterCountError
 from .graph import AdjacencyMatrix, from_features
 from .initialization import SplitIndices, indicator_weights, kmeans_partition_sequence
-from .textio import finite_or_null
+from .network import finite_or_null
 from .transforms import pseudo_euclidean
 
 DUALITY_TOL = 1e-8

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from relrbf import AdjacencyMatrix, from_features
+from relrbf.errors import AsymmetryError, NegativeEntryError, ParseError
 
 
 @pytest.fixture
@@ -45,6 +46,26 @@ def graph_negatives(monkeypatch):
 
     monkeypatch.setattr(relrbf.training, "train", counting)
     return counts
+
+
+# arrays that `read_adjacency` must reject as .npy graphs, each with the
+# error it raises
+BAD_NPY = {
+    "object": (np.array([[0.0, 1.0], [1.0, "x"]], dtype=object), ParseError),
+    "1-d": (np.zeros(3), ParseError),
+    "non-square": (np.zeros((2, 3)), ParseError),
+    "complex": (np.zeros((2, 2), dtype=complex), ParseError),
+    "nan": (np.array([[0.0, np.nan], [np.nan, 0.0]]), ParseError),
+    "negative": (np.array([[0.0, -1.0], [-1.0, 0.0]]), NegativeEntryError),
+    "asymmetric": (np.array([[0.0, 1.0], [1.0 + 1e-11, 0.0]]), AsymmetryError),
+}
+
+
+def save_bad_npy(name, path):
+    """Write the array `BAD_NPY[name]` to `path` (pickled if it is an
+    object array)."""
+    with open(path, "wb") as fh:
+        np.save(fh, BAD_NPY[name][0], allow_pickle=True)
 
 
 def traced_peak(fn):

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import hashlib
 import inspect
+import io
 import json
 import multiprocessing
 import os
@@ -38,6 +39,8 @@ from relrbf.engine import TrainConfig
 from relrbf.errors import ConfigError
 from relrbf.transforms import ivat, vat, write_pgm, write_vat_csv
 from relrbf.vector_oracle import duality_check
+
+from conftest import BAD_NPY, save_bad_npy
 
 
 def blob_config(tmp_path, **overrides):
@@ -262,8 +265,7 @@ class TestIngestCommand:
         cfg = blob_config(tmp_path)
         out = tmp_path / "out"
         assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        assert (out / "adjacency.csv").exists()
-        assert (out / "labels.csv").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["adjacency.npy", "labels.csv"]
         stdout = capsys.readouterr().out
         assert "n=40" in stdout and "embeddable=True" in stdout
 
@@ -306,15 +308,15 @@ class TestIngestCommand:
         assert report == relrbf.graph.RealizabilityReport(True, 0.0)
         ref = tmp_path / "ref"
         ref.mkdir()
-        write_adjacency(data.R, ref / "adjacency.csv")
+        write_adjacency(data.R, ref / "adjacency.npy")
         np.savetxt(ref / "labels.csv", data.labels, fmt="%d")
         assert stdout == (
             f"ingested kind=synthetic-blobs n=40 classes={data.class_names}"
             f" counts={np.bincount(data.labels).tolist()}"
             " embeddable=True min_eigenvalue=0.000000e+00\n"
-            f"wrote {out}/adjacency.csv\n"
+            f"wrote {out}/adjacency.npy\n"
         )
-        for name in ("adjacency.csv", "labels.csv"):
+        for name in ("adjacency.npy", "labels.csv"):
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
     def test_failed_write_raises_and_leaves_no_thread(self, tmp_path, monkeypatch, capsys):
@@ -329,16 +331,48 @@ class TestIngestCommand:
         assert "wrote" not in capsys.readouterr().out
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("name", BAD_NPY)
+    def test_bad_npy_graph_exits_2_naming_the_path(self, tmp_path, capsys, name):
+        path = tmp_path / f"{name}.npy"
+        save_bad_npy(name, path)
+        cfg = blob_config(tmp_path, dataset={"kind": "adjacency-csv", "path": str(path)})
+        assert main(["ingest", "--config", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error:") and str(path) in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_npy_graph_with_labels_trains_and_evaluates(self, tmp_path, capsys):
+        # the graph and labels ingest writes train the runs the blob config
+        # trains, and its checkpoints evaluate on the read-back graph
+        cfg = blob_config(tmp_path)
+        assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "ingest")]) == EXIT_OK
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "blobs")]) == EXIT_OK
+        dataset = {
+            "kind": "adjacency-csv",
+            "path": str(tmp_path / "ingest" / "adjacency.npy"),
+            "labels_path": str(tmp_path / "ingest" / "labels.csv"),
+        }
+        read = blob_config(tmp_path, dataset=dataset)
+        assert main(["train", "--config", str(read), "--out", str(tmp_path / "read")]) == EXIT_OK
+        blobs, back = (json.loads((tmp_path / d / "report.json").read_text()) for d in ("blobs", "read"))
+        assert back["runs"] == blobs["runs"]
+        checkpoint = tmp_path / "blobs" / "checkpoints" / "run_1.json"
+        eval_out = tmp_path / "eval"
+        argv = ["eval", "--config", str(read), "--checkpoint", str(checkpoint), "--out", str(eval_out)]
+        assert main(argv) == EXIT_OK
+        assert json.loads((eval_out / "eval.json").read_text())["accuracy"] == blobs["runs"][1]["accuracy"]
+
     @pytest.mark.parametrize("last", ["-1", "0 1", None], ids=["negative", "two-columns", "empty"])
     @pytest.mark.parametrize("command", ["ingest", "train"])
     def test_labels_file_needs_one_column_of_classes(self, tmp_path, capsys, command, last):
         X, y = synthetic_blobs(12, seed=0)
-        write_adjacency(from_features(X), tmp_path / "graph.csv")
+        write_adjacency(from_features(X), tmp_path / "graph.npy")
         text = "" if last is None else "\n".join(map(str, y[:-1])) + f"\n{last}\n"
         (tmp_path / "labels.csv").write_text(text)
         dataset = {
             "kind": "adjacency-csv",
-            "path": str(tmp_path / "graph.csv"),
+            "path": str(tmp_path / "graph.npy"),
             "labels_path": str(tmp_path / "labels.csv"),
         }
         cfg = blob_config(tmp_path, dataset=dataset)
@@ -804,12 +838,12 @@ class TestDualityCommand:
         cfg = blob_config(tmp_path)
         raw = json.loads(cfg.read_text())
         raw["dataset"]["power"] = 1.5
-        # adjacency-only ingestion path: write the powered graph to CSV first
+        # adjacency-only ingestion path: write the powered graph to a file first
         from relrbf.cli import load_dataset, ExperimentConfig as EC
         from relrbf import write_adjacency
 
         data = load_dataset(EC.from_dict(raw))
-        apath = tmp_path / "nonmetric.csv"
+        apath = tmp_path / "nonmetric.npy"
         write_adjacency(data.R, apath)
         raw["dataset"] = {"kind": "adjacency-csv", "path": str(apath)}
         cfg.write_text(json.dumps(raw))
@@ -839,9 +873,10 @@ class TestTransformDiagnoseCommands:
         assert main(
             ["transform", "--config", str(cfg), "--method", "cmds", "--out", str(out)]
         ) == EXIT_OK
-        assert (out / "cmds_embedding.csv").exists()
-        assert (out / "cmds_adjacency.csv").exists()
-        assert (out / "cmds_eigenvalues.csv").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "cmds_adjacency.npy", "cmds_eigenvalues.csv", "cmds_embedding.npy",
+        ]
+        assert capsys.readouterr().out.endswith(f"wrote {out}/cmds_embedding.npy\n")
 
     def test_pmds_label(self, tmp_path, capsys):
         cfg = blob_config(tmp_path)
@@ -852,68 +887,70 @@ class TestTransformDiagnoseCommands:
         cfg = blob_config(tmp_path)
         out = tmp_path / "d"
         assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        for name in ("vat_perm.csv", "vat_matrix.csv", "vat.pgm", "ivat.pgm", "ivat_matrix.csv"):
-            assert (out / name).exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "ivat.pgm", "ivat_matrix.npy", "ivat_perm.csv", "vat.pgm", "vat_matrix.npy", "vat_perm.csv",
+        ]
         perm = np.loadtxt(out / "vat_perm.csv", delimiter=",", dtype=int)
         assert sorted(perm.tolist()) == list(range(40))
 
     def test_files_and_stdout_match_sequential_writes(self, tmp_path, monkeypatch, capsys):
-        # VAT's files are written on a helper thread while iVAT is built and
-        # written on the main thread; the bytes are those of the calls in turn
-        on_main = []
+        # diagnose starts no thread: VAT is built and written, then iVAT, and
+        # the bytes are those of the calls made in turn
+        calls = []
 
         def recording(fn):
             def wrapper(*args):
                 name = fn.__name__ if fn in (vat, ivat) else Path(args[-1]).name
-                on_main.append((name, threading.current_thread() is threading.main_thread()))
+                calls.append((name, threading.active_count()))
                 return fn(*args)
 
             return wrapper
 
         for fn in (vat, ivat, write_vat_csv, write_pgm):
             monkeypatch.setattr(relrbf.cli, fn.__name__, recording(fn))
+        threads = threading.active_count()
         cfg = blob_config(tmp_path)
         out = tmp_path / "out"
         assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        assert sorted(on_main) == [
-            ("ivat", True),
-            ("ivat.pgm", True),
-            ("ivat_matrix.csv", True),
-            ("vat", True),
-            ("vat.pgm", False),
-            ("vat_matrix.csv", False),
-        ]
+        order = ["vat", "vat_matrix.npy", "vat.pgm", "ivat", "ivat_matrix.npy", "ivat.pgm"]
+        assert calls == [(name, threads) for name in order]
         stdout = capsys.readouterr().out
 
         R = load_dataset(ExperimentConfig.from_file(cfg)).R
         ref = tmp_path / "ref"
         ref.mkdir()
-        order = vat(R)
-        write_vat_csv(order, ref / "vat_perm.csv", ref / "vat_matrix.csv")
-        write_pgm(order.reordered, ref / "vat.pgm")
+        vorder = vat(R)
+        write_vat_csv(vorder, ref / "vat_perm.csv", ref / "vat_matrix.npy")
+        write_pgm(vorder.reordered, ref / "vat.pgm")
         iorder, _ = ivat(R)
-        write_vat_csv(iorder, ref / "ivat_perm.csv", ref / "ivat_matrix.csv")
+        write_vat_csv(iorder, ref / "ivat_perm.csv", ref / "ivat_matrix.npy")
         write_pgm(iorder.reordered, ref / "ivat.pgm")
         assert stdout == (
-            f"vat: reordered 40 objects; first index {order.perm[0]}\n"
+            f"vat: reordered 40 objects; first index {vorder.perm[0]}\n"
             f"wrote {out}/vat.pgm and {out}/ivat.pgm\n"
         )
         assert out_files(out) == out_files(ref)
         assert len(out_files(out)) == 6
 
     def test_failed_write_raises_and_leaves_no_thread(self, tmp_path, monkeypatch, capsys):
+        threads = threading.active_count()
+        seen = []
+
         def full_disk(matrix, path):
+            seen.append(threading.active_count())
             if Path(path).name == "vat.pgm":
                 raise OSError("no space left on device")
             write_pgm(matrix, path)
 
         monkeypatch.setattr(relrbf.cli, "write_pgm", full_disk)
-        threads = threading.active_count()
         cfg = blob_config(tmp_path)
         with pytest.raises(OSError, match="no space left"):
             main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "out")])
         stdout = capsys.readouterr().out
         assert "vat:" not in stdout and "wrote" not in stdout
+        # the failed write was VAT's, so iVAT was never built or written
+        assert seen == [threads]
+        assert not (tmp_path / "out" / "ivat_matrix.npy").exists()
         assert threading.active_count() == threads
 
 
@@ -938,18 +975,41 @@ class TestOutputBytes:
             assert main(argv) == EXIT_OK
         return out_files(root)
 
-    def test_csv_writers_match_savetxt(self, tmp_path, monkeypatch, capsys):
-        # every n x n CSV the commands write is np.savetxt's "%.17g" text
+    def test_npy_hold_computed_arrays_and_csv_is_savetxt_text(self, tmp_path, monkeypatch, capsys):
+        # each .npy a command writes loads to the bits of the array it
+        # computed; each .csv is np.savetxt's "%.17g" text of its values
+        computed = {}
+
+        def recording(fn, array):
+            def wrapper(obj, *paths):
+                computed[Path(paths[-1])] = np.array(array(obj))
+                return fn(obj, *paths)
+
+            return wrapper
+
+        for name, array in (
+            ("write_adjacency", lambda R: R.values),
+            ("write_embedding_csv", lambda e: e.X),
+            ("write_vat_csv", lambda order: order.reordered),
+        ):
+            monkeypatch.setattr(relrbf.cli, name, recording(getattr(relrbf.cli, name), array))
         cfg = blob_config(tmp_path, compare_prototype_modes=True)
-        fast = self.run_all(cfg, tmp_path / "fast")
-
-        def savetxt(path, a):
-            np.savetxt(path, a, delimiter=",", fmt="%.17g")
-
-        for module in (relrbf.cli, relrbf.graph, relrbf.transforms):
-            monkeypatch.setattr(module, "write_csv", savetxt)
-        assert self.run_all(cfg, tmp_path / "savetxt") == fast
-        assert sum(name.suffix == ".csv" for name in fast) >= 14
+        root = tmp_path / "out"
+        files = self.run_all(cfg, root)
+        npy = {name for name in files if name.suffix == ".npy"}
+        assert {root / name for name in npy} == set(computed) and len(npy) == 7
+        for name in npy:
+            back = np.load(root / name, allow_pickle=False)
+            want = computed[root / name]
+            assert back.dtype == want.dtype and back.shape == want.shape, name
+            assert back.tobytes() == want.tobytes(), name
+        csv = [name for name in files if name.suffix == ".csv"]
+        assert len(csv) == 8
+        for name in csv:
+            text = io.BytesIO()
+            values = np.loadtxt(root / name, delimiter=",", ndmin=2)
+            np.savetxt(text, values, delimiter=",", fmt="%.17g")
+            assert files[name] == text.getvalue(), name
 
     def test_commands_run_without_scipy(self, tmp_path):
         # numpy is the only runtime dependency: with every scipy import made

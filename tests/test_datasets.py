@@ -205,7 +205,7 @@ class TestIngest:
     def test_adjacency_csv_with_labels(self, tmp_path, three_point_R):
         from relrbf import write_adjacency
 
-        apath = tmp_path / "adj.csv"
+        apath = tmp_path / "adj.npy"
         lpath = tmp_path / "labels.csv"
         write_adjacency(three_point_R, apath)
         lpath.write_text("0\n1\n0\n")
@@ -217,7 +217,7 @@ class TestIngest:
     def test_adjacency_csv_label_count_mismatch(self, tmp_path, three_point_R):
         from relrbf import write_adjacency
 
-        apath = tmp_path / "adj.csv"
+        apath = tmp_path / "adj.npy"
         lpath = tmp_path / "labels.csv"
         write_adjacency(three_point_R, apath)
         lpath.write_text("0\n1\n")

@@ -29,7 +29,7 @@ from relrbf.errors import (
 import relrbf.graph
 from relrbf.graph import _BLOCK, _LANCZOS_STEPS, PSD_TOL, RealizabilityReport, double_centered
 
-from conftest import traced_peak
+from conftest import BAD_NPY, save_bad_npy, traced_peak
 
 
 def double_centered_old(a):
@@ -492,19 +492,34 @@ class TestFromFeatures:
         np.testing.assert_allclose(R_perm, R[np.ix_(perm, perm)], atol=1e-12)
 
 
+def savetxt(R, path):
+    np.savetxt(path, R.values, delimiter=",", fmt="%.17g")
+
+
 class TestFileRoundTrip:
     def test_write_read_exact(self, tmp_path):
+        # .npy holds the graph's bits; reading it back rebuilds the graph
+        # the checkpoints' graph_sha256 was taken of
+        from relrbf.cli import graph_digest
+
         rng = np.random.default_rng(3)
-        X = rng.standard_normal((7, 4))
-        R = from_features(X)
-        path = tmp_path / "adj.csv"
+        R = from_features(rng.standard_normal((7, 4)) * 10.0 ** rng.integers(-5, 5, 4))
+        path = tmp_path / "adj.npy"
         write_adjacency(R, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["adj.npy"]
         back = read_adjacency(path)
-        assert np.array_equal(back.values, R.values)
+        assert bits(back.values) == bits(R.values)
+        assert graph_digest(back) == graph_digest(R)
+
+    def test_csv_read_exact(self, tmp_path):
+        R = from_features(np.random.default_rng(3).standard_normal((7, 4)))
+        path = tmp_path / "adj.csv"
+        savetxt(R, path)
+        assert bits(read_adjacency(path).values) == bits(R.values)
 
     def test_three_point_csv(self, tmp_path, three_point_R):
         path = tmp_path / "r3.csv"
-        write_adjacency(three_point_R, path)
+        savetxt(three_point_R, path)
         assert read_adjacency(path).n == 3
 
     def test_asymmetric_csv_rejected(self, tmp_path):
@@ -534,12 +549,27 @@ class TestFileRoundTrip:
             read_adjacency(path)
         assert str(excinfo.value).startswith(f"{path}: ")
 
-    def test_checks_without_extra_copies(self, tmp_path):
-        # the parsed table and the constructor's symmetrizing buffer: the
+    @pytest.mark.parametrize("name", BAD_NPY)
+    def test_bad_npy_errors_name_the_path(self, tmp_path, name):
+        path = tmp_path / f"{name}.npy"
+        save_bad_npy(name, path)
+        with pytest.raises(BAD_NPY[name][1]) as excinfo:
+            read_adjacency(path)
+        assert str(path) in str(excinfo.value)
+
+    def test_integer_npy_reads_as_float(self, tmp_path):
+        path = tmp_path / "int.npy"
+        np.save(path, np.array([[0, 2], [2, 0]]))
+        assert read_adjacency(path).values.tolist() == [[0.0, 2.0], [2.0, 0.0]]
+
+    @pytest.mark.parametrize("suffix", [".csv", ".npy"])
+    def test_checks_without_extra_copies(self, tmp_path, suffix):
+        # the read table and the constructor's symmetrizing buffer: the
         # structural checks run once, in the constructor
         n = 400
-        path = tmp_path / "adj.csv"
-        write_adjacency(from_features(np.random.default_rng(0).standard_normal((n, 5))), path)
+        path = tmp_path / f"adj{suffix}"
+        R = from_features(np.random.default_rng(0).standard_normal((n, 5)))
+        (savetxt if suffix == ".csv" else write_adjacency)(R, path)
         assert traced_peak(lambda: read_adjacency(path)) <= 2.2 * n * n * 8
 
     def test_malformed_csv(self, tmp_path):
