@@ -58,6 +58,9 @@ BAD_NPY = {
     "nan": (np.array([[0.0, np.nan], [np.nan, 0.0]]), ParseError),
     "negative": (np.array([[0.0, -1.0], [-1.0, 0.0]]), NegativeEntryError),
     "asymmetric": (np.array([[0.0, 1.0], [1.0 + 1e-11, 0.0]]), AsymmetryError),
+    "boolean": (np.array([[False, True], [True, False]]), ParseError),
+    "inf": (np.array([[0.0, np.inf], [np.inf, 0.0]]), ParseError),
+    "0-d": (np.array(0.0), ParseError),
 }
 
 

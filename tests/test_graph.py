@@ -1,5 +1,6 @@
 """Adjacency-matrix construction, validation, and file round trips."""
 
+import io
 import pickle
 import warnings
 
@@ -27,7 +28,14 @@ from relrbf.errors import (
     TooFewSamplesError,
 )
 import relrbf.graph
-from relrbf.graph import _BLOCK, _LANCZOS_STEPS, PSD_TOL, RealizabilityReport, double_centered
+from relrbf.graph import (
+    _BLOCK,
+    _LANCZOS_STEPS,
+    PSD_TOL,
+    RealizabilityReport,
+    double_centered,
+    save_npy,
+)
 
 from conftest import BAD_NPY, save_bad_npy, traced_peak
 
@@ -496,6 +504,18 @@ def savetxt(R, path):
     np.savetxt(path, R.values, delimiter=",", fmt="%.17g")
 
 
+def npy_bytes(a):
+    buf = io.BytesIO()
+    np.save(buf, a)
+    return buf.getvalue()
+
+
+def npz_bytes(a):
+    buf = io.BytesIO()
+    np.savez(buf, a=a)
+    return buf.getvalue()
+
+
 class TestFileRoundTrip:
     def test_write_read_exact(self, tmp_path):
         # .npy holds the graph's bits; reading it back rebuilds the graph
@@ -556,6 +576,43 @@ class TestFileRoundTrip:
         with pytest.raises(BAD_NPY[name][1]) as excinfo:
             read_adjacency(path)
         assert str(path) in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "contents",
+        [
+            lambda a: b"",
+            lambda a: npy_bytes(a)[:200],
+            lambda a: npz_bytes(a),
+        ],
+        ids=["empty", "truncated", "npz"],
+    )
+    def test_unreadable_npy_is_parse_error_naming_the_path(self, tmp_path, contents):
+        path = tmp_path / "adj.npy"
+        path.write_bytes(contents(from_features(np.eye(6)).values))
+        with pytest.raises(ParseError) as excinfo:
+            read_adjacency(path)
+        assert str(path) in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "layout", [lambda a: a.astype(">f8"), np.asfortranarray], ids=["big-endian", "fortran"]
+    )
+    def test_npy_byte_order_and_layout_read_to_the_same_graph(self, tmp_path, layout):
+        from relrbf.cli import graph_digest
+
+        R = from_features(np.random.default_rng(5).standard_normal((6, 3)))
+        path = tmp_path / "adj.npy"
+        path.write_bytes(npy_bytes(layout(R.values)))
+        back = read_adjacency(path)
+        assert bits(back.values) == bits(R.values)
+        assert graph_digest(back) == graph_digest(R)
+
+    @pytest.mark.parametrize("name", ["adj", "adj.csv", "adj.npy"])
+    def test_save_npy_writes_at_the_given_path(self, tmp_path, name):
+        # np.save given a name appends .npy to one without that suffix
+        a = np.random.default_rng(2).standard_normal((3, 4))
+        save_npy(a, tmp_path / name)
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert bits(np.load(tmp_path / name, allow_pickle=False)) == bits(a)
 
     def test_integer_npy_reads_as_float(self, tmp_path):
         path = tmp_path / "int.npy"

@@ -1,9 +1,12 @@
 """Forward pass: Gaussian hidden layer, linear output, squared-error score."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relrbf import (
     NetworkParams,
@@ -14,6 +17,7 @@ from relrbf import (
     prototype_distances,
 )
 from relrbf.errors import DimensionMismatchError, NonpositiveSigmaError
+from relrbf.network import finite_or_null
 
 
 class TestGaussianKernel:
@@ -97,3 +101,18 @@ class TestForward:
 def test_predict_labels_tie_breaks_to_smallest():
     out = np.array([[0.5, 0.5, 0.1], [0.1, 0.9, 0.9]])
     np.testing.assert_array_equal(predict_labels(out), [0, 1])
+
+
+class TestFiniteOrNull:
+    def test_non_finite_values_become_null(self):
+        out = finite_or_null(np.array([1.5, np.nan, -np.inf, np.inf, -0.0, 5e-324]))
+        assert out[:2] == [1.5, None] and out[2:4] == [None, None]
+        assert math.copysign(1.0, out[4]) == -1.0 and out[5] == 5e-324
+        assert all(type(v) is float for v in out if v is not None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+    def test_finite_values_survive_json_bitwise(self, values):
+        # report.json and duality.json hold these lists as written
+        back = json.loads(json.dumps(finite_or_null(np.array(values, dtype=float))))
+        assert np.array(back, dtype=float).tobytes() == np.array(values, dtype=float).tobytes()

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from relrbf import AdjacencyMatrix, cmds, from_features, ivat, minimax_distances, pmds, vat
 from relrbf.datasets import synthetic_blobs
 from relrbf.graph import double_centered
-from relrbf.transforms import pseudo_euclidean, write_embedding_csv, write_pgm, write_vat_csv
+from relrbf.transforms import (
+    Embedding,
+    pseudo_euclidean,
+    write_eigenvalues_csv,
+    write_embedding_csv,
+    write_pgm,
+    write_vat_csv,
+)
 
 from conftest import traced_peak
 
@@ -240,6 +247,17 @@ class TestWriters:
         write_embedding_csv(emb, path)
         back = np.load(path, allow_pickle=False)
         assert back.dtype == emb.X.dtype and back.tobytes() == emb.X.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+    def test_eigenvalues_csv_reads_back_exactly(self, tmp_path_factory, values):
+        # %.17g text: one value per line, parsed back to the same bits
+        ev = np.array(values, dtype=float)
+        path = tmp_path_factory.mktemp("ev") / "eigenvalues.csv"
+        write_eigenvalues_csv(Embedding(X=np.zeros((len(ev), 1)), eigenvalues=ev, d_prime=1), path)
+        text = path.read_text()
+        assert text.count("\n") == len(ev)
+        assert np.loadtxt(path, ndmin=1).tobytes() == ev.tobytes()
 
     def test_vat_files(self, tmp_path):
         order = vat(block_matrix())
