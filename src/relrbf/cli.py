@@ -222,9 +222,9 @@ def _single_run(payload):
     batch's runs `first`, `first` + 1, ...; module-level so worker pools can
     pickle it.  Writes each run's checkpoint file `run_<index>.json` when the
     batch has a checkpoint directory.  Returns {"runs": [...]}."""
-    cfg_dict, first, seeds = payload
+    config, first, seeds = payload
     R, Y, ck_dir, digest = _batch_graph
-    results = train_group(R, Y, [TrainConfig(**{**cfg_dict, "seed": s}) for s in seeds])
+    results = train_group(R, Y, [replace(config, seed=s) for s in seeds])
     if ck_dir is not None:
         for i, (result, seed) in enumerate(zip(results, seeds), first):
             write_json(checkpoint_dict(result, seed, digest), ck_dir / f"run_{i}.json")
@@ -261,9 +261,6 @@ def checkpoint_dict(result, seed: int, digest: str) -> dict:
     `graph_digest` of its graph."""
     si = result.split
     return {
-        "n": si.n,
-        "c": int(result.params.c),
-        "g": int(result.params.g),
         "w0": result.params.w0.tolist(),
         "W": result.params.W.tolist(),
         "sigma": result.params.sigma.tolist(),
@@ -336,7 +333,7 @@ def cmd_ingest(config: ExperimentConfig, out: Path | None) -> int:
 def run_batch(
     R: AdjacencyMatrix,
     Y,
-    cfg_dict: dict,
+    config: TrainConfig,
     base_seed: int,
     count: int,
     workers: int,
@@ -352,7 +349,7 @@ def run_batch(
     trains run i writes its checkpoint to `checkpoints/run_<i>.json`, and
     the graph is hashed once for all of them."""
     seeds = [base_seed + i for i in range(count)]
-    payloads = [(cfg_dict, i, seeds[i : i + GROUP_SIZE]) for i in range(0, count, GROUP_SIZE)]
+    payloads = [(config, i, seeds[i : i + GROUP_SIZE]) for i in range(0, count, GROUP_SIZE)]
     digest = graph_digest(R) if checkpoints is not None else None
     graph = (R, Y, checkpoints, digest)
     _hold_graph(graph)
@@ -376,13 +373,12 @@ def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
     if data.Y is None:
         raise ConfigError("training requires labels (dataset provides none)")
     R = apply_transform(data.R, config.transform)
-    cfg_dict = dataclasses.asdict(config.train)
     seeds_and_workers = (config.train.seed, config.monte_carlo, config.workers)
     ck_dir = None
     if out is not None:
         ck_dir = out / "checkpoints"
         ck_dir.mkdir(parents=True, exist_ok=True)
-    runs = run_batch(R, data.Y, cfg_dict, *seeds_and_workers, checkpoints=ck_dir)
+    runs = run_batch(R, data.Y, config.train, *seeds_and_workers, checkpoints=ck_dir)
     report = {
         "config": dataclasses.asdict(config),
         "n": int(R.n),
@@ -397,7 +393,7 @@ def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
         # rerun the same seeds with the other prototype constraint and report
         # the per-seed paired accuracy differences (this mode minus other)
         other_mode = "medoid" if config.train.prototype_mode == "free" else "free"
-        other_cfg = {**cfg_dict, "prototype_mode": other_mode}
+        other_cfg = replace(config.train, prototype_mode=other_mode)
         other_runs = [
             {k: r[k] for k in ("seed", "accuracy", "confusion")}
             for r in run_batch(R, data.Y, other_cfg, *seeds_and_workers, checkpoints=None)
@@ -452,7 +448,7 @@ def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
 
 
 # the keys `relrbf eval` reads; "seed" and "epoch" only record the run
-CHECKPOINT_KEYS = ("n", "g", "w0", "W", "sigma", "prototypes", "split", "graph_sha256")
+CHECKPOINT_KEYS = ("w0", "W", "sigma", "prototypes", "split", "graph_sha256")
 
 
 def load_checkpoint(path: Path, R: AdjacencyMatrix, g: int):
@@ -469,10 +465,6 @@ def load_checkpoint(path: Path, R: AdjacencyMatrix, g: int):
     if missing:
         raise ConfigError(f"checkpoint {path} lacks key(s) {missing}")
     n = R.n
-    if ck["n"] != n:
-        raise ConfigError(f"checkpoint n={ck['n']} does not match dataset n={n}")
-    if ck["g"] != g:
-        raise ConfigError(f"checkpoint g={ck['g']} does not match the dataset's {g} classes")
     if ck["graph_sha256"] != graph_digest(R):
         raise ConfigError(f"checkpoint {path} was trained on another graph (graph_sha256)")
     split = ck["split"]
@@ -489,8 +481,8 @@ def load_checkpoint(path: Path, R: AdjacencyMatrix, g: int):
         raise ConfigError(f"invalid checkpoint {path}: {exc}") from exc
     if params.g != g or weights.shape != (params.c, si.train.size):
         raise ConfigError(
-            f"checkpoint {path}: w0/W/sigma/prototypes shapes do not fit g={g} and "
-            f"{si.train.size} training nodes"
+            f"checkpoint {path}: w0/W/sigma/prototypes shapes (g={params.g}) do not fit "
+            f"the dataset's g={g} and {si.train.size} training nodes"
         )
     if not np.all(np.isfinite(weights)):
         raise ConfigError(f"checkpoint {path}: prototypes must be finite")
@@ -549,10 +541,10 @@ def cmd_transform(config: ExperimentConfig, method: str, out: Path | None) -> in
         raise ConfigError("transform method must be cmds or pmds")
     data = load_dataset(config)
     embedding = cmds(data.R) if method == "cmds" else pmds(data.R)
-    transformed = from_features(embedding.X) if embedding.d_prime else None
+    transformed = from_features(embedding.X) if embedding.X.shape[1] else None
     label = method if method == "cmds" else "pmds-as-described"
     print(
-        f"{label}: embedded n={data.R.n} into d'={embedding.d_prime} dimensions; "
+        f"{label}: embedded n={data.R.n} into d'={embedding.X.shape[1]} dimensions; "
         f"top eigenvalue {embedding.eigenvalues[0]:.6e}"
     )
     if out is not None:

@@ -430,7 +430,6 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
     # the first acceptance baseline, so an exploding first step gets rejected
     # like any other.
     last = evaluate(D, w0, W, sigma)
-    mse_prev: float = last["sse_train"] / tr.size
     accepted_sse: list[float] = []
 
     for t in range(config.max_epochs):
@@ -470,10 +469,10 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
             # is 1 and the MSE stays finite; such a step has diverged too.
             if not np.all(np.isfinite(sigma_new)):
                 mse_new = np.inf
-            rates.scale, accepted = adapt_learning_rate(rates.scale, mse_new, mse_prev, config)
+            mse_old = last["sse_train"] / tr.size
+            rates.scale, accepted = adapt_learning_rate(rates.scale, mse_new, mse_old, config)
             if accepted:
                 w0, W, sigma, P, D = w0_new, W_new, sigma_new, P_new, D_new
-                mse_prev = mse_new
                 last = ev_new
                 accepted_sse.append(ev_new["sse_train"])
 
@@ -515,7 +514,6 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
             # Growth changes the network between epochs; re-baseline the
             # acceptance test and the current evaluation on the grown state.
             last = evaluate(D, w0, W, sigma)
-            mse_prev = last["sse_train"] / tr.size
         metrics.grew.append(grown is not None)
 
         if val_run >= config.patience_stop:

@@ -73,17 +73,16 @@ def _repair_empty(assignment: np.ndarray, D: np.ndarray, c: int) -> np.ndarray:
     return assignment
 
 
-def kmeans_partition_sequence(compute_distances, init_assignment, c):
+def kmeans_partition(compute_distances, init_assignment, c):
     """Generic alternating assignment loop shared by the relational and
     vector k-means variants.
 
     ``compute_distances(assignment) -> (c, n)`` supplies prototype-to-object
-    distances for prototypes derived from the current assignment.  Returns
-    the list of successive assignments (repaired, first entry included) and
-    the final distance matrix.
+    distances for prototypes derived from the current assignment; it sees
+    every assignment the loop makes, starting from the repaired initial one.
+    Returns the final assignment and its distance matrix.
     """
     assignment = _ensure_nonempty(np.asarray(init_assignment, dtype=int), c)
-    history = [assignment.copy()]
     D = compute_distances(assignment)
     for _ in range(MAX_ITER):
         new_assignment = np.argmin(D, axis=0)
@@ -91,9 +90,8 @@ def kmeans_partition_sequence(compute_distances, init_assignment, c):
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
-        history.append(assignment.copy())
         D = compute_distances(assignment)
-    return history, D
+    return assignment, D
 
 
 def indicator_weights(assignment: np.ndarray, c: int) -> np.ndarray:
@@ -124,8 +122,8 @@ def relational_kmeans(R: AdjacencyMatrix, c: int, init_assignment):
     def compute(assignment):
         return prototype_distances(R, indicator_weights(assignment, c))
 
-    history, _ = kmeans_partition_sequence(compute, init_assignment, c)
-    return history[-1], indicator_weights(history[-1], c)
+    assignment, _ = kmeans_partition(compute, init_assignment, c)
+    return assignment, indicator_weights(assignment, c)
 
 
 def medoid_prototypes(R: AdjacencyMatrix, assignment: np.ndarray, c: int) -> np.ndarray:

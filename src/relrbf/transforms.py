@@ -34,7 +34,6 @@ class Embedding:
 
     X: np.ndarray
     eigenvalues: np.ndarray
-    d_prime: int
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.X, dtype=float)).copy()
@@ -79,8 +78,8 @@ def cmds(R: AdjacencyMatrix) -> Embedding:
     entries change.
     """
     eigvals, eigvecs = _descending_eig(double_centered(R.values))
-    X, keep = _embed(eigvals, eigvecs)
-    return Embedding(X=X, eigenvalues=eigvals, d_prime=int(keep.sum()))
+    X, _ = _embed(eigvals, eigvecs)
+    return Embedding(X=X, eigenvalues=eigvals)
 
 
 def pseudo_euclidean(R: AdjacencyMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -106,8 +105,8 @@ def pmds(R: AdjacencyMatrix) -> Embedding:
     eigvals, eigvecs = _descending_eig(double_centered(R.values))
     min_eig = float(eigvals.min()) if eigvals.size else 0.0
     shifted = eigvals + abs(min_eig) if min_eig < 0 else eigvals
-    X, keep = _embed(shifted, eigvecs)
-    return Embedding(X=X, eigenvalues=shifted, d_prime=int(keep.sum()))
+    X, _ = _embed(shifted, eigvecs)
+    return Embedding(X=X, eigenvalues=shifted)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 from .engine import TrainConfig, TrainResult, VectorModel, run_training
 from .errors import ConfigError, InvalidClusterCountError
 from .graph import AdjacencyMatrix, from_features
-from .initialization import SplitIndices, indicator_weights, kmeans_partition_sequence
+from .initialization import SplitIndices, indicator_weights, kmeans_partition
 from .network import finite_or_null
 from .transforms import pseudo_euclidean
 
@@ -43,8 +43,8 @@ def vector_kmeans(X, c: int, init_assignment, signature=None):
     def compute(assignment):
         return model.distances(indicator_weights(assignment, c) @ X)
 
-    history, _ = kmeans_partition_sequence(compute, init_assignment, c)
-    return history[-1], indicator_weights(history[-1], c) @ X
+    assignment, _ = kmeans_partition(compute, init_assignment, c)
+    return assignment, indicator_weights(assignment, c) @ X
 
 
 def vector_train(
@@ -109,7 +109,6 @@ def duality_check(
     config: TrainConfig | None = None,
     epochs: int = 20,
     tol: float = DUALITY_TOL,
-    n_classes: int = 2,
 ) -> DualityReport:
     """Train the graph network, then its vector twin, and compare them
     epoch by epoch.
@@ -120,9 +119,9 @@ def duality_check(
     which is Euclidean for a realizable one).  A medoid-mode ``config``
     raises ``ConfigError`` before any training: the vector twin only has
     free prototypes.
-    When no targets ``Y`` are given, balanced one-hot labels are drawn from a
-    stream derived from the config seed (the comparison is indifferent to the
-    labeling).
+    When no targets ``Y`` are given, balanced one-hot labels of two classes
+    are drawn from a stream derived from the config seed (the comparison is
+    indifferent to the labeling).
     """
     from .training import train as graph_train
 
@@ -146,8 +145,8 @@ def duality_check(
     n = X.shape[0]
     if Y is None:
         label_rng = np.random.default_rng([config.seed, 0xD0A1])
-        labels = label_rng.permutation(np.arange(n) % n_classes)
-        Y = np.eye(n_classes)[labels]
+        labels = label_rng.permutation(np.arange(n) % 2)
+        Y = np.eye(2)[labels]
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
 
     config = replace(config, max_epochs=epochs)

@@ -92,20 +92,22 @@ def brute_force_distance(X, weights):
 
 
 def kmeans_history(module, kmeans, *args):
-    """The assignment sequence of the call ``kmeans(*args)``, recorded from
-    the shared loop ``kmeans_partition_sequence`` as ``module`` calls it."""
-    loop = module.kmeans_partition_sequence
-    histories = []
+    """The assignment sequence of the call ``kmeans(*args)``: every
+    assignment the shared loop ``kmeans_partition``, as ``module`` calls it,
+    hands its distance callback, the repaired initial one first."""
+    loop = module.kmeans_partition
+    history = []
 
-    def recording(*loop_args):
-        history, D = loop(*loop_args)
-        histories.append(history)
-        return history, D
+    def recording(compute_distances, *loop_args):
+        def compute(assignment):
+            history.append(assignment.copy())
+            return compute_distances(assignment)
+
+        return loop(compute, *loop_args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(module, "kmeans_partition_sequence", recording)
+        mp.setattr(module, "kmeans_partition", recording)
         kmeans(*args)
-    (history,) = histories
     return history
 
 

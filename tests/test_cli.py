@@ -1,6 +1,5 @@
 """End-to-end command-line behaviour on small synthetic configurations."""
 
-import dataclasses
 import functools
 import hashlib
 import inspect
@@ -464,12 +463,10 @@ class TestTrainCommand:
         assert len(agg["deviation"]["bin_edges"]) == 22  # 21 bins
         ck = json.loads((out / "checkpoints" / "run_0.json").read_text())
         assert set(ck) == {
-            "n", "c", "g", "w0", "W", "sigma", "prototypes", "split", "graph_sha256",
-            "seed", "epoch",
+            "w0", "W", "sigma", "prototypes", "split", "graph_sha256", "seed", "epoch",
         }
-        assert ck["n"] == 40
         assert sorted(sum(ck["split"].values(), [])) == list(range(40))
-        assert np.shape(ck["prototypes"]) == (ck["c"], len(ck["split"]["train"]))
+        assert np.shape(ck["prototypes"]) == (len(ck["sigma"]), len(ck["split"]["train"]))
         R = load_dataset(ExperimentConfig.from_file(cfg)).R
         assert ck["graph_sha256"] == hashlib.sha256(R.values.tobytes()).hexdigest()
         for path in (out / "checkpoints").iterdir():
@@ -501,7 +498,7 @@ class TestTrainCommand:
         # files under the batch's run indices; the records that come back
         # carry no checkpoint text
         data = load_dataset(ExperimentConfig.from_file(blob_config(tmp_path)))
-        cfg = dataclasses.asdict(TrainConfig(c_init=2, c_max=3, max_epochs=10))
+        cfg = TrainConfig(c_init=2, c_max=3, max_epochs=10)
         ck_dir = tmp_path / "checkpoints"
         ck_dir.mkdir()
         runs = relrbf.cli.run_batch(data.R, data.Y, cfg, 4, 7, 2, checkpoints=ck_dir)
@@ -754,15 +751,21 @@ class TestEvalCommand:
         return captured.err
 
     def test_class_count_mismatch(self, tmp_path, capsys):
-        ck = self.train_checkpoint(
-            tmp_path,
-            dataset={
-                "kind": "synthetic-blobs",
-                "blobs": {"n": 40, "classes": 3, "sep": 8.0, "dim": 2, "seed": 3},
-            },
-        )
-        err = self.assert_eval_rejects(tmp_path, capsys, ck)
-        assert "g=3" in err
+        # the checkpoint's graph read back with a third class: the digest and
+        # the split pass, and the array shapes reject it
+        ck = self.train_checkpoint(tmp_path)
+        ingested = tmp_path / "ingest"
+        assert main(["ingest", "--config", str(tmp_path / "config.json"), "--out", str(ingested)]) == EXIT_OK
+        labels = np.loadtxt(ingested / "labels.csv", dtype=int)
+        labels[-1] = 2
+        np.savetxt(ingested / "labels.csv", labels, fmt="%d")
+        dataset = {
+            "kind": "adjacency-csv",
+            "path": str(ingested / "adjacency.npy"),
+            "labels_path": str(ingested / "labels.csv"),
+        }
+        err = self.assert_eval_rejects(tmp_path, capsys, ck, dataset=dataset)
+        assert "shapes (g=2)" in err and "dataset's g=3" in err
 
     def test_graph_from_another_seed(self, tmp_path, capsys):
         # same n and g: only the graph's digest tells the graphs apart
@@ -773,19 +776,26 @@ class TestEvalCommand:
         assert "graph_sha256" in err
 
     def test_seed_and_epoch_only_record_the_run(self, tmp_path, capsys):
-        # eval replays no draws: without the seed it scores the same split
+        # eval replays no draws: without the seed it scores the same split;
+        # and it reads none of the n, c and g that older checkpoints carry
         ck = self.train_checkpoint(tmp_path)
+        raw = json.loads(ck.read_text())
+        n = sum(map(len, raw["split"].values()))
+        variants = [
+            raw,
+            {k: v for k, v in raw.items() if k not in ("seed", "epoch")},
+            {**raw, "n": n, "c": len(raw["sigma"]), "g": len(raw["w0"])},
+        ]
         argv = ["eval", "--config", str(tmp_path / "config.json"), "--checkpoint", str(ck)]
         capsys.readouterr()
-        assert main(argv) == EXIT_OK
-        kept = capsys.readouterr().out
-        raw = json.loads(ck.read_text())
-        del raw["seed"], raw["epoch"]
-        ck.write_text(json.dumps(raw))
-        assert main(argv) == EXIT_OK
-        assert capsys.readouterr().out == kept
+        outputs = []
+        for i, variant in enumerate(variants):
+            ck.write_text(json.dumps(variant))
+            assert main([*argv, "--out", str(tmp_path / f"eval{i}")]) == EXIT_OK
+            outputs.append((capsys.readouterr().out, (tmp_path / f"eval{i}" / "eval.json").read_text()))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
-    @pytest.mark.parametrize("key", ["w0", "prototypes", "split", "graph_sha256", "n"])
+    @pytest.mark.parametrize("key", ["w0", "sigma", "prototypes", "split", "graph_sha256"])
     def test_missing_key(self, tmp_path, capsys, key):
         ck = self.train_checkpoint(tmp_path)
         raw = json.loads(ck.read_text())
@@ -802,7 +812,7 @@ class TestEvalCommand:
             lambda ck: ck.update(sigma=ck["sigma"][:-1]),
             lambda ck: ck.update(w0="abc"),
             lambda ck: ck["split"]["test"].append(ck["split"]["train"][0]),
-            lambda ck: ck["split"]["val"].__setitem__(-1, ck["n"]),
+            lambda ck: ck["split"]["val"].__setitem__(-1, sum(map(len, ck["split"].values()))),
             # True == 1, so only the entry's type is wrong
             lambda ck: ck["split"].update(
                 {k: [True if i == 1 else i for i in v] for k, v in ck["split"].items()}

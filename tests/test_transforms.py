@@ -66,7 +66,6 @@ class TestCmds:
 
     def test_zero_matrix_zero_dims(self):
         emb = cmds(AdjacencyMatrix(np.zeros((4, 4))))
-        assert emb.d_prime == 0
         assert emb.X.shape == (4, 0)
 
     def test_nonrealizable_matrix_is_altered(self, nonrealizable_R):
@@ -102,7 +101,7 @@ class TestPmds:
 
     def test_zero_matrix(self):
         emb = pmds(AdjacencyMatrix(np.zeros((4, 4))))
-        assert emb.d_prime == 0
+        assert emb.X.shape == (4, 0)
 
     def test_spectrum_nonnegative_and_uniform_inflation(self, nonrealizable_R):
         eigs = np.linalg.eigvalsh(double_centered(nonrealizable_R.values))
@@ -254,7 +253,7 @@ class TestWriters:
         # %.17g text: one value per line, parsed back to the same bits
         ev = np.array(values, dtype=float)
         path = tmp_path_factory.mktemp("ev") / "eigenvalues.csv"
-        write_eigenvalues_csv(Embedding(X=np.zeros((len(ev), 1)), eigenvalues=ev, d_prime=1), path)
+        write_eigenvalues_csv(Embedding(X=np.zeros((len(ev), 1)), eigenvalues=ev), path)
         text = path.read_text()
         assert text.count("\n") == len(ev)
         assert np.loadtxt(path, ndmin=1).tobytes() == ev.tobytes()

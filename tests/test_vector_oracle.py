@@ -65,6 +65,26 @@ class TestVectorKmeans:
         for a, b in zip(h_rel, h_vec):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("backend", ["relational", "vector"])
+    def test_history_ends_at_the_returned_assignment(self, backend):
+        # the recording helper sees every assignment the loop makes: it
+        # starts at the repaired start and ends at the one returned
+        from relrbf import initialization, vector_oracle
+        from relrbf.initialization import relational_kmeans
+
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((25, 3)) + rng.integers(0, 2, (25, 1)) * 4.0
+        init = np.zeros(25, dtype=int)  # clusters 1 and 2 start empty
+        module, kmeans, graph = {
+            "relational": (initialization, relational_kmeans, from_features(X)),
+            "vector": (vector_oracle, vector_kmeans, X),
+        }[backend]
+        history = kmeans_history(module, kmeans, graph, 3, init)
+        assignment, _ = kmeans(graph, 3, init)
+        assert len(history) >= 2
+        np.testing.assert_array_equal(history[0], [0] * 23 + [2, 1])
+        np.testing.assert_array_equal(history[-1], assignment)
+
     def test_centroids_are_cluster_means(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 10.0], [11.0, 10.0]])
         assignment, centroids = vector_kmeans(X, 2, [0, 0, 1, 1])
