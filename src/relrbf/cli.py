@@ -34,9 +34,9 @@ from .datasets import KINDS, LOADERS, IngestResult, ingest
 from .engine import TRAIN_CHECKS, TrainConfig, flag, integer, number, one_of
 from .errors import ConfigError, RelRbfError
 from .graph import AdjacencyMatrix, from_features, validate, write_adjacency
-from .initialization import SplitIndices
+from .initialization import SPLITS, SplitIndices
 from .network import NetworkParams, finite_or_null, forward
-from .prototypes import prototype_distances
+from .prototypes import FREE, MEDOID, prototype_distances
 # `train` is not called here, but perfbench/tracer.py wraps `cli.train`
 from .training import evaluate_network, train, train_group  # noqa: F401
 from .transforms import (
@@ -49,14 +49,13 @@ from .transforms import (
     write_pgm,
     write_vat_csv,
 )
-from .vector_oracle import duality_check
+from .vector_oracle import DUALITY_EPOCHS, DUALITY_TOL, duality_check
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DUALITY = 3
 
 TRANSFORMS = ("none", "cmds", "pmds")
-SPLITS = ("train", "test", "val")
 # the commands that read train.seed, and so take --seed
 SEEDED_COMMANDS = ("train", "duality")
 
@@ -128,8 +127,8 @@ class ExperimentConfig:
     transform: str = "none"
     histogram_bins: int = 21
     workers: int = 1
-    duality_epochs: int = 20
-    duality_tol: float = 1e-8
+    duality_epochs: int = DUALITY_EPOCHS
+    duality_tol: float = DUALITY_TOL
     compare_prototype_modes: bool = False
 
     @classmethod
@@ -163,12 +162,14 @@ def load_dataset(config: ExperimentConfig) -> IngestResult:
     return ingest(**config.dataset)
 
 
+def embed(R: AdjacencyMatrix, method: str):
+    """The embedding of `R` by `method`, "cmds" or "pmds"."""
+    return cmds(R) if method == "cmds" else pmds(R)
+
+
 def apply_transform(R: AdjacencyMatrix, method: str) -> AdjacencyMatrix:
     """Embed and rebuild the graph with plain squared Euclidean distances."""
-    if method == "none":
-        return R
-    embedding = cmds(R) if method == "cmds" else pmds(R)
-    return from_features(embedding.X)
+    return R if method == "none" else from_features(embed(R, method).X)
 
 
 # Monte Carlo runs train in lock-step groups of this many consecutive seeds,
@@ -392,18 +393,15 @@ def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
     if config.compare_prototype_modes:
         # rerun the same seeds with the other prototype constraint and report
         # the per-seed paired accuracy differences (this mode minus other)
-        other_mode = "medoid" if config.train.prototype_mode == "free" else "free"
+        other_mode = MEDOID if config.train.prototype_mode == FREE else FREE
         other_cfg = replace(config.train, prototype_mode=other_mode)
-        other_runs = [
-            {k: r[k] for k in ("seed", "accuracy", "confusion")}
+        other_acc = [
+            r["accuracy"]
             for r in run_batch(R, data.Y, other_cfg, *seeds_and_workers, checkpoints=None)
         ]
         paired = {}
         for split_name in SPLITS:
-            deltas = [
-                a["accuracy"][split_name] - b["accuracy"][split_name]
-                for a, b in zip(runs, other_runs)
-            ]
+            deltas = [a["accuracy"][split_name] - b[split_name] for a, b in zip(runs, other_acc)]
             paired[split_name] = {
                 "per_seed_delta": deltas,
                 "mean_delta": float(np.mean(deltas)),
@@ -411,10 +409,7 @@ def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
         report["paired_mode_comparison"] = {
             "base_mode": config.train.prototype_mode,
             "other_mode": other_mode,
-            "other_accuracy_mean": {
-                k: float(np.mean([r["accuracy"][k] for r in other_runs]))
-                for k in SPLITS
-            },
+            "other_accuracy_mean": {k: float(np.mean([a[k] for a in other_acc])) for k in SPLITS},
             "accuracy_delta": paired,
         }
         print(
@@ -516,11 +511,10 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path: Path, out: Path | None) 
 
 def cmd_duality(config: ExperimentConfig, out: Path | None) -> int:
     data = load_dataset(config)
-    # a read or powered graph has no features: the check starts from the
-    # matrix itself
-    graph = dict(X=data.X) if data.X is not None else dict(R=data.R)
+    # a read or powered graph has no features: the twin trains on its
+    # pseudo-Euclidean realization
     report = duality_check(
-        **graph, Y=data.Y, config=config.train, epochs=config.duality_epochs,
+        data.R, X=data.X, Y=data.Y, config=config.train, epochs=config.duality_epochs,
         tol=config.duality_tol,
     )
     print(
@@ -537,10 +531,8 @@ def cmd_duality(config: ExperimentConfig, out: Path | None) -> int:
 
 
 def cmd_transform(config: ExperimentConfig, method: str, out: Path | None) -> int:
-    if method not in ("cmds", "pmds"):
-        raise ConfigError("transform method must be cmds or pmds")
     data = load_dataset(config)
-    embedding = cmds(data.R) if method == "cmds" else pmds(data.R)
+    embedding = embed(data.R, method)
     transformed = from_features(embedding.X) if embedding.X.shape[1] else None
     label = method if method == "cmds" else "pmds-as-described"
     print(

@@ -287,7 +287,7 @@ class VectorModel:
     movable = True
 
     def __init__(self, X: np.ndarray, signature: np.ndarray | None = None):
-        self.X = np.asarray(X, dtype=float)
+        self.X = np.atleast_2d(np.asarray(X, dtype=float))
         d = self.X.shape[1]
         self.signature = np.ones(d) if signature is None else np.asarray(signature, dtype=float)
         self.norms = np.einsum("nd,d,nd->n", self.X, self.signature, self.X)
@@ -324,6 +324,10 @@ def relational_model_from_partition(
     V = np.zeros((c, R.n))
     V[:, train_idx] = V_sub
     return RelationalModel(R, mode=mode), V
+
+
+# the arrays of an epoch's record in ``training_run``'s trace, in that order
+TRACE_FIELDS = ("w0", "W", "sigma", "d", "hidden", "output")
 
 
 @dataclass
@@ -484,16 +488,7 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
         metrics.accepted.append(accepted)
 
         if record_trace:
-            trace.append(
-                {
-                    "w0": w0,
-                    "W": W,
-                    "sigma": sigma,
-                    "d": D,
-                    "hidden": last["H"],
-                    "output": last["Yhat"],
-                }
-            )
+            trace.append(dict(zip(TRACE_FIELDS, (w0, W, sigma, D, last["H"], last["Yhat"]))))
 
         # Early-stopping bookkeeping on the retained validation error.
         val_sse = last["sse_val"]

@@ -17,6 +17,10 @@ from .graph import AdjacencyMatrix
 from .prototypes import nearest_medoid, prototype_distances
 
 
+# the names of the three splits, in the order reports list them
+SPLITS = ("train", "test", "val")
+
+
 @dataclass(frozen=True)
 class SplitIndices:
     """Disjoint train/test/validation index sets covering all observations."""
@@ -26,14 +30,10 @@ class SplitIndices:
     val: np.ndarray
 
     def __post_init__(self):
-        for name in ("train", "test", "val"):
+        for name in SPLITS:
             a = np.asarray(getattr(self, name), dtype=int).copy()
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-
-    @property
-    def n(self) -> int:
-        return self.train.size + self.test.size + self.val.size
 
 
 # the most assignment rounds k-means makes before it stops unconverged
@@ -80,9 +80,15 @@ def kmeans_partition(compute_distances, init_assignment, c):
     ``compute_distances(assignment) -> (c, n)`` supplies prototype-to-object
     distances for prototypes derived from the current assignment; it sees
     every assignment the loop makes, starting from the repaired initial one.
-    Returns the final assignment and its distance matrix.
+    A cluster count ``c`` outside [1, n], for the n objects of the start
+    assignment, raises ``InvalidClusterCountError``.  Returns the final
+    assignment and its distance matrix.
     """
-    assignment = _ensure_nonempty(np.asarray(init_assignment, dtype=int), c)
+    assignment = np.asarray(init_assignment, dtype=int)
+    n = assignment.shape[0]
+    if not 1 <= c <= n:
+        raise InvalidClusterCountError(f"c={c} outside [1, {n}]")
+    assignment = _ensure_nonempty(assignment, c)
     D = compute_distances(assignment)
     for _ in range(MAX_ITER):
         new_assignment = np.argmin(D, axis=0)
@@ -115,9 +121,6 @@ def relational_kmeans(R: AdjacencyMatrix, c: int, init_assignment):
 
     Returns (assignment, (c, n) indicator rows).
     """
-    n = R.n
-    if not 1 <= c <= n:
-        raise InvalidClusterCountError(f"c={c} outside [1, {n}]")
 
     def compute(assignment):
         return prototype_distances(R, indicator_weights(assignment, c))

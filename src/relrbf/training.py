@@ -21,7 +21,7 @@ from .engine import (
     training_run,
 )
 from .graph import AdjacencyMatrix
-from .initialization import SplitIndices, relational_kmeans
+from .initialization import SPLITS, SplitIndices, relational_kmeans
 from .network import predict_labels
 
 __all__ = ["TrainConfig", "TrainResult", "train", "train_group", "evaluate_network"]
@@ -71,7 +71,8 @@ def evaluate_network(output: np.ndarray, Y, split: SplitIndices):
     actual = np.argmax(Y, axis=1)
     g = Y.shape[1]
     out = {}
-    for name, idx in (("train", split.train), ("test", split.test), ("val", split.val)):
+    for name in SPLITS:
+        idx = getattr(split, name)
         conf = np.zeros((g, g), dtype=int)
         for a, p in zip(actual[idx], predicted[idx]):
             conf[a, p] += 1

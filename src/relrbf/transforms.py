@@ -44,8 +44,9 @@ class Embedding:
         object.__setattr__(self, "eigenvalues", ev)
 
 
-def _descending_eig(B: np.ndarray):
-    eigvals, eigvecs = np.linalg.eigh(B)
+def _spectrum(R: AdjacencyMatrix):
+    """The eigenpairs of -J R J / 2, eigenvalues descending."""
+    eigvals, eigvecs = np.linalg.eigh(double_centered(R.values))
     order = np.argsort(eigvals)[::-1]
     return eigvals[order], eigvecs[:, order]
 
@@ -77,7 +78,7 @@ def cmds(R: AdjacencyMatrix) -> Embedding:
     reproduce the input; otherwise the negative spectrum is discarded and the
     entries change.
     """
-    eigvals, eigvecs = _descending_eig(double_centered(R.values))
+    eigvals, eigvecs = _spectrum(R)
     X, _ = _embed(eigvals, eigvecs)
     return Embedding(X=X, eigenvalues=eigvals)
 
@@ -90,7 +91,7 @@ def pseudo_euclidean(R: AdjacencyMatrix) -> tuple[np.ndarray, np.ndarray]:
     R_ij = sum_k s_k (x_ik - x_jk)^2.  A realizable graph has every s_k = +1
     and the classical embedding as X.
     """
-    eigvals, eigvecs = _descending_eig(double_centered(R.values))
+    eigvals, eigvecs = _spectrum(R)
     X, keep = _embed(eigvals, eigvecs, signed=True)
     return X, np.sign(eigvals[keep])
 
@@ -102,7 +103,7 @@ def pmds(R: AdjacencyMatrix) -> Embedding:
     the classical embedding; otherwise every off-diagonal dissimilarity of
     the embedded configuration is inflated by 2 |min eigenvalue|.
     """
-    eigvals, eigvecs = _descending_eig(double_centered(R.values))
+    eigvals, eigvecs = _spectrum(R)
     min_eig = float(eigvals.min()) if eigvals.size else 0.0
     shifted = eigvals + abs(min_eig) if min_eig < 0 else eigvals
     X, _ = _embed(shifted, eigvecs)

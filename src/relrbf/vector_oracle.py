@@ -16,15 +16,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import TrainConfig, TrainResult, VectorModel, run_training
-from .errors import ConfigError, InvalidClusterCountError
-from .graph import AdjacencyMatrix, from_features
+from .engine import TRACE_FIELDS, TrainConfig, TrainResult, VectorModel, run_training
+from .errors import ConfigError
+from .graph import AdjacencyMatrix
 from .initialization import SplitIndices, indicator_weights, kmeans_partition
 from .network import finite_or_null
 from .transforms import pseudo_euclidean
 
+DUALITY_EPOCHS = 20
 DUALITY_TOL = 1e-8
-TRACE_FIELDS = ("w0", "W", "sigma", "d", "hidden", "output")
 
 
 def vector_kmeans(X, c: int, init_assignment, signature=None):
@@ -34,17 +34,13 @@ def vector_kmeans(X, c: int, init_assignment, signature=None):
 
     Returns (assignment, (c, d) centroids).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
-    if not 1 <= c <= n:
-        raise InvalidClusterCountError(f"c={c} outside [1, {n}]")
     model = VectorModel(X, signature)
 
     def compute(assignment):
-        return model.distances(indicator_weights(assignment, c) @ X)
+        return model.distances(indicator_weights(assignment, c) @ model.X)
 
     assignment, _ = kmeans_partition(compute, init_assignment, c)
-    return assignment, indicator_weights(assignment, c) @ X
+    return assignment, indicator_weights(assignment, c) @ model.X
 
 
 def vector_train(
@@ -54,11 +50,11 @@ def vector_train(
     in the space of ``signature`` (None: Euclidean)."""
     if config.prototype_mode != "free":
         raise ValueError("the vector reference trainer only supports free prototypes")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    model = VectorModel(X, signature)
 
     def build(init_assignment, si: SplitIndices):
-        _, centroids = vector_kmeans(X[si.train], config.c_init, init_assignment, signature)
-        return VectorModel(X, signature), centroids
+        _, centroids = vector_kmeans(model.X[si.train], config.c_init, init_assignment, signature)
+        return model, centroids
 
     return run_training(build, Y, config, record_trace=record_trace)
 
@@ -103,49 +99,42 @@ class DualityReport:
 
 
 def duality_check(
+    R: AdjacencyMatrix,
     X=None,
-    R: AdjacencyMatrix | None = None,
     Y=None,
     config: TrainConfig | None = None,
-    epochs: int = 20,
+    epochs: int = DUALITY_EPOCHS,
     tol: float = DUALITY_TOL,
 ) -> DualityReport:
-    """Train the graph network, then its vector twin, and compare them
-    epoch by epoch.
+    """Train the graph network on ``R``, then its vector twin, and compare
+    them epoch by epoch.
 
-    Provide either feature vectors ``X`` (the graph side trains on their
-    squared-distance matrix) or an adjacency matrix ``R`` (the vector side
-    trains on its pseudo-Euclidean realization, which every graph has and
-    which is Euclidean for a realizable one).  A medoid-mode ``config``
-    raises ``ConfigError`` before any training: the vector twin only has
-    free prototypes.
+    The twin trains on ``X`` when given: the features whose squared
+    distances ``R`` holds, as :func:`relrbf.graph.validate` takes them.
+    Without them it trains on the pseudo-Euclidean realization of ``R``,
+    which every graph has and which is Euclidean for a realizable one.  A
+    medoid-mode ``config`` raises ``ConfigError`` before any training: the
+    vector twin only has free prototypes.
     When no targets ``Y`` are given, balanced one-hot labels of two classes
     are drawn from a stream derived from the config seed (the comparison is
     indifferent to the labeling).
     """
     from .training import train as graph_train
 
-    if (X is None) == (R is None):
-        raise ValueError("provide exactly one of X or R")
     if config is None:
-        config = TrainConfig(c_init=2)
+        config = TrainConfig()
     if config.prototype_mode != "free":
         raise ConfigError(
             f"the duality check needs free prototypes, got {config.prototype_mode!r}: "
             "the vector twin has no medoid mode"
         )
 
-    if R is not None:
-        X, signature = pseudo_euclidean(R)
-    else:
-        X, signature = np.atleast_2d(np.asarray(X, dtype=float)), None
-        R = from_features(X)
+    X, signature = pseudo_euclidean(R) if X is None else (X, None)
     euclidean = signature is None or bool(np.all(signature > 0))
 
-    n = X.shape[0]
     if Y is None:
         label_rng = np.random.default_rng([config.seed, 0xD0A1])
-        labels = label_rng.permutation(np.arange(n) % 2)
+        labels = label_rng.permutation(np.arange(R.n) % 2)
         Y = np.eye(2)[labels]
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
 

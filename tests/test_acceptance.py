@@ -77,7 +77,7 @@ def test_criterion_02_trajectory_duality():
             c_max=6,
             seed=int(master.integers(0, 2**31)),
         )
-        rep = duality_check(X=X, config=cfg, epochs=20)
+        rep = duality_check(from_features(X), X=X, config=cfg, epochs=20)
         worst = max(worst, rep.max_deviation)
         if not rep.passed:
             failures.append((i, rep.max_deviation, rep.message))

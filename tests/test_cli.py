@@ -866,6 +866,22 @@ class TestDualityCommand:
         assert saved["passed"] is True and "no_oracle" not in saved
         assert saved["max_scaled_deviation"] <= saved["tol"]
 
+    def test_trains_on_the_ingested_graph(self, tmp_path, capsys, monkeypatch):
+        # the features' distances are computed once, by ingest: the graph
+        # trainer gets that graph, not one rebuilt from the features
+        calls = []
+        real = relrbf.graph._sqeuclidean
+
+        def spy(x):
+            calls.append(x.shape)
+            return real(x)
+
+        monkeypatch.setattr(relrbf.graph, "_sqeuclidean", spy)
+        cfg = blob_config(tmp_path, duality={"epochs": 10})
+        assert main(["duality", "--config", str(cfg)]) == EXIT_OK
+        assert "PASS" in capsys.readouterr().out
+        assert calls == [(40, 2)]
+
     def test_medoid_mode_is_a_config_error(self, tmp_path, capsys):
         cfg = blob_config(tmp_path)
         raw = json.loads(cfg.read_text())

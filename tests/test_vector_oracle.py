@@ -37,6 +37,13 @@ class TestVectorDistance:
     def test_centroid_case(self):
         assert squared_distance([1.0, 0.0], [1 / 3, 1 / 3]) == pytest.approx(5.0 / 9.0)
 
+    def test_one_dimensional_features_are_one_observation(self):
+        P = np.array([[0.5, 0.0]])
+        np.testing.assert_array_equal(
+            VectorModel(np.array([0.0, 1.0])).distances(P),
+            VectorModel(np.array([[0.0, 1.0]])).distances(P),
+        )
+
     def test_signed_distance(self):
         # the second coordinate counts negatively: 1 - 4
         model = VectorModel(np.array([[1.0, 2.0]]), signature=np.array([1.0, -1.0]))
@@ -84,6 +91,20 @@ class TestVectorKmeans:
         assert len(history) >= 2
         np.testing.assert_array_equal(history[0], [0] * 23 + [2, 1])
         np.testing.assert_array_equal(history[-1], assignment)
+
+    @pytest.mark.parametrize("c", [0, 26])
+    @pytest.mark.parametrize("backend", ["relational", "vector"])
+    def test_cluster_count_outside_one_to_n(self, backend, c):
+        from relrbf.errors import InvalidClusterCountError
+        from relrbf.initialization import relational_kmeans
+
+        X = np.random.default_rng(3).standard_normal((25, 3))
+        kmeans, graph = {
+            "relational": (relational_kmeans, from_features(X)),
+            "vector": (vector_kmeans, X),
+        }[backend]
+        with pytest.raises(InvalidClusterCountError, match=rf"c={c} outside \[1, 25\]"):
+            kmeans(graph, c, np.zeros(25, dtype=int))
 
     def test_centroids_are_cluster_means(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 10.0], [11.0, 10.0]])
@@ -143,7 +164,7 @@ class TestVectorTrain:
 class TestDualityCheck:
     def test_random_instance_passes(self):
         X = np.random.default_rng(17).standard_normal((40, 5))
-        report = duality_check(X=X, config=TrainConfig(c_init=3, c_max=5, seed=7), epochs=20)
+        report = duality_check(from_features(X), X=X, config=TrainConfig(c_init=3, c_max=5, seed=7), epochs=20)
         assert report.passed
         assert report.epochs == 20
         assert report.max_deviation <= 1e-8
@@ -162,7 +183,7 @@ class TestDualityCheck:
         real = vector_oracle.vector_train
         monkeypatch.setattr(vector_oracle, "vector_train", poisoned)
         X = np.random.default_rng(17).standard_normal((40, 5))
-        report = duality_check(X=X, config=TrainConfig(c_init=3, c_max=5, seed=7), epochs=20)
+        report = duality_check(from_features(X), X=X, config=TrainConfig(c_init=3, c_max=5, seed=7), epochs=20)
         assert report.passed is False and np.isnan(report.max_deviation)
         # written as strict JSON, the non-finite deviations are null
         written = json.loads(json.dumps(report.as_dict(), allow_nan=False))
@@ -173,7 +194,7 @@ class TestDualityCheck:
         rng = np.random.default_rng(23)
         X = rng.standard_normal((15, 3))
         X = np.vstack([X, X[:5]])
-        report = duality_check(X=X, config=TrainConfig(c_init=2, seed=1), epochs=15)
+        report = duality_check(from_features(X), X=X, config=TrainConfig(c_init=2, seed=1), epochs=15)
         assert report.passed
 
     def test_nonrealizable_matrix_passes_on_signed_twin(self, graph_negatives):
@@ -218,8 +239,11 @@ class TestDualityCheck:
         report = duality_check(R=R, config=TrainConfig(c_init=2, seed=3), epochs=10)
         assert report.passed
 
-    def test_requires_exactly_one_input(self, three_point_R, three_points):
-        with pytest.raises(ValueError):
-            duality_check(X=three_points, R=three_point_R)
-        with pytest.raises(ValueError):
-            duality_check()
+    def test_takes_the_graph_and_optional_features(self):
+        # the graph is required; its features, when given, are the twin's
+        X = np.random.default_rng(31).standard_normal((24, 3))
+        cfg = TrainConfig(c_init=2, seed=3)
+        with pytest.raises(TypeError):
+            duality_check(X=X, config=cfg, epochs=10)
+        assert duality_check(from_features(X), X=X, config=cfg, epochs=10).passed
+        assert duality_check(from_features(X), config=cfg, epochs=10).passed
