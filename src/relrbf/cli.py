@@ -310,17 +310,17 @@ def write_json(obj: dict, path: Path) -> None:
     path.write_text(json_text(obj))
 
 
-def cmd_ingest(config: ExperimentConfig, out: Path | None) -> int:
-    data = load_dataset(config)
+def cmd_ingest(config: ExperimentConfig, data: IngestResult, out: Path | None) -> int:
+    labels = None if data.Y is None else data.Y.argmax(axis=1)
     report = validate(data.R, data.X)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         write_adjacency(data.R, out / "adjacency.npy")
-        if data.labels is not None:
-            np.savetxt(out / "labels.csv", data.labels, fmt="%d")
-    print(f"ingested kind={data.kind} n={data.R.n}", end="")
-    if data.labels is not None:
-        counts = np.bincount(data.labels).tolist()
+        if labels is not None:
+            np.savetxt(out / "labels.csv", labels, fmt="%d")
+    print(f"ingested kind={config.dataset['kind']} n={data.R.n}", end="")
+    if labels is not None:
+        counts = np.bincount(labels).tolist()
         print(f" classes={data.class_names} counts={counts}", end="")
     print(
         f" embeddable={report.euclidean_embeddable}"
@@ -369,8 +369,7 @@ def run_batch(
     return [run for group in groups for run in group["runs"]]
 
 
-def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
-    data = load_dataset(config)
+def cmd_train(config: ExperimentConfig, data: IngestResult, out: Path | None) -> int:
     if data.Y is None:
         raise ConfigError("training requires labels (dataset provides none)")
     R = apply_transform(data.R, config.transform)
@@ -486,8 +485,9 @@ def load_checkpoint(path: Path, R: AdjacencyMatrix, g: int):
     return params, V, si
 
 
-def cmd_eval(config: ExperimentConfig, checkpoint_path: Path, out: Path | None) -> int:
-    data = load_dataset(config)
+def cmd_eval(
+    config: ExperimentConfig, data: IngestResult, checkpoint_path: Path, out: Path | None
+) -> int:
     if data.Y is None:
         raise ConfigError("evaluation requires labels (dataset provides none)")
     R = apply_transform(data.R, config.transform)
@@ -509,8 +509,7 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path: Path, out: Path | None) 
     return EXIT_OK
 
 
-def cmd_duality(config: ExperimentConfig, out: Path | None) -> int:
-    data = load_dataset(config)
+def cmd_duality(config: ExperimentConfig, data: IngestResult, out: Path | None) -> int:
     # a read or powered graph has no features: the twin trains on its
     # pseudo-Euclidean realization
     report = duality_check(
@@ -530,8 +529,9 @@ def cmd_duality(config: ExperimentConfig, out: Path | None) -> int:
     return EXIT_OK
 
 
-def cmd_transform(config: ExperimentConfig, method: str, out: Path | None) -> int:
-    data = load_dataset(config)
+def cmd_transform(
+    config: ExperimentConfig, data: IngestResult, method: str, out: Path | None
+) -> int:
     embedding = embed(data.R, method)
     transformed = from_features(embedding.X) if embedding.X.shape[1] else None
     label = method if method == "cmds" else "pmds-as-described"
@@ -554,8 +554,7 @@ def _write_order(order, out: Path, name: str) -> None:
     write_pgm(order.reordered, out / f"{name}.pgm")
 
 
-def cmd_diagnose(config: ExperimentConfig, out: Path | None) -> int:
-    data = load_dataset(config)
+def cmd_diagnose(config: ExperimentConfig, data: IngestResult, out: Path | None) -> int:
     order = vat(data.R)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -596,19 +595,18 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None:
             config = replace(config, train=replace(config.train, seed=args.seed))
         out = Path(args.out) if args.out else None
+        data = load_dataset(config)
         if args.command == "ingest":
-            return cmd_ingest(config, out)
+            return cmd_ingest(config, data, out)
         if args.command == "train":
-            return cmd_train(config, out)
+            return cmd_train(config, data, out)
         if args.command == "eval":
-            return cmd_eval(config, Path(args.checkpoint), out)
+            return cmd_eval(config, data, Path(args.checkpoint), out)
         if args.command == "duality":
-            return cmd_duality(config, out)
+            return cmd_duality(config, data, out)
         if args.command == "transform":
-            return cmd_transform(config, args.method, out)
-        if args.command == "diagnose":
-            return cmd_diagnose(config, out)
-        raise ConfigError(f"unknown command {args.command!r}")
+            return cmd_transform(config, data, args.method, out)
+        return cmd_diagnose(config, data, out)  # the parser admits no other command
     except RelRbfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,7 +19,7 @@ from .graph import AdjacencyMatrix, from_features, read_adjacency
 
 @dataclass
 class IngestResult:
-    """Graph, one-hot targets, and provenance for one ingested dataset.
+    """Graph, one-hot targets, class names and features of one ingested dataset.
 
     ``X`` holds the features whose squared distances are ``R`` (standardized
     when ingest standardized them); it is None for ``adjacency-csv`` and
@@ -28,10 +28,8 @@ class IngestResult:
 
     R: AdjacencyMatrix
     Y: np.ndarray | None
-    labels: np.ndarray | None
     class_names: list
     X: np.ndarray | None
-    kind: str
 
 
 def one_hot(labels, g: int | None = None) -> np.ndarray:
@@ -238,4 +236,4 @@ def ingest(
         if power != 1.0:
             X = None
     Y = one_hot(labels, len(class_names) or None) if labels is not None else None
-    return IngestResult(R=R, Y=Y, labels=labels, class_names=class_names, X=X, kind=kind)
+    return IngestResult(R=R, Y=Y, class_names=class_names, X=X)

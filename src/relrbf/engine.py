@@ -287,7 +287,8 @@ class VectorModel:
     movable = True
 
     def __init__(self, X: np.ndarray, signature: np.ndarray | None = None):
-        self.X = np.atleast_2d(np.asarray(X, dtype=float))
+        x = np.asarray(X, dtype=float)
+        self.X = x[:, None] if x.ndim == 1 else x  # one feature, as in `from_features`
         d = self.X.shape[1]
         self.signature = np.ones(d) if signature is None else np.asarray(signature, dtype=float)
         self.norms = np.einsum("nd,d,nd->n", self.X, self.signature, self.X)
@@ -390,11 +391,6 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
     rng = np.random.default_rng(config.seed)
     si = make_split(n, rng, np.argmax(Y, axis=1) if config.stratify_split else None)
     tr, va, te = si.train, si.val, si.test
-    if config.c_init > tr.size:
-        raise InvalidClusterCountError(
-            f"c_init={config.c_init} exceeds training-set size {tr.size}"
-        )
-
     init_assignment = rng.integers(0, config.c_init, size=tr.size)
     model, P = build_model(init_assignment, si)
     c = P.shape[0]

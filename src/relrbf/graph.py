@@ -10,6 +10,7 @@ guarantee in this package.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,26 +54,26 @@ class AdjacencyMatrix:
 
     def __post_init__(self):
         a = np.asarray(self.values, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise NonSquareError(f"expected a non-empty square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise NonFiniteError("adjacency matrix contains non-finite entries")
         # one n x n buffer: first |a - a^T|, then (a + a^T) / 2
         buf = np.subtract(a, a.T)
-        asym = np.abs(buf, out=buf).max() if a.size else 0.0
+        asym = np.abs(buf, out=buf).max()
         if asym > SYMMETRY_TOL:
             raise AsymmetryError(f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
         with np.errstate(over="ignore"):
             a = np.add(a, a.T, out=buf)
         # finite entries above about 8.99e307 overflow in the sum
-        if a.size and not (np.isfinite(a.max()) and np.isfinite(a.min())):
+        if not (np.isfinite(a.max()) and np.isfinite(a.min())):
             raise NonFiniteError("adjacency matrix entries overflow when symmetrized")
         a /= 2.0
         diag = np.abs(np.diagonal(a))
-        if diag.size and diag.max() > SYMMETRY_TOL:
+        if diag.max() > SYMMETRY_TOL:
             raise NonzeroDiagonalError(f"max |diagonal| = {diag.max():.3e}")
         np.fill_diagonal(a, 0.0)
-        if a.size and a.min() < 0.0:
+        if a.min() < 0.0:
             raise NegativeEntryError(f"negative dissimilarity {a.min():.3e}")
         a.setflags(write=False)
         object.__setattr__(self, "values", a)
@@ -116,7 +117,7 @@ def _raised(a: np.ndarray, p: float) -> AdjacencyMatrix:
     if p <= 0:
         raise ValueError("power must be positive")
     a **= p
-    if a.size and not np.isfinite(a.max()):
+    if not np.isfinite(a.max()):
         raise NonFiniteError("adjacency matrix contains non-finite entries")
     return AdjacencyMatrix._derived(a)
 
@@ -318,8 +319,10 @@ def read_adjacency(path) -> AdjacencyMatrix:
             with open(path, "rb") as fh:
                 a = np.load(fh, allow_pickle=False)
         else:
-            a = np.loadtxt(path, delimiter=",", ndmin=2)
-    except (ValueError, OSError, EOFError) as exc:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # loadtxt's empty-file warning
+                a = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (ValueError, OSError, EOFError, UserWarning) as exc:
         raise ParseError(f"cannot parse adjacency file {path}: {exc}") from exc
     if not isinstance(a, np.ndarray) or a.dtype.kind not in "iuf":
         raise ParseError(f"{path}: expected an array of real numbers")

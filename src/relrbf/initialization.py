@@ -157,27 +157,17 @@ def split(n: int, rng: np.random.Generator, labels=None) -> SplitIndices:
     test and validation (odd remainder: the extra observation goes to test).
 
     Given class ``labels``, the 70/15/15 proportions are applied within each
-    class.
+    class; without them the whole set is one class.
     """
     if n < 10:
         raise TooFewSamplesError(f"need n >= 10 to split, got {n}")
-    if labels is not None:
-        labels = np.asarray(labels, dtype=int)
-        train_parts, test_parts, val_parts = [], [], []
-        for cls in np.unique(labels):
-            members = np.flatnonzero(labels == cls)
-            perm = members[rng.permutation(members.size)]
-            tr, te, va = _cut(perm)
-            train_parts.append(tr)
-            test_parts.append(te)
-            val_parts.append(va)
-        train = np.concatenate(train_parts)
-        test = np.concatenate(test_parts)
-        val = np.concatenate(val_parts)
-    else:
-        perm = rng.permutation(n)
-        train, test, val = _cut(perm)
-    return SplitIndices(np.sort(train), np.sort(test), np.sort(val))
+    labels = np.zeros(n, int) if labels is None else np.asarray(labels, dtype=int)
+    parts = []
+    for cls in np.unique(labels):
+        members = np.flatnonzero(labels == cls)
+        parts.append(_cut(members[rng.permutation(members.size)]))
+    train, test, val = (np.sort(np.concatenate(p)) for p in zip(*parts))
+    return SplitIndices(train, test, val)
 
 
 def _cut(perm: np.ndarray):

@@ -64,7 +64,7 @@ def _fix_signs(X: np.ndarray) -> np.ndarray:
 def _embed(eigvals: np.ndarray, eigvecs: np.ndarray, signed: bool = False):
     """Columns sqrt(|eigenvalue|) u for the eigenpairs above the floor (in
     magnitude when ``signed``), and the mask of those pairs."""
-    floor = EIGENVALUE_FLOOR * max(1.0, float(np.max(np.abs(eigvals))) if eigvals.size else 0.0)
+    floor = EIGENVALUE_FLOOR * max(1.0, float(np.max(np.abs(eigvals))))
     magnitude = np.abs(eigvals) if signed else eigvals
     keep = magnitude > floor
     X = eigvecs[:, keep] * np.sqrt(magnitude[keep])
@@ -104,7 +104,7 @@ def pmds(R: AdjacencyMatrix) -> Embedding:
     the embedded configuration is inflated by 2 |min eigenvalue|.
     """
     eigvals, eigvecs = _spectrum(R)
-    min_eig = float(eigvals.min()) if eigvals.size else 0.0
+    min_eig = float(eigvals.min())
     shifted = eigvals + abs(min_eig) if min_eig < 0 else eigvals
     X, _ = _embed(shifted, eigvecs)
     return Embedding(X=X, eigenvalues=shifted)

@@ -21,6 +21,7 @@ from .errors import ConfigError
 from .graph import AdjacencyMatrix
 from .initialization import SplitIndices, indicator_weights, kmeans_partition
 from .network import finite_or_null
+from .prototypes import FREE
 from .transforms import pseudo_euclidean
 
 DUALITY_EPOCHS = 20
@@ -48,7 +49,7 @@ def vector_train(
 ) -> TrainResult:
     """Train the vector-space twin with the protocol of the graph trainer,
     in the space of ``signature`` (None: Euclidean)."""
-    if config.prototype_mode != "free":
+    if config.prototype_mode != FREE:
         raise ValueError("the vector reference trainer only supports free prototypes")
     model = VectorModel(X, signature)
 
@@ -123,7 +124,7 @@ def duality_check(
 
     if config is None:
         config = TrainConfig()
-    if config.prototype_mode != "free":
+    if config.prototype_mode != FREE:
         raise ConfigError(
             f"the duality check needs free prototypes, got {config.prototype_mode!r}: "
             "the vector twin has no medoid mode"
@@ -136,7 +137,6 @@ def duality_check(
         label_rng = np.random.default_rng([config.seed, 0xD0A1])
         labels = label_rng.permutation(np.arange(R.n) % 2)
         Y = np.eye(2)[labels]
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
 
     config = replace(config, max_epochs=epochs)
     g_trace = graph_train(R, Y, config, record_trace=True).trace

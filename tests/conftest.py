@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from relrbf import AdjacencyMatrix, from_features
-from relrbf.errors import AsymmetryError, NegativeEntryError, ParseError
+from relrbf.errors import AsymmetryError, NegativeEntryError, NonSquareError, ParseError
 
 
 @pytest.fixture
@@ -61,6 +61,7 @@ BAD_NPY = {
     "boolean": (np.array([[False, True], [True, False]]), ParseError),
     "inf": (np.array([[0.0, np.inf], [np.inf, 0.0]]), ParseError),
     "0-d": (np.array(0.0), ParseError),
+    "0x0": (np.zeros((0, 0)), NonSquareError),
 }
 
 

@@ -308,10 +308,10 @@ class TestIngestCommand:
         ref = tmp_path / "ref"
         ref.mkdir()
         write_adjacency(data.R, ref / "adjacency.npy")
-        np.savetxt(ref / "labels.csv", data.labels, fmt="%d")
+        np.savetxt(ref / "labels.csv", data.Y.argmax(axis=1), fmt="%d")
         assert stdout == (
             f"ingested kind=synthetic-blobs n=40 classes={data.class_names}"
-            f" counts={np.bincount(data.labels).tolist()}"
+            f" counts={np.bincount(data.Y.argmax(axis=1)).tolist()}"
             " embeddable=True min_eigenvalue=0.000000e+00\n"
             f"wrote {out}/adjacency.npy\n"
         )
@@ -340,6 +340,29 @@ class TestIngestCommand:
         assert captured.out == "" and "Traceback" not in captured.err
         assert captured.err.startswith("error:") and str(path) in captured.err
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command", [["diagnose"], ["transform", "--method", "cmds"]], ids=["diagnose", "transform"]
+    )
+    def test_empty_npy_graph_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "0x0.npy"
+        save_bad_npy("0x0", path)
+        cfg = blob_config(tmp_path, dataset={"kind": "adjacency-csv", "path": str(path)})
+        assert main([*command, "--config", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error:") and str(path) in captured.err
+
+    def test_empty_csv_graph_writes_one_error_line(self, tmp_path):
+        # in a subprocess, so that a warning printed before the error shows
+        path = tmp_path / "graph.csv"
+        path.write_text("")
+        cfg = blob_config(tmp_path, dataset={"kind": "adjacency-csv", "path": str(path)})
+        argv = [sys.executable, "-m", "relrbf.cli", "ingest", "--config", str(cfg)]
+        proc = subprocess.run(argv, env=src_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_CONFIG and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and str(path) in proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
 
     def test_npy_graph_with_labels_trains_and_evaluates(self, tmp_path, capsys):
         # the graph and labels ingest writes train the runs the blob config

@@ -211,7 +211,7 @@ class TestIngest:
         lpath.write_text("0\n1\n0\n")
         result = ingest("adjacency-csv", apath, labels_path=lpath)
         assert result.R.n == 3
-        np.testing.assert_array_equal(result.labels, [0, 1, 0])
+        np.testing.assert_array_equal(result.Y.argmax(axis=1), [0, 1, 0])
         assert result.Y.shape == (3, 2)
 
     def test_adjacency_csv_label_count_mismatch(self, tmp_path, three_point_R):

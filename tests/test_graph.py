@@ -93,9 +93,11 @@ def bits(a):
 
 
 class TestAdjacencyMatrix:
-    def test_rejects_non_square(self):
-        with pytest.raises(NonSquareError):
-            AdjacencyMatrix(np.zeros((2, 3)))
+    # a graph has at least one node
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0)], ids=["2x3", "0x0"])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(NonSquareError, match=rf"got shape \({shape[0]}, {shape[1]}\)"):
+            AdjacencyMatrix(np.zeros(shape))
 
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteError):

@@ -145,6 +145,18 @@ class TestSplit:
         with pytest.raises(TooFewSamplesError):
             split(9, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [10, 11, 53, 100])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_plain_split_is_one_class_split(self, n, seed):
+        # both are bitwise the 70/15/15 cut of one permutation of range(n)
+        plain = split(n, np.random.default_rng(seed))
+        one_class = split(n, np.random.default_rng(seed), np.zeros(n, int))
+        perm = np.random.default_rng(seed).permutation(n)
+        ends = np.cumsum([plain.train.size, plain.test.size])
+        for name, part in zip(("train", "test", "val"), np.split(perm, ends)):
+            assert getattr(plain, name).tobytes() == getattr(one_class, name).tobytes()
+            assert getattr(plain, name).tobytes() == np.sort(part).tobytes()
+
     def test_stratified_proportions(self):
         labels = np.array([0] * 40 + [1] * 60)
         s = split(100, np.random.default_rng(2), labels)

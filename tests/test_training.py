@@ -23,7 +23,12 @@ from relrbf.engine import (
     output_step,
     shift_coefficients,
 )
-from relrbf.errors import ConfigError, NonpositiveEtaError, NonpositiveSigmaError
+from relrbf.errors import (
+    ConfigError,
+    InvalidClusterCountError,
+    NonpositiveEtaError,
+    NonpositiveSigmaError,
+)
 from relrbf.training import evaluate_network, train, train_group
 from relrbf.vector_oracle import vector_train
 
@@ -495,6 +500,17 @@ class TestTrainingPath:
         monkeypatch.setattr(owner, name, _raise_sentinel)
         with pytest.raises(Sentinel):
             train(from_features(X), Y, self.CONFIG)
+
+    @pytest.mark.parametrize("trainer", ["graph", "vector"])
+    def test_k_means_bounds_the_cluster_count(self, data, trainer):
+        # 21 of the 30 nodes train; k-means is the one check of c_init
+        X, Y = data
+        config = TrainConfig(c_init=22, c_max=22, seed=0, max_epochs=5)
+        with pytest.raises(InvalidClusterCountError, match=r"^c=22 outside \[1, 21\]$"):
+            if trainer == "graph":
+                train(from_features(X), Y, config)
+            else:
+                vector_train(X, Y, config)
 
 
 class TestTrain:

@@ -37,12 +37,14 @@ class TestVectorDistance:
     def test_centroid_case(self):
         assert squared_distance([1.0, 0.0], [1 / 3, 1 / 3]) == pytest.approx(5.0 / 9.0)
 
-    def test_one_dimensional_features_are_one_observation(self):
-        P = np.array([[0.5, 0.0]])
+    def test_one_dimensional_features_are_one_feature(self):
+        # as in `from_features`: n observations of one feature
+        x = np.random.default_rng(4).standard_normal(30)
+        P = np.array([[0.5], [-1.0]])
         np.testing.assert_array_equal(
-            VectorModel(np.array([0.0, 1.0])).distances(P),
-            VectorModel(np.array([[0.0, 1.0]])).distances(P),
+            VectorModel(x).distances(P), VectorModel(x[:, None]).distances(P)
         )
+        assert duality_check(from_features(x), X=x, epochs=5).passed
 
     def test_signed_distance(self):
         # the second coordinate counts negatively: 1 - 4
