@@ -207,13 +207,13 @@ def ingest(
     """
     if kind not in KINDS:
         raise UnknownKindError(f"unknown dataset kind {kind!r}; expected one of {KINDS}")
+    if path is None and kind != "synthetic-blobs":
+        raise MalformedFileError(f"{kind} requires a path")
 
     X = None
     class_names: list = []
     labels = None
     if kind == "adjacency-csv":
-        if path is None:
-            raise MalformedFileError("adjacency-csv requires a path")
         R = read_adjacency(path)
         if labels_path is not None:
             labels = read_labels_csv(labels_path)

@@ -34,20 +34,9 @@ from functools import partial
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateShiftError,
-    InvalidClusterCountError,
-    NonpositiveEtaError,
-    NonpositiveSigmaError,
-)
+from .errors import ConfigError, DegenerateShiftError, InvalidClusterCountError
 from .graph import AdjacencyMatrix
-from .initialization import (
-    SplitIndices,
-    init_params,
-    medoid_prototypes,
-    split as make_split,
-)
+from .initialization import SplitIndices, init_params, split as make_split
 from .network import NetworkParams, gaussian_kernel, response
 from .prototypes import FREE, MEDOID, prototype_distances
 
@@ -84,10 +73,10 @@ def one_of(choices: tuple, value, name: str):
     return value
 
 
-def increasing_pair(value, name: str) -> tuple:
-    """Two finite numbers lo < hi, as a tuple."""
+def increasing_pair(value, name: str, positive: bool = False) -> tuple:
+    """Two finite numbers lo < hi, both > 0 if `positive`, as a tuple."""
     pair = tuple(value) if isinstance(value, (list, tuple, np.ndarray)) else ()
-    if len(pair) != 2 or not number(pair[0], name) < number(pair[1], name):
+    if len(pair) != 2 or not number(pair[0], name, positive) < number(pair[1], name, positive):
         raise ConfigError(f"{name} must be an increasing pair of numbers, got {value!r}")
     return pair
 
@@ -97,11 +86,11 @@ def increasing_pair(value, name: str) -> tuple:
 # field.  The CLI checks a config's `train` object with the same table.
 TRAIN_CHECKS = {
     "c_init": integer, "c_max": lambda v, name: v if v is None else integer(v, name),
-    "seed": partial(integer, least=0), "eta_range": increasing_pair,
+    "seed": partial(integer, least=0), "eta_range": partial(increasing_pair, positive=True),
     "weight_init_range": increasing_pair, "sigma_init_range": increasing_pair,
     "lr_decay": number, "lr_growth": number, "mse_reject_ratio": number,
     "patience_stop": integer, "patience_grow": integer, "max_epochs": partial(integer, least=0),
-    "exit_tol": number, "exit_window": integer, "sigma_min": number,
+    "exit_tol": number, "exit_window": integer, "sigma_min": partial(number, positive=True),
     "prototype_mode": partial(one_of, (FREE, MEDOID)), "stratify_split": flag,
 }
 
@@ -141,10 +130,6 @@ class TrainConfig:
             )
         if not (0.0 < self.lr_decay < 1.0 < self.lr_growth):
             raise ValueError("need 0 < lr_decay < 1 < lr_growth")
-        if self.eta_range[0] <= 0:
-            raise NonpositiveEtaError(f"eta_range must be positive, got {self.eta_range}")
-        if self.sigma_min <= 0:
-            raise NonpositiveSigmaError(f"sigma_min must be positive, got {self.sigma_min}")
 
 
 @dataclass
@@ -255,9 +240,8 @@ class RelationalModel:
     returns new ones.
     """
 
-    def __init__(self, R: AdjacencyMatrix, mode: str = FREE):
+    def __init__(self, R: AdjacencyMatrix):
         self.R = R
-        self.movable = mode == FREE
 
     def distances(self, V: np.ndarray) -> np.ndarray:
         return prototype_distances(self.R, V)
@@ -284,8 +268,6 @@ class VectorModel:
     -1 entries (None: all +1, Euclidean); a signed space realizes any graph.
     The affine ``shift`` and ``grow`` do not depend on s."""
 
-    movable = True
-
     def __init__(self, X: np.ndarray, signature: np.ndarray | None = None):
         x = np.asarray(X, dtype=float)
         self.X = x[:, None] if x.ndim == 1 else x  # one feature, as in `from_features`
@@ -304,27 +286,6 @@ class VectorModel:
 
     def grow(self, P: np.ndarray, m: int) -> np.ndarray:
         return np.vstack([P, self.X[m][None, :]])
-
-
-def relational_model_from_partition(
-    R: AdjacencyMatrix,
-    train_idx: np.ndarray,
-    R_train: AdjacencyMatrix,
-    kmeans: tuple,
-    mode: str = FREE,
-) -> tuple[RelationalModel, np.ndarray]:
-    """The backend over ``R`` and its start prototypes, embedded into
-    full-length (c, n) weights.  ``kmeans`` is the (assignment, indicator
-    rows) that ``relational_kmeans`` found on ``R_train``, the subgraph on
-    ``train_idx``; the indicator rows are the free start prototypes, and
-    medoid mode snaps each cluster to its medoid instead."""
-    assignment, V_sub = kmeans
-    c = V_sub.shape[0]
-    if mode == MEDOID:
-        V_sub = medoid_prototypes(R_train, assignment, c)
-    V = np.zeros((c, R.n))
-    V[:, train_idx] = V_sub
-    return RelationalModel(R, mode=mode), V
 
 
 # the arrays of an epoch's record in ``training_run``'s trace, in that order
@@ -394,6 +355,7 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
     init_assignment = rng.integers(0, config.c_init, size=tr.size)
     model, P = build_model(init_assignment, si)
     c = P.shape[0]
+    movable = config.prototype_mode == FREE  # medoid prototypes stay still
 
     w0, W, sigma = init_params(c, g, config, rng)
     rates = draw_rates(c, g, config.eta_range, rng)
@@ -444,11 +406,11 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
 
         accepted = False
         try:
-            P_new = model.shift(P, eps_h, rates.scale * rates.proto) if model.movable else P
+            P_new = model.shift(P, eps_h, rates.scale * rates.proto) if movable else P
         except DegenerateShiftError:
             rates.scale *= 0.5
         else:
-            D_new = (yield model, P_new) if model.movable else D
+            D_new = (yield model, P_new) if movable else D
             with np.errstate(over="ignore", invalid="ignore"):
                 # Bandwidth update at the shifted distances.
                 H2 = gaussian_kernel(D_new, sigma[:, None])

@@ -41,10 +41,6 @@ class NonpositiveSigmaError(RelRbfError):
     """Gaussian bandwidth must be strictly positive."""
 
 
-class NonpositiveEtaError(RelRbfError):
-    """Learning rate must be strictly positive."""
-
-
 class DegenerateShiftError(RelRbfError):
     """Prototype shift produced weights that cannot be renormalized."""
 

@@ -1,41 +1,47 @@
 """Graph-based RBF training front end.
 
 ``train`` initializes node-weight prototypes by relational k-means over the
-training subgraph and runs the shared protocol of ``relrbf.engine``, which
-holds the update rules; ``train_group`` does the same for several configs in
-lock-step.  Both return the engine's ``TrainResult``, whose ``prototypes``
-are the (c, n) best-epoch node weights and whose ``output`` is that epoch's
-(n, g) response.  ``evaluate_network`` scores a response on each split.
+training subgraph (``relational_model_from_partition``) and runs the shared
+protocol of ``relrbf.engine``, which holds the update rules; ``train_group``
+does the same for several configs in lock-step.  Both return the engine's
+``TrainResult``, whose ``prototypes`` are the (c, n) best-epoch node weights
+and whose ``output`` is that epoch's (n, g) response.  ``evaluate_network``
+scores a response on each split.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .engine import (
-    TrainConfig,
-    TrainResult,
-    relational_model_from_partition,
-    run_lockstep,
-    run_training,
-    training_run,
+    RelationalModel, TrainConfig, TrainResult, run_lockstep, run_training, training_run
 )
 from .graph import AdjacencyMatrix
-from .initialization import SPLITS, SplitIndices, relational_kmeans
+from .initialization import SPLITS, SplitIndices, medoid_prototypes, relational_kmeans
 from .network import predict_labels
+from .prototypes import MEDOID
 
 __all__ = ["TrainConfig", "TrainResult", "train", "train_group", "evaluate_network"]
 
 
-def _builder(R: AdjacencyMatrix, config: TrainConfig):
-    def build(init_assignment, si: SplitIndices):
-        R_train = R.submatrix(si.train)
-        kmeans = relational_kmeans(R_train, config.c_init, init_assignment)
-        return relational_model_from_partition(
-            R, si.train, R_train, kmeans, mode=config.prototype_mode
-        )
+def relational_model_from_partition(
+    R: AdjacencyMatrix, config: TrainConfig, init_assignment, si: SplitIndices
+) -> tuple[RelationalModel, np.ndarray]:
+    """The backend over ``R`` and its start prototypes as (c, n) weights.
 
-    return build
+    Relational k-means on the training subgraph, from ``init_assignment``,
+    gives indicator rows, the free start prototypes; medoid mode snaps each
+    cluster to its medoid instead.  This is ``training_run``'s ``build_model``.
+    """
+    R_train = R.submatrix(si.train)
+    assignment, V_train = relational_kmeans(R_train, config.c_init, init_assignment)
+    if config.prototype_mode == MEDOID:
+        V_train = medoid_prototypes(R_train, assignment, config.c_init)
+    V = np.zeros((config.c_init, R.n))
+    V[:, si.train] = V_train
+    return RelationalModel(R), V
 
 
 def train(R: AdjacencyMatrix, Y, config: TrainConfig, record_trace: bool = False) -> TrainResult:
@@ -48,7 +54,8 @@ def train(R: AdjacencyMatrix, Y, config: TrainConfig, record_trace: bool = False
     stopping with prototype growth.  Returns the parameters that achieved the
     best validation error.
     """
-    return run_training(_builder(R, config), Y, config, record_trace=record_trace)
+    build = partial(relational_model_from_partition, R, config)
+    return run_training(build, Y, config, record_trace=record_trace)
 
 
 def train_group(R: AdjacencyMatrix, Y, configs: list[TrainConfig]) -> list[TrainResult]:
@@ -59,7 +66,8 @@ def train_group(R: AdjacencyMatrix, Y, configs: list[TrainConfig]) -> list[Train
     product per round.  Row blocks of a stacked product can differ from a
     separate product in the last bits, depending on n and the BLAS.
     """
-    runs = [training_run(_builder(R, cfg), Y, cfg) for cfg in configs]
+    runs = [training_run(partial(relational_model_from_partition, R, cfg), Y, cfg)
+            for cfg in configs]
     return run_lockstep(runs)
 
 

@@ -48,9 +48,13 @@ def vector_train(
     X, Y, config: TrainConfig, record_trace: bool = False, signature=None
 ) -> TrainResult:
     """Train the vector-space twin with the protocol of the graph trainer,
-    in the space of ``signature`` (None: Euclidean)."""
+    in the space of ``signature`` (None: Euclidean).  It has free prototypes
+    only: a medoid-mode ``config`` raises ``ConfigError``."""
     if config.prototype_mode != FREE:
-        raise ValueError("the vector reference trainer only supports free prototypes")
+        raise ConfigError(
+            f"the duality check needs free prototypes, got {config.prototype_mode!r}: "
+            "the vector twin has no medoid mode"
+        )
     model = VectorModel(X, signature)
 
     def build(init_assignment, si: SplitIndices):
@@ -107,15 +111,15 @@ def duality_check(
     epochs: int = DUALITY_EPOCHS,
     tol: float = DUALITY_TOL,
 ) -> DualityReport:
-    """Train the graph network on ``R``, then its vector twin, and compare
-    them epoch by epoch.
+    """Train the vector twin of ``R``, then the graph network on ``R``, and
+    compare them epoch by epoch.
 
     The twin trains on ``X`` when given: the features whose squared
     distances ``R`` holds, as :func:`relrbf.graph.validate` takes them.
     Without them it trains on the pseudo-Euclidean realization of ``R``,
     which every graph has and which is Euclidean for a realizable one.  A
     medoid-mode ``config`` raises ``ConfigError`` before any training: the
-    vector twin only has free prototypes.
+    twin, which trains first, only has free prototypes.
     When no targets ``Y`` are given, balanced one-hot labels of two classes
     are drawn from a stream derived from the config seed (the comparison is
     indifferent to the labeling).
@@ -124,11 +128,6 @@ def duality_check(
 
     if config is None:
         config = TrainConfig()
-    if config.prototype_mode != FREE:
-        raise ConfigError(
-            f"the duality check needs free prototypes, got {config.prototype_mode!r}: "
-            "the vector twin has no medoid mode"
-        )
 
     X, signature = pseudo_euclidean(R) if X is None else (X, None)
     euclidean = signature is None or bool(np.all(signature > 0))
@@ -139,8 +138,8 @@ def duality_check(
         Y = np.eye(2)[labels]
 
     config = replace(config, max_epochs=epochs)
-    g_trace = graph_train(R, Y, config, record_trace=True).trace
     v_trace = vector_train(X, Y, config, record_trace=True, signature=signature).trace
+    g_trace = graph_train(R, Y, config, record_trace=True).trace
 
     def layout(trace):
         return [tuple(rec[f].shape for f in TRACE_FIELDS) for rec in trace]

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import relrbf.cli
+import relrbf.engine
 import relrbf.graph
 import relrbf.transforms
 from relrbf import from_features, validate, write_adjacency
@@ -93,7 +94,9 @@ class TestConfigValidation:
         raw["train"].update(train_override)
         cfg.write_text(json.dumps(raw))
         assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
-        assert "error:" in capsys.readouterr().err
+        (field,) = train_override
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: train.{field} must be a finite number > 0, got ")
 
     @pytest.mark.parametrize(
         "override",
@@ -905,14 +908,19 @@ class TestDualityCommand:
         assert "PASS" in capsys.readouterr().out
         assert calls == [(40, 2)]
 
-    def test_medoid_mode_is_a_config_error(self, tmp_path, capsys):
+    def test_medoid_mode_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # the vector twin refuses medoid mode before either trainer starts
+        runs = []
+        monkeypatch.setattr(relrbf.engine, "training_run", lambda *a, **k: runs.append(a))
         cfg = blob_config(tmp_path)
         raw = json.loads(cfg.read_text())
         raw["train"]["prototype_mode"] = "medoid"
         cfg.write_text(json.dumps(raw))
         assert main(["duality", "--config", str(cfg)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and runs == []
         assert err.startswith("error:") and "free prototypes" in err
+        assert err.count("\n") == 1
 
 
 class TestTransformDiagnoseCommands:

@@ -202,6 +202,11 @@ class TestIngest:
         with pytest.raises(UnknownKindError):
             ingest("mystery")
 
+    @pytest.mark.parametrize("kind", ["wdbc", "voting", "heart-cleveland", "adjacency-csv"])
+    def test_file_kind_requires_a_path(self, kind):
+        with pytest.raises(MalformedFileError, match=f"^{kind} requires a path$"):
+            ingest(kind)
+
     def test_adjacency_csv_with_labels(self, tmp_path, three_point_R):
         from relrbf import write_adjacency
 

@@ -23,12 +23,7 @@ from relrbf.engine import (
     output_step,
     shift_coefficients,
 )
-from relrbf.errors import (
-    ConfigError,
-    InvalidClusterCountError,
-    NonpositiveEtaError,
-    NonpositiveSigmaError,
-)
+from relrbf.errors import ConfigError, InvalidClusterCountError
 from relrbf.training import evaluate_network, train, train_group
 from relrbf.vector_oracle import vector_train
 
@@ -420,14 +415,13 @@ class TestMaybeGrowPrototype:
 
 class TestTrainConfig:
     def test_requires_positive_eta(self):
-        with pytest.raises(NonpositiveEtaError):
-            TrainConfig(eta_range=(0.0, 1.0))
-        with pytest.raises(NonpositiveEtaError):
-            TrainConfig(eta_range=(-2.0, -0.5))
+        for eta_range in ((0.0, 1.0), (-2.0, -0.5)):
+            with pytest.raises(ConfigError, match="^eta_range must be a finite number > 0"):
+                TrainConfig(eta_range=eta_range)
 
     def test_requires_positive_sigma_min(self):
         for sigma_min in (0.0, -1e-3):
-            with pytest.raises(NonpositiveSigmaError):
+            with pytest.raises(ConfigError, match="^sigma_min must be a finite number > 0"):
                 TrainConfig(sigma_min=sigma_min)
 
     def test_boolean_is_not_a_number(self):
@@ -511,6 +505,21 @@ class TestTrainingPath:
                 train(from_features(X), Y, config)
             else:
                 vector_train(X, Y, config)
+
+    @pytest.mark.parametrize("mode", ["free", "medoid"])
+    def test_only_free_prototypes_shift(self, monkeypatch, data, mode):
+        # the config alone keeps medoids still: no shift is even computed
+        X, Y = data
+        calls = []
+        real = RelationalModel.shift
+
+        def spy(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(RelationalModel, "shift", spy)
+        train(from_features(X), Y, dataclasses.replace(self.CONFIG, prototype_mode=mode))
+        assert len(calls) == 0 if mode == "medoid" else len(calls) >= 1
 
 
 class TestTrain:

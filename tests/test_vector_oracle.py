@@ -8,6 +8,7 @@ import pytest
 from relrbf import NetworkParams, TrainResult, from_features
 from relrbf.datasets import ingest, one_hot, synthetic_blobs
 from relrbf.engine import TrainConfig, VectorModel
+from relrbf.errors import ConfigError
 from relrbf.initialization import init_params, split
 from relrbf.training import train
 from relrbf.vector_oracle import duality_check, vector_kmeans, vector_train
@@ -134,7 +135,7 @@ class TestVectorTrain:
 
     def test_rejects_medoid_mode(self):
         X, y = synthetic_blobs(20, classes=2, sep=4.0, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="free prototypes"):
             vector_train(X, one_hot(y, 2), TrainConfig(c_init=2, prototype_mode="medoid"))
 
     def test_same_sse_trajectory_as_graph_trainer(self, three_points):
