@@ -8,21 +8,16 @@ parameter and learning-rate draws, growth draws) happens here in a fixed
 order from one generator, two backends given the same seed consume identical
 randomness and their trajectories can be compared epoch by epoch.
 
-Epoch order: output-weight update, simulated prototype shift (distance
-update), bandwidth update, then bookkeeping (acceptance test on the training
-MSE, early-stopping and growth checks, plateau exit).  Each update rule is a
-small array function below (``output_step``, ``shift_coefficients``,
-``bandwidth_step``, ``grow_step``) that ``training_run`` calls; the update
-signs are fixed so that an infinitesimal step decreases the sum of squared
-errors, verified by finite differences in the test suite.
+One epoch is ``epoch`` on the run's ``RunState``.  Its update rules are
+small array functions (``output_step``, ``shift_coefficients``,
+``bandwidth_step``, ``grow_step``) whose signs make an infinitesimal step
+decrease the sum of squared errors, verified by finite differences in tests.
 
-``training_run`` is a generator: it yields its backend and a prototype array
-whenever it needs their distances and receives them back.  ``run_lockstep``
-advances a group of runs in rounds, answering every waiting relational run on
-one graph with its rows of a single stacked ``prototype_distances`` call, one
-``V @ R`` product (the Monte Carlo runs of ``relrbf train`` go through it in
-groups of consecutive seeds, and a process pool maps the groups);
-``run_training`` is that driver over one run.  Every entry point, and both
+``training_run`` (the run's start, then one ``epoch`` after another) is the
+generator that ``run_lockstep`` drives, answering a group of runs with one
+stacked ``V @ R`` product per round (the Monte Carlo runs of ``relrbf train``
+go through it in groups of consecutive seeds, and a process pool maps the
+groups); ``run_training`` drives one run.  Every entry point, and both
 trainer front ends, return the same ``TrainResult``.
 """
 
@@ -31,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,7 +83,8 @@ def increasing_pair(value, name: str, positive: bool = False) -> tuple:
 TRAIN_CHECKS = {
     "c_init": integer, "c_max": lambda v, name: v if v is None else integer(v, name),
     "seed": partial(integer, least=0), "eta_range": partial(increasing_pair, positive=True),
-    "weight_init_range": increasing_pair, "sigma_init_range": increasing_pair,
+    "weight_init_range": increasing_pair,
+    "sigma_init_range": partial(increasing_pair, positive=True),
     "lr_decay": number, "lr_growth": number, "mse_reject_ratio": number,
     "patience_stop": integer, "patience_grow": integer, "max_epochs": partial(integer, least=0),
     "exit_tol": number, "exit_window": integer, "sigma_min": partial(number, positive=True),
@@ -143,31 +140,30 @@ class LearningRates:
     scale: float = 1.0
 
 
+# why an epoch's step was rejected, or ACCEPTED
+ACCEPTED, MSE_RISE, NONFINITE_MSE = "accepted", "mse_rise", "nonfinite_mse"
+DEGENERATE_SHIFT, NONFINITE_SIGMA = "degenerate_shift", "nonfinite_sigma"
+
+
 def adapt_learning_rate(
     scale: float, mse_new: float, mse_old: float, config: TrainConfig
-) -> tuple[float, bool]:
-    """Bold-driver schedule: reject steps that worsen the training MSE by
-    more than ``config.mse_reject_ratio`` (decaying the rate scale), otherwise
-    accept and grow the scale whenever the error strictly improved.  A
-    non-finite candidate MSE (overflowed step) is always rejected;
-    ``training_run`` passes an infinite MSE for a step whose bandwidths
-    overflowed, so that step is rejected as well.  Returns the new scale and
-    whether the step is accepted."""
-    if not np.isfinite(mse_new) or mse_new > config.mse_reject_ratio * mse_old:
-        return scale * config.lr_decay, False
+) -> tuple[float, str]:
+    """Bold-driver schedule: reject a step whose training MSE is not finite
+    (an overflowed step) or above ``config.mse_reject_ratio`` times the old
+    one, decaying the rate scale; else accept it, growing the scale when the
+    error strictly improved.  Returns the new scale and ACCEPTED or the cause."""
+    if not np.isfinite(mse_new):
+        return scale * config.lr_decay, NONFINITE_MSE
+    if mse_new > config.mse_reject_ratio * mse_old:
+        return scale * config.lr_decay, MSE_RISE
     if mse_new < mse_old:
-        return scale * config.lr_growth, True
-    return scale, True
+        return scale * config.lr_growth, ACCEPTED
+    return scale, ACCEPTED
 
 
 def draw_rates(c: int, g: int, eta_range, rng) -> LearningRates:
-    lo, hi = eta_range
-    return LearningRates(
-        w0=rng.uniform(lo, hi, size=g),
-        W=rng.uniform(lo, hi, size=(c, g)),
-        sigma=rng.uniform(lo, hi, size=c),
-        proto=rng.uniform(lo, hi, size=c),
-    )
+    """The base rates of w0, W, sigma and the prototypes, drawn in that order."""
+    return LearningRates(*(rng.uniform(*eta_range, size=size) for size in (g, (c, g), c, c)))
 
 
 def output_errors(Y: np.ndarray, H: np.ndarray, W: np.ndarray, w0: np.ndarray) -> np.ndarray:
@@ -288,7 +284,7 @@ class VectorModel:
         return np.vstack([P, self.X[m][None, :]])
 
 
-# the arrays of an epoch's record in ``training_run``'s trace, in that order
+# the arrays of an epoch's record in the run's trace, in that order
 TRACE_FIELDS = ("w0", "W", "sigma", "d", "hidden", "output")
 
 
@@ -317,9 +313,10 @@ class TrainResult:
     """Best-validation network, prototypes, responses, and metric traces.
 
     ``prototypes`` are the best epoch's: (c, n) node weights from the graph
-    trainer, (c, d) positions from the vector trainer.  ``output`` is the
-    (n, g) network response the engine computed for that epoch.  Both are
-    the final state's when no epoch became best.
+    trainer, (c, d) positions from the vector trainer, in the space of its
+    ``signature`` (None: Euclidean).  ``output`` is the (n, g) network
+    response the engine computed for that epoch.  Both are the final state's
+    when no epoch became best.
     """
 
     params: NetworkParams
@@ -328,174 +325,181 @@ class TrainResult:
     metrics: TrainMetrics
     split: SplitIndices
     trace: list | None = None
+    signature: np.ndarray | None = None
+
+
+class Evaluation(NamedTuple):
+    """A network's kernel, response, residuals Y - Yhat and SSE per split."""
+
+    H: np.ndarray
+    Yhat: np.ndarray
+    err: np.ndarray
+    sse_train: float
+    sse_val: float
+    sse_test: float
+
+
+def evaluate(Y, si: SplitIndices, D, w0, W, sigma) -> Evaluation:
+    # Oversized steps overflow the kernel; the resulting non-finite MSE is
+    # rejected by the acceptance rule rather than raising here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = gaussian_kernel(D, sigma[:, None])
+        Yhat = response(H, W, w0)
+        err = Y - Yhat
+        sq = np.sum(err**2, axis=1)
+    return Evaluation(H, Yhat, err, *(float(sq[idx].sum()) for idx in (si.train, si.val, si.test)))
+
+
+class EpochOutcome(NamedTuple):
+    """ACCEPTED or why an epoch's step was rejected, and whether it grew."""
+
+    cause: str
+    grew: bool
+
+
+@dataclass
+class RunState:
+    """What a run carries from one epoch to the next.  ``current`` evaluates
+    the network (the acceptance baseline), ``val_run`` counts consecutive
+    validation rises, ``best`` is the best epoch's (w0, W, sigma, P, output)."""
+
+    w0: np.ndarray
+    W: np.ndarray
+    sigma: np.ndarray
+    P: np.ndarray
+    D: np.ndarray
+    rates: LearningRates
+    rng: np.random.Generator
+    split: SplitIndices
+    current: Evaluation
+    accepted_sse: list = field(default_factory=list)
+    val_run: int = 0
+    best: tuple | None = None
+    metrics: TrainMetrics = field(default_factory=TrainMetrics)
+    trace: list | None = None
+
+
+def epoch(state: RunState, model, Y, config: TrainConfig):
+    """One epoch of the protocol on ``state``, in place: a sub-generator that
+    yields ``(model, P)`` for distances and returns its ``EpochOutcome``.  An
+    output-weight step, a simulated prototype shift, a bandwidth step at the
+    shifted distances, the bold-driver test on the training MSE, which alone
+    adopts the step's arrays; then the records, the early-stopping count on
+    the validation error, the best epoch, and growth."""
+    s, rates, tr = state, state.rates, state.split.train
+    train_mask = np.zeros(Y.shape[0], dtype=bool)
+    train_mask[tr] = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = s.current.H
+        w0_new, W_new = output_step(
+            s.w0, s.W, H, s.current.err, rates.scale * rates.w0, rates.scale * rates.W, tr
+        )
+        eps_o = output_errors(Y, H, W_new, w0_new)
+        eps_h = shift_coefficients(W_new, H, eps_o, s.sigma, train_mask)
+
+    try:
+        P_new, D_new = s.P, s.D  # medoid prototypes stay still
+        if config.prototype_mode == FREE:
+            P_new = model.shift(s.P, eps_h, rates.scale * rates.proto)
+            D_new = yield model, P_new
+    except DegenerateShiftError:
+        rates.scale *= 0.5
+        cause = DEGENERATE_SHIFT
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            H2 = gaussian_kernel(D_new, s.sigma[:, None])
+            sigma_new = bandwidth_step(
+                s.sigma, W_new, H2, D_new, output_errors(Y, H2, W_new, w0_new),
+                rates.scale * rates.sigma, tr, config.sigma_min,
+            )
+        new = evaluate(Y, s.split, D_new, w0_new, W_new, sigma_new)
+        # Negative distances can overflow sigma to inf, where the kernel is 1
+        # and the MSE stays finite; such a step has diverged too.
+        finite = np.all(np.isfinite(sigma_new))
+        mse_new = new.sse_train / tr.size if finite else np.inf
+        mse_old = s.current.sse_train / tr.size
+        rates.scale, cause = adapt_learning_rate(rates.scale, mse_new, mse_old, config)
+        cause = cause if finite else NONFINITE_SIGMA
+        if cause == ACCEPTED:
+            s.w0, s.W, s.sigma, s.P, s.D, s.current = w0_new, W_new, sigma_new, P_new, D_new, new
+            s.accepted_sse.append(new.sse_train)
+
+    m, now, t = s.metrics, s.current, s.metrics.epochs
+    m.sse_train.append(now.sse_train)
+    m.sse_val.append(now.sse_val)
+    m.sse_test.append(now.sse_test)
+    m.lr_scale.append(rates.scale)
+    m.negative_distances.append(int(np.count_nonzero(s.D < 0)))
+    m.accepted.append(cause == ACCEPTED)
+    if s.trace is not None:
+        s.trace.append(dict(zip(TRACE_FIELDS, (s.w0, s.W, s.sigma, s.D, now.H, now.Yhat))))
+
+    if t > 0 and now.sse_val > m.sse_val[t - 1]:
+        s.val_run += 1
+    elif t > 0:
+        s.val_run = 0
+    if now.sse_val < m.best_val_sse:
+        m.best_val_sse, m.best_epoch = now.sse_val, t
+        s.best = (s.w0, s.W, s.sigma, s.P, now.Yhat)
+
+    grown = grow_step(s.val_run, now.err, tr, s.W, s.sigma, rates, config, s.rng)
+    if grown is not None:
+        site, s.W, s.sigma = grown
+        s.P = model.grow(s.P, site)
+        s.D = yield model, s.P
+        # Growth changes the network between epochs; re-baseline the
+        # acceptance test and the current evaluation on the grown state.
+        s.current = evaluate(Y, s.split, s.D, s.w0, s.W, s.sigma)
+    m.grew.append(grown is not None)
+    return EpochOutcome(cause, grown is not None)
 
 
 def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False):
     """The full training protocol over an arbitrary prototype backend, as a
-    generator driven by ``run_lockstep``.
+    generator driven by ``run_lockstep``: the run's start, then ``epoch``
+    until the last epoch, validation patience or a plateau stops the run.
 
-    Wherever the protocol needs distances (at the start, for a shifted
-    candidate, after growth) it yields ``(model, P)`` and expects the (c, n)
-    distances of the prototypes ``P`` to be sent back; it returns its
-    ``TrainResult``.  The run owns its arrays: a step builds new ones, and
-    only an accepted step adopts them.
-
+    Wherever it needs distances (at the start, for a shifted candidate,
+    after growth) it yields ``(model, P)`` and expects the (c, n) distances
+    of the prototypes ``P`` to be sent back; it returns its ``TrainResult``.
     The run's one generator is seeded by ``config.seed``; its first draw is
     the split (stratified by class when ``config.stratify_split``), its
-    second the k-means start.  ``build_model(init_assignment, si)`` gets that
-    start over the training rows and the run's ``SplitIndices``; it must
-    return the prototype backend and its start prototypes, derived from that
-    training-set partition.
+    second the k-means start, from which ``build_model(init_assignment, si)``
+    (si: the run's ``SplitIndices``) derives the prototype backend and its
+    start prototypes.  The initial network is the first acceptance baseline,
+    so an exploding first step is rejected like any other.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n, g = Y.shape
     rng = np.random.default_rng(config.seed)
     si = make_split(n, rng, np.argmax(Y, axis=1) if config.stratify_split else None)
-    tr, va, te = si.train, si.val, si.test
-    init_assignment = rng.integers(0, config.c_init, size=tr.size)
+    init_assignment = rng.integers(0, config.c_init, size=si.train.size)
     model, P = build_model(init_assignment, si)
-    c = P.shape[0]
-    movable = config.prototype_mode == FREE  # medoid prototypes stay still
-
-    w0, W, sigma = init_params(c, g, config, rng)
-    rates = draw_rates(c, g, config.eta_range, rng)
-
-    train_mask = np.zeros(n, dtype=bool)
-    train_mask[tr] = True
-
+    w0, W, sigma = init_params(P.shape[0], g, config, rng)
+    rates = draw_rates(P.shape[0], g, config.eta_range, rng)
     D = yield model, P
-    metrics = TrainMetrics()
     trace = [] if record_trace else None
-
-    val_run = 0
-    best = None  # (w0, W, sigma, P, output)
-    stop_reason = "max_epochs"
-
-    def evaluate(D_, w0_, W_, sigma_):
-        # Oversized steps overflow the kernel; the resulting non-finite MSE
-        # is rejected by the acceptance rule rather than raising here.
-        with np.errstate(over="ignore", invalid="ignore"):
-            H = gaussian_kernel(D_, sigma_[:, None])
-            Yhat = response(H, W_, w0_)
-            err = Y - Yhat
-            sq = np.sum(err**2, axis=1)
-        return {
-            "H": H,
-            "Yhat": Yhat,
-            "err": err,
-            "sse_train": float(sq[tr].sum()),
-            "sse_val": float(sq[va].sum()),
-            "sse_test": float(sq[te].sum()),
-        }
-
-    # ``last`` always evaluates the current state, and the initial network is
-    # the first acceptance baseline, so an exploding first step gets rejected
-    # like any other.
-    last = evaluate(D, w0, W, sigma)
-    accepted_sse: list[float] = []
-
-    for t in range(config.max_epochs):
-        with np.errstate(over="ignore", invalid="ignore"):
-            H = last["H"]
-            w0_new, W_new = output_step(
-                w0, W, H, last["err"], rates.scale * rates.w0, rates.scale * rates.W, tr
-            )
-            eps_h = shift_coefficients(
-                W_new, H, output_errors(Y, H, W_new, w0_new), sigma, train_mask
-            )
-
-        accepted = False
-        try:
-            P_new = model.shift(P, eps_h, rates.scale * rates.proto) if movable else P
-        except DegenerateShiftError:
-            rates.scale *= 0.5
-        else:
-            D_new = (yield model, P_new) if movable else D
-            with np.errstate(over="ignore", invalid="ignore"):
-                # Bandwidth update at the shifted distances.
-                H2 = gaussian_kernel(D_new, sigma[:, None])
-                sigma_new = bandwidth_step(
-                    sigma,
-                    W_new,
-                    H2,
-                    D_new,
-                    output_errors(Y, H2, W_new, w0_new),
-                    rates.scale * rates.sigma,
-                    tr,
-                    config.sigma_min,
-                )
-
-            ev_new = evaluate(D_new, w0_new, W_new, sigma_new)
-            mse_new = ev_new["sse_train"] / tr.size
-            # Negative distances can overflow sigma to inf, where the kernel
-            # is 1 and the MSE stays finite; such a step has diverged too.
-            if not np.all(np.isfinite(sigma_new)):
-                mse_new = np.inf
-            mse_old = last["sse_train"] / tr.size
-            rates.scale, accepted = adapt_learning_rate(rates.scale, mse_new, mse_old, config)
-            if accepted:
-                w0, W, sigma, P, D = w0_new, W_new, sigma_new, P_new, D_new
-                last = ev_new
-                accepted_sse.append(ev_new["sse_train"])
-
-        metrics.sse_train.append(last["sse_train"])
-        metrics.sse_val.append(last["sse_val"])
-        metrics.sse_test.append(last["sse_test"])
-        metrics.lr_scale.append(rates.scale)
-        metrics.negative_distances.append(int(np.count_nonzero(D < 0)))
-        metrics.accepted.append(accepted)
-
-        if record_trace:
-            trace.append(dict(zip(TRACE_FIELDS, (w0, W, sigma, D, last["H"], last["Yhat"]))))
-
-        # Early-stopping bookkeeping on the retained validation error.
-        val_sse = last["sse_val"]
-        if t > 0 and val_sse > metrics.sse_val[t - 1]:
-            val_run += 1
-        elif t > 0:
-            val_run = 0
-        if val_sse < metrics.best_val_sse:
-            metrics.best_val_sse = val_sse
-            metrics.best_epoch = t
-            best = (w0, W, sigma, P, last["Yhat"])
-
-        grown = grow_step(val_run, last["err"], tr, W, sigma, rates, config, rng)
-        if grown is not None:
-            m, W, sigma = grown
-            P = model.grow(P, m)
-            D = yield model, P
-            # Growth changes the network between epochs; re-baseline the
-            # acceptance test and the current evaluation on the grown state.
-            last = evaluate(D, w0, W, sigma)
-        metrics.grew.append(grown is not None)
-
-        if val_run >= config.patience_stop:
-            stop_reason = "validation_patience"
+    s = RunState(w0, W, sigma, P, D, rates, rng, si, evaluate(Y, si, D, w0, W, sigma), trace=trace)
+    for _ in range(config.max_epochs):
+        yield from epoch(s, model, Y, config)
+        sse, k = s.accepted_sse, config.exit_window
+        if s.val_run >= config.patience_stop:
+            s.metrics.stop_reason = "validation_patience"
             break
         # Plateau test over accepted steps only: a run of rejections repeats
         # the recorded objective verbatim and must not look like convergence.
-        if (
-            len(accepted_sse) > config.exit_window
-            and abs(accepted_sse[-1] - accepted_sse[-1 - config.exit_window])
-            < config.exit_tol
-        ):
-            stop_reason = "objective_plateau"
+        if len(sse) > k and abs(sse[-1] - sse[-1 - k]) < config.exit_tol:
+            s.metrics.stop_reason = "objective_plateau"
             break
-
-    metrics.stop_reason = stop_reason
-    w0, W, sigma, P, output = best if best is not None else (w0, W, sigma, P, last["Yhat"])
-    return TrainResult(
-        params=NetworkParams(w0=w0, W=W, sigma=sigma),
-        prototypes=P,
-        output=output,
-        metrics=metrics,
-        split=si,
-        trace=trace,
-    )
+    else:
+        s.metrics.stop_reason = "max_epochs"
+    w0, W, sigma, P, output = s.best or (s.w0, s.W, s.sigma, s.P, s.current.Yhat)
+    return TrainResult(NetworkParams(w0, W, sigma), P, output, s.metrics, s.split, s.trace)
 
 
-def run_lockstep(runs: list) -> list[TrainResult]:
-    """Advance ``training_run`` generators together and return their results.
+def run_lockstep(runs: list) -> list:
+    """Advance generators that yield ``(model, P)`` for distances, such as
+    ``training_run``s, together, and return their return values.
 
     In each round every waiting relational run on the same graph gets its
     rows of one stacked ``prototype_distances(R, [P_1; P_2; ...])``; a vector
@@ -503,9 +507,15 @@ def run_lockstep(runs: list) -> list[TrainResult]:
     stopping: a run that has finished simply stops asking.
     """
     results = [None] * len(runs)
-    waiting = {i: next(run) for i, run in enumerate(runs)}
-    while waiting:
-        answers, stacks = {}, {}
+    answers = dict.fromkeys(range(len(runs)))  # None starts a generator
+    while answers:
+        waiting, stacks = {}, {}
+        for i in sorted(answers):
+            try:
+                waiting[i] = runs[i].send(answers[i])
+            except StopIteration as done:
+                results[i] = done.value
+        answers = {}
         for i, (model, P) in waiting.items():
             if isinstance(model, RelationalModel):
                 stacks.setdefault(id(model.R), []).append(i)
@@ -517,12 +527,6 @@ def run_lockstep(runs: list) -> list[TrainResult]:
             D = prototype_distances(R, np.concatenate(Ps))
             ends = np.cumsum([P.shape[0] for P in Ps])
             answers.update(zip(members, np.split(D, ends[:-1])))
-        sent, waiting = waiting, {}
-        for i in sent:
-            try:
-                waiting[i] = runs[i].send(answers[i])
-            except StopIteration as done:
-                results[i] = done.value
     return results
 
 

@@ -48,20 +48,23 @@ def vector_train(
     X, Y, config: TrainConfig, record_trace: bool = False, signature=None
 ) -> TrainResult:
     """Train the vector-space twin with the protocol of the graph trainer,
-    in the space of ``signature`` (None: Euclidean).  It has free prototypes
-    only: a medoid-mode ``config`` raises ``ConfigError``."""
+    in the space of ``signature`` (None: Euclidean), or on the
+    ``pseudo_euclidean`` realization of a graph ``X``.  It has free
+    prototypes only: a medoid-mode ``config`` raises ``ConfigError`` first."""
     if config.prototype_mode != FREE:
         raise ConfigError(
             f"the duality check needs free prototypes, got {config.prototype_mode!r}: "
             "the vector twin has no medoid mode"
         )
+    if isinstance(X, AdjacencyMatrix):
+        X, signature = pseudo_euclidean(X)
     model = VectorModel(X, signature)
 
     def build(init_assignment, si: SplitIndices):
         _, centroids = vector_kmeans(model.X[si.train], config.c_init, init_assignment, signature)
         return model, centroids
 
-    return run_training(build, Y, config, record_trace=record_trace)
+    return replace(run_training(build, Y, config, record_trace=record_trace), signature=signature)
 
 
 @dataclass
@@ -118,8 +121,8 @@ def duality_check(
     distances ``R`` holds, as :func:`relrbf.graph.validate` takes them.
     Without them it trains on the pseudo-Euclidean realization of ``R``,
     which every graph has and which is Euclidean for a realizable one.  A
-    medoid-mode ``config`` raises ``ConfigError`` before any training: the
-    twin, which trains first, only has free prototypes.
+    medoid-mode ``config`` raises ``ConfigError`` before any training or
+    spectrum: the twin, which trains first, only has free prototypes.
     When no targets ``Y`` are given, balanced one-hot labels of two classes
     are drawn from a stream derived from the config seed (the comparison is
     indifferent to the labeling).
@@ -129,17 +132,15 @@ def duality_check(
     if config is None:
         config = TrainConfig()
 
-    X, signature = pseudo_euclidean(R) if X is None else (X, None)
-    euclidean = signature is None or bool(np.all(signature > 0))
-
     if Y is None:
         label_rng = np.random.default_rng([config.seed, 0xD0A1])
         labels = label_rng.permutation(np.arange(R.n) % 2)
         Y = np.eye(2)[labels]
 
     config = replace(config, max_epochs=epochs)
-    v_trace = vector_train(X, Y, config, record_trace=True, signature=signature).trace
-    g_trace = graph_train(R, Y, config, record_trace=True).trace
+    twin = vector_train(R if X is None else X, Y, config, record_trace=True)
+    g_trace, v_trace = graph_train(R, Y, config, record_trace=True).trace, twin.trace
+    euclidean = twin.signature is None or bool(np.all(twin.signature > 0))
 
     def layout(trace):
         return [tuple(rec[f].shape for f in TRACE_FIELDS) for rec in trace]

@@ -22,6 +22,7 @@ import relrbf.cli
 import relrbf.engine
 import relrbf.graph
 import relrbf.transforms
+import relrbf.vector_oracle
 from relrbf import from_features, validate, write_adjacency
 from relrbf.cli import (
     BLOB_KEYS,
@@ -86,7 +87,13 @@ class TestConfigValidation:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "train_override", [{"eta_range": [-2.0, -0.5]}, {"sigma_min": 0.0}]
+        "train_override",
+        [
+            {"eta_range": [-2.0, -0.5]},
+            {"sigma_min": 0.0},
+            {"sigma_init_range": [-1.0, 0.5]},
+            {"sigma_init_range": [0.0, 0.5]},
+        ],
     )
     def test_nonpositive_rates_exit_code(self, tmp_path, capsys, train_override):
         cfg = blob_config(tmp_path)
@@ -921,6 +928,28 @@ class TestDualityCommand:
         assert out == "" and runs == []
         assert err.startswith("error:") and "free prototypes" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "mode, code, spectra", [("free", EXIT_OK, 1), ("medoid", EXIT_CONFIG, 0)]
+    )
+    def test_medoid_refusal_computes_no_spectrum(self, tmp_path, monkeypatch, mode, code, spectra):
+        # a powered graph has no features, so the twin realizes it by a full
+        # eigendecomposition; a medoid config is refused before that
+        calls = []
+        real = relrbf.vector_oracle.pseudo_euclidean
+
+        def spy(R):
+            calls.append(R.n)
+            return real(R)
+
+        monkeypatch.setattr(relrbf.vector_oracle, "pseudo_euclidean", spy)
+        cfg = blob_config(
+            tmp_path,
+            dataset={"kind": "synthetic-blobs", "power": 1.5, "blobs": {"n": 40, "seed": 3}},
+            train={"c_init": 2, "c_max": 4, "seed": 1, "prototype_mode": mode},
+        )
+        assert main(["duality", "--config", str(cfg)]) == code
+        assert len(calls) == spectra
 
 
 class TestTransformDiagnoseCommands:

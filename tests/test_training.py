@@ -2,6 +2,7 @@
 coordinate-space oracle), the guard that they are the rules training runs,
 and the full training loop."""
 
+import copy
 import dataclasses
 import tracemalloc
 
@@ -21,9 +22,10 @@ from relrbf.engine import (
     grow_step,
     output_errors,
     output_step,
+    run_lockstep,
     shift_coefficients,
 )
-from relrbf.errors import ConfigError, InvalidClusterCountError
+from relrbf.errors import ConfigError, DegenerateShiftError, InvalidClusterCountError
 from relrbf.training import evaluate_network, train, train_group
 from relrbf.vector_oracle import vector_train
 
@@ -356,20 +358,21 @@ class TestAdaptLearningRate:
     CONFIG = TrainConfig()
 
     def test_reject_and_decay(self):
-        scale, accept = adapt_learning_rate(1.0, 1.1, 1.0, self.CONFIG)
-        assert not accept and scale == pytest.approx(0.7)
+        scale, cause = adapt_learning_rate(1.0, 1.1, 1.0, self.CONFIG)
+        assert cause == engine.MSE_RISE and scale == pytest.approx(0.7)
 
     def test_accept_and_grow(self):
-        scale, accept = adapt_learning_rate(1.0, 0.9, 1.0, self.CONFIG)
-        assert accept and scale == pytest.approx(1.05)
+        scale, cause = adapt_learning_rate(1.0, 0.9, 1.0, self.CONFIG)
+        assert cause == engine.ACCEPTED and scale == pytest.approx(1.05)
 
     def test_between_thresholds_unchanged(self):
-        scale, accept = adapt_learning_rate(1.0, 1.02, 1.0, self.CONFIG)
-        assert accept and scale == 1.0
+        scale, cause = adapt_learning_rate(1.0, 1.02, 1.0, self.CONFIG)
+        assert cause == engine.ACCEPTED and scale == 1.0
 
     def test_non_finite_rejected(self):
-        scale, accept = adapt_learning_rate(1.0, float("nan"), 1.0, self.CONFIG)
-        assert not accept and scale == pytest.approx(0.7)
+        for mse in (float("nan"), float("inf")):
+            scale, cause = adapt_learning_rate(1.0, mse, 1.0, self.CONFIG)
+            assert cause == engine.NONFINITE_MSE and scale == pytest.approx(0.7)
 
 
 class TestMaybeGrowPrototype:
@@ -473,6 +476,7 @@ class TestTrainingPath:
             "bandwidth_step",
             "grow_step",
             "adapt_learning_rate",
+            "epoch",
         ],
     )
     def test_engine_step_runs_in_both_trainers(self, monkeypatch, data, name):
@@ -599,18 +603,25 @@ class TestTrain:
         assert res.metrics.epochs > 0  # completes without blowing up
         assert all(v >= 0 for v in res.metrics.negative_distances)
 
-    def test_overflowed_bandwidth_step_rejected(self):
+    def test_overflowed_bandwidth_step_rejected(self, monkeypatch):
         # negative distances can push a bandwidth step to sigma = inf, where
-        # the kernel is 1 and the training MSE stays finite
+        # the kernel is 1 and the training MSE stays finite; seeds 1 and 4 of
+        # this config (the CLI's overflow test) reach it
         from relrbf.datasets import ingest
 
         blobs = {"n": 300, "dim": 5, "classes": 3, "sep": 2.0, "seed": 5}
         data = ingest("synthetic-blobs", power=1.5, blobs=blobs)
         R, Y = data.R, data.Y
+        _, seen = spy_epochs(monkeypatch)
+        overflowed = set()
         for seed in range(1, 7):
             cfg = TrainConfig(c_init=3, c_max=8, max_epochs=120, patience_grow=2, seed=seed)
+            seen.clear()
             res = train(R, Y, cfg, record_trace=True)
             assert all(np.all(np.isfinite(rec["sigma"])) for rec in res.trace)
+            if any(outcome.cause == engine.NONFINITE_SIGMA for outcome, *_ in seen):
+                overflowed.add(seed)
+        assert {1, 4} <= overflowed
 
     def test_growth_respects_capacity(self):
         X, y = synthetic_blobs(40, classes=2, sep=1.0, noise=2.0, seed=9)
@@ -660,6 +671,83 @@ class TestTrain:
         m = res.metrics
         assert m.best_val_sse == pytest.approx(min(m.sse_val))
         assert m.sse_val[m.best_epoch] == pytest.approx(m.best_val_sse)
+
+
+def spy_epochs(monkeypatch, copies=False):
+    """Wrap ``engine.epoch``, which ``training_run`` looks up per epoch.
+    Returns the real epoch and a list that gets, per epoch, its outcome, a
+    deep copy of its state before and after it (with ``copies``) and its
+    other arguments."""
+    real = engine.epoch
+    seen = []
+
+    def spy(state, *args):
+        before = copy.deepcopy(state) if copies else None
+        outcome = yield from real(state, *args)
+        seen.append((outcome, before, copy.deepcopy(state) if copies else None, args))
+        return outcome
+
+    monkeypatch.setattr(engine, "epoch", spy)
+    return real, seen
+
+
+def assert_same_bits(a, b, path="state"):
+    """Two run states hold the same values, bit for bit, field by field."""
+    if isinstance(a, np.random.Generator):
+        assert a.bit_generator.state == b.bit_generator.state, path
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_same_bits(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    elif isinstance(a, (list, tuple)):  # the Evaluation and the best epoch too
+        assert type(a) is type(b) and len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same_bits(x, y, f"{path}[{i}]")
+    elif isinstance(a, (np.ndarray, float)):
+        x, y = np.asarray(a), np.asarray(b)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), path
+    else:
+        assert type(a) is type(b) and a == b, path
+
+
+class TestEpoch:
+    """``engine.epoch`` is one epoch on a ``RunState``; ``training_run``
+    runs the start and then one epoch after another."""
+
+    def test_copied_state_repeats_the_epoch(self, monkeypatch):
+        # a deep copy of a mid-run state, generator included, is a run of its
+        # own: the same epoch takes it to the run's next state, bit for bit
+        X, y = synthetic_blobs(60, classes=2, sep=1.0, dim=5, seed=4)
+        R, Y = from_features(X).power(1.5), one_hot(y, 2)
+        cfg = TrainConfig(c_init=2, c_max=5, patience_grow=2, seed=0, max_epochs=100)
+        real, seen = spy_epochs(monkeypatch, copies=True)
+        train(R, Y, cfg)
+        outcomes = [outcome for outcome, *_ in seen]
+        picks = {
+            next(t for t, o in enumerate(outcomes) if o.grew),
+            next(t for t, o in enumerate(outcomes) if o.cause == engine.ACCEPTED),
+            next(t for t, o in enumerate(outcomes) if o.cause == engine.MSE_RISE),
+        }
+        for t in sorted(picks):
+            outcome, before, after, args = seen[t]
+            assert before.metrics.epochs == t and after.metrics.epochs == t + 1
+            assert run_lockstep([real(before, *args)]) == [outcome]
+            assert_same_bits(before, after)
+
+    def test_degenerate_shift_halves_the_rate_scale(self, monkeypatch):
+        def degenerate(self, V, eps_h, etas):
+            raise DegenerateShiftError("shifted weights sum to zero")
+
+        monkeypatch.setattr(RelationalModel, "shift", degenerate)
+        real, seen = spy_epochs(monkeypatch, copies=True)
+        X, y = synthetic_blobs(30, classes=2, sep=3.0, seed=12)
+        res = train(from_features(X), one_hot(y, 2), TrainConfig(c_init=2, seed=0, max_epochs=4))
+        assert [outcome for outcome, *_ in seen] == [(engine.DEGENERATE_SHIFT, False)] * 4
+        assert res.metrics.lr_scale == [0.5, 0.25, 0.125, 0.0625]
+        assert res.metrics.accepted == [False] * 4
+        # such an epoch asks for no distances; the driver runs it all the same
+        outcome, before, after, args = seen[1]
+        assert run_lockstep([real(before, *args)]) == [outcome]
+        assert_same_bits(before, after)
 
 
 class TestLockstep:
