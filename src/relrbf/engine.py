@@ -162,8 +162,13 @@ def adapt_learning_rate(
 
 
 def draw_rates(c: int, g: int, eta_range, rng) -> LearningRates:
-    """The base rates of w0, W, sigma and the prototypes, drawn in that order."""
-    return LearningRates(*(rng.uniform(*eta_range, size=size) for size in (g, (c, g), c, c)))
+    lo, hi = eta_range
+    return LearningRates(
+        w0=rng.uniform(lo, hi, size=g),
+        W=rng.uniform(lo, hi, size=(c, g)),
+        sigma=rng.uniform(lo, hi, size=c),
+        proto=rng.uniform(lo, hi, size=c),
+    )
 
 
 def output_errors(Y: np.ndarray, H: np.ndarray, W: np.ndarray, w0: np.ndarray) -> np.ndarray:
@@ -359,9 +364,10 @@ class EpochOutcome(NamedTuple):
 
 @dataclass
 class RunState:
-    """What a run carries from one epoch to the next.  ``current`` evaluates
-    the network (the acceptance baseline), ``val_run`` counts consecutive
-    validation rises, ``best`` is the best epoch's (w0, W, sigma, P, output)."""
+    """What a run carries from one epoch to the next.  ``train_mask`` marks
+    the split's training rows, ``current`` evaluates the network (the
+    acceptance baseline), ``val_run`` counts consecutive validation rises,
+    ``best`` is the best epoch's (w0, W, sigma, P, output)."""
 
     w0: np.ndarray
     W: np.ndarray
@@ -371,6 +377,7 @@ class RunState:
     rates: LearningRates
     rng: np.random.Generator
     split: SplitIndices
+    train_mask: np.ndarray
     current: Evaluation
     accepted_sse: list = field(default_factory=list)
     val_run: int = 0
@@ -387,15 +394,13 @@ def epoch(state: RunState, model, Y, config: TrainConfig):
     adopts the step's arrays; then the records, the early-stopping count on
     the validation error, the best epoch, and growth."""
     s, rates, tr = state, state.rates, state.split.train
-    train_mask = np.zeros(Y.shape[0], dtype=bool)
-    train_mask[tr] = True
     with np.errstate(over="ignore", invalid="ignore"):
         H = s.current.H
         w0_new, W_new = output_step(
             s.w0, s.W, H, s.current.err, rates.scale * rates.w0, rates.scale * rates.W, tr
         )
         eps_o = output_errors(Y, H, W_new, w0_new)
-        eps_h = shift_coefficients(W_new, H, eps_o, s.sigma, train_mask)
+        eps_h = shift_coefficients(W_new, H, eps_o, s.sigma, s.train_mask)
 
     try:
         P_new, D_new = s.P, s.D  # medoid prototypes stay still
@@ -477,9 +482,12 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
     model, P = build_model(init_assignment, si)
     w0, W, sigma = init_params(P.shape[0], g, config, rng)
     rates = draw_rates(P.shape[0], g, config.eta_range, rng)
+    train_mask = np.zeros(n, dtype=bool)
+    train_mask[si.train] = True
     D = yield model, P
     trace = [] if record_trace else None
-    s = RunState(w0, W, sigma, P, D, rates, rng, si, evaluate(Y, si, D, w0, W, sigma), trace=trace)
+    current = evaluate(Y, si, D, w0, W, sigma)
+    s = RunState(w0, W, sigma, P, D, rates, rng, si, train_mask, current, trace=trace)
     for _ in range(config.max_epochs):
         yield from epoch(s, model, Y, config)
         sse, k = s.accepted_sse, config.exit_window
@@ -494,7 +502,14 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
     else:
         s.metrics.stop_reason = "max_epochs"
     w0, W, sigma, P, output = s.best or (s.w0, s.W, s.sigma, s.P, s.current.Yhat)
-    return TrainResult(NetworkParams(w0, W, sigma), P, output, s.metrics, s.split, s.trace)
+    return TrainResult(
+        params=NetworkParams(w0=w0, W=W, sigma=sigma),
+        prototypes=P,
+        output=output,
+        metrics=s.metrics,
+        split=s.split,
+        trace=s.trace,
+    )
 
 
 def run_lockstep(runs: list) -> list:

@@ -45,10 +45,15 @@ def relational_model_from_partition(
 
 
 def train(R: AdjacencyMatrix, Y, config: TrainConfig, record_trace: bool = False) -> TrainResult:
-    """Train a graph-based RBF network on an adjacency matrix: relational
-    k-means over the training subgraph starts the prototypes, then the
-    engine's protocol runs, epoch by epoch (``relrbf.engine.epoch``).
-    Returns the parameters that achieved the best validation error."""
+    """Train a graph-based RBF network on an adjacency matrix.
+
+    Prototypes are initialized by relational k-means over the training
+    subgraph (medoid mode snaps each cluster to its medoid), then the network
+    runs the full protocol: output-weight steps, simulated prototype shifts,
+    bandwidth steps, bold-driver rate adaptation, validation-based early
+    stopping with prototype growth.  Returns the parameters that achieved the
+    best validation error.
+    """
     build = partial(relational_model_from_partition, R, config)
     return run_training(build, Y, config, record_trace=record_trace)
 

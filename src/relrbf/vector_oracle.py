@@ -44,20 +44,17 @@ def vector_kmeans(X, c: int, init_assignment, signature=None):
     return assignment, indicator_weights(assignment, c) @ model.X
 
 
-def vector_train(
-    X, Y, config: TrainConfig, record_trace: bool = False, signature=None
-) -> TrainResult:
-    """Train the vector-space twin with the protocol of the graph trainer,
-    in the space of ``signature`` (None: Euclidean), or on the
-    ``pseudo_euclidean`` realization of a graph ``X``.  It has free
-    prototypes only: a medoid-mode ``config`` raises ``ConfigError`` first."""
+def vector_train(X, Y, config: TrainConfig, record_trace: bool = False) -> TrainResult:
+    """Train the vector-space twin with the protocol of the graph trainer.
+    ``X`` is either Euclidean features or a graph, which trains on its
+    ``pseudo_euclidean`` realization.  It has free prototypes only: a
+    medoid-mode ``config`` raises ``ConfigError`` first."""
     if config.prototype_mode != FREE:
         raise ConfigError(
             f"the duality check needs free prototypes, got {config.prototype_mode!r}: "
             "the vector twin has no medoid mode"
         )
-    if isinstance(X, AdjacencyMatrix):
-        X, signature = pseudo_euclidean(X)
+    X, signature = pseudo_euclidean(X) if isinstance(X, AdjacencyMatrix) else (X, None)
     model = VectorModel(X, signature)
 
     def build(init_assignment, si: SplitIndices):
