@@ -295,15 +295,18 @@ TRACE_FIELDS = ("w0", "W", "sigma", "d", "hidden", "output")
 
 @dataclass
 class TrainMetrics:
-    """Per-epoch traces plus stopping summary."""
+    """A run's one record of each epoch (SSEs, rate scale, negative distances,
+    ``ACCEPTED`` or the rejection cause, growth and, when ``trace`` is a list,
+    the ``TRACE_FIELDS`` arrays), its best epoch and why it stopped."""
 
     sse_train: list = field(default_factory=list)
     sse_val: list = field(default_factory=list)
     sse_test: list = field(default_factory=list)
     lr_scale: list = field(default_factory=list)
     negative_distances: list = field(default_factory=list)
-    accepted: list = field(default_factory=list)
+    causes: list = field(default_factory=list)
     grew: list = field(default_factory=list)
+    trace: list | None = None
     best_epoch: int = -1
     best_val_sse: float = np.inf
     stop_reason: str = ""
@@ -311,6 +314,10 @@ class TrainMetrics:
     @property
     def epochs(self) -> int:
         return len(self.sse_train)
+
+    @property
+    def accepted(self) -> list:
+        return [cause == ACCEPTED for cause in self.causes]
 
 
 @dataclass
@@ -329,7 +336,6 @@ class TrainResult:
     output: np.ndarray
     metrics: TrainMetrics
     split: SplitIndices
-    trace: list | None = None
     signature: np.ndarray | None = None
 
 
@@ -355,13 +361,6 @@ def evaluate(Y, si: SplitIndices, D, w0, W, sigma) -> Evaluation:
     return Evaluation(H, Yhat, err, *(float(sq[idx].sum()) for idx in (si.train, si.val, si.test)))
 
 
-class EpochOutcome(NamedTuple):
-    """ACCEPTED or why an epoch's step was rejected, and whether it grew."""
-
-    cause: str
-    grew: bool
-
-
 @dataclass
 class RunState:
     """What a run carries from one epoch to the next.  ``train_mask`` marks
@@ -379,20 +378,19 @@ class RunState:
     split: SplitIndices
     train_mask: np.ndarray
     current: Evaluation
+    metrics: TrainMetrics
     accepted_sse: list = field(default_factory=list)
     val_run: int = 0
     best: tuple | None = None
-    metrics: TrainMetrics = field(default_factory=TrainMetrics)
-    trace: list | None = None
 
 
 def epoch(state: RunState, model, Y, config: TrainConfig):
     """One epoch of the protocol on ``state``, in place: a sub-generator that
-    yields ``(model, P)`` for distances and returns its ``EpochOutcome``.  An
-    output-weight step, a simulated prototype shift, a bandwidth step at the
-    shifted distances, the bold-driver test on the training MSE, which alone
-    adopts the step's arrays; then the records, the early-stopping count on
-    the validation error, the best epoch, and growth."""
+    yields ``(model, P)`` for distances.  An output-weight step, a simulated
+    prototype shift, a bandwidth step at the shifted distances, the
+    bold-driver test on the training MSE, which alone adopts the step's
+    arrays; then the epoch's record in ``state.metrics``, the early-stopping
+    count, the best epoch, growth, and the stop rules on that record."""
     s, rates, tr = state, state.rates, state.split.train
     with np.errstate(over="ignore", invalid="ignore"):
         H = s.current.H
@@ -435,9 +433,9 @@ def epoch(state: RunState, model, Y, config: TrainConfig):
     m.sse_test.append(now.sse_test)
     m.lr_scale.append(rates.scale)
     m.negative_distances.append(int(np.count_nonzero(s.D < 0)))
-    m.accepted.append(cause == ACCEPTED)
-    if s.trace is not None:
-        s.trace.append(dict(zip(TRACE_FIELDS, (s.w0, s.W, s.sigma, s.D, now.H, now.Yhat))))
+    m.causes.append(cause)
+    if m.trace is not None:
+        m.trace.append(dict(zip(TRACE_FIELDS, (s.w0, s.W, s.sigma, s.D, now.H, now.Yhat))))
 
     if t > 0 and now.sse_val > m.sse_val[t - 1]:
         s.val_run += 1
@@ -456,13 +454,19 @@ def epoch(state: RunState, model, Y, config: TrainConfig):
         # acceptance test and the current evaluation on the grown state.
         s.current = evaluate(Y, s.split, s.D, s.w0, s.W, s.sigma)
     m.grew.append(grown is not None)
-    return EpochOutcome(cause, grown is not None)
+    # The plateau test reads accepted steps only: a run of rejections repeats
+    # the recorded objective verbatim and must not look like convergence.
+    sse, k = s.accepted_sse, config.exit_window
+    if s.val_run >= config.patience_stop:
+        m.stop_reason = "validation_patience"
+    elif len(sse) > k and abs(sse[-1] - sse[-1 - k]) < config.exit_tol:
+        m.stop_reason = "objective_plateau"
 
 
 def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False):
     """The full training protocol over an arbitrary prototype backend, as a
     generator driven by ``run_lockstep``: the run's start, then ``epoch``
-    until the last epoch, validation patience or a plateau stops the run.
+    until ``max_epochs`` or until an epoch sets the metrics' stop reason.
 
     Wherever it needs distances (at the start, for a shifted candidate,
     after growth) it yields ``(model, P)`` and expects the (c, n) distances
@@ -485,30 +489,19 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
     train_mask = np.zeros(n, dtype=bool)
     train_mask[si.train] = True
     D = yield model, P
-    trace = [] if record_trace else None
     current = evaluate(Y, si, D, w0, W, sigma)
-    s = RunState(w0, W, sigma, P, D, rates, rng, si, train_mask, current, trace=trace)
-    for _ in range(config.max_epochs):
+    metrics = TrainMetrics(trace=[] if record_trace else None)
+    s = RunState(w0, W, sigma, P, D, rates, rng, si, train_mask, current, metrics)
+    while metrics.epochs < config.max_epochs and not metrics.stop_reason:
         yield from epoch(s, model, Y, config)
-        sse, k = s.accepted_sse, config.exit_window
-        if s.val_run >= config.patience_stop:
-            s.metrics.stop_reason = "validation_patience"
-            break
-        # Plateau test over accepted steps only: a run of rejections repeats
-        # the recorded objective verbatim and must not look like convergence.
-        if len(sse) > k and abs(sse[-1] - sse[-1 - k]) < config.exit_tol:
-            s.metrics.stop_reason = "objective_plateau"
-            break
-    else:
-        s.metrics.stop_reason = "max_epochs"
+    metrics.stop_reason = metrics.stop_reason or "max_epochs"
     w0, W, sigma, P, output = s.best or (s.w0, s.W, s.sigma, s.P, s.current.Yhat)
     return TrainResult(
         params=NetworkParams(w0=w0, W=W, sigma=sigma),
         prototypes=P,
         output=output,
-        metrics=s.metrics,
+        metrics=metrics,
         split=s.split,
-        trace=s.trace,
     )
 
 

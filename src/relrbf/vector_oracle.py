@@ -69,11 +69,12 @@ class DualityReport:
     """Outcome of an epoch-by-epoch graph-vs-vector training comparison.
 
     ``per_epoch_max_dev`` and ``field_max_dev`` hold absolute deviations
-    across distances, activations, outputs, weights, and bandwidths;
-    ``max_scaled_deviation`` divides each by max(1, that field's largest
-    magnitude in the graph trainer's epoch record).  A Euclidean twin passes
-    when every absolute deviation is within ``tol``, an indefinite one when
-    every scaled deviation is: its negative distances can make the kernel huge.
+    across distances, activations, outputs, weights, and bandwidths (0 where
+    both records hold one value, inf too); ``max_scaled_deviation`` divides
+    each by max(1, that field's largest finite magnitude in the graph
+    trainer's epoch record).  A Euclidean twin passes when every absolute
+    deviation is within ``tol``, an indefinite one when every scaled
+    deviation is: its negative distances can make the kernel huge.
     """
 
     passed: bool
@@ -136,7 +137,8 @@ def duality_check(
 
     config = replace(config, max_epochs=epochs)
     twin = vector_train(R if X is None else X, Y, config, record_trace=True)
-    g_trace, v_trace = graph_train(R, Y, config, record_trace=True).trace, twin.trace
+    g_trace = graph_train(R, Y, config, record_trace=True).metrics.trace
+    v_trace = twin.metrics.trace
     euclidean = twin.signature is None or bool(np.all(twin.signature > 0))
 
     def layout(trace):
@@ -157,13 +159,17 @@ def duality_check(
     field_max = dict.fromkeys(TRACE_FIELDS, 0.0)
     scaled_max = 0.0
     for g_rec, v_rec in zip(g_trace, v_trace):
-        # np.max and np.maximum keep a NaN, which then fails the check
-        devs = {f: float(np.max(np.abs(g_rec[f] - v_rec[f]), initial=0.0)) for f in TRACE_FIELDS}
-        per_epoch.append(float(np.max(list(devs.values()))))
-        for f, dev in devs.items():
-            field_max[f] = float(np.maximum(field_max[f], dev))
-            scaled = dev / np.max(np.abs(g_rec[f]), initial=1.0)
+        devs = []
+        for f in TRACE_FIELDS:
+            g, v = g_rec[f], v_rec[f]
+            # equal entries deviate by 0, an inf both kernels overflow to too;
+            # np.max and np.maximum keep a NaN, which then fails the check
+            with np.errstate(invalid="ignore"):
+                devs.append(float(np.max(np.where(g == v, 0.0, np.abs(g - v)), initial=0.0)))
+            field_max[f] = float(np.maximum(field_max[f], devs[-1]))
+            scaled = devs[-1] / np.max(np.abs(g), initial=1.0, where=np.isfinite(g))
             scaled_max = float(np.maximum(scaled_max, scaled))
+        per_epoch.append(float(np.max(devs)))
 
     # negative distances can make an indefinite twin's kernel huge, so it is
     # held to the scaled bound; a Euclidean twin keeps the absolute one

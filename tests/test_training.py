@@ -584,6 +584,7 @@ class TestTrain:
         mse = [sse / res.split.train.size for sse in res.metrics.sse_train]
         accepted = res.metrics.accepted
         grew = res.metrics.grew
+        assert accepted == [cause == engine.ACCEPTED for cause in res.metrics.causes]
         prev = None
         for m, acc, grown in zip(mse, accepted, grew):
             if acc and prev is not None:
@@ -603,7 +604,7 @@ class TestTrain:
         assert res.metrics.epochs > 0  # completes without blowing up
         assert all(v >= 0 for v in res.metrics.negative_distances)
 
-    def test_overflowed_bandwidth_step_rejected(self, monkeypatch):
+    def test_overflowed_bandwidth_step_rejected(self):
         # negative distances can push a bandwidth step to sigma = inf, where
         # the kernel is 1 and the training MSE stays finite; seeds 1 and 4 of
         # this config (the CLI's overflow test) reach it
@@ -612,14 +613,12 @@ class TestTrain:
         blobs = {"n": 300, "dim": 5, "classes": 3, "sep": 2.0, "seed": 5}
         data = ingest("synthetic-blobs", power=1.5, blobs=blobs)
         R, Y = data.R, data.Y
-        _, seen = spy_epochs(monkeypatch)
         overflowed = set()
         for seed in range(1, 7):
             cfg = TrainConfig(c_init=3, c_max=8, max_epochs=120, patience_grow=2, seed=seed)
-            seen.clear()
-            res = train(R, Y, cfg, record_trace=True)
-            assert all(np.all(np.isfinite(rec["sigma"])) for rec in res.trace)
-            if any(outcome.cause == engine.NONFINITE_SIGMA for outcome, *_ in seen):
+            m = train(R, Y, cfg, record_trace=True).metrics
+            assert all(np.all(np.isfinite(rec["sigma"])) for rec in m.trace)
+            if engine.NONFINITE_SIGMA in m.causes:
                 overflowed.add(seed)
         assert {1, 4} <= overflowed
 
@@ -673,19 +672,17 @@ class TestTrain:
         assert m.sse_val[m.best_epoch] == pytest.approx(m.best_val_sse)
 
 
-def spy_epochs(monkeypatch, copies=False):
+def spy_epochs(monkeypatch):
     """Wrap ``engine.epoch``, which ``training_run`` looks up per epoch.
-    Returns the real epoch and a list that gets, per epoch, its outcome, a
-    deep copy of its state before and after it (with ``copies``) and its
-    other arguments."""
+    Returns the real epoch and a list that gets, per epoch, a deep copy of
+    its state before and after it and its other arguments."""
     real = engine.epoch
     seen = []
 
     def spy(state, *args):
-        before = copy.deepcopy(state) if copies else None
-        outcome = yield from real(state, *args)
-        seen.append((outcome, before, copy.deepcopy(state) if copies else None, args))
-        return outcome
+        before = copy.deepcopy(state)
+        yield from real(state, *args)
+        seen.append((before, copy.deepcopy(state), args))
 
     monkeypatch.setattr(engine, "epoch", spy)
     return real, seen
@@ -719,18 +716,17 @@ class TestEpoch:
         X, y = synthetic_blobs(60, classes=2, sep=1.0, dim=5, seed=4)
         R, Y = from_features(X).power(1.5), one_hot(y, 2)
         cfg = TrainConfig(c_init=2, c_max=5, patience_grow=2, seed=0, max_epochs=100)
-        real, seen = spy_epochs(monkeypatch, copies=True)
-        train(R, Y, cfg)
-        outcomes = [outcome for outcome, *_ in seen]
+        real, seen = spy_epochs(monkeypatch)
+        m = train(R, Y, cfg).metrics
         picks = {
-            next(t for t, o in enumerate(outcomes) if o.grew),
-            next(t for t, o in enumerate(outcomes) if o.cause == engine.ACCEPTED),
-            next(t for t, o in enumerate(outcomes) if o.cause == engine.MSE_RISE),
+            m.grew.index(True),
+            m.causes.index(engine.ACCEPTED),
+            m.causes.index(engine.MSE_RISE),
         }
         for t in sorted(picks):
-            outcome, before, after, args = seen[t]
+            before, after, args = seen[t]
             assert before.metrics.epochs == t and after.metrics.epochs == t + 1
-            assert run_lockstep([real(before, *args)]) == [outcome]
+            assert run_lockstep([real(before, *args)]) == [None]
             assert_same_bits(before, after)
 
     def test_degenerate_shift_halves_the_rate_scale(self, monkeypatch):
@@ -738,15 +734,38 @@ class TestEpoch:
             raise DegenerateShiftError("shifted weights sum to zero")
 
         monkeypatch.setattr(RelationalModel, "shift", degenerate)
-        real, seen = spy_epochs(monkeypatch, copies=True)
+        real, seen = spy_epochs(monkeypatch)
         X, y = synthetic_blobs(30, classes=2, sep=3.0, seed=12)
         res = train(from_features(X), one_hot(y, 2), TrainConfig(c_init=2, seed=0, max_epochs=4))
-        assert [outcome for outcome, *_ in seen] == [(engine.DEGENERATE_SHIFT, False)] * 4
+        assert res.metrics.causes == [engine.DEGENERATE_SHIFT] * 4
+        assert res.metrics.grew == [False] * 4
         assert res.metrics.lr_scale == [0.5, 0.25, 0.125, 0.0625]
         assert res.metrics.accepted == [False] * 4
         # such an epoch asks for no distances; the driver runs it all the same
-        outcome, before, after, args = seen[1]
-        assert run_lockstep([real(before, *args)]) == [outcome]
+        before, after, args = seen[1]
+        assert run_lockstep([real(before, *args)]) == [None]
+        assert_same_bits(before, after)
+
+    @pytest.mark.parametrize(
+        "reason, blobs, cfg, epochs",
+        [
+            ("validation_patience", dict(n=60, sep=1.0, dim=5, seed=4),
+             dict(c_init=2, c_max=5, patience_grow=2, patience_stop=3, seed=0), 49),
+            ("objective_plateau", dict(n=40, sep=3.0, seed=10),
+             dict(c_init=2, c_max=4, exit_tol=1e3, exit_window=3, seed=5), 13),
+        ],
+    )
+    def test_last_epoch_alone_sets_the_stop(self, monkeypatch, reason, blobs, cfg, epochs):
+        # the stop rules live in the epoch: driven alone from the state
+        # before a run's last epoch, it stops the run for the run's reason
+        X, y = synthetic_blobs(classes=2, **blobs)
+        real, seen = spy_epochs(monkeypatch)
+        res = train(from_features(X), one_hot(y, 2), TrainConfig(max_epochs=100, **cfg))
+        assert res.metrics.stop_reason == reason and res.metrics.epochs == epochs
+        before, after, args = seen[-1]
+        assert before.metrics.stop_reason == ""
+        assert run_lockstep([real(before, *args)]) == [None]
+        assert before.metrics.stop_reason == reason
         assert_same_bits(before, after)
 
 

@@ -178,7 +178,7 @@ class TestDualityCheck:
 
         def poisoned(*args, **kwargs):
             result = real(*args, **kwargs)
-            for rec in result.trace:
+            for rec in result.metrics.trace:
                 rec["output"] = rec["output"].copy()
                 rec["output"][0, 0] = np.nan
             return result
@@ -192,6 +192,37 @@ class TestDualityCheck:
         written = json.loads(json.dumps(report.as_dict(), allow_nan=False))
         assert written["max_deviation"] is None and written["field_max_dev"]["output"] is None
         assert written["per_epoch_max_dev"] == [None] * 20
+
+    def test_inf_against_a_finite_entry_fails(self, monkeypatch):
+        # an inf in one trainer's trace where the other's is finite deviates
+        # by inf, relative to the field too
+        from relrbf import vector_oracle
+
+        def overflowed(*args, **kwargs):
+            result = real(*args, **kwargs)
+            rec = result.metrics.trace[-1]
+            rec["hidden"] = rec["hidden"].copy()
+            rec["hidden"][0, 0] = np.inf
+            return result
+
+        real = vector_oracle.vector_train
+        monkeypatch.setattr(vector_oracle, "vector_train", overflowed)
+        X = np.random.default_rng(17).standard_normal((40, 5))
+        report = duality_check(from_features(X), X=X, config=TrainConfig(c_init=3, c_max=5, seed=7), epochs=20)
+        assert report.passed is False
+        assert report.max_deviation == report.field_max_dev["hidden"] == np.inf
+        assert report.max_scaled_deviation == np.inf
+        assert report.per_epoch_max_dev[-1] == np.inf and max(report.per_epoch_max_dev[:-1]) <= 1e-8
+
+    @pytest.mark.filterwarnings("error")
+    def test_kernel_overflow_in_both_trainers_passes(self):
+        # this indefinite graph's kernel overflows to inf at one node in both
+        # trainers' records at epochs 13-19: the same inf deviates by 0
+        data = powered_blobs(300, 1.3, 2.0, 4)
+        cfg = TrainConfig(c_init=3, c_max=8, patience_grow=2, stratify_split=True, seed=11)
+        report = duality_check(R=data.R, Y=data.Y, config=cfg)
+        assert report.passed and report.epochs == 20
+        assert 0.0 < report.max_scaled_deviation <= report.max_deviation <= 1e-8
 
     def test_duplicated_points_benign(self):
         rng = np.random.default_rng(23)
