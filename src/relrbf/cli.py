@@ -162,14 +162,23 @@ def load_dataset(config: ExperimentConfig) -> IngestResult:
     return ingest(**config.dataset)
 
 
-def embed(R: AdjacencyMatrix, method: str):
-    """The embedding of `R` by `method`, "cmds" or "pmds"."""
-    return cmds(R) if method == "cmds" else pmds(R)
+def embed(R: AdjacencyMatrix, method: str, X=None):
+    """The embedding by `method`, "cmds" or "pmds", of `R` with features `X` or None."""
+    return cmds(R, X) if method == "cmds" else pmds(R, X)
 
 
-def apply_transform(R: AdjacencyMatrix, method: str) -> AdjacencyMatrix:
-    """Embed and rebuild the graph with plain squared Euclidean distances."""
-    return R if method == "none" else from_features(embed(R, method).X)
+def apply_transform(R: AdjacencyMatrix, method: str, X=None) -> AdjacencyMatrix:
+    """The graph `method` makes of `R`: "cmds" rebuilds it from its embedding;
+    "pmds" is the graph of pmds(R, X).X in closed form, R - 2 min(0, l) (11' - I)
+    for the smallest eigenvalue l of -J R J / 2."""
+    if method == "cmds":
+        return from_features(cmds(R, X).X)
+    shift = -2.0 * validate(R, X).min_eigenvalue if method == "pmds" else 0.0
+    if shift <= 0.0:
+        return R
+    a = np.add(R.values, shift)
+    np.fill_diagonal(a, 0.0)
+    return AdjacencyMatrix._derived(a)
 
 
 # Monte Carlo runs train in lock-step groups of this many consecutive seeds,
@@ -372,7 +381,7 @@ def run_batch(
 def cmd_train(config: ExperimentConfig, data: IngestResult, out: Path | None) -> int:
     if data.Y is None:
         raise ConfigError("training requires labels (dataset provides none)")
-    R = apply_transform(data.R, config.transform)
+    R = apply_transform(data.R, config.transform, data.X)
     seeds_and_workers = (config.train.seed, config.monte_carlo, config.workers)
     ck_dir = None
     if out is not None:
@@ -490,7 +499,7 @@ def cmd_eval(
 ) -> int:
     if data.Y is None:
         raise ConfigError("evaluation requires labels (dataset provides none)")
-    R = apply_transform(data.R, config.transform)
+    R = apply_transform(data.R, config.transform, data.X)
     params, V, si = load_checkpoint(checkpoint_path, R, data.Y.shape[1])
     # as in training, a kernel that overflows at some nodes is scored, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
@@ -532,8 +541,7 @@ def cmd_duality(config: ExperimentConfig, data: IngestResult, out: Path | None) 
 def cmd_transform(
     config: ExperimentConfig, data: IngestResult, method: str, out: Path | None
 ) -> int:
-    embedding = embed(data.R, method)
-    transformed = from_features(embedding.X) if embedding.X.shape[1] else None
+    embedding = embed(data.R, method, data.X)
     label = method if method == "cmds" else "pmds-as-described"
     print(
         f"{label}: embedded n={data.R.n} into d'={embedding.X.shape[1]} dimensions; "
@@ -543,8 +551,8 @@ def cmd_transform(
         out.mkdir(parents=True, exist_ok=True)
         write_embedding_csv(embedding, out / f"{method}_embedding.npy")
         write_eigenvalues_csv(embedding, out / f"{method}_eigenvalues.csv")
-        if transformed is not None:
-            write_adjacency(transformed, out / f"{method}_adjacency.npy")
+        if embedding.X.shape[1]:
+            write_adjacency(from_features(embedding.X), out / f"{method}_adjacency.npy")
         print(f"wrote {out}/{method}_embedding.npy")
     return EXIT_OK
 

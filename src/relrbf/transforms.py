@@ -44,11 +44,18 @@ class Embedding:
         object.__setattr__(self, "eigenvalues", ev)
 
 
-def _spectrum(R: AdjacencyMatrix):
-    """The eigenpairs of -J R J / 2, eigenvalues descending."""
-    eigvals, eigvecs = np.linalg.eigh(double_centered(R.values))
-    order = np.argsort(eigvals)[::-1]
-    return eigvals[order], eigvecs[:, order]
+def _spectrum(R: AdjacencyMatrix, X=None):
+    """The eigenpairs of -J R J / 2, eigenvalues descending.  Given the
+    features ``X`` whose squared distances ``R`` holds, that is Xc Xc^T for the
+    centered Xc = U S W^T (Gower 1966): the eigenvalues are S^2 then exact
+    zeros, with only the min(n, d) columns of U, and no n x n matrix formed."""
+    if X is None:
+        eigvals, eigvecs = np.linalg.eigh(double_centered(R.values))
+        order = np.argsort(eigvals)[::-1]
+        return eigvals[order], eigvecs[:, order]
+    x = np.asarray(X, dtype=float).reshape(R.n, -1)
+    U, s, _ = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+    return np.concatenate([s * s, np.zeros(R.n - s.size)]), U
 
 
 def _fix_signs(X: np.ndarray) -> np.ndarray:
@@ -63,22 +70,22 @@ def _fix_signs(X: np.ndarray) -> np.ndarray:
 
 def _embed(eigvals: np.ndarray, eigvecs: np.ndarray, signed: bool = False):
     """Columns sqrt(|eigenvalue|) u for the eigenpairs above the floor (in
-    magnitude when ``signed``), and the mask of those pairs."""
+    magnitude when ``signed``), and their indices; ``eigvecs`` may omit the rest."""
     floor = EIGENVALUE_FLOOR * max(1.0, float(np.max(np.abs(eigvals))))
     magnitude = np.abs(eigvals) if signed else eigvals
-    keep = magnitude > floor
+    keep = np.flatnonzero(magnitude > floor)
     X = eigvecs[:, keep] * np.sqrt(magnitude[keep])
     return _fix_signs(X), keep
 
 
-def cmds(R: AdjacencyMatrix) -> Embedding:
+def cmds(R: AdjacencyMatrix, X=None) -> Embedding:
     """Classical scaling: embed over the positive spectrum, zeroing the rest.
 
     For a realizable matrix the pairwise squared distances of the embedding
     reproduce the input; otherwise the negative spectrum is discarded and the
-    entries change.
+    entries change.  Given the features ``X`` of ``R``, their SVD gives the spectrum.
     """
-    eigvals, eigvecs = _spectrum(R)
+    eigvals, eigvecs = _spectrum(R, X)
     X, _ = _embed(eigvals, eigvecs)
     return Embedding(X=X, eigenvalues=eigvals)
 
@@ -96,14 +103,14 @@ def pseudo_euclidean(R: AdjacencyMatrix) -> tuple[np.ndarray, np.ndarray]:
     return X, np.sign(eigvals[keep])
 
 
-def pmds(R: AdjacencyMatrix) -> Embedding:
+def pmds(R: AdjacencyMatrix, X=None) -> Embedding:
     """Proximal scaling: shift the spectrum up by |smallest eigenvalue|.
 
     With a PSD double-centered matrix the shift is zero and the result equals
     the classical embedding; otherwise every off-diagonal dissimilarity of
     the embedded configuration is inflated by 2 |min eigenvalue|.
     """
-    eigvals, eigvecs = _spectrum(R)
+    eigvals, eigvecs = _spectrum(R, X)
     min_eig = float(eigvals.min())
     shifted = eigvals + abs(min_eig) if min_eig < 0 else eigvals
     X, _ = _embed(shifted, eigvecs)

@@ -743,16 +743,22 @@ class TestTrainCommand:
 
 class TestEvalCommand:
     @pytest.mark.parametrize(
-        ("train", "run"),
-        [({}, 0), ({"stratify_split": True}, 2)],
-        ids=["plain", "stratified"],
+        ("train", "run", "overrides"),
+        [
+            ({}, 0, {}),
+            ({"stratify_split": True}, 2, {}),
+            ({}, 1, {"transform": "cmds"}),
+            ({}, 1, {"transform": "pmds", "dataset": {
+                "kind": "synthetic-blobs", "power": 1.5, "blobs": {"n": 40, "seed": 3}}}),
+        ],
+        ids=["plain", "stratified", "cmds", "pmds-powered"],
     )
-    def test_checkpoint_round_trip(self, tmp_path, train, run):
+    def test_checkpoint_round_trip(self, tmp_path, train, run, overrides):
         # eval scores the checkpoint's split with the distances of its
         # prototypes, recomputed from the graph, so it reproduces the run's
-        # numbers exactly
+        # numbers exactly; with a transform, train and eval build one graph
         train = {"c_init": 2, "c_max": 4, "seed": 1, "max_epochs": 40, **train}
-        cfg = blob_config(tmp_path, train=train, monte_carlo=3)
+        cfg = blob_config(tmp_path, train=train, monte_carlo=3, **overrides)
         out = tmp_path / "out"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         expected = json.loads((out / "report.json").read_text())["runs"][run]
@@ -963,6 +969,18 @@ class TestTransformDiagnoseCommands:
             "cmds_adjacency.npy", "cmds_eigenvalues.csv", "cmds_embedding.npy",
         ]
         assert capsys.readouterr().out.endswith(f"wrote {out}/cmds_embedding.npy\n")
+
+    def test_adjacency_built_only_for_out(self, tmp_path, monkeypatch):
+        # the embedding's graph is what cmds_adjacency.npy holds, nothing more
+        calls = []
+        real = relrbf.cli.from_features
+        monkeypatch.setattr(relrbf.cli, "from_features", lambda X: calls.append(X) or real(X))
+        cfg = blob_config(tmp_path)
+        assert main(["transform", "--config", str(cfg), "--method", "cmds"]) == EXIT_OK
+        assert calls == []
+        out = tmp_path / "t"
+        assert main(["transform", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert len(calls) == 1 and (out / "cmds_adjacency.npy").exists()
 
     def test_pmds_label(self, tmp_path, capsys):
         cfg = blob_config(tmp_path)

@@ -1,11 +1,14 @@
 """Spectral embeddings and cluster-tendency reorderings."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relrbf import AdjacencyMatrix, cmds, from_features, ivat, minimax_distances, pmds, vat
+from relrbf.cli import apply_transform, main
 from relrbf.datasets import synthetic_blobs
 from relrbf.graph import double_centered
 from relrbf.transforms import (
@@ -88,6 +91,84 @@ class TestCmds:
             assert col[np.argmax(np.abs(col))] > 0
 
 
+def feature_cases():
+    rng = np.random.default_rng(21)
+    z = rng.standard_normal((30, 3))
+    return {
+        "d<n": rng.standard_normal((60, 4)),
+        "d>=n": rng.standard_normal((12, 20)),
+        "d=n": rng.standard_normal((15, 15)),
+        "1-d": rng.standard_normal(25),
+        "duplicated-column": np.column_stack([z, z[:, 1]]),
+        "constant": np.full((10, 3), 2.5),
+    }
+
+
+class TestFeatureRoute:
+    """Given the features of a graph, the spectrum is their thin SVD's."""
+
+    @pytest.mark.parametrize("name", list(feature_cases()))
+    def test_matches_the_full_spectrum(self, name):
+        X = feature_cases()[name]
+        R = from_features(X)
+        full, thin = cmds(R), cmds(R, X)
+        top = np.max(np.abs(full.eigenvalues))
+        assert np.max(np.abs(thin.eigenvalues - full.eigenvalues)) <= 1e-12 * top
+        assert thin.X.shape == full.X.shape
+        rebuilt = np.abs(from_features(thin.X).values - from_features(full.X).values)
+        assert np.max(rebuilt) <= 1e-12 * R.values.max()
+        # the tail past min(n, d) is written as exact zeros, not roundoff
+        d = 1 if X.ndim == 1 else X.shape[1]
+        assert np.all(thin.eigenvalues[min(R.n, d):] == 0.0)
+
+    def test_dimensions(self):
+        cases = feature_cases()
+        dims = {name: cmds(from_features(X), X).X.shape[1] for name, X in cases.items()}
+        assert dims == {
+            "d<n": 4, "d>=n": 11, "d=n": 14, "1-d": 1, "duplicated-column": 3, "constant": 0,
+        }
+
+    @pytest.mark.parametrize("name", list(feature_cases()))
+    def test_pmds_equals_cmds(self, name):
+        X = feature_cases()[name]
+        R = from_features(X)
+        a, b = pmds(R, X), cmds(R, X)
+        assert a.X.tobytes() == b.X.tobytes()
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+
+    def test_transform_of_a_feature_graph_takes_no_full_spectrum(
+        self, tmp_path, monkeypatch
+    ):
+        # the read-back adjacency.npy of the same graph has no features, so
+        # its transform still takes the n x n eigendecomposition
+        n = 50
+        blobs = {"n": n, "classes": 2, "sep": 4.0, "dim": 3, "seed": 2}
+        config = tmp_path / "blobs.json"
+        config.write_text(json.dumps({"dataset": {"kind": "synthetic-blobs", "blobs": blobs}}))
+        assert main(["ingest", "--config", str(config), "--out", str(tmp_path / "ingest")]) == 0
+        read = tmp_path / "read.json"
+        path = str(tmp_path / "ingest" / "adjacency.npy")
+        read.write_text(json.dumps({"dataset": {"kind": "adjacency-csv", "path": path}}))
+        shapes = []
+        real = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        outputs = {}
+        for name, cfg in (("features", config), ("read", read)):
+            shapes.clear()
+            out = tmp_path / name
+            argv = ["transform", "--config", str(cfg), "--method", "cmds", "--out", str(out)]
+            assert main(argv) == 0
+            outputs[name] = np.load(out / "cmds_adjacency.npy")
+            assert ((n, n) in shapes) is (name == "read")
+        gap = np.max(np.abs(outputs["features"] - outputs["read"]))
+        assert gap <= 1e-12 * outputs["read"].max()
+
+
 class TestPmds:
     def test_equals_cmds_when_realizable(self, three_point_R):
         np.testing.assert_allclose(
@@ -120,6 +201,26 @@ class TestPmds:
         # strictly larger than the classical projection's entries
         cm = from_features(cmds(nonrealizable_R).X)
         assert back.values[off].mean() > cm.values[off].mean()
+
+
+    @pytest.mark.parametrize("n", [200, 400], ids=["full-spectrum", "lanczos"])
+    def test_closed_form_shift_matches_round_trip(self, n, monkeypatch):
+        # above 320 nodes validate certifies the smallest eigenvalue by Lanczos
+        X0, _ = synthetic_blobs(n, classes=3, sep=3.0, dim=5, seed=6)
+        R = from_features(X0, 1.5)
+        expected = from_features(pmds(R).X).values
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+        shifted = apply_transform(R, "pmds")
+        assert bool(calls) is (n < 320)
+        assert np.max(np.abs(shifted.values - expected)) <= 1e-12 * expected.max()
+        off = ~np.eye(n, dtype=bool)
+        assert np.all(shifted.values[off] > R.values[off])
+        assert not np.diagonal(shifted.values).any()
+
+    def test_closed_form_of_a_psd_graph_is_the_graph(self, three_points, three_point_R):
+        assert apply_transform(three_point_R, "pmds", three_points) is three_point_R
 
 
 class TestPseudoEuclidean:
