@@ -152,8 +152,6 @@ class ExperimentConfig:
         stray = [f"dataset.{k}" for k in dataset if k not in ("kind", "power", *KIND_KEYS[kind])]
         if stray:
             raise ConfigError(f"config key(s) {stray} do not apply to dataset.kind={kind!r}")
-        if "path" in KIND_KEYS[kind] and "path" not in dataset:
-            raise ConfigError(f"dataset.kind={kind!r} requires dataset.path")
         duality = fields.pop("duality", {})
         return cls(**fields, **{f"duality_{k}": v for k, v in duality.items()})
 
@@ -162,21 +160,20 @@ def load_dataset(config: ExperimentConfig) -> IngestResult:
     return ingest(**config.dataset)
 
 
-def embed(R: AdjacencyMatrix, method: str, X=None):
-    """The embedding by `method`, "cmds" or "pmds", of `R` with features `X` or None."""
-    return cmds(R, X) if method == "cmds" else pmds(R, X)
-
-
-def apply_transform(R: AdjacencyMatrix, method: str, X=None) -> AdjacencyMatrix:
-    """The graph `method` makes of `R`: "cmds" rebuilds it from its embedding;
-    "pmds" is the graph of pmds(R, X).X in closed form, R - 2 min(0, l) (11' - I)
-    for the smallest eigenvalue l of -J R J / 2."""
-    if method == "cmds":
-        return from_features(cmds(R, X).X)
-    shift = -2.0 * validate(R, X).min_eigenvalue if method == "pmds" else 0.0
-    if shift <= 0.0:
+def apply_transform(R: AdjacencyMatrix, method: str) -> AdjacencyMatrix:
+    """The graph `method` makes of `R`: `R` itself for "none" and for a graph
+    `validate` calls embeddable; otherwise "cmds" rebuilds it from its
+    embedding, and "pmds" is the graph of pmds(R).X in closed form,
+    R - 2 l (11' - I) for the smallest eigenvalue l < 0 of -J R J / 2.  So a
+    graph and its read-back copy, which has no features, give one graph."""
+    if method == "none":
         return R
-    a = np.add(R.values, shift)
+    report = validate(R)
+    if report.euclidean_embeddable:
+        return R
+    if method == "cmds":
+        return from_features(cmds(R).X)
+    a = np.add(R.values, -2.0 * report.min_eigenvalue)
     np.fill_diagonal(a, 0.0)
     return AdjacencyMatrix._derived(a)
 
@@ -321,7 +318,7 @@ def write_json(obj: dict, path: Path) -> None:
 
 def cmd_ingest(config: ExperimentConfig, data: IngestResult, out: Path | None) -> int:
     labels = None if data.Y is None else data.Y.argmax(axis=1)
-    report = validate(data.R, data.X)
+    report = validate(data.R)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         write_adjacency(data.R, out / "adjacency.npy")
@@ -381,7 +378,7 @@ def run_batch(
 def cmd_train(config: ExperimentConfig, data: IngestResult, out: Path | None) -> int:
     if data.Y is None:
         raise ConfigError("training requires labels (dataset provides none)")
-    R = apply_transform(data.R, config.transform, data.X)
+    R = apply_transform(data.R, config.transform)
     seeds_and_workers = (config.train.seed, config.monte_carlo, config.workers)
     ck_dir = None
     if out is not None:
@@ -499,7 +496,7 @@ def cmd_eval(
 ) -> int:
     if data.Y is None:
         raise ConfigError("evaluation requires labels (dataset provides none)")
-    R = apply_transform(data.R, config.transform, data.X)
+    R = apply_transform(data.R, config.transform)
     params, V, si = load_checkpoint(checkpoint_path, R, data.Y.shape[1])
     # as in training, a kernel that overflows at some nodes is scored, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
@@ -519,12 +516,7 @@ def cmd_eval(
 
 
 def cmd_duality(config: ExperimentConfig, data: IngestResult, out: Path | None) -> int:
-    # a read or powered graph has no features: the twin trains on its
-    # pseudo-Euclidean realization
-    report = duality_check(
-        data.R, X=data.X, Y=data.Y, config=config.train, epochs=config.duality_epochs,
-        tol=config.duality_tol,
-    )
+    report = duality_check(data.R, data.Y, config.train, config.duality_epochs, config.duality_tol)
     print(
         f"duality: {'PASS' if report.passed else 'FAIL'} over {report.epochs} epochs, "
         f"max deviation {report.max_deviation:.3e}, scaled "
@@ -541,7 +533,7 @@ def cmd_duality(config: ExperimentConfig, data: IngestResult, out: Path | None) 
 def cmd_transform(
     config: ExperimentConfig, data: IngestResult, method: str, out: Path | None
 ) -> int:
-    embedding = embed(data.R, method, data.X)
+    embedding = (cmds if method == "cmds" else pmds)(data.R)
     label = method if method == "cmds" else "pmds-as-described"
     print(
         f"{label}: embedded n={data.R.n} into d'={embedding.X.shape[1]} dimensions; "

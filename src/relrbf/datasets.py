@@ -19,17 +19,12 @@ from .graph import AdjacencyMatrix, from_features, read_adjacency
 
 @dataclass
 class IngestResult:
-    """Graph, one-hot targets, class names and features of one ingested dataset.
-
-    ``X`` holds the features whose squared distances are ``R`` (standardized
-    when ingest standardized them); it is None for ``adjacency-csv`` and
-    after an entrywise power, which leaves no feature realization of ``R``.
-    """
+    """Graph, one-hot targets and class names of one ingested dataset; the
+    graph of a vector kind at power 1 carries its (standardized) features."""
 
     R: AdjacencyMatrix
     Y: np.ndarray | None
     class_names: list
-    X: np.ndarray | None
 
 
 def one_hot(labels, g: int | None = None) -> np.ndarray:
@@ -210,7 +205,6 @@ def ingest(
     if path is None and kind != "synthetic-blobs":
         raise MalformedFileError(f"{kind} requires a path")
 
-    X = None
     class_names: list = []
     labels = None
     if kind == "adjacency-csv":
@@ -233,7 +227,5 @@ def ingest(
         if standardize:
             X = _zscore(X)
         R = from_features(X, power)
-        if power != 1.0:
-            X = None
     Y = one_hot(labels, len(class_names) or None) if labels is not None else None
-    return IngestResult(R=R, Y=Y, class_names=class_names, X=X)
+    return IngestResult(R=R, Y=Y, class_names=class_names)

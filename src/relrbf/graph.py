@@ -11,7 +11,7 @@ guarantee in this package.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,9 +48,13 @@ class AdjacencyMatrix:
 
     Instances are immutable: the entry array is copied on construction and
     marked read-only, so a matrix can be shared freely across consumers.
+    ``features`` is the realization a graph was built from, a read-only view
+    of the points whose squared distances it holds: set by
+    :func:`from_features` at power 1, None for every other graph.
     """
 
     values: np.ndarray
+    features: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.values, dtype=float)
@@ -79,8 +83,10 @@ class AdjacencyMatrix:
         object.__setattr__(self, "values", a)
 
     def __setstate__(self, state):
-        # unpickling (e.g. into a spawned pool worker) yields a writable array
-        state["values"].setflags(write=False)
+        # unpickling (e.g. into a spawned pool worker) yields writable arrays
+        for a in state.values():
+            if a is not None:
+                a.setflags(write=False)
         self.__dict__.update(state)
 
     @property
@@ -88,13 +94,17 @@ class AdjacencyMatrix:
         return self.values.shape[0]
 
     @classmethod
-    def _derived(cls, a: np.ndarray) -> AdjacencyMatrix:
+    def _derived(cls, a: np.ndarray, features: np.ndarray | None = None) -> AdjacencyMatrix:
         """Wrap `a` as it is, without the checks and the symmetrizing copy:
         only for arrays that have every property the constructor checks, by
-        derivation from a valid matrix or by construction (`from_features`)."""
+        derivation from a valid matrix or by construction (`from_features`,
+        which alone passes the `features` realizing `a`)."""
         R = object.__new__(cls)
-        a.setflags(write=False)
+        for x in (a, features):
+            if x is not None:
+                x.setflags(write=False)
         object.__setattr__(R, "values", a)
+        object.__setattr__(R, "features", features)
         return R
 
     def submatrix(self, idx) -> AdjacencyMatrix:
@@ -152,21 +162,20 @@ def double_centered(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def validate(R: AdjacencyMatrix, X=None) -> RealizabilityReport:
+def validate(R: AdjacencyMatrix) -> RealizabilityReport:
     """Check that a graph has a vector realization.
 
     The graph is embeddable when the smallest eigenvalue of B = -J R J / 2
     is at least ``-PSD_TOL * max(|eigenvalues|)``.  Three routes decide it:
 
-    - Given the features ``X`` whose squared distances ``R`` holds (as built
-      by :func:`from_features`), B is Xc Xc^T for the centered features: it
-      is PSD and B 1 = 0, so the graph is embeddable with smallest
+    - A graph with ``features`` has B = Xc Xc^T for its centered features:
+      B is PSD and B 1 = 0, so the graph is embeddable with smallest
       eigenvalue 0, and no spectrum is computed.
     - Above ``4 * _LANCZOS_STEPS`` nodes, Lanczos can certify that the graph
       is not embeddable (:func:`_certified_min_eigenvalue`).
     - Otherwise, the full spectrum of B, from one n x n buffer.
     """
-    if X is not None:
+    if R.features is not None:
         return RealizabilityReport(euclidean_embeddable=True, min_eigenvalue=0.0)
     if R.n > 4 * _LANCZOS_STEPS:
         min_eig = _certified_min_eigenvalue(R.values)
@@ -244,7 +253,8 @@ def from_features(X, power: float = 1.0) -> AdjacencyMatrix:
     Returns
     -------
     AdjacencyMatrix
-        r[p, q] = ||x_p - x_q||^(2 * power).
+        r[p, q] = ||x_p - x_q||^(2 * power); at power 1 its ``features`` are
+        a read-only view of the 2-d ``X``, not a copy.
     """
     x = np.asarray(X, dtype=float)
     if x.ndim == 1:
@@ -260,7 +270,7 @@ def from_features(X, power: float = 1.0) -> AdjacencyMatrix:
         # the entries the constructor's symmetrizing sum would overflow on
         if not np.isfinite(2.0 * r.max()):
             raise NonFiniteError("adjacency matrix contains non-finite entries")
-    return AdjacencyMatrix._derived(r) if power == 1.0 else _raised(r, power)
+    return AdjacencyMatrix._derived(r, x.view()) if power == 1.0 else _raised(r, power)
 
 
 def _sqeuclidean(x: np.ndarray) -> np.ndarray:

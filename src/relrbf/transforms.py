@@ -44,17 +44,16 @@ class Embedding:
         object.__setattr__(self, "eigenvalues", ev)
 
 
-def _spectrum(R: AdjacencyMatrix, X=None):
-    """The eigenpairs of -J R J / 2, eigenvalues descending.  Given the
-    features ``X`` whose squared distances ``R`` holds, that is Xc Xc^T for the
-    centered Xc = U S W^T (Gower 1966): the eigenvalues are S^2 then exact
-    zeros, with only the min(n, d) columns of U, and no n x n matrix formed."""
-    if X is None:
+def _spectrum(R: AdjacencyMatrix):
+    """The eigenpairs of -J R J / 2, eigenvalues descending.  For a graph with
+    ``features`` that is Xc Xc^T for the centered Xc = U S W^T (Gower 1966):
+    the eigenvalues are S^2 then exact zeros, with only the min(n, d) columns
+    of U, and no n x n matrix formed."""
+    if R.features is None:
         eigvals, eigvecs = np.linalg.eigh(double_centered(R.values))
         order = np.argsort(eigvals)[::-1]
         return eigvals[order], eigvecs[:, order]
-    x = np.asarray(X, dtype=float).reshape(R.n, -1)
-    U, s, _ = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+    U, s, _ = np.linalg.svd(R.features - R.features.mean(axis=0), full_matrices=False)
     return np.concatenate([s * s, np.zeros(R.n - s.size)]), U
 
 
@@ -78,14 +77,14 @@ def _embed(eigvals: np.ndarray, eigvecs: np.ndarray, signed: bool = False):
     return _fix_signs(X), keep
 
 
-def cmds(R: AdjacencyMatrix, X=None) -> Embedding:
+def cmds(R: AdjacencyMatrix) -> Embedding:
     """Classical scaling: embed over the positive spectrum, zeroing the rest.
 
     For a realizable matrix the pairwise squared distances of the embedding
     reproduce the input; otherwise the negative spectrum is discarded and the
-    entries change.  Given the features ``X`` of ``R``, their SVD gives the spectrum.
+    entries change.  A graph's ``features`` give the spectrum by their SVD.
     """
-    eigvals, eigvecs = _spectrum(R, X)
+    eigvals, eigvecs = _spectrum(R)
     X, _ = _embed(eigvals, eigvecs)
     return Embedding(X=X, eigenvalues=eigvals)
 
@@ -103,14 +102,14 @@ def pseudo_euclidean(R: AdjacencyMatrix) -> tuple[np.ndarray, np.ndarray]:
     return X, np.sign(eigvals[keep])
 
 
-def pmds(R: AdjacencyMatrix, X=None) -> Embedding:
+def pmds(R: AdjacencyMatrix) -> Embedding:
     """Proximal scaling: shift the spectrum up by |smallest eigenvalue|.
 
     With a PSD double-centered matrix the shift is zero and the result equals
     the classical embedding; otherwise every off-diagonal dissimilarity of
     the embedded configuration is inflated by 2 |min eigenvalue|.
     """
-    eigvals, eigvecs = _spectrum(R, X)
+    eigvals, eigvecs = _spectrum(R)
     min_eig = float(eigvals.min())
     shifted = eigvals + abs(min_eig) if min_eig < 0 else eigvals
     X, _ = _embed(shifted, eigvecs)

@@ -44,9 +44,9 @@ def vector_kmeans(X, c: int, init_assignment, signature=None):
     return assignment, indicator_weights(assignment, c) @ model.X
 
 
-def vector_train(X, Y, config: TrainConfig, record_trace: bool = False) -> TrainResult:
-    """Train the vector-space twin with the protocol of the graph trainer.
-    ``X`` is either Euclidean features or a graph, which trains on its
+def vector_train(R: AdjacencyMatrix, Y, config: TrainConfig, record_trace=False) -> TrainResult:
+    """Train the vector-space twin of the graph ``R`` with the protocol of the
+    graph trainer, on its ``features`` or, when it has none, on its
     ``pseudo_euclidean`` realization.  It has free prototypes only: a
     medoid-mode ``config`` raises ``ConfigError`` first."""
     if config.prototype_mode != FREE:
@@ -54,7 +54,7 @@ def vector_train(X, Y, config: TrainConfig, record_trace: bool = False) -> Train
             f"the duality check needs free prototypes, got {config.prototype_mode!r}: "
             "the vector twin has no medoid mode"
         )
-    X, signature = pseudo_euclidean(X) if isinstance(X, AdjacencyMatrix) else (X, None)
+    X, signature = (R.features, None) if R.features is not None else pseudo_euclidean(R)
     model = VectorModel(X, signature)
 
     def build(init_assignment, si: SplitIndices):
@@ -106,7 +106,6 @@ class DualityReport:
 
 def duality_check(
     R: AdjacencyMatrix,
-    X=None,
     Y=None,
     config: TrainConfig | None = None,
     epochs: int = DUALITY_EPOCHS,
@@ -115,10 +114,9 @@ def duality_check(
     """Train the vector twin of ``R``, then the graph network on ``R``, and
     compare them epoch by epoch.
 
-    The twin trains on ``X`` when given: the features whose squared
-    distances ``R`` holds, as :func:`relrbf.graph.validate` takes them.
-    Without them it trains on the pseudo-Euclidean realization of ``R``,
-    which every graph has and which is Euclidean for a realizable one.  A
+    The twin trains on the ``features`` of ``R`` when it has them.  Without
+    them it trains on the pseudo-Euclidean realization of ``R``, which every
+    graph has and which is Euclidean for a realizable one.  A
     medoid-mode ``config`` raises ``ConfigError`` before any training or
     spectrum: the twin, which trains first, only has free prototypes.
     When no targets ``Y`` are given, balanced one-hot labels of two classes
@@ -136,7 +134,7 @@ def duality_check(
         Y = np.eye(2)[labels]
 
     config = replace(config, max_epochs=epochs)
-    twin = vector_train(R if X is None else X, Y, config, record_trace=True)
+    twin = vector_train(R, Y, config, record_trace=True)
     g_trace = graph_train(R, Y, config, record_trace=True).metrics.trace
     v_trace = twin.metrics.trace
     euclidean = twin.signature is None or bool(np.all(twin.signature > 0))

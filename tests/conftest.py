@@ -17,8 +17,9 @@ def three_points():
 
 @pytest.fixture
 def three_point_R(three_points):
-    # squared distances: r01 = 1, r02 = 1, r12 = 2
-    return from_features(three_points)
+    # squared distances: r01 = 1, r02 = 1, r12 = 2; the graph alone, without
+    # its features, so spectra take their full route
+    return AdjacencyMatrix(from_features(three_points).values)
 
 
 @pytest.fixture

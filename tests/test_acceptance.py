@@ -12,7 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from relrbf import cmds, from_features, initialization, pmds, prototype_distances, validate
+from relrbf import (
+    AdjacencyMatrix, cmds, from_features, initialization, pmds, prototype_distances, validate,
+)
 from relrbf import vector_oracle
 from relrbf.datasets import ingest, one_hot, synthetic_blobs
 from relrbf.engine import (
@@ -77,7 +79,7 @@ def test_criterion_02_trajectory_duality():
             c_max=6,
             seed=int(master.integers(0, 2**31)),
         )
-        rep = duality_check(from_features(X), X=X, config=cfg, epochs=20)
+        rep = duality_check(from_features(X), config=cfg, epochs=20)
         worst = max(worst, rep.max_deviation)
         if not rep.passed:
             failures.append((i, rep.max_deviation, rep.message))
@@ -332,7 +334,8 @@ def test_criterion_08_medoid_mode_degradation():
 def test_criterion_09_cmds_round_trip(nonrealizable_R):
     t0 = time.perf_counter()
     rng = np.random.default_rng(909)
-    R = from_features(rng.standard_normal((20, 5)))
+    # the graph alone: cMDS by its full spectrum, not by the features' SVD
+    R = AdjacencyMatrix(from_features(rng.standard_normal((20, 5))).values)
     back = from_features(cmds(R).X)
     rel_err = np.max(np.abs(back.values - R.values)) / R.values.max()
     altered = float(np.max(np.abs(from_features(cmds(nonrealizable_R).X).values - nonrealizable_R.values)))

@@ -28,6 +28,7 @@ from relrbf.cli import (
     BLOB_KEYS,
     DATASET_KEYS,
     EXIT_CONFIG,
+    EXIT_DUALITY,
     EXIT_OK,
     KIND_KEYS,
     SEEDED_COMMANDS,
@@ -212,6 +213,27 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith(f"error: train.{key} must be ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "train, message",
+        [({"c_init": 5, "c_max": 3}, "need c_init <= c_max, got 5, 3"),
+         ({"lr_decay": 1.5}, "need 0 < lr_decay < 1 < lr_growth")],
+        ids=["c_init-above-c_max", "lr_decay-above-1"],
+    )
+    def test_train_fields_that_disagree_exit_2(self, tmp_path, capsys, train, message):
+        cfg = blob_config(tmp_path, train=train)
+        assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid train config: {message}\n"
+
+    @pytest.mark.parametrize("kind", ["wdbc", "adjacency-csv"])
+    def test_file_kind_without_a_path_exits_2(self, tmp_path, capsys, kind):
+        # ingest holds the one rule that a file kind needs a path
+        cfg = blob_config(tmp_path, dataset={"kind": kind})
+        assert main(["ingest", "--config", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {kind} requires a path\n"
+
     def test_dataset_keys_are_ingest_parameters(self):
         # the config checks the keys; ingest and synthetic_blobs hold their defaults
         assert set(DATASET_KEYS) == set(inspect.signature(ingest).parameters)
@@ -313,7 +335,7 @@ class TestIngestCommand:
         stdout = capsys.readouterr().out
 
         data = load_dataset(ExperimentConfig.from_file(cfg))
-        report = validate(data.R, data.X)
+        report = validate(data.R)
         assert report == relrbf.graph.RealizabilityReport(True, 0.0)
         ref = tmp_path / "ref"
         ref.mkdir()
@@ -394,6 +416,25 @@ class TestIngestCommand:
         argv = ["eval", "--config", str(read), "--checkpoint", str(checkpoint), "--out", str(eval_out)]
         assert main(argv) == EXIT_OK
         assert json.loads((eval_out / "eval.json").read_text())["accuracy"] == blobs["runs"][1]["accuracy"]
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [("train", "training requires labels"), ("eval", "evaluation requires labels")],
+    )
+    def test_graph_without_labels_neither_trains_nor_evaluates(
+        self, tmp_path, capsys, command, message
+    ):
+        X, _ = synthetic_blobs(12, seed=0)
+        write_adjacency(from_features(X), tmp_path / "graph.npy")
+        dataset = {"kind": "adjacency-csv", "path": str(tmp_path / "graph.npy")}
+        cfg = blob_config(tmp_path, dataset=dataset)
+        argv = [command, "--config", str(cfg)]
+        if command == "eval":
+            argv += ["--checkpoint", str(tmp_path / "never-read.json")]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message} (dataset provides none)\n"
 
     @pytest.mark.parametrize("last", ["-1", "0 1", None], ids=["negative", "two-columns", "empty"])
     @pytest.mark.parametrize("command", ["ingest", "train"])
@@ -773,6 +814,33 @@ class TestEvalCommand:
         assert evaluated["accuracy"] == expected["accuracy"]
         assert evaluated["confusion"] == expected["confusion"]
 
+    @pytest.mark.parametrize("transform", ["cmds", "pmds"])
+    def test_transform_checkpoint_evaluates_on_the_read_back_graph(self, tmp_path, transform):
+        # the adjacency.npy that ingest writes has no features, but like the
+        # feature graph it is embeddable, so the transform leaves both as
+        # they are: eval meets the trained graph, and the checkpoint is that
+        # of transform "none"
+        checkpoints = {}
+        for name in (transform, "none"):
+            cfg = blob_config(tmp_path, transform=name)
+            out = tmp_path / name
+            assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            checkpoints[name] = out / "checkpoints" / "run_1.json"
+        assert checkpoints[transform].read_bytes() == checkpoints["none"].read_bytes()
+        assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "ingest")]) == EXIT_OK
+        dataset = {
+            "kind": "adjacency-csv",
+            "path": str(tmp_path / "ingest" / "adjacency.npy"),
+            "labels_path": str(tmp_path / "ingest" / "labels.csv"),
+        }
+        read = blob_config(tmp_path, dataset=dataset, transform=transform)
+        argv = ["eval", "--config", str(read), "--checkpoint", str(checkpoints[transform]),
+                "--out", str(tmp_path / "eval")]
+        assert main(argv) == EXIT_OK
+        evaluated = json.loads((tmp_path / "eval" / "eval.json").read_text())
+        expected = json.loads((tmp_path / transform / "report.json").read_text())["runs"][1]
+        assert evaluated["accuracy"] == expected["accuracy"]
+
     def train_checkpoint(self, tmp_path, **overrides):
         out = tmp_path / "trained"
         cfg = blob_config(tmp_path, **overrides)
@@ -904,6 +972,20 @@ class TestDualityCommand:
         saved = json.loads((out / "duality.json").read_text())
         assert saved["passed"] is True and "no_oracle" not in saved
         assert saved["max_scaled_deviation"] <= saved["tol"]
+
+    def test_failed_check_exits_3(self, tmp_path, capsys):
+        # no two trainers agree to 1e-300 on a powered graph's signed twin
+        cfg = blob_config(
+            tmp_path,
+            dataset={"kind": "synthetic-blobs", "power": 1.5, "blobs": {"n": 40, "seed": 3}},
+            duality={"epochs": 5, "tol": 1e-300},
+        )
+        out = tmp_path / "out"
+        assert main(["duality", "--config", str(cfg), "--out", str(out)]) == EXIT_DUALITY
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.startswith("duality: FAIL over 5 epochs")
+        saved = json.loads((out / "duality.json").read_text())
+        assert saved["passed"] is False and saved["message"].startswith("max scaled deviation")
 
     def test_trains_on_the_ingested_graph(self, tmp_path, capsys, monkeypatch):
         # the features' distances are computed once, by ingest: the graph

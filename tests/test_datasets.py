@@ -191,12 +191,12 @@ class TestIngest:
         result = ingest("synthetic-blobs", standardize=standardized, blobs=self.BLOBS)
         X, _ = synthetic_blobs(**self.BLOBS)
         expected = standardize(X) if standardized else X
-        assert np.array_equal(result.X, expected)
-        assert np.array_equal(from_features(result.X).values, result.R.values)
+        assert np.array_equal(result.R.features, expected)
+        assert np.array_equal(from_features(result.R.features).values, result.R.values)
 
     def test_power_leaves_no_features(self):
         result = ingest("synthetic-blobs", power=1.5, blobs=self.BLOBS)
-        assert result.X is None
+        assert result.R.features is None
 
     def test_unknown_kind(self):
         with pytest.raises(UnknownKindError):

@@ -210,7 +210,8 @@ class TestValidate:
         elif derivation == "minimax":
             R = minimax_distances(R)
         elif derivation == "features":
-            R = from_features(np.vstack([a, a[:1] + 1.0]))
+            # without its features, which would answer with no spectrum
+            R = AdjacencyMatrix(from_features(np.vstack([a, a[:1] + 1.0])).values)
         a = R.values
         before = a.copy()
         seen = []
@@ -238,7 +239,8 @@ class TestValidate:
 
     def test_holds_one_buffer(self):
         n = 400
-        R = from_features(np.random.default_rng(1).standard_normal((n, 5)))
+        X = np.random.default_rng(1).standard_normal((n, 5))
+        R = AdjacencyMatrix(from_features(X).values)
         assert traced_peak(lambda: validate(R)) <= 1.2 * n * n * 8
 
 
@@ -263,7 +265,7 @@ class TestRealizabilityRoutes:
         R = from_features(X)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         monkeypatch.setattr(relrbf.graph, "_certified_min_eigenvalue", refuse)
-        assert validate(R, X) == RealizabilityReport(True, 0.0)
+        assert validate(R) == RealizabilityReport(True, 0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -275,10 +277,10 @@ class TestRealizabilityRoutes:
     )
     def test_verdict_matches_full_spectrum(self, n, dim, power, scale, seed):
         # powers <= 1 of a feature graph are realizable (Schoenberg), and at
-        # power 1 every graph here has rank <= 40 < n: passed without X, the
-        # Krylov space runs out, which must never certify such a graph
+        # power 1 every graph here has rank <= 40 < n: read without its
+        # features, the Krylov space runs out, which must never certify it
         X = np.random.default_rng(seed).standard_normal((n, dim)) * scale
-        R = from_features(X, power)
+        R = AdjacencyMatrix(from_features(X, power).values)
         report = validate(R)
         embeddable, min_eig = eigvalsh_verdict(R)
         assert report.euclidean_embeddable == embeddable
@@ -309,7 +311,7 @@ class TestRealizabilityRoutes:
         ones_and_noise = np.column_stack([np.ones(n), rng.standard_normal((n, n - 1))])
         basis = np.linalg.qr(ones_and_noise)[0][:, 1:]
         X = basis * np.sqrt(np.concatenate([[1.0], np.linspace(100.0, 200.0, n - 2)]))
-        R = from_features(X)
+        R = AdjacencyMatrix(from_features(X).values)
         assert relrbf.graph._certified_min_eigenvalue(R.values) is None
         assert validate(R) == RealizabilityReport(*eigvalsh_verdict(R))
         assert validate(R).euclidean_embeddable
@@ -486,9 +488,10 @@ class TestFromFeatures:
     def test_output_always_realizable(self, seed):
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((int(rng.integers(2, 20)), int(rng.integers(1, 6))))
-        report = validate(from_features(X))
+        values = from_features(X).values
+        report = validate(AdjacencyMatrix(values))
         assert report.euclidean_embeddable
-        eigs = np.linalg.eigvalsh(double_centered(from_features(X).values))
+        eigs = np.linalg.eigvalsh(double_centered(values))
         assert report.min_eigenvalue >= -1e-10 * max(1.0, np.abs(eigs).max())
 
     @given(st.integers(0, 10_000))
@@ -516,6 +519,42 @@ def npz_bytes(a):
     buf = io.BytesIO()
     np.savez(buf, a=a)
     return buf.getvalue()
+
+
+class TestFeatures:
+    """A graph built from features at power 1 carries them; no other does."""
+
+    @pytest.mark.parametrize("shape", [(12, 3), (12,)], ids=["2-d", "1-d"])
+    def test_a_read_only_view_of_the_input(self, shape):
+        X = np.random.default_rng(3).standard_normal(shape)
+        R = from_features(X)
+        assert R.features.shape == (12, X.size // 12)
+        assert np.shares_memory(R.features, np.asarray(X, float))
+        assert np.array_equal(R.features.ravel(), X.ravel())
+        with pytest.raises(ValueError):
+            R.features[0, 0] = 1.0
+        X[0] = X[0]  # the caller's array stays writable
+
+    def test_unpickled_features_stay_read_only(self):
+        R = from_features(np.random.default_rng(3).standard_normal((12, 3)))
+        back = pickle.loads(pickle.dumps(R))
+        assert bits(back.features) == bits(R.features)
+        with pytest.raises(ValueError):
+            back.features[0, 0] = 1.0
+        assert pickle.loads(pickle.dumps(back.power(2.0))).features is None
+
+    def test_no_other_graph_has_features(self, tmp_path):
+        R = from_features(np.random.default_rng(3).standard_normal((12, 3)))
+        write_adjacency(R, tmp_path / "R.npy")
+        others = {
+            "power": R.power(1.0),
+            "built with a power": from_features(R.features, 1.5),
+            "submatrix": R.submatrix(np.arange(12)),
+            "read": read_adjacency(tmp_path / "R.npy"),
+            "constructor": AdjacencyMatrix(R.values),
+            "minimax": minimax_distances(R),
+        }
+        assert {name: G.features for name, G in others.items()} == dict.fromkeys(others)
 
 
 class TestFileRoundTrip:

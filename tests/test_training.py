@@ -464,7 +464,7 @@ class TestTrainingPath:
     @pytest.fixture
     def data(self):
         X, y = synthetic_blobs(30, classes=2, sep=3.0, seed=12)
-        return X, one_hot(y, 2)
+        return from_features(X), one_hot(y, 2)
 
     @pytest.mark.parametrize(
         "name",
@@ -480,12 +480,12 @@ class TestTrainingPath:
         ],
     )
     def test_engine_step_runs_in_both_trainers(self, monkeypatch, data, name):
-        X, Y = data
+        R, Y = data
         monkeypatch.setattr(engine, name, _raise_sentinel)
         with pytest.raises(Sentinel):
-            train(from_features(X), Y, self.CONFIG)
+            train(R, Y, self.CONFIG)
         with pytest.raises(Sentinel):
-            vector_train(X, Y, self.CONFIG)
+            vector_train(R, Y, self.CONFIG)
 
     @pytest.mark.parametrize(
         "owner, name",
@@ -494,26 +494,26 @@ class TestTrainingPath:
         ids=["shift", "distances"],
     )
     def test_relational_model_runs_in_graph_trainer(self, monkeypatch, data, owner, name):
-        X, Y = data
+        R, Y = data
         monkeypatch.setattr(owner, name, _raise_sentinel)
         with pytest.raises(Sentinel):
-            train(from_features(X), Y, self.CONFIG)
+            train(R, Y, self.CONFIG)
 
     @pytest.mark.parametrize("trainer", ["graph", "vector"])
     def test_k_means_bounds_the_cluster_count(self, data, trainer):
         # 21 of the 30 nodes train; k-means is the one check of c_init
-        X, Y = data
+        R, Y = data
         config = TrainConfig(c_init=22, c_max=22, seed=0, max_epochs=5)
         with pytest.raises(InvalidClusterCountError, match=r"^c=22 outside \[1, 21\]$"):
             if trainer == "graph":
-                train(from_features(X), Y, config)
+                train(R, Y, config)
             else:
-                vector_train(X, Y, config)
+                vector_train(R, Y, config)
 
     @pytest.mark.parametrize("mode", ["free", "medoid"])
     def test_only_free_prototypes_shift(self, monkeypatch, data, mode):
         # the config alone keeps medoids still: no shift is even computed
-        X, Y = data
+        R, Y = data
         calls = []
         real = RelationalModel.shift
 
@@ -522,7 +522,7 @@ class TestTrainingPath:
             return real(self, *args)
 
         monkeypatch.setattr(RelationalModel, "shift", spy)
-        train(from_features(X), Y, dataclasses.replace(self.CONFIG, prototype_mode=mode))
+        train(R, Y, dataclasses.replace(self.CONFIG, prototype_mode=mode))
         assert len(calls) == 0 if mode == "medoid" else len(calls) >= 1
 
 

@@ -111,7 +111,7 @@ class TestFeatureRoute:
     def test_matches_the_full_spectrum(self, name):
         X = feature_cases()[name]
         R = from_features(X)
-        full, thin = cmds(R), cmds(R, X)
+        full, thin = cmds(AdjacencyMatrix(R.values)), cmds(R)
         top = np.max(np.abs(full.eigenvalues))
         assert np.max(np.abs(thin.eigenvalues - full.eigenvalues)) <= 1e-12 * top
         assert thin.X.shape == full.X.shape
@@ -123,7 +123,7 @@ class TestFeatureRoute:
 
     def test_dimensions(self):
         cases = feature_cases()
-        dims = {name: cmds(from_features(X), X).X.shape[1] for name, X in cases.items()}
+        dims = {name: cmds(from_features(X)).X.shape[1] for name, X in cases.items()}
         assert dims == {
             "d<n": 4, "d>=n": 11, "d=n": 14, "1-d": 1, "duplicated-column": 3, "constant": 0,
         }
@@ -132,7 +132,7 @@ class TestFeatureRoute:
     def test_pmds_equals_cmds(self, name):
         X = feature_cases()[name]
         R = from_features(X)
-        a, b = pmds(R, X), cmds(R, X)
+        a, b = pmds(R), cmds(R)
         assert a.X.tobytes() == b.X.tobytes()
         assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
 
@@ -220,7 +220,10 @@ class TestPmds:
         assert not np.diagonal(shifted.values).any()
 
     def test_closed_form_of_a_psd_graph_is_the_graph(self, three_points, three_point_R):
-        assert apply_transform(three_point_R, "pmds", three_points) is three_point_R
+        # with its features or without them, and for cmds too
+        for R in (from_features(three_points), three_point_R):
+            for method in ("cmds", "pmds"):
+                assert apply_transform(R, method) is R
 
 
 class TestPseudoEuclidean:
@@ -243,11 +246,13 @@ class TestPseudoEuclidean:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(3, 60), st.integers(0, 10_000))
     def test_feature_graph_is_euclidean(self, n, seed):
-        # at power 1 the realization is the classical one, every sign +1
+        # at power 1 the realization is the classical one, every sign +1,
+        # also by the full spectrum of the graph read without its features
         X0, _ = synthetic_blobs(n, classes=3, sep=4.0, dim=4, seed=seed)
-        X, s = pseudo_euclidean(from_features(X0))
-        assert np.all(s == 1.0)
-        np.testing.assert_array_equal(X, cmds(from_features(X0)).X)
+        for R in (from_features(X0), AdjacencyMatrix(from_features(X0).values)):
+            X, s = pseudo_euclidean(R)
+            assert np.all(s == 1.0)
+            np.testing.assert_array_equal(X, cmds(R).X)
 
     def test_nonrealizable_keeps_negative_spectrum(self, nonrealizable_R):
         X, s = pseudo_euclidean(nonrealizable_R)

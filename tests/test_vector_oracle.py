@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from relrbf import NetworkParams, TrainResult, from_features
+from relrbf import AdjacencyMatrix, NetworkParams, TrainResult, from_features
 from relrbf.datasets import ingest, one_hot, synthetic_blobs
 from relrbf.engine import TrainConfig, VectorModel
 from relrbf.errors import ConfigError
@@ -45,7 +45,7 @@ class TestVectorDistance:
         np.testing.assert_array_equal(
             VectorModel(x).distances(P), VectorModel(x[:, None]).distances(P)
         )
-        assert duality_check(from_features(x), X=x, epochs=5).passed
+        assert duality_check(from_features(x), epochs=5).passed
 
     def test_signed_distance(self):
         # the second coordinate counts negatively: 1 - 4
@@ -122,7 +122,7 @@ class TestVectorTrain:
         X, y = synthetic_blobs(20, classes=2, sep=4.0, seed=0)
         Y = one_hot(y, 2)
         cfg = TrainConfig(c_init=2, seed=9, max_epochs=0)
-        res = vector_train(X, Y, cfg)
+        res = vector_train(from_features(X), Y, cfg)
         # replay the engine's draw order: split, partition, then parameters
         rng = np.random.default_rng(9)
         si = split(20, rng)
@@ -136,15 +136,18 @@ class TestVectorTrain:
     def test_rejects_medoid_mode(self):
         X, y = synthetic_blobs(20, classes=2, sep=4.0, seed=0)
         with pytest.raises(ConfigError, match="free prototypes"):
-            vector_train(X, one_hot(y, 2), TrainConfig(c_init=2, prototype_mode="medoid"))
+            vector_train(
+                from_features(X), one_hot(y, 2), TrainConfig(c_init=2, prototype_mode="medoid")
+            )
 
     def test_same_sse_trajectory_as_graph_trainer(self, three_points):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((30, 4))
         Y = one_hot(rng.integers(0, 2, 30), 2)
         cfg = TrainConfig(c_init=2, c_max=4, seed=5, max_epochs=25)
-        g = train(from_features(X), Y, cfg)
-        v = vector_train(X, Y, cfg)
+        R = from_features(X)
+        g = train(R, Y, cfg)
+        v = vector_train(R, Y, cfg)
         # one result type: node weights from the graph, positions from the vectors
         assert type(g) is type(v) is TrainResult
         assert g.prototypes.shape == (g.params.c, 30)
@@ -157,8 +160,9 @@ class TestVectorTrain:
         X, y = synthetic_blobs(20, classes=2, sep=4.0, seed=4)
         Y = np.tile([1.0, 0.0], (20, 1))
         cfg = TrainConfig(c_init=2, seed=2, max_epochs=120)
-        g = train(from_features(X), Y, cfg)
-        v = vector_train(X, Y, cfg)
+        R = from_features(X)
+        g = train(R, Y, cfg)
+        v = vector_train(R, Y, cfg)
         np.testing.assert_allclose(g.params.w0, v.params.w0, atol=1e-8)
         np.testing.assert_allclose(g.params.W, v.params.W, atol=1e-8)
         np.testing.assert_allclose(g.params.sigma, v.params.sigma, atol=1e-8)
@@ -167,7 +171,8 @@ class TestVectorTrain:
 class TestDualityCheck:
     def test_random_instance_passes(self):
         X = np.random.default_rng(17).standard_normal((40, 5))
-        report = duality_check(from_features(X), X=X, config=TrainConfig(c_init=3, c_max=5, seed=7), epochs=20)
+        cfg = TrainConfig(c_init=3, c_max=5, seed=7)
+        report = duality_check(from_features(X), config=cfg, epochs=20)
         assert report.passed
         assert report.epochs == 20
         assert report.max_deviation <= 1e-8
@@ -186,7 +191,8 @@ class TestDualityCheck:
         real = vector_oracle.vector_train
         monkeypatch.setattr(vector_oracle, "vector_train", poisoned)
         X = np.random.default_rng(17).standard_normal((40, 5))
-        report = duality_check(from_features(X), X=X, config=TrainConfig(c_init=3, c_max=5, seed=7), epochs=20)
+        cfg = TrainConfig(c_init=3, c_max=5, seed=7)
+        report = duality_check(from_features(X), config=cfg, epochs=20)
         assert report.passed is False and np.isnan(report.max_deviation)
         # written as strict JSON, the non-finite deviations are null
         written = json.loads(json.dumps(report.as_dict(), allow_nan=False))
@@ -208,7 +214,8 @@ class TestDualityCheck:
         real = vector_oracle.vector_train
         monkeypatch.setattr(vector_oracle, "vector_train", overflowed)
         X = np.random.default_rng(17).standard_normal((40, 5))
-        report = duality_check(from_features(X), X=X, config=TrainConfig(c_init=3, c_max=5, seed=7), epochs=20)
+        cfg = TrainConfig(c_init=3, c_max=5, seed=7)
+        report = duality_check(from_features(X), config=cfg, epochs=20)
         assert report.passed is False
         assert report.max_deviation == report.field_max_dev["hidden"] == np.inf
         assert report.max_scaled_deviation == np.inf
@@ -228,7 +235,7 @@ class TestDualityCheck:
         rng = np.random.default_rng(23)
         X = rng.standard_normal((15, 3))
         X = np.vstack([X, X[:5]])
-        report = duality_check(from_features(X), X=X, config=TrainConfig(c_init=2, seed=1), epochs=15)
+        report = duality_check(from_features(X), config=TrainConfig(c_init=2, seed=1), epochs=15)
         assert report.passed
 
     def test_nonrealizable_matrix_passes_on_signed_twin(self, graph_negatives):
@@ -248,6 +255,30 @@ class TestDualityCheck:
         assert report.max_deviation > report.tol >= report.max_scaled_deviation
         assert graph_negatives[0] > 0
 
+    @pytest.mark.parametrize("power", [1.0, 1.5], ids=["features", "signed"])
+    def test_twin_follows_growth(self, monkeypatch, power):
+        # patience_grow=1 adds a prototype at every epoch the validation
+        # error rises: both trainers grow from 2 to c_max=5 within 40 epochs
+        from relrbf.engine import RelationalModel
+
+        grown = {"graph": 0, "vector": 0}
+
+        def counted(name, real):
+            def grow(self, *args):
+                grown[name] += 1
+                return real(self, *args)
+
+            return grow
+
+        monkeypatch.setattr(RelationalModel, "grow", counted("graph", RelationalModel.grow))
+        monkeypatch.setattr(VectorModel, "grow", counted("vector", VectorModel.grow))
+        data = powered_blobs(60, power, 2.0, 1)
+        assert (data.R.features is None) is (power != 1.0)
+        cfg = TrainConfig(c_init=2, c_max=5, patience_grow=1, seed=1)
+        report = duality_check(data.R, data.Y, cfg, epochs=40)
+        assert grown == {"graph": 3, "vector": 3}
+        assert report.passed and report.epochs == 40
+
     def test_realizable_matrix_one_spectrum(self, monkeypatch):
         # no realizability test before the twin: one n x n eigh builds it
         shapes = []
@@ -262,22 +293,35 @@ class TestDualityCheck:
 
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-        R = from_features(np.random.default_rng(31).standard_normal((24, 3)))
+        # read without its features, as from a file
+        X = np.random.default_rng(31).standard_normal((24, 3))
+        R = AdjacencyMatrix(from_features(X).values)
         assert duality_check(R=R, config=TrainConfig(c_init=2, seed=3), epochs=10).passed
         assert shapes == [(24, 24)]
 
     def test_realizable_matrix_direct(self, three_points):
         rng = np.random.default_rng(31)
         X = rng.standard_normal((24, 3))
-        R = from_features(X)
+        R = AdjacencyMatrix(from_features(X).values)
         report = duality_check(R=R, config=TrainConfig(c_init=2, seed=3), epochs=10)
         assert report.passed
 
-    def test_takes_the_graph_and_optional_features(self):
-        # the graph is required; its features, when given, are the twin's
-        X = np.random.default_rng(31).standard_normal((24, 3))
-        cfg = TrainConfig(c_init=2, seed=3)
-        with pytest.raises(TypeError):
-            duality_check(X=X, config=cfg, epochs=10)
-        assert duality_check(from_features(X), X=X, config=cfg, epochs=10).passed
-        assert duality_check(from_features(X), config=cfg, epochs=10).passed
+    def test_twin_trains_on_the_graph_features(self, monkeypatch):
+        # a feature graph's twin takes its features as they are: no spectrum
+        from relrbf import vector_oracle
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no spectrum should be computed")
+
+        def spy(x, signature=None):
+            seen.append((x, signature))
+            return real(x, signature)
+
+        seen, real = [], vector_oracle.VectorModel
+        monkeypatch.setattr(vector_oracle, "VectorModel", spy)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        R = from_features(np.random.default_rng(31).standard_normal((24, 3)))
+        assert duality_check(R, config=TrainConfig(c_init=2, seed=3), epochs=10).passed
+        # the twin's model, then k-means on its training rows
+        assert seen[0][0] is R.features and seen[0][1] is None

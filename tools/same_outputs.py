@@ -13,10 +13,12 @@ two runs of one tree on one host agree byte for byte.
 The matrix:
 - each benchmark workload's command sequence (`perfbench/workloads.py`) at
   seeds 0 and 1, at full size;
-- medoid, stratified, `compare_prototype_modes`, `transform: pmds` and
-  `workers: 2` configs, each through `train`, `eval`, `duality` and
-  `diagnose`, and a non-realizable graph whose bandwidth steps overflow;
-- an ingested graph read back as `adjacency-csv`;
+- medoid, stratified, `compare_prototype_modes`, `transform: cmds`,
+  `transform: pmds` and `workers: 2` configs, each through `train`, `eval`,
+  `duality` and `diagnose`, and a non-realizable graph whose bandwidth steps
+  overflow;
+- an ingested graph read back as `adjacency-csv`, and the `transform: cmds`
+  and `transform: pmds` checkpoints evaluated on the read-back graph;
 - inputs that must exit 2.
 """
 
@@ -52,6 +54,7 @@ CONFIGS = {
     "medoid": {**BASE, "train": {**TRAIN, "prototype_mode": "medoid"}},
     "stratified": {**BASE, "dataset": POWERED, "train": {**TRAIN, "stratify_split": True}},
     "compare": {**BASE, "compare_prototype_modes": True},
+    "cmds": {**BASE, "transform": "cmds"},
     "pmds": {**BASE, "dataset": POWERED, "transform": "pmds"},
     "workers": {**BASE, "monte_carlo": 5, "workers": 2},
     # negative distances: the best network's kernel overflows at test nodes
@@ -133,6 +136,13 @@ def matrix(work: Path) -> list[list[str]]:
         ["eval", *config("other", {**BASE, "dataset": POWERED}),
          "--checkpoint", "medoid/train/checkpoints/run_1.json"],
     ]
+    # a transform's checkpoint, evaluated on its read-back graph
+    for name in ("cmds", "pmds"):
+        dataset = {"kind": "adjacency-csv", "path": f"{name}/ingest/adjacency.npy",
+                   "labels_path": f"{name}/ingest/labels.csv"}
+        cfg = config(f"readback-{name}", {**BASE, "dataset": dataset, "transform": name})
+        runs += [["eval", *cfg, "--checkpoint", f"{name}/train/checkpoints/run_1.json",
+                  "--out", f"readback-{name}/eval"]]
     runs += [[command, *config(name, raw)] for name, (raw, command) in BAD.items()]
     return runs
 
