@@ -13,12 +13,12 @@ small array functions (``output_step``, ``shift_coefficients``,
 ``bandwidth_step``, ``grow_step``) whose signs make an infinitesimal step
 decrease the sum of squared errors, verified by finite differences in tests.
 
-``training_run`` (the run's start, then one ``epoch`` after another) is the
-generator that ``run_lockstep`` drives, answering a group of runs with one
-stacked ``V @ R`` product per round (the Monte Carlo runs of ``relrbf train``
-go through it in groups of consecutive seeds, and a process pool maps the
-groups); ``run_training`` drives one run.  Every entry point, and both
-trainer front ends, return the same ``TrainResult``.
+``training_run`` (the run's start, ``start_run``, then one ``epoch`` after
+another) is the generator that ``run_lockstep`` drives, answering a group of
+runs with one stacked ``V @ R`` product per round (the Monte Carlo runs of
+``relrbf train`` go through it in groups of consecutive seeds, and a process
+pool maps the groups); ``run_training`` drives one run.  Every entry point,
+and both trainer front ends, return the same ``TrainResult``.
 """
 
 from __future__ import annotations
@@ -289,15 +289,10 @@ class VectorModel:
         return np.vstack([P, self.X[m][None, :]])
 
 
-# the arrays of an epoch's record in the run's trace, in that order
-TRACE_FIELDS = ("w0", "W", "sigma", "d", "hidden", "output")
-
-
 @dataclass
 class TrainMetrics:
     """A run's one record of each epoch (SSEs, rate scale, negative distances,
-    ``ACCEPTED`` or the rejection cause, growth and, when ``trace`` is a list,
-    the ``TRACE_FIELDS`` arrays), its best epoch and why it stopped."""
+    ``ACCEPTED`` or the rejection cause, growth), its best epoch and stop."""
 
     sse_train: list = field(default_factory=list)
     sse_val: list = field(default_factory=list)
@@ -306,7 +301,6 @@ class TrainMetrics:
     negative_distances: list = field(default_factory=list)
     causes: list = field(default_factory=list)
     grew: list = field(default_factory=list)
-    trace: list | None = None
     best_epoch: int = -1
     best_val_sse: float = np.inf
     stop_reason: str = ""
@@ -322,13 +316,12 @@ class TrainMetrics:
 
 @dataclass
 class TrainResult:
-    """Best-validation network, prototypes, responses, and metric traces.
+    """Best-validation network, prototypes, responses, and the run's metrics.
 
     ``prototypes`` are the best epoch's: (c, n) node weights from the graph
-    trainer, (c, d) positions from the vector trainer, in the space of its
-    ``signature`` (None: Euclidean).  ``output`` is the (n, g) network
-    response the engine computed for that epoch.  Both are the final state's
-    when no epoch became best.
+    trainer, (c, d) positions from the vector trainer.  ``output`` is the
+    (n, g) network response the engine computed for that epoch.  Both are the
+    final state's when no epoch became best.
     """
 
     params: NetworkParams
@@ -336,7 +329,6 @@ class TrainResult:
     output: np.ndarray
     metrics: TrainMetrics
     split: SplitIndices
-    signature: np.ndarray | None = None
 
 
 class Evaluation(NamedTuple):
@@ -434,8 +426,6 @@ def epoch(state: RunState, model, Y, config: TrainConfig):
     m.lr_scale.append(rates.scale)
     m.negative_distances.append(int(np.count_nonzero(s.D < 0)))
     m.causes.append(cause)
-    if m.trace is not None:
-        m.trace.append(dict(zip(TRACE_FIELDS, (s.w0, s.W, s.sigma, s.D, now.H, now.Yhat))))
 
     if t > 0 and now.sse_val > m.sse_val[t - 1]:
         s.val_run += 1
@@ -463,14 +453,10 @@ def epoch(state: RunState, model, Y, config: TrainConfig):
         m.stop_reason = "objective_plateau"
 
 
-def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False):
-    """The full training protocol over an arbitrary prototype backend, as a
-    generator driven by ``run_lockstep``: the run's start, then ``epoch``
-    until ``max_epochs`` or until an epoch sets the metrics' stop reason.
-
-    Wherever it needs distances (at the start, for a shifted candidate,
-    after growth) it yields ``(model, P)`` and expects the (c, n) distances
-    of the prototypes ``P`` to be sent back; it returns its ``TrainResult``.
+def start_run(build_model, Y, config: TrainConfig):
+    """The run's start on the (n, g) targets ``Y``, as a generator driven by
+    ``run_lockstep``: it yields ``(model, P)`` once, for the start distances,
+    and returns ``(model, RunState)``, the state before the first ``epoch``.
     The run's one generator is seeded by ``config.seed``; its first draw is
     the split (stratified by class when ``config.stratify_split``), its
     second the k-means start, from which ``build_model(init_assignment, si)``
@@ -478,7 +464,6 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
     start prototypes.  The initial network is the first acceptance baseline,
     so an exploding first step is rejected like any other.
     """
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n, g = Y.shape
     rng = np.random.default_rng(config.seed)
     si = make_split(n, rng, np.argmax(Y, axis=1) if config.stratify_split else None)
@@ -490,17 +475,29 @@ def training_run(build_model, Y, config: TrainConfig, record_trace: bool = False
     train_mask[si.train] = True
     D = yield model, P
     current = evaluate(Y, si, D, w0, W, sigma)
-    metrics = TrainMetrics(trace=[] if record_trace else None)
-    s = RunState(w0, W, sigma, P, D, rates, rng, si, train_mask, current, metrics)
-    while metrics.epochs < config.max_epochs and not metrics.stop_reason:
+    return model, RunState(w0, W, sigma, P, D, rates, rng, si, train_mask, current, TrainMetrics())
+
+
+def training_run(build_model, Y, config: TrainConfig):
+    """The full training protocol over an arbitrary prototype backend, as a
+    generator driven by ``run_lockstep``: ``start_run``, then ``epoch``
+    until ``max_epochs`` or until an epoch sets the metrics' stop reason.
+
+    Wherever it needs distances (at the start, for a shifted candidate,
+    after growth) it yields ``(model, P)`` and expects the (c, n) distances
+    of the prototypes ``P`` to be sent back; it returns its ``TrainResult``.
+    """
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    model, s = yield from start_run(build_model, Y, config)
+    while s.metrics.epochs < config.max_epochs and not s.metrics.stop_reason:
         yield from epoch(s, model, Y, config)
-    metrics.stop_reason = metrics.stop_reason or "max_epochs"
+    s.metrics.stop_reason = s.metrics.stop_reason or "max_epochs"
     w0, W, sigma, P, output = s.best or (s.w0, s.W, s.sigma, s.P, s.current.Yhat)
     return TrainResult(
         params=NetworkParams(w0=w0, W=W, sigma=sigma),
         prototypes=P,
         output=output,
-        metrics=metrics,
+        metrics=s.metrics,
         split=s.split,
     )
 
@@ -538,6 +535,6 @@ def run_lockstep(runs: list) -> list:
     return results
 
 
-def run_training(build_model, Y, config: TrainConfig, record_trace: bool = False) -> TrainResult:
+def run_training(build_model, Y, config: TrainConfig) -> TrainResult:
     """Run the full training protocol (``training_run``) for one run."""
-    return run_lockstep([training_run(build_model, Y, config, record_trace)])[0]
+    return run_lockstep([training_run(build_model, Y, config)])[0]

@@ -48,9 +48,10 @@ class AdjacencyMatrix:
 
     Instances are immutable: the entry array is copied on construction and
     marked read-only, so a matrix can be shared freely across consumers.
-    ``features`` is the realization a graph was built from, a read-only view
-    of the points whose squared distances it holds: set by
-    :func:`from_features` at power 1, None for every other graph.
+    ``features`` is the realization a graph was built from: set by
+    :func:`from_features` at power 1, None for every other graph.  It is a
+    read-only view of the caller's array, not a copy; a caller who writes to
+    that array afterwards leaves a graph that its features no longer realize.
     """
 
     values: np.ndarray
@@ -254,7 +255,8 @@ def from_features(X, power: float = 1.0) -> AdjacencyMatrix:
     -------
     AdjacencyMatrix
         r[p, q] = ||x_p - x_q||^(2 * power); at power 1 its ``features`` are
-        a read-only view of the 2-d ``X``, not a copy.
+        a read-only view of the 2-d ``X``, not a copy: writing to ``X``
+        afterwards leaves a graph that its features no longer realize.
     """
     x = np.asarray(X, dtype=float)
     if x.ndim == 1:

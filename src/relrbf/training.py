@@ -44,7 +44,7 @@ def relational_model_from_partition(
     return RelationalModel(R), V
 
 
-def train(R: AdjacencyMatrix, Y, config: TrainConfig, record_trace: bool = False) -> TrainResult:
+def train(R: AdjacencyMatrix, Y, config: TrainConfig) -> TrainResult:
     """Train a graph-based RBF network on an adjacency matrix.
 
     Prototypes are initialized by relational k-means over the training
@@ -55,7 +55,7 @@ def train(R: AdjacencyMatrix, Y, config: TrainConfig, record_trace: bool = False
     best validation error.
     """
     build = partial(relational_model_from_partition, R, config)
-    return run_training(build, Y, config, record_trace=record_trace)
+    return run_training(build, Y, config)
 
 
 def train_group(R: AdjacencyMatrix, Y, configs: list[TrainConfig]) -> list[TrainResult]:

@@ -6,26 +6,33 @@ prototypes as explicit coordinate vectors; it returns the same
 Every symmetric hollow dissimilarity matrix is realized by a point
 configuration in a Euclidean or, with a signature of +1 and -1 per
 coordinate, a pseudo-Euclidean space; on it the two trainers consume the same
-random stream and must produce the same trajectory.  ``duality_check`` runs
-them one after the other and reports the worst per-epoch deviation.
+random stream and must produce the same trajectory.  ``duality_check`` trains
+the two together, one epoch of each per round, and folds each epoch's
+deviation into the worst one as the epoch ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .engine import TRACE_FIELDS, TrainConfig, TrainResult, VectorModel, run_training
+from .engine import (
+    TrainConfig, TrainResult, VectorModel, epoch, run_lockstep, run_training, start_run
+)
 from .errors import ConfigError
 from .graph import AdjacencyMatrix
 from .initialization import SplitIndices, indicator_weights, kmeans_partition
 from .network import finite_or_null
 from .prototypes import FREE
+from .training import relational_model_from_partition
 from .transforms import pseudo_euclidean
 
 DUALITY_EPOCHS = 20
 DUALITY_TOL = 1e-8
+# the arrays of a run's state compared after each epoch, in ``compared`` order
+DUALITY_FIELDS = ("w0", "W", "sigma", "d", "hidden", "output")
 
 
 def vector_kmeans(X, c: int, init_assignment, signature=None):
@@ -44,11 +51,11 @@ def vector_kmeans(X, c: int, init_assignment, signature=None):
     return assignment, indicator_weights(assignment, c) @ model.X
 
 
-def vector_train(R: AdjacencyMatrix, Y, config: TrainConfig, record_trace=False) -> TrainResult:
-    """Train the vector-space twin of the graph ``R`` with the protocol of the
-    graph trainer, on its ``features`` or, when it has none, on its
-    ``pseudo_euclidean`` realization.  It has free prototypes only: a
-    medoid-mode ``config`` raises ``ConfigError`` first."""
+def vector_twin(R: AdjacencyMatrix, config: TrainConfig):
+    """The ``build_model`` and ``signature`` (None: Euclidean) of the vector
+    twin of ``R``: its ``features`` or, without them, its ``pseudo_euclidean``
+    realization.  A medoid-mode ``config`` raises ``ConfigError`` before any
+    spectrum: the twin has free prototypes only."""
     if config.prototype_mode != FREE:
         raise ConfigError(
             f"the duality check needs free prototypes, got {config.prototype_mode!r}: "
@@ -61,7 +68,12 @@ def vector_train(R: AdjacencyMatrix, Y, config: TrainConfig, record_trace=False)
         _, centroids = vector_kmeans(model.X[si.train], config.c_init, init_assignment, signature)
         return model, centroids
 
-    return replace(run_training(build, Y, config, record_trace=record_trace), signature=signature)
+    return build, signature
+
+
+def vector_train(R: AdjacencyMatrix, Y, config: TrainConfig) -> TrainResult:
+    """Train the ``vector_twin`` of ``R`` by the graph trainer's protocol."""
+    return run_training(vector_twin(R, config)[0], Y, config)
 
 
 @dataclass
@@ -70,9 +82,9 @@ class DualityReport:
 
     ``per_epoch_max_dev`` and ``field_max_dev`` hold absolute deviations
     across distances, activations, outputs, weights, and bandwidths (0 where
-    both records hold one value, inf too); ``max_scaled_deviation`` divides
+    both states hold one value, inf too); ``max_scaled_deviation`` divides
     each by max(1, that field's largest finite magnitude in the graph
-    trainer's epoch record).  A Euclidean twin passes when every absolute
+    trainer's state after the epoch).  A Euclidean twin passes when every absolute
     deviation is within ``tol``, an indefinite one when every scaled
     deviation is: its negative distances can make the kernel huge.
     """
@@ -111,61 +123,49 @@ def duality_check(
     epochs: int = DUALITY_EPOCHS,
     tol: float = DUALITY_TOL,
 ) -> DualityReport:
-    """Train the vector twin of ``R``, then the graph network on ``R``, and
-    compare them epoch by epoch.
-
-    The twin trains on the ``features`` of ``R`` when it has them.  Without
-    them it trains on the pseudo-Euclidean realization of ``R``, which every
-    graph has and which is Euclidean for a realizable one.  A
-    medoid-mode ``config`` raises ``ConfigError`` before any training or
-    spectrum: the twin, which trains first, only has free prototypes.
+    """Train the graph network on ``R`` and its ``vector_twin`` together and
+    compare their states after each epoch; a medoid-mode ``config`` is
+    refused before any training.  The check fails at the first epoch after
+    which the two runs hold arrays of different shapes or stop reasons.
     When no targets ``Y`` are given, balanced one-hot labels of two classes
     are drawn from a stream derived from the config seed (the comparison is
     indifferent to the labeling).
     """
-    from .training import train as graph_train
-
-    if config is None:
-        config = TrainConfig()
-
+    config = config or TrainConfig()
     if Y is None:
         label_rng = np.random.default_rng([config.seed, 0xD0A1])
-        labels = label_rng.permutation(np.arange(R.n) % 2)
-        Y = np.eye(2)[labels]
-
+        Y = np.eye(2)[label_rng.permutation(np.arange(R.n) % 2)]
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
     config = replace(config, max_epochs=epochs)
-    twin = vector_train(R, Y, config, record_trace=True)
-    g_trace = graph_train(R, Y, config, record_trace=True).metrics.trace
-    v_trace = twin.metrics.trace
-    euclidean = twin.signature is None or bool(np.all(twin.signature > 0))
+    twin_build, signature = vector_twin(R, config)
+    graph_build = partial(relational_model_from_partition, R, config)
+    (graph, g), (twin, v) = run_lockstep(
+        [start_run(graph_build, Y, config), start_run(twin_build, Y, config)]
+    )
+    euclidean = signature is None or bool(np.all(signature > 0))
 
-    def layout(trace):
-        return [tuple(rec[f].shape for f in TRACE_FIELDS) for rec in trace]
-
-    # a different epoch count or prototype count
-    if layout(g_trace) != layout(v_trace):
-        return DualityReport(
-            passed=False,
-            epochs=max(len(g_trace), len(v_trace)),
-            tol=tol,
-            per_epoch_max_dev=[],
-            field_max_dev={},
-            message=f"trainers diverged in control flow: {len(g_trace)} vs {len(v_trace)} epochs",
-        )
+    def compared(s):  # in the order of DUALITY_FIELDS
+        return s.w0, s.W, s.sigma, s.D, s.current.H, s.current.Yhat
 
     per_epoch = []
-    field_max = dict.fromkeys(TRACE_FIELDS, 0.0)
-    scaled_max = 0.0
-    for g_rec, v_rec in zip(g_trace, v_trace):
+    field_max = dict.fromkeys(DUALITY_FIELDS, 0.0)
+    scaled_max, diverged = 0.0, ""
+    while g.metrics.epochs < epochs and not g.metrics.stop_reason:
+        run_lockstep([epoch(g, graph, Y, config), epoch(v, twin, Y, config)])
+        g_arrays, v_arrays = compared(g), compared(v)
+        # a different prototype count or stop reason
+        reshaped = any(a.shape != b.shape for a, b in zip(g_arrays, v_arrays))
+        if reshaped or g.metrics.stop_reason != v.metrics.stop_reason:
+            diverged = f"trainers diverged in control flow at epoch {len(per_epoch)}"
+            break
         devs = []
-        for f in TRACE_FIELDS:
-            g, v = g_rec[f], v_rec[f]
+        for f, gv, vv in zip(DUALITY_FIELDS, g_arrays, v_arrays):
             # equal entries deviate by 0, an inf both kernels overflow to too;
             # np.max and np.maximum keep a NaN, which then fails the check
             with np.errstate(invalid="ignore"):
-                devs.append(float(np.max(np.where(g == v, 0.0, np.abs(g - v)), initial=0.0)))
+                devs.append(float(np.max(np.where(gv == vv, 0.0, np.abs(gv - vv)), initial=0.0)))
             field_max[f] = float(np.maximum(field_max[f], devs[-1]))
-            scaled = devs[-1] / np.max(np.abs(g), initial=1.0, where=np.isfinite(g))
+            scaled = devs[-1] / np.max(np.abs(gv), initial=1.0, where=np.isfinite(gv))
             scaled_max = float(np.maximum(scaled_max, scaled))
         per_epoch.append(float(np.max(devs)))
 
@@ -175,7 +175,7 @@ def duality_check(
         ("max deviation", float(np.max(per_epoch, initial=0.0))) if euclidean
         else ("max scaled deviation", scaled_max)
     )
-    passed = bool(value <= tol)
+    passed = not diverged and bool(value <= tol)
     return DualityReport(
         passed=passed,
         epochs=len(per_epoch),
@@ -183,5 +183,5 @@ def duality_check(
         per_epoch_max_dev=per_epoch,
         field_max_dev=field_max,
         max_scaled_deviation=scaled_max,
-        message="" if passed else f"{label} {value:.3e} exceeds {tol:.0e}",
+        message=diverged or ("" if passed else f"{label} {value:.3e} exceeds {tol:.0e}"),
     )

@@ -33,19 +33,20 @@ def nonrealizable_R():
 
 @pytest.fixture
 def graph_negatives(monkeypatch):
-    """The negative-distance events of each graph training run that goes
-    through ``relrbf.training.train`` during the test, one total per run."""
-    import relrbf.training
+    """The negative entries of each graph distance product during the test:
+    ``run_lockstep`` answers every graph run, trained alone, in a group or
+    beside its vector twin, with ``relrbf.engine.prototype_distances``."""
+    import relrbf.engine
 
     counts = []
-    real = relrbf.training.train
+    real = relrbf.engine.prototype_distances
 
-    def counting(*args, **kwargs):
-        result = real(*args, **kwargs)
-        counts.append(sum(result.metrics.negative_distances))
-        return result
+    def counting(R, V):
+        D = real(R, V)
+        counts.append(int(np.count_nonzero(D < 0)))
+        return D
 
-    monkeypatch.setattr(relrbf.training, "train", counting)
+    monkeypatch.setattr(relrbf.engine, "prototype_distances", counting)
     return counts
 
 

@@ -5,6 +5,7 @@ and the full training loop."""
 import copy
 import dataclasses
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from relrbf.engine import (
     shift_coefficients,
 )
 from relrbf.errors import ConfigError, DegenerateShiftError, InvalidClusterCountError
-from relrbf.training import evaluate_network, train, train_group
+from relrbf.training import evaluate_network, relational_model_from_partition, train, train_group
 from relrbf.vector_oracle import vector_train
 
 from conftest import brute_force_distance
@@ -616,9 +617,11 @@ class TestTrain:
         overflowed = set()
         for seed in range(1, 7):
             cfg = TrainConfig(c_init=3, c_max=8, max_epochs=120, patience_grow=2, seed=seed)
-            m = train(R, Y, cfg, record_trace=True).metrics
-            assert all(np.all(np.isfinite(rec["sigma"])) for rec in m.trace)
-            if engine.NONFINITE_SIGMA in m.causes:
+            model, state = start(R, Y, cfg)
+            while state.metrics.epochs < cfg.max_epochs and not state.metrics.stop_reason:
+                step(state, model, Y, cfg)
+                assert np.all(np.isfinite(state.sigma))
+            if engine.NONFINITE_SIGMA in state.metrics.causes:
                 overflowed.add(seed)
         assert {1, 4} <= overflowed
 
@@ -672,20 +675,17 @@ class TestTrain:
         assert m.sse_val[m.best_epoch] == pytest.approx(m.best_val_sse)
 
 
-def spy_epochs(monkeypatch):
-    """Wrap ``engine.epoch``, which ``training_run`` looks up per epoch.
-    Returns the real epoch and a list that gets, per epoch, a deep copy of
-    its state before and after it and its other arguments."""
-    real = engine.epoch
-    seen = []
+def start(R, Y, config):
+    """A graph run's model and its state before the first epoch, made by the
+    engine's ``start_run``."""
+    build = partial(relational_model_from_partition, R, config)
+    [(model, state)] = run_lockstep([engine.start_run(build, Y, config)])
+    return model, state
 
-    def spy(state, *args):
-        before = copy.deepcopy(state)
-        yield from real(state, *args)
-        seen.append((before, copy.deepcopy(state), args))
 
-    monkeypatch.setattr(engine, "epoch", spy)
-    return real, seen
+def step(state, model, Y, config):
+    """One ``engine.epoch`` on ``state``, in place, driven by ``run_lockstep``."""
+    assert run_lockstep([engine.epoch(state, model, Y, config)]) == [None]
 
 
 def assert_same_bits(a, b, path="state"):
@@ -708,43 +708,51 @@ def assert_same_bits(a, b, path="state"):
 
 class TestEpoch:
     """``engine.epoch`` is one epoch on a ``RunState``; ``training_run``
-    runs the start and then one epoch after another."""
+    runs ``start_run`` and then one epoch after another."""
 
-    def test_copied_state_repeats_the_epoch(self, monkeypatch):
+    def test_copied_state_repeats_the_epoch(self):
         # a deep copy of a mid-run state, generator included, is a run of its
         # own: the same epoch takes it to the run's next state, bit for bit
         X, y = synthetic_blobs(60, classes=2, sep=1.0, dim=5, seed=4)
         R, Y = from_features(X).power(1.5), one_hot(y, 2)
         cfg = TrainConfig(c_init=2, c_max=5, patience_grow=2, seed=0, max_epochs=100)
-        real, seen = spy_epochs(monkeypatch)
         m = train(R, Y, cfg).metrics
         picks = {
             m.grew.index(True),
             m.causes.index(engine.ACCEPTED),
             m.causes.index(engine.MSE_RISE),
         }
-        for t in sorted(picks):
-            before, after, args = seen[t]
-            assert before.metrics.epochs == t and after.metrics.epochs == t + 1
-            assert run_lockstep([real(before, *args)]) == [None]
-            assert_same_bits(before, after)
+        model, state = start(R, Y, cfg)
+        for t in range(max(picks) + 1):
+            before = copy.deepcopy(state) if t in picks else None
+            step(state, model, Y, cfg)
+            if before is not None:
+                step(before, model, Y, cfg)
+                assert_same_bits(before, state)
+        # the start and the epochs stepped alone are the trained run
+        assert state.metrics.causes == m.causes[: max(picks) + 1]
+        assert state.metrics.sse_val == m.sse_val[: max(picks) + 1]
 
     def test_degenerate_shift_halves_the_rate_scale(self, monkeypatch):
         def degenerate(self, V, eps_h, etas):
             raise DegenerateShiftError("shifted weights sum to zero")
 
         monkeypatch.setattr(RelationalModel, "shift", degenerate)
-        real, seen = spy_epochs(monkeypatch)
         X, y = synthetic_blobs(30, classes=2, sep=3.0, seed=12)
-        res = train(from_features(X), one_hot(y, 2), TrainConfig(c_init=2, seed=0, max_epochs=4))
+        R, Y = from_features(X), one_hot(y, 2)
+        cfg = TrainConfig(c_init=2, seed=0, max_epochs=4)
+        res = train(R, Y, cfg)
         assert res.metrics.causes == [engine.DEGENERATE_SHIFT] * 4
         assert res.metrics.grew == [False] * 4
         assert res.metrics.lr_scale == [0.5, 0.25, 0.125, 0.0625]
         assert res.metrics.accepted == [False] * 4
         # such an epoch asks for no distances; the driver runs it all the same
-        before, after, args = seen[1]
-        assert run_lockstep([real(before, *args)]) == [None]
-        assert_same_bits(before, after)
+        model, state = start(R, Y, cfg)
+        step(state, model, Y, cfg)
+        before = copy.deepcopy(state)
+        step(state, model, Y, cfg)
+        step(before, model, Y, cfg)
+        assert_same_bits(before, state)
 
     @pytest.mark.parametrize(
         "reason, blobs, cfg, epochs",
@@ -755,18 +763,23 @@ class TestEpoch:
              dict(c_init=2, c_max=4, exit_tol=1e3, exit_window=3, seed=5), 13),
         ],
     )
-    def test_last_epoch_alone_sets_the_stop(self, monkeypatch, reason, blobs, cfg, epochs):
+    def test_last_epoch_alone_sets_the_stop(self, reason, blobs, cfg, epochs):
         # the stop rules live in the epoch: driven alone from the state
         # before a run's last epoch, it stops the run for the run's reason
         X, y = synthetic_blobs(classes=2, **blobs)
-        real, seen = spy_epochs(monkeypatch)
-        res = train(from_features(X), one_hot(y, 2), TrainConfig(max_epochs=100, **cfg))
+        R, Y = from_features(X), one_hot(y, 2)
+        config = TrainConfig(max_epochs=100, **cfg)
+        res = train(R, Y, config)
         assert res.metrics.stop_reason == reason and res.metrics.epochs == epochs
-        before, after, args = seen[-1]
-        assert before.metrics.stop_reason == ""
-        assert run_lockstep([real(before, *args)]) == [None]
+        model, state = start(R, Y, config)
+        while not state.metrics.stop_reason:
+            assert state.metrics.epochs < epochs
+            before = copy.deepcopy(state)
+            step(state, model, Y, config)
+        assert state.metrics.epochs == epochs and before.metrics.stop_reason == ""
+        step(before, model, Y, config)
         assert before.metrics.stop_reason == reason
-        assert_same_bits(before, after)
+        assert_same_bits(before, state)
 
 
 class TestLockstep:

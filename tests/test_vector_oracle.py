@@ -8,7 +8,7 @@ import pytest
 from relrbf import AdjacencyMatrix, NetworkParams, TrainResult, from_features
 from relrbf.datasets import ingest, one_hot, synthetic_blobs
 from relrbf.engine import TrainConfig, VectorModel
-from relrbf.errors import ConfigError
+from relrbf.errors import ConfigError, DegenerateShiftError
 from relrbf.initialization import init_params, split
 from relrbf.training import train
 from relrbf.vector_oracle import duality_check, vector_kmeans, vector_train
@@ -21,6 +21,23 @@ def powered_blobs(n, power, sep, seed):
     realizable."""
     blobs = dict(n=n, classes=3, dim=5, sep=sep, seed=seed)
     return ingest("synthetic-blobs", power=power, blobs=blobs)
+
+
+def poison_twin_distances(monkeypatch, value, n, seed):
+    """Set the twin's distance from its first prototype to one test node to
+    ``value``: the first test node of the split that train seed ``seed``
+    draws over ``n`` nodes.  A test node's distances reach the twin's kernel
+    and response but no step, so both runs keep their course."""
+    node = split(n, np.random.default_rng(seed)).test[0]
+    real = VectorModel.distances
+
+    def poisoned(self, P):
+        D = real(self, P)
+        if D.shape[1] == n:  # not k-means on the training rows
+            D[0, node] = value
+        return D
+
+    monkeypatch.setattr(VectorModel, "distances", poisoned)
 
 
 def squared_distance(x, v) -> float:
@@ -178,18 +195,8 @@ class TestDualityCheck:
         assert report.max_deviation <= 1e-8
 
     def test_nan_deviation_fails(self, monkeypatch):
-        # a NaN in one trainer's trace is a deviation no tolerance covers
-        from relrbf import vector_oracle
-
-        def poisoned(*args, **kwargs):
-            result = real(*args, **kwargs)
-            for rec in result.metrics.trace:
-                rec["output"] = rec["output"].copy()
-                rec["output"][0, 0] = np.nan
-            return result
-
-        real = vector_oracle.vector_train
-        monkeypatch.setattr(vector_oracle, "vector_train", poisoned)
+        # a NaN in the twin's state is a deviation no tolerance covers
+        poison_twin_distances(monkeypatch, np.nan, n=40, seed=7)
         X = np.random.default_rng(17).standard_normal((40, 5))
         cfg = TrainConfig(c_init=3, c_max=5, seed=7)
         report = duality_check(from_features(X), config=cfg, epochs=20)
@@ -200,26 +207,53 @@ class TestDualityCheck:
         assert written["per_epoch_max_dev"] == [None] * 20
 
     def test_inf_against_a_finite_entry_fails(self, monkeypatch):
-        # an inf in one trainer's trace where the other's is finite deviates
-        # by inf, relative to the field too
-        from relrbf import vector_oracle
-
-        def overflowed(*args, **kwargs):
-            result = real(*args, **kwargs)
-            rec = result.metrics.trace[-1]
-            rec["hidden"] = rec["hidden"].copy()
-            rec["hidden"][0, 0] = np.inf
-            return result
-
-        real = vector_oracle.vector_train
-        monkeypatch.setattr(vector_oracle, "vector_train", overflowed)
+        # a distance of -inf in the twin's state overflows its kernel where
+        # the graph run's is finite: it deviates by inf, relative to the
+        # field too, while the network's arrays still agree
+        poison_twin_distances(monkeypatch, -np.inf, n=40, seed=7)
         X = np.random.default_rng(17).standard_normal((40, 5))
         cfg = TrainConfig(c_init=3, c_max=5, seed=7)
         report = duality_check(from_features(X), config=cfg, epochs=20)
         assert report.passed is False
         assert report.max_deviation == report.field_max_dev["hidden"] == np.inf
         assert report.max_scaled_deviation == np.inf
-        assert report.per_epoch_max_dev[-1] == np.inf and max(report.per_epoch_max_dev[:-1]) <= 1e-8
+        assert report.per_epoch_max_dev == [np.inf] * 20
+        assert max(report.field_max_dev[f] for f in ("w0", "W", "sigma")) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "course, options",
+        [("grows", dict(c_max=5, patience_grow=1)), ("stops", dict(patience_stop=1))],
+    )
+    def test_control_flow_divergence_fails(self, monkeypatch, course, options):
+        # a twin whose every shift is degenerate keeps its start state, so it
+        # neither grows nor stops; the graph run does, and the check fails
+        # after that epoch
+        def degenerate(self, P, eps_h, etas):
+            raise DegenerateShiftError("shifted weights sum to zero")
+
+        data = powered_blobs(60, 1.0, 2.0, 1)
+        cfg = TrainConfig(c_init=2, seed=1, max_epochs=40, **options)
+        m = train(data.R, data.Y, cfg).metrics
+        t = m.grew.index(True) if course == "grows" else m.epochs - 1
+        assert course == "grows" or m.stop_reason == "validation_patience"
+        monkeypatch.setattr(VectorModel, "shift", degenerate)
+        report = duality_check(data.R, data.Y, cfg, epochs=40)
+        assert report.passed is False and report.epochs == len(report.per_epoch_max_dev) == t
+        assert report.message == f"trainers diverged in control flow at epoch {t}"
+
+    def test_keeps_no_per_epoch_arrays(self):
+        # each epoch's deviation is folded as the epoch ends: ten times the
+        # epochs, the same peak
+        data = powered_blobs(200, 1.5, 2.0, 0)
+        cfg = TrainConfig(c_init=3, c_max=8)
+        reports = {}
+
+        def check(epochs):
+            reports[epochs] = duality_check(data.R, data.Y, cfg, epochs=epochs)
+
+        peaks = {epochs: traced_peak(lambda: check(epochs)) for epochs in (20, 200)}
+        assert reports[200].epochs == 200
+        assert peaks[200] <= 1.25 * peaks[20]
 
     @pytest.mark.filterwarnings("error")
     def test_kernel_overflow_in_both_trainers_passes(self):
@@ -244,7 +278,7 @@ class TestDualityCheck:
         assert report.passed and report.epochs == 20
         assert report.max_scaled_deviation <= 1e-8
         # the graph trainer met negative distances, and the twin followed it
-        assert graph_negatives[0] > 0
+        assert sum(graph_negatives) > 0
 
     def test_indefinite_twin_held_to_scaled_bound(self, graph_negatives):
         # negative distances make the kernel huge here: its absolute deviation
@@ -253,7 +287,7 @@ class TestDualityCheck:
         report = duality_check(R=data.R, Y=data.Y, config=TrainConfig(c_init=3, c_max=8))
         assert report.passed
         assert report.max_deviation > report.tol >= report.max_scaled_deviation
-        assert graph_negatives[0] > 0
+        assert sum(graph_negatives) > 0
 
     @pytest.mark.parametrize("power", [1.0, 1.5], ids=["features", "signed"])
     def test_twin_follows_growth(self, monkeypatch, power):

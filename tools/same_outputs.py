@@ -13,10 +13,12 @@ two runs of one tree on one host agree byte for byte.
 The matrix:
 - each benchmark workload's command sequence (`perfbench/workloads.py`) at
   seeds 0 and 1, at full size;
-- medoid, stratified, `compare_prototype_modes`, `transform: cmds`,
-  `transform: pmds` and `workers: 2` configs, each through `train`, `eval`,
-  `duality` and `diagnose`, and a non-realizable graph whose bandwidth steps
-  overflow;
+- medoid, stratified, `compare_prototype_modes`, `transform: cmds` (on a
+  realizable graph, which it leaves as it is, and on a non-realizable one,
+  which it rebuilds), `transform: pmds` and `workers: 2` configs, each
+  through `train`, `eval`, `duality` and `diagnose`, and a non-realizable
+  graph whose bandwidth steps overflow;
+- a `duality` whose runs grow inside its 40 epochs (`patience_grow: 1`);
 - an ingested graph read back as `adjacency-csv`, and the `transform: cmds`
   and `transform: pmds` checkpoints evaluated on the read-back graph;
 - inputs that must exit 2.
@@ -55,6 +57,7 @@ CONFIGS = {
     "stratified": {**BASE, "dataset": POWERED, "train": {**TRAIN, "stratify_split": True}},
     "compare": {**BASE, "compare_prototype_modes": True},
     "cmds": {**BASE, "transform": "cmds"},
+    "cmds-powered": {**BASE, "dataset": POWERED, "transform": "cmds"},
     "pmds": {**BASE, "dataset": POWERED, "transform": "pmds"},
     "workers": {**BASE, "monte_carlo": 5, "workers": 2},
     # negative distances: the best network's kernel overflows at test nodes
@@ -73,6 +76,14 @@ SIGMA_INF = {
                 "blobs": {"n": 300, "classes": 3, "dim": 5, "sep": 2.0, "seed": 5}},
     "train": {"c_init": 3, "c_max": 8, "max_epochs": 120, "patience_grow": 2},
     "monte_carlo": 1,
+}
+# prototype growth at epochs inside the duality window
+GROWTH = {
+    **BASE,
+    "dataset": {**BLOBS, "power": 1.5,
+                "blobs": {"n": 60, "classes": 3, "dim": 5, "sep": 2.0, "seed": 1}},
+    "train": {"c_init": 2, "c_max": 5, "patience_grow": 1, "seed": 1},
+    "duality": {"epochs": 40},
 }
 READBACK = {
     **BASE,
@@ -125,6 +136,7 @@ def matrix(work: Path) -> list[list[str]]:
     cfg = config("sigma-inf", SIGMA_INF)
     runs += [["train", *cfg, "--seed", seed, "--out", f"sigma-inf/train-{seed}"]
              for seed in ("1", "4")]
+    runs += [["duality", *config("growth", GROWTH), "--out", "growth/duality"]]
     cfg = config("readback", READBACK)
     runs += [
         ["ingest", *cfg],
