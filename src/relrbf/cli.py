@@ -362,6 +362,7 @@ def run_batch(
     _hold_graph(graph)
     try:
         if workers > 1:
+            R.values  # a feature graph's entries: computed here once, not in each worker
             with ProcessPoolExecutor(
                 max_workers=min(workers, len(payloads)),
                 initializer=_hold_graph,

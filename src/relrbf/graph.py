@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,12 +47,11 @@ _BLOCK = 20
 class AdjacencyMatrix:
     """Symmetric, non-negative, zero-diagonal matrix of pairwise dissimilarities.
 
-    Instances are immutable: the entry array is copied on construction and
-    marked read-only, so a matrix can be shared freely across consumers.
-    ``features`` is the realization a graph was built from: set by
-    :func:`from_features` at power 1, None for every other graph.  It is a
-    read-only view of the caller's array, not a copy; a caller who writes to
-    that array afterwards leaves a graph that its features no longer realize.
+    Instances are immutable, and their read-only entries never change: the
+    constructor keeps a checked, symmetrized copy, a derived graph wraps the
+    array it computes, and a feature graph (:func:`from_features` at power
+    1) computes them on the first read of ``values`` from its read-only copy
+    of ``features``, the realization, which is None for every other graph.
     """
 
     values: np.ndarray
@@ -90,21 +90,38 @@ class AdjacencyMatrix:
                 a.setflags(write=False)
         self.__dict__.update(state)
 
+    def __getattr__(self, name):
+        # reached only for an attribute not set: a feature graph's entries
+        # before their first read
+        if name != "values" or self.__dict__.get("features") is None:
+            raise AttributeError(name)
+        a = _sqeuclidean(self.features)
+        a.setflags(write=False)
+        self.__dict__["values"] = a
+        return a
+
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return (self.values if self.features is None else self.features).shape[0]
+
+    @cached_property
+    def spanning_tree(self) -> np.ndarray:
+        """The graph's :func:`_prim` tree, walked on first read, then kept."""
+        return _prim(self.values)
 
     @classmethod
-    def _derived(cls, a: np.ndarray, features: np.ndarray | None = None) -> AdjacencyMatrix:
+    def _derived(cls, a: np.ndarray | None, features: np.ndarray | None = None) -> AdjacencyMatrix:
         """Wrap `a` as it is, without the checks and the symmetrizing copy:
         only for arrays that have every property the constructor checks, by
-        derivation from a valid matrix or by construction (`from_features`,
-        which alone passes the `features` realizing `a`)."""
+        derivation from a valid matrix or by construction.  `from_features`
+        alone passes the `features` realizing the graph, and passes `a` None
+        when the entries are to be computed from them on first read."""
         R = object.__new__(cls)
         for x in (a, features):
             if x is not None:
                 x.setflags(write=False)
-        object.__setattr__(R, "values", a)
+        if a is not None:
+            object.__setattr__(R, "values", a)
         object.__setattr__(R, "features", features)
         return R
 
@@ -116,6 +133,37 @@ class AdjacencyMatrix:
         """Entrywise power, p > 0 (p > 1 is generally not realizable by any
         vector configuration), in a new matrix."""
         return _raised(self.values.copy(), p)
+
+
+def _prim(a: np.ndarray) -> np.ndarray:
+    """Prim's minimum spanning tree on the entries `a`, in VAT's order: a
+    read-only (2, n) array of the visiting order and of each node's attach
+    point (the first visited node to reach its final distance; the start
+    node attaches to itself).  The walk starts from an endpoint of the
+    largest edge and visits the unvisited node closest to the visited set
+    next, ties toward the smallest index."""
+    n = a.shape[0]
+    start = int(np.unravel_index(np.argmax(a), a.shape)[0])
+    tree = np.empty((2, n), dtype=int)
+    perm, attach = tree
+    perm[0] = start
+    attach[:] = start
+    unvisited = np.ones(n, dtype=bool)
+    unvisited[start] = False
+    # Distance to the visited set for unvisited nodes, inf for visited ones.
+    dmin = np.where(unvisited, a[start], np.inf)
+    closer = np.empty(n, dtype=bool)
+    for k in range(1, n):
+        j = int(np.argmin(dmin))
+        perm[k] = j
+        unvisited[j] = False
+        dmin[j] = np.inf
+        np.less(a[j], dmin, out=closer)
+        closer &= unvisited
+        np.copyto(dmin, a[j], where=closer)
+        np.copyto(attach, j, where=closer)
+    tree.setflags(write=False)
+    return tree
 
 
 def _raised(a: np.ndarray, p: float) -> AdjacencyMatrix:
@@ -254,11 +302,11 @@ def from_features(X, power: float = 1.0) -> AdjacencyMatrix:
     Returns
     -------
     AdjacencyMatrix
-        r[p, q] = ||x_p - x_q||^(2 * power); at power 1 its ``features`` are
-        a read-only view of the 2-d ``X``, not a copy: writing to ``X``
-        afterwards leaves a graph that its features no longer realize.
+        r[p, q] = ||x_p - x_q||^(2 * power).  At power 1 its ``features``
+        are a read-only copy of the 2-d ``X``, and entries that cannot
+        overflow are computed from them on the first read of ``values``.
     """
-    x = np.asarray(X, dtype=float)
+    x = np.array(X, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2:
@@ -268,11 +316,15 @@ def from_features(X, power: float = 1.0) -> AdjacencyMatrix:
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("feature matrix contains non-finite entries")
     with np.errstate(over="ignore"):
+        # No entry exceeds the squared feature ranges summed in feature order:
+        # rounding is monotone, and `_sqeuclidean` sums the same way.
+        if power == 1.0 and np.isfinite(2.0 * sum(np.ptp(x, axis=0) ** 2, 0.0)):
+            return AdjacencyMatrix._derived(None, x)
         r = _sqeuclidean(x)
         # the entries the constructor's symmetrizing sum would overflow on
         if not np.isfinite(2.0 * r.max()):
             raise NonFiniteError("adjacency matrix contains non-finite entries")
-    return AdjacencyMatrix._derived(r, x.view()) if power == 1.0 else _raised(r, power)
+    return AdjacencyMatrix._derived(r, x) if power == 1.0 else _raised(r, power)
 
 
 def _sqeuclidean(x: np.ndarray) -> np.ndarray:

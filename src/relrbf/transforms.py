@@ -120,7 +120,8 @@ def pmds(R: AdjacencyMatrix) -> Embedding:
 class VatOrder:
     """Permutation placing similar objects adjacently, plus the reordered
     matrix.  Both arrays are marked read-only in place, not copied: ``vat``
-    builds them fresh."""
+    builds the matrix fresh and takes the permutation from the graph's
+    read-only spanning tree."""
 
     perm: np.ndarray
     reordered: np.ndarray
@@ -130,43 +131,15 @@ class VatOrder:
         self.reordered.setflags(write=False)
 
 
-def _prim(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prim's minimum spanning tree, grown in the order :func:`vat` describes.
-
-    Returns the visiting order and, for each object, the earlier object it
-    joined through (the first to reach its final distance; the start object
-    joins through itself).
-    """
-    n = a.shape[0]
-    start = int(np.unravel_index(np.argmax(a), a.shape)[0])
-    perm = np.empty(n, dtype=int)
-    perm[0] = start
-    attach = np.full(n, start)
-    unvisited = np.ones(n, dtype=bool)
-    unvisited[start] = False
-    # Distance to the visited set for unvisited objects, inf for visited ones.
-    dmin = np.where(unvisited, a[start], np.inf)
-    closer = np.empty(n, dtype=bool)
-    for k in range(1, n):
-        j = int(np.argmin(dmin))
-        perm[k] = j
-        unvisited[j] = False
-        dmin[j] = np.inf
-        np.less(a[j], dmin, out=closer)
-        closer &= unvisited
-        np.copyto(dmin, a[j], where=closer)
-        np.copyto(attach, j, where=closer)
-    return perm, attach
-
-
 def vat(R: AdjacencyMatrix) -> VatOrder:
-    """Minimax (Prim-style) reordering of a dissimilarity matrix.
+    """Minimax (Prim-style) reordering of a dissimilarity matrix: the
+    visiting order of ``R.spanning_tree``.
 
     Starts from an endpoint of the largest edge, then repeatedly appends the
     unvisited object closest to the visited set.  Ties break toward the
     smallest object index.
     """
-    perm, _ = _prim(R.values)
+    perm = R.spanning_tree[0]
     return VatOrder(perm=perm, reordered=R.values[np.ix_(perm, perm)])
 
 
@@ -175,23 +148,24 @@ def minimax_distances(R: AdjacencyMatrix) -> AdjacencyMatrix:
     connecting paths (never exceeds the direct edge).
 
     That bottleneck is the largest edge on the minimum-spanning-tree path
-    (Havens & Bezdek, IEEE TKDE 2012), so one Prim pass gives all of it in
-    O(n^2): the row of the k-th object to join, against the objects before
-    it, is its attach point's row raised to at least the attach edge.  The
-    rows are built in visiting order and permuted back once.
+    (Havens & Bezdek, IEEE TKDE 2012), so the walk of ``R.spanning_tree``
+    gives all of it in O(n^2): the row of the k-th object to join, against
+    the objects before it, is its attach point's row raised to at least the
+    attach edge.  Built on the lower triangle, that row reads 0 for objects
+    visited between the two, which Prim's order keeps within the attach
+    edge; the triangle is symmetrized and permuted back once.
     """
-    a = R.values
+    perm, attach = R.spanning_tree
     n = R.n
-    perm, attach = _prim(a)
     pos = np.empty(n, dtype=int)
     pos[perm] = np.arange(n)
     parent = pos[attach[perm]]
-    edge = a[attach[perm], perm]
-    mp = np.zeros_like(a)
+    edge = R.values[attach[perm], perm]
+    mp = np.zeros((n, n))
     for k in range(1, n):
         # mp[parent[k], parent[k]] is 0, so the entry for the attach point is the edge.
         np.maximum(mp[parent[k], :k], edge[k], out=mp[k, :k])
-        mp[:k, k] = mp[k, :k]
+    mp += mp.T
     # symmetric, zero on the diagonal and non-negative by construction
     return AdjacencyMatrix._derived(mp[np.ix_(pos, pos)])
 
@@ -231,4 +205,4 @@ def write_pgm(matrix: np.ndarray, path) -> None:
         np.rint(levels, out=levels)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode())
-        fh.write(levels.astype(np.uint8).tobytes())
+        fh.write(levels.astype(np.uint8))

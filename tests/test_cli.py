@@ -1157,6 +1157,67 @@ class TestTransformDiagnoseCommands:
         assert threading.active_count() == threads
 
 
+@pytest.fixture
+def entry_builds(monkeypatch, tmp_path):
+    """The pid of each computation of a feature graph's entries, as lines of
+    a file, so that a pool worker's computations count too."""
+    log = tmp_path / "builds.txt"
+    log.touch()
+    real = relrbf.graph._sqeuclidean
+
+    def logging(x):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(x)
+
+    monkeypatch.setattr(relrbf.graph, "_sqeuclidean", logging)
+    return lambda: log.read_text().split()
+
+
+class TestFeatureGraphEntries:
+    """A feature graph computes its n x n entries only for a command that
+    reads them, once."""
+
+    @pytest.mark.parametrize("method", ["cmds", "pmds"])
+    def test_transform_reads_them_only_to_write_the_embedding_graph(
+        self, tmp_path, entry_builds, method
+    ):
+        cfg = blob_config(tmp_path)
+        assert main(["transform", "--config", str(cfg), "--method", method]) == EXIT_OK
+        assert entry_builds() == []
+        out = tmp_path / "t"
+        assert main(
+            ["transform", "--config", str(cfg), "--method", method, "--out", str(out)]
+        ) == EXIT_OK
+        assert len(entry_builds()) == 1 and (out / f"{method}_adjacency.npy").exists()
+
+    @pytest.mark.parametrize(
+        "command, out, builds",
+        [("ingest", False, 0), ("ingest", True, 1), ("duality", False, 1), ("train", False, 1),
+         ("diagnose", False, 1)],
+    )
+    def test_commands_build_them_once(self, tmp_path, entry_builds, command, out, builds):
+        argv = [command, "--config", str(blob_config(tmp_path))]
+        assert main(argv + ["--out", str(tmp_path / "out")] * out) == EXIT_OK
+        assert entry_builds() == [str(os.getpid())] * builds
+
+    def test_pool_workers_never_build_them(self, tmp_path, entry_builds):
+        # six seeds form two lock-step groups, one per worker
+        cfg = blob_config(tmp_path, workers=2, monte_carlo=6)
+        assert main(["train", "--config", str(cfg)]) == EXIT_OK
+        assert entry_builds() == [str(os.getpid())]
+
+    def test_diagnose_walks_two_spanning_trees(self, tmp_path, monkeypatch):
+        # VAT's walk of the graph gives iVAT's minimax graph, whose own walk
+        # gives iVAT's order
+        walks = []
+        real = relrbf.graph._prim
+        monkeypatch.setattr(relrbf.graph, "_prim", lambda a: walks.append(a.shape) or real(a))
+        cfg = blob_config(tmp_path)
+        assert main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "d")]) == EXIT_OK
+        assert walks == [(40, 40)] * 2
+
+
 def out_files(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 

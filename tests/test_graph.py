@@ -370,6 +370,7 @@ class TestDerivedGraphs:
     def test_power_holds_one_buffer(self):
         n = 400
         R, _ = self.graph(3, n=n)
+        R.values  # a feature graph computes its entries on first read
         assert traced_peak(lambda: R.power(1.5)) <= 1.2 * n * n * 8
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0])
@@ -525,15 +526,61 @@ class TestFeatures:
     """A graph built from features at power 1 carries them; no other does."""
 
     @pytest.mark.parametrize("shape", [(12, 3), (12,)], ids=["2-d", "1-d"])
-    def test_a_read_only_view_of_the_input(self, shape):
+    def test_a_read_only_copy_of_the_input(self, shape):
         X = np.random.default_rng(3).standard_normal(shape)
         R = from_features(X)
         assert R.features.shape == (12, X.size // 12)
-        assert np.shares_memory(R.features, np.asarray(X, float))
+        assert not np.shares_memory(R.features, X)
         assert np.array_equal(R.features.ravel(), X.ravel())
         with pytest.raises(ValueError):
             R.features[0, 0] = 1.0
         X[0] = X[0]  # the caller's array stays writable
+
+    @pytest.mark.parametrize("read", ["before", "after"])
+    def test_entries_fixed_at_construction(self, read):
+        # whether the entries are computed before or after the caller writes
+        # to its array, they and the features are those of the array passed
+        X = np.random.default_rng(4).standard_normal((30, 3))
+        expected = bits(from_features(X.copy()).values)
+        features = bits(X)
+        R = from_features(X)
+        if read == "before":
+            R.values
+        X *= 2.0
+        assert bits(R.values) == expected and bits(R.features) == features
+        assert validate(R).euclidean_embeddable
+
+    def test_entries_computed_on_first_read(self, monkeypatch):
+        builds = []
+        real = relrbf.graph._sqeuclidean
+        monkeypatch.setattr(relrbf.graph, "_sqeuclidean", lambda x: builds.append(x) or real(x))
+        X = np.random.default_rng(5).standard_normal((20, 3))
+        R = from_features(X)
+        assert R.n == 20 and validate(R).euclidean_embeddable and builds == []
+        lazy = pickle.loads(pickle.dumps(R))
+        first = R.values
+        assert R.values is first and len(builds) == 1 and not first.flags.writeable
+        # the unpickled graph computes its own entries, the same bits
+        assert bits(lazy.values) == bits(first) and len(builds) == 2
+        assert bits(pickle.loads(pickle.dumps(R)).values) == bits(first) and len(builds) == 2
+        for power in (1.5, 2.0):
+            from_features(X, power)
+        assert len(builds) == 4
+
+    @pytest.mark.parametrize("scale, eager", [(1e100, False), (8e153, True)])
+    def test_entries_that_might_overflow_are_computed_at_once(self, monkeypatch, scale, eager):
+        # two feature ranges whose squares sum past half the largest float:
+        # the entries are computed and checked in the constructor.  No two
+        # points here differ by both ranges, so the largest entry is one
+        # squared range, and the graph is accepted.
+        builds = []
+        real = relrbf.graph._sqeuclidean
+        monkeypatch.setattr(relrbf.graph, "_sqeuclidean", lambda x: builds.append(x) or real(x))
+        half = scale / 2.0
+        X = np.array([[0.0, half], [scale, half], [half, 0.0], [half, scale]])
+        R = from_features(X)
+        assert len(builds) == eager
+        assert R.values.max() == scale * scale and len(builds) == 1
 
     def test_unpickled_features_stay_read_only(self):
         R = from_features(np.random.default_rng(3).standard_normal((12, 3)))

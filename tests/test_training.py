@@ -781,6 +781,26 @@ class TestEpoch:
         assert before.metrics.stop_reason == reason
         assert_same_bits(before, state)
 
+    def test_plateau_stops_where_the_accepted_window_says(self):
+        # a tolerance below the SSEs themselves, and a last window whose two
+        # ends differ: the run stops at the first epoch whose last `k`
+        # accepted steps moved the training SSE by less than `exit_tol`
+        X, y = synthetic_blobs(40, classes=2, sep=3.0, seed=10)
+        R, Y = from_features(X), one_hot(y, 2)
+        tol, k = 1e-2, 3
+        config = TrainConfig(c_init=2, c_max=4, exit_tol=tol, exit_window=k, seed=5, max_epochs=100)
+        model, state = start(R, Y, config)
+        plateau = False
+        while not plateau:
+            assert state.metrics.epochs < 65
+            step(state, model, Y, config)
+            sse = state.accepted_sse
+            plateau = len(sse) > k and abs(sse[-1] - sse[-1 - k]) < tol
+            assert state.metrics.stop_reason == ("objective_plateau" if plateau else "")
+        assert state.metrics.epochs == 65
+        assert 0.0 < abs(sse[-1] - sse[-1 - k]) < tol < min(sse)
+        assert train(R, Y, config).metrics.epochs == 65
+
 
 class TestLockstep:
     """A run trained in a lock-step group is the run ``train`` makes alone;

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relrbf.graph
 from relrbf import AdjacencyMatrix, cmds, from_features, ivat, minimax_distances, pmds, vat
 from relrbf.cli import apply_transform, main
 from relrbf.datasets import synthetic_blobs
@@ -288,7 +289,24 @@ class TestVat:
         # the reordered matrix is the one n x n array a call allocates
         n = 1000
         R = from_features(np.random.default_rng(4).standard_normal((n, 3)))
+        R.values  # a feature graph computes its entries on first read
         assert traced_peak(lambda: vat(R)) <= 1.2 * n * n * 8
+
+    def test_walks_each_graph_once(self, monkeypatch):
+        # vat and minimax_distances share the graph's one Prim walk; ivat
+        # walks the minimax graph too
+        walks = []
+        real = relrbf.graph._prim
+        monkeypatch.setattr(relrbf.graph, "_prim", lambda a: walks.append(a) or real(a))
+        R = from_features(np.random.default_rng(6).standard_normal((30, 3)))
+        order = vat(R)
+        assert len(walks) == 1 and walks[0] is R.values
+        assert np.array_equal(minimax_distances(R).values, floyd_warshall_minimax(R))
+        iorder, transformed = ivat(R)
+        assert len(walks) == 2 and walks[1] is transformed.values
+        assert np.array_equal(vat(R).perm, order.perm)
+        assert np.array_equal(vat(transformed).perm, iorder.perm)
+        assert len(walks) == 2 and not R.spanning_tree.flags.writeable
 
 
 class TestIvat:

@@ -18,9 +18,14 @@ The matrix:
   which it rebuilds), `transform: pmds` and `workers: 2` configs, each
   through `train`, `eval`, `duality` and `diagnose`, and a non-realizable
   graph whose bandwidth steps overflow;
+- `transform --method cmds` and `--method pmds` on a graph built from
+  features (whose entries the command never computes) and on a powered
+  graph (the full spectrum);
 - a `duality` whose runs grow inside its 40 epochs (`patience_grow: 1`);
-- an ingested graph read back as `adjacency-csv`, and the `transform: cmds`
-  and `transform: pmds` checkpoints evaluated on the read-back graph;
+- an ingested graph read back as `adjacency-csv` (a graph without features,
+  its entries read at once) through `train`, `eval`, `duality`, `diagnose`
+  and `transform --method cmds`, and the `transform: cmds` and
+  `transform: pmds` checkpoints evaluated on the read-back graph;
 - inputs that must exit 2.
 """
 
@@ -132,7 +137,14 @@ def matrix(work: Path) -> list[list[str]]:
             ["duality", *cfg, "--out", f"{name}/duality"],
             ["diagnose", *cfg, "--out", f"{name}/diagnose"],
         ]
-    runs += [["transform", "--config", "pmds.json", "--method", "pmds", "--out", "pmds/transform"]]
+    # both spectrum routes, each with both methods: the features' SVD of a
+    # graph built from features, and the full eigendecomposition of a
+    # powered graph (here) and of a read-back one (below)
+    runs += [
+        ["transform", "--config", f"{name}.json", "--method", method,
+         "--out", f"{name}/transform-{method}"]
+        for name in ("medoid", "pmds") for method in ("cmds", "pmds")
+    ]
     cfg = config("sigma-inf", SIGMA_INF)
     runs += [["train", *cfg, "--seed", seed, "--out", f"sigma-inf/train-{seed}"]
              for seed in ("1", "4")]
@@ -144,6 +156,8 @@ def matrix(work: Path) -> list[list[str]]:
         ["eval", *cfg, "--checkpoint", "medoid/train/checkpoints/run_1.json",
          "--out", "readback/eval"],
         ["duality", *cfg, "--out", "readback/duality"],
+        ["diagnose", *cfg, "--out", "readback/diagnose"],
+        ["transform", *cfg, "--method", "cmds", "--out", "readback/transform-cmds"],
         # a checkpoint of another graph
         ["eval", *config("other", {**BASE, "dataset": POWERED}),
          "--checkpoint", "medoid/train/checkpoints/run_1.json"],
