@@ -556,14 +556,14 @@ def _write_order(order, out: Path, name: str) -> None:
 
 
 def cmd_diagnose(config: ExperimentConfig, data: IngestResult, out: Path | None) -> int:
-    order = vat(data.R)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        _write_order(order, out, "vat")
-    iorder, _ = ivat(data.R)
-    if out is not None:
-        _write_order(iorder, out, "ivat")
-    print(f"vat: reordered {data.R.n} objects; first index {order.perm[0]}")
+        # each reordered matrix is freed once written, so at most three n x n
+        # arrays live: the graph, the minimax graph and iVAT's matrix
+        _write_order(vat(data.R), out, "vat")
+        _write_order(ivat(data.R)[0], out, "ivat")
+    # VAT's first index starts the graph's spanning tree, all that stdout needs
+    print(f"vat: reordered {data.R.n} objects; first index {data.R.spanning_tree[0, 0]}")
     if out is not None:
         print(f"wrote {out}/vat.pgm and {out}/ivat.pgm")
     return EXIT_OK

@@ -37,13 +37,14 @@ PSD_TOL = 1e-8
 _LANCZOS_STEPS = 80
 # Relative Ritz residual at which `validate` reports the smallest Ritz value.
 _RITZ_RTOL = 1e-9
-# Rows of the distance matrix that `_sqeuclidean` computes at a time: its two
-# buffers stay small next to the n x n result, and 16 to 32 rows ran at one
+# Rows of an n x n matrix that `_sqeuclidean` computes, and that the
+# transforms' minimax graph and PGM writer handle, at a time: the buffers
+# stay small next to the matrix, and 16 to 32 rows ran `_sqeuclidean` at one
 # speed for n from 569 to 2000.
 _BLOCK = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjacencyMatrix:
     """Symmetric, non-negative, zero-diagonal matrix of pairwise dissimilarities.
 
@@ -52,10 +53,11 @@ class AdjacencyMatrix:
     array it computes, and a feature graph (:func:`from_features` at power
     1) computes them on the first read of ``values`` from its read-only copy
     of ``features``, the realization, which is None for every other graph.
+    Graphs compare and hash by identity.
     """
 
     values: np.ndarray
-    features: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    features: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.values, dtype=float)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import AdjacencyMatrix, double_centered, save_npy
+from .graph import _BLOCK, AdjacencyMatrix, double_centered, save_npy
 
 EIGENVALUE_FLOOR = 1e-12
 
@@ -151,23 +151,29 @@ def minimax_distances(R: AdjacencyMatrix) -> AdjacencyMatrix:
     (Havens & Bezdek, IEEE TKDE 2012), so the walk of ``R.spanning_tree``
     gives all of it in O(n^2): the row of the k-th object to join, against
     the objects before it, is its attach point's row raised to at least the
-    attach edge.  Built on the lower triangle, that row reads 0 for objects
-    visited between the two, which Prim's order keeps within the attach
-    edge; the triangle is symmetrized and permuted back once.
+    attach edge.  Each object's row is built in place, its columns in
+    visiting order, so it reads 0 for objects visited between the two, which
+    Prim's order keeps within the attach edge.  The built half is mirrored
+    (``mp += mp.T`` would copy the transpose whole) and the columns are put
+    in node order, a block of rows at a time: the result is the one n x n
+    array the call allocates.
     """
     perm, attach = R.spanning_tree
     n = R.n
-    pos = np.empty(n, dtype=int)
-    pos[perm] = np.arange(n)
-    parent = pos[attach[perm]]
-    edge = R.values[attach[perm], perm]
+    up = attach[perm]
+    edge = R.values[up, perm]
     mp = np.zeros((n, n))
     for k in range(1, n):
-        # mp[parent[k], parent[k]] is 0, so the entry for the attach point is the edge.
-        np.maximum(mp[parent[k], :k], edge[k], out=mp[k, :k])
-    mp += mp.T
+        # mp[up[k], pos[up[k]]] is not built yet, so the attach point's entry is the edge.
+        np.maximum(mp[up[k], :k], edge[k], out=mp[perm[k], :k])
+    pos = np.empty(n, dtype=int)
+    pos[perm] = np.arange(n)
+    for i in range(0, n, _BLOCK):
+        mp[perm[i : i + _BLOCK], i:] += mp[perm[i:], i : i + _BLOCK].T
+    for i in range(0, n, _BLOCK):
+        mp[i : i + _BLOCK] = mp[i : i + _BLOCK, pos]
     # symmetric, zero on the diagonal and non-negative by construction
-    return AdjacencyMatrix._derived(mp[np.ix_(pos, pos)])
+    return AdjacencyMatrix._derived(mp)
 
 
 def ivat(R: AdjacencyMatrix) -> tuple[VatOrder, AdjacencyMatrix]:
@@ -194,15 +200,16 @@ def write_vat_csv(order: VatOrder, perm_path, matrix_path) -> None:
 def write_pgm(matrix: np.ndarray, path) -> None:
     """Binary (P5) grayscale PGM of a non-negative dissimilarity matrix
     (dark = similar): one byte per pixel, ``rint(255 * m / max(m))``, all 0
-    when the maximum is 0."""
+    when the maximum is 0, scaled and written a block of rows at a time."""
     m = np.asarray(matrix, dtype=float)
     if m.size and m.min() < 0:
         raise ValueError("write_pgm needs a non-negative matrix")
     top = m.max()
-    levels = np.multiply(m, 255.0)  # all zeros when top is 0
-    if top > 0:
-        levels /= top
-        np.rint(levels, out=levels)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode())
-        fh.write(levels.astype(np.uint8))
+        for i in range(0, m.shape[0], _BLOCK):
+            levels = np.multiply(m[i : i + _BLOCK], 255.0)  # all zeros when top is 0
+            if top > 0:
+                levels /= top
+                np.rint(levels, out=levels)
+            fh.write(levels.astype(np.uint8, order="C"))

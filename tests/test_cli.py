@@ -42,7 +42,7 @@ from relrbf.errors import ConfigError
 from relrbf.transforms import ivat, vat, write_pgm, write_vat_csv
 from relrbf.vector_oracle import duality_check
 
-from conftest import BAD_NPY, save_bad_npy
+from conftest import BAD_NPY, save_bad_npy, traced_peak
 
 
 def blob_config(tmp_path, **overrides):
@@ -1207,7 +1207,7 @@ class TestFeatureGraphEntries:
         assert main(["train", "--config", str(cfg)]) == EXIT_OK
         assert entry_builds() == [str(os.getpid())]
 
-    def test_diagnose_walks_two_spanning_trees(self, tmp_path, monkeypatch):
+    def test_diagnose_walks_two_spanning_trees(self, tmp_path, monkeypatch, capsys):
         # VAT's walk of the graph gives iVAT's minimax graph, whose own walk
         # gives iVAT's order
         walks = []
@@ -1216,6 +1216,30 @@ class TestFeatureGraphEntries:
         cfg = blob_config(tmp_path)
         assert main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "d")]) == EXIT_OK
         assert walks == [(40, 40)] * 2
+        # without --out, the graph's walk alone gives stdout's first index
+        walks.clear()
+
+        def refuse(*args):
+            raise AssertionError("diagnose without --out built an order")
+
+        for owner, name in ((relrbf.transforms, "minimax_distances"), (relrbf.cli, "vat"),
+                            (relrbf.cli, "ivat")):
+            monkeypatch.setattr(owner, name, refuse)
+        capsys.readouterr()
+        assert main(["diagnose", "--config", str(cfg)]) == EXIT_OK
+        assert walks == [(40, 40)]
+        first = np.loadtxt(tmp_path / "d" / "vat_perm.csv", delimiter=",", dtype=int)[0]
+        assert capsys.readouterr().out == f"vat: reordered 40 objects; first index {first}\n"
+
+    def test_diagnose_holds_three_matrices(self, tmp_path):
+        # the graph, the minimax graph and iVAT's reordered matrix: VAT's
+        # matrix is freed once written and the PGM levels go a block at a time
+        n = 600
+        main(["diagnose", "--config", str(blob_config(tmp_path))])  # imports stay out of the peak
+        cfg = blob_config(tmp_path, dataset={
+            "kind": "synthetic-blobs", "blobs": {"n": n, "classes": 2, "sep": 8.0, "seed": 3}})
+        argv = ["diagnose", "--config", str(cfg), "--out", str(tmp_path / "d")]
+        assert traced_peak(lambda: main(argv)) <= 3.3 * n * n * 8
 
 
 def out_files(root):

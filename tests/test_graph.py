@@ -148,6 +148,14 @@ class TestAdjacencyMatrix:
         with pytest.raises(ValueError):
             R.values[0, 1] = 5.0
 
+    def test_equality_and_hash_are_identity(self):
+        # two graphs with one set of entries are two graphs, and comparing
+        # them never compares arrays
+        R, other = AdjacencyMatrix([[0, 1], [1, 0]]), AdjacencyMatrix([[0, 1], [1, 0]])
+        assert R == R and R != other
+        assert hash(R) != hash(other) and {R: 1}[R] == 1
+        assert R in [other, R] and R not in [other]
+
     def test_constructor_holds_one_buffer(self):
         n = 400
         a = from_features(np.random.default_rng(0).standard_normal((n, 5))).values.copy()

@@ -11,7 +11,7 @@ import relrbf.graph
 from relrbf import AdjacencyMatrix, cmds, from_features, ivat, minimax_distances, pmds, vat
 from relrbf.cli import apply_transform, main
 from relrbf.datasets import synthetic_blobs
-from relrbf.graph import double_centered
+from relrbf.graph import _BLOCK, double_centered
 from relrbf.transforms import (
     Embedding,
     pseudo_euclidean,
@@ -353,6 +353,13 @@ class TestIvat:
             assert not m.values.flags.writeable
             assert m.values.tobytes() == AdjacencyMatrix(m.values.copy()).values.tobytes()
 
+    def test_holds_one_matrix(self):
+        # the minimax graph is the one n x n array a call allocates
+        n = 600
+        R = from_features(np.random.default_rng(4).standard_normal((n, 3)))
+        R.spanning_tree  # the graph's entries and its walk are read first
+        assert traced_peak(lambda: minimax_distances(R)) <= 1.2 * n * n * 8
+
     def test_sharper_blocks(self):
         R = block_matrix()
         order, transformed = ivat(R)
@@ -400,8 +407,12 @@ class TestWriters:
             np.array([[2.5]]),
             np.random.default_rng(7).random((1, 40)),
             np.random.default_rng(8).random((40, 1)),
+            # taller than the row block, with the maximum in the last block
+            np.vstack([np.random.default_rng(9).random((2 * _BLOCK, 30)), np.full((3, 30), 4.0)]),
+            np.asfortranarray(np.random.default_rng(10).random((30, 25))),
         ],
-        ids=["blocks", "random", "zero", "every-level", "tall", "1x1", "1xn", "nx1"],
+        ids=["blocks", "random", "zero", "every-level", "tall", "1x1", "1xn", "nx1", "max-last",
+             "fortran"],
     )
     def test_pgm_header_and_levels(self, tmp_path, matrix):
         # binary P5: the header, then one byte per pixel, row by row
@@ -413,6 +424,12 @@ class TestWriters:
         write_pgm(matrix, tmp_path / "img.pgm")
         header = f"P5\n{cols} {rows}\n255\n".encode()
         assert (tmp_path / "img.pgm").read_bytes() == header + bytes(sum(levels, []))
+
+    def test_pgm_holds_row_blocks(self, tmp_path):
+        # the levels are scaled a block of rows at a time, not as a whole copy
+        n = 600
+        m = np.random.default_rng(10).random((n, n))
+        assert traced_peak(lambda: write_pgm(m, tmp_path / "img.pgm")) <= 0.3 * n * n * 8
 
     def test_pgm_rejects_negative_entries(self, tmp_path):
         with pytest.raises(ValueError):

@@ -22,6 +22,8 @@ The matrix:
   features (whose entries the command never computes) and on a powered
   graph (the full spectrum);
 - a `duality` whose runs grow inside its 40 epochs (`patience_grow: 1`);
+- `diagnose` without `--out` on the medoid config, which writes nothing and
+  prints VAT's first index;
 - an ingested graph read back as `adjacency-csv` (a graph without features,
   its entries read at once) through `train`, `eval`, `duality`, `diagnose`
   and `transform --method cmds`, and the `transform: cmds` and
@@ -149,6 +151,7 @@ def matrix(work: Path) -> list[list[str]]:
     runs += [["train", *cfg, "--seed", seed, "--out", f"sigma-inf/train-{seed}"]
              for seed in ("1", "4")]
     runs += [["duality", *config("growth", GROWTH), "--out", "growth/duality"]]
+    runs += [["diagnose", "--config", "medoid.json"]]
     cfg = config("readback", READBACK)
     runs += [
         ["ingest", *cfg],
