@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import transforms
 from .datasets import KINDS, LOADERS, IngestResult, ingest
 from .engine import TRAIN_CHECKS, TrainConfig, flag, integer, number, one_of
 from .errors import ConfigError, RelRbfError
@@ -37,9 +38,9 @@ from .graph import AdjacencyMatrix, from_features, validate, write_adjacency
 from .initialization import SPLITS, SplitIndices
 from .network import NetworkParams, finite_or_null, forward
 from .prototypes import FREE, MEDOID, prototype_distances
-# `train` is not called here, but perfbench/tracer.py wraps `cli.train`
+# not called here, but perfbench/tracer.py wraps them: train, vat, ivat, write_pgm, write_vat_csv
 from .training import evaluate_network, train, train_group  # noqa: F401
-from .transforms import (
+from .transforms import (  # noqa: F401
     cmds,
     ivat,
     pmds,
@@ -47,6 +48,7 @@ from .transforms import (
     write_eigenvalues_csv,
     write_embedding_csv,
     write_pgm,
+    write_reordered,
     write_vat_csv,
 )
 from .vector_oracle import DUALITY_EPOCHS, DUALITY_TOL, duality_check
@@ -550,18 +552,13 @@ def cmd_transform(
     return EXIT_OK
 
 
-def _write_order(order, out: Path, name: str) -> None:
-    write_vat_csv(order, out / f"{name}_perm.csv", out / f"{name}_matrix.npy")
-    write_pgm(order.reordered, out / f"{name}.pgm")
-
-
 def cmd_diagnose(config: ExperimentConfig, data: IngestResult, out: Path | None) -> int:
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        # each reordered matrix is freed once written, so at most three n x n
-        # arrays live: the graph, the minimax graph and iVAT's matrix
-        _write_order(vat(data.R), out, "vat")
-        _write_order(ivat(data.R)[0], out, "ivat")
+        # no reordered matrix is formed: two n x n arrays live, the graph and its minimax graph
+        write_reordered(data.R, data.R.spanning_tree[0], out, "vat")
+        minimax = transforms.minimax_distances(data.R)  # where perfbench/tracer.py wraps it
+        write_reordered(minimax, minimax.spanning_tree[0], out, "ivat")
     # VAT's first index starts the graph's spanning tree, all that stdout needs
     print(f"vat: reordered {data.R.n} objects; first index {data.R.spanning_tree[0, 0]}")
     if out is not None:

@@ -38,9 +38,9 @@ _LANCZOS_STEPS = 80
 # Relative Ritz residual at which `validate` reports the smallest Ritz value.
 _RITZ_RTOL = 1e-9
 # Rows of an n x n matrix that `_sqeuclidean` computes, and that the
-# transforms' minimax graph and PGM writer handle, at a time: the buffers
-# stay small next to the matrix, and 16 to 32 rows ran `_sqeuclidean` at one
-# speed for n from 569 to 2000.
+# transforms' minimax graph, PGM writer and reordered-matrix writer handle, at
+# a time: the buffers stay small next to the matrix, and 16 to 32 rows ran
+# `_sqeuclidean` at one speed for n from 569 to 2000.
 _BLOCK = 20
 
 
@@ -145,7 +145,7 @@ def _prim(a: np.ndarray) -> np.ndarray:
     largest edge and visits the unvisited node closest to the visited set
     next, ties toward the smallest index."""
     n = a.shape[0]
-    start = int(np.unravel_index(np.argmax(a), a.shape)[0])
+    start = int(np.argmax(a.max(axis=1)))  # np.argmax(a) would copy a read-only `a`
     tree = np.empty((2, n), dtype=int)
     perm, attach = tree
     perm[0] = start

@@ -197,6 +197,13 @@ def write_vat_csv(order: VatOrder, perm_path, matrix_path) -> None:
     save_npy(order.reordered, matrix_path)
 
 
+def _pgm_levels(rows: np.ndarray, top: float) -> np.ndarray:
+    """The PGM bytes of a block of rows: ``rint(255 * m / top)``, all 0 when top is 0."""
+    levels = np.multiply(rows, 255.0)
+    np.rint(np.divide(levels, top or 1.0, out=levels), out=levels)  # a zero block over 1 when top is 0
+    return levels.astype(np.uint8, order="C")
+
+
 def write_pgm(matrix: np.ndarray, path) -> None:
     """Binary (P5) grayscale PGM of a non-negative dissimilarity matrix
     (dark = similar): one byte per pixel, ``rint(255 * m / max(m))``, all 0
@@ -208,8 +215,19 @@ def write_pgm(matrix: np.ndarray, path) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode())
         for i in range(0, m.shape[0], _BLOCK):
-            levels = np.multiply(m[i : i + _BLOCK], 255.0)  # all zeros when top is 0
-            if top > 0:
-                levels /= top
-                np.rint(levels, out=levels)
-            fh.write(levels.astype(np.uint8, order="C"))
+            fh.write(_pgm_levels(m[i : i + _BLOCK], top))
+
+
+def write_reordered(R: AdjacencyMatrix, perm: np.ndarray, out, name: str) -> None:
+    """``R`` in the order ``perm`` as the ``<name>_perm.csv``, ``_matrix.npy`` and ``.pgm``
+    that :func:`write_vat_csv` and :func:`write_pgm` write, a block of rows at a time."""
+    np.savetxt(out / f"{name}_perm.csv", perm[None, :], delimiter=",", fmt="%d")
+    a, n, top = R.values, R.n, R.values.max()  # the reordered matrix's maximum
+    with open(out / f"{name}_matrix.npy", "wb") as npy, open(out / f"{name}.pgm", "wb") as pgm:
+        header = {"descr": a.dtype.str, "fortran_order": False, "shape": (n, n)}
+        np.lib.format.write_array_header_1_0(npy, header)
+        pgm.write(f"P5\n{n} {n}\n255\n".encode())
+        for i in range(0, n, _BLOCK):
+            rows = a[np.ix_(perm[i : i + _BLOCK], perm)]
+            npy.write(rows)
+            pgm.write(_pgm_levels(rows, top))

@@ -39,7 +39,14 @@ from relrbf.cli import (
 from relrbf.datasets import KINDS, ingest, synthetic_blobs
 from relrbf.engine import TrainConfig
 from relrbf.errors import ConfigError
-from relrbf.transforms import ivat, vat, write_pgm, write_vat_csv
+from relrbf.transforms import (
+    ivat,
+    minimax_distances,
+    vat,
+    write_pgm,
+    write_reordered,
+    write_vat_csv,
+)
 from relrbf.vector_oracle import duality_check
 
 from conftest import BAD_NPY, save_bad_npy, traced_peak
@@ -1097,26 +1104,27 @@ class TestTransformDiagnoseCommands:
         assert sorted(perm.tolist()) == list(range(40))
 
     def test_files_and_stdout_match_sequential_writes(self, tmp_path, monkeypatch, capsys):
-        # diagnose starts no thread: VAT is built and written, then iVAT, and
-        # the bytes are those of the calls made in turn
+        # diagnose starts no thread: VAT is written, then iVAT's minimax graph
+        # is built and written, and the bytes are those of the vat and ivat
+        # orders written in turn
         calls = []
 
-        def recording(fn):
+        def recording(fn, label):
             def wrapper(*args):
-                name = fn.__name__ if fn in (vat, ivat) else Path(args[-1]).name
-                calls.append((name, threading.active_count()))
+                calls.append((label(args), threading.active_count()))
                 return fn(*args)
 
             return wrapper
 
-        for fn in (vat, ivat, write_vat_csv, write_pgm):
-            monkeypatch.setattr(relrbf.cli, fn.__name__, recording(fn))
+        monkeypatch.setattr(relrbf.cli, "write_reordered",
+                            recording(write_reordered, lambda args: args[-1]))
+        monkeypatch.setattr(relrbf.transforms, "minimax_distances",
+                            recording(minimax_distances, lambda args: "minimax_distances"))
         threads = threading.active_count()
         cfg = blob_config(tmp_path)
         out = tmp_path / "out"
         assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        order = ["vat", "vat_matrix.npy", "vat.pgm", "ivat", "ivat_matrix.npy", "ivat.pgm"]
-        assert calls == [(name, threads) for name in order]
+        assert calls == [(name, threads) for name in ("vat", "minimax_distances", "ivat")]
         stdout = capsys.readouterr().out
 
         R = load_dataset(ExperimentConfig.from_file(cfg)).R
@@ -1139,13 +1147,17 @@ class TestTransformDiagnoseCommands:
         threads = threading.active_count()
         seen = []
 
-        def full_disk(matrix, path):
+        def full_disk(R, perm, out, name):
             seen.append(threading.active_count())
-            if Path(path).name == "vat.pgm":
+            if name == "vat":
                 raise OSError("no space left on device")
-            write_pgm(matrix, path)
+            write_reordered(R, perm, out, name)
 
-        monkeypatch.setattr(relrbf.cli, "write_pgm", full_disk)
+        def refuse(R):
+            raise AssertionError("iVAT was built after VAT's write failed")
+
+        monkeypatch.setattr(relrbf.cli, "write_reordered", full_disk)
+        monkeypatch.setattr(relrbf.transforms, "minimax_distances", refuse)
         cfg = blob_config(tmp_path)
         with pytest.raises(OSError, match="no space left"):
             main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -1241,6 +1253,16 @@ class TestFeatureGraphEntries:
         argv = ["diagnose", "--config", str(cfg), "--out", str(tmp_path / "d")]
         assert traced_peak(lambda: main(argv)) <= 3.3 * n * n * 8
 
+    def test_diagnose_holds_two_matrices(self, tmp_path):
+        # the graph and the minimax graph: the orders' files go a block of
+        # rows at a time, and neither Prim walk copies its graph
+        n = 600
+        main(["diagnose", "--config", str(blob_config(tmp_path))])  # imports stay out of the peak
+        cfg = blob_config(tmp_path, dataset={
+            "kind": "synthetic-blobs", "blobs": {"n": n, "classes": 2, "sep": 8.0, "seed": 3}})
+        argv = ["diagnose", "--config", str(cfg), "--out", str(tmp_path / "d")]
+        assert traced_peak(lambda: main(argv)) <= 2.3 * n * n * 8
+
 
 def out_files(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
@@ -1275,12 +1297,16 @@ class TestOutputBytes:
 
             return wrapper
 
+        def reordered(R, perm, out, name):
+            computed[out / f"{name}_matrix.npy"] = R.values[np.ix_(perm, perm)]
+            return write_reordered(R, perm, out, name)
+
         for name, array in (
             ("write_adjacency", lambda R: R.values),
             ("write_embedding_csv", lambda e: e.X),
-            ("write_vat_csv", lambda order: order.reordered),
         ):
             monkeypatch.setattr(relrbf.cli, name, recording(getattr(relrbf.cli, name), array))
+        monkeypatch.setattr(relrbf.cli, "write_reordered", reordered)
         cfg = blob_config(tmp_path, compare_prototype_modes=True)
         root = tmp_path / "out"
         files = self.run_all(cfg, root)

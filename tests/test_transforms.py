@@ -14,10 +14,12 @@ from relrbf.datasets import synthetic_blobs
 from relrbf.graph import _BLOCK, double_centered
 from relrbf.transforms import (
     Embedding,
+    VatOrder,
     pseudo_euclidean,
     write_eigenvalues_csv,
     write_embedding_csv,
     write_pgm,
+    write_reordered,
     write_vat_csv,
 )
 
@@ -292,6 +294,23 @@ class TestVat:
         R.values  # a feature graph computes its entries on first read
         assert traced_peak(lambda: vat(R)) <= 1.2 * n * n * 8
 
+    def test_walk_copies_no_matrix(self):
+        # np.argmax copies a read-only array whole; the start row needs no copy
+        n = 600
+        R = from_features(np.random.default_rng(4).standard_normal((n, 3)))
+        assert not R.values.flags.writeable
+        assert traced_peak(lambda: relrbf.graph._prim(R.values)) <= 0.05 * n * n * 8
+
+    def test_starts_at_first_row_holding_the_maximum(self):
+        # the largest edge, 5, lies in rows 2, 3, 4, 5 and 6
+        a = np.ones((7, 7))
+        for i, j in ((4, 5), (2, 5), (3, 6)):
+            a[i, j] = a[j, i] = 5.0
+        np.fill_diagonal(a, 0.0)
+        R = AdjacencyMatrix(a)
+        assert relrbf.graph._prim(R.values)[0, 0] == 2
+        assert vat(R).perm[0] == 2
+
     def test_walks_each_graph_once(self, monkeypatch):
         # vat and minimax_distances share the graph's one Prim walk; ivat
         # walks the minimax graph too
@@ -395,6 +414,35 @@ class TestWriters:
         perm = np.loadtxt(tmp_path / "perm.csv", delimiter=",", dtype=int)
         np.testing.assert_array_equal(perm, order.perm)
         assert np.load(tmp_path / "mat.npy").tobytes() == order.reordered.tobytes()
+
+    @pytest.mark.parametrize(
+        "n, graph",
+        [
+            (1, lambda x: AdjacencyMatrix(np.zeros((1, 1)))),
+            (_BLOCK, from_features),
+            (_BLOCK + 1, from_features),
+            (7, lambda x: AdjacencyMatrix(np.zeros((7, 7)))),
+            (2 * _BLOCK + 3, lambda x: minimax_distances(from_features(x))),
+        ],
+        ids=["1x1", "block", "block+1", "zero", "minimax"],
+    )
+    def test_reordered_files_match_materialized_writes(self, tmp_path, n, graph):
+        # the row blocks give the bytes of the reordered matrix written whole,
+        # by np.save (in write_vat_csv) and write_pgm
+        rng = np.random.default_rng(n)
+        R = graph(rng.standard_normal((n, 3)))
+        perm = rng.permutation(n)
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        out.mkdir()
+        ref.mkdir()
+        write_reordered(R, perm, out, "x")
+        m = R.values[np.ix_(perm, perm)]
+        write_vat_csv(VatOrder(perm, m), ref / "x_perm.csv", ref / "x_matrix.npy")
+        write_pgm(m, ref / "x.pgm")
+        for name in ("x_perm.csv", "x_matrix.npy", "x.pgm"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+        back = np.load(out / "x_matrix.npy", allow_pickle=False)
+        assert back.dtype == m.dtype and back.tobytes() == m.tobytes()
 
     @pytest.mark.parametrize(
         "matrix",

@@ -24,6 +24,10 @@ The matrix:
 - a `duality` whose runs grow inside its 40 epochs (`patience_grow: 1`);
 - `diagnose` without `--out` on the medoid config, which writes nothing and
   prints VAT's first index;
+- a tie-heavy `adjacency-csv` graph (integer squared distances on a grid,
+  the largest in four rows, most of Prim's steps tied) through `diagnose
+  --out` and `diagnose` without `--out`, so that a change of VAT's start row
+  or tie-break shows;
 - an ingested graph read back as `adjacency-csv` (a graph without features,
   its entries read at once) through `train`, `eval`, `duality`, `diagnose`
   and `transform --method cmds`, and the `transform: cmds` and
@@ -92,6 +96,10 @@ GROWTH = {
     "train": {"c_init": 2, "c_max": 5, "patience_grow": 1, "seed": 1},
     "duality": {"epochs": 40},
 }
+# squared distances on a 5 x 6 integer grid: the largest, 41, joins two
+# pairs of corners, so four rows hold it
+GRID = np.indices((5, 6)).reshape(2, -1).T
+TIES = {"dataset": {"kind": "adjacency-csv", "path": "ties.csv"}}
 READBACK = {
     **BASE,
     "dataset": {"kind": "adjacency-csv", "path": "medoid/ingest/adjacency.npy",
@@ -123,6 +131,8 @@ def matrix(work: Path) -> list[list[str]]:
     for name, data in FILES.items():
         (work / name).write_bytes(data)
     np.save(work / "empty.npy", np.zeros((0, 0)))
+    ties = ((GRID[:, None] - GRID[None]) ** 2).sum(axis=2)
+    np.savetxt(work / "ties.csv", ties, delimiter=",", fmt="%d")
     runs = []
     for w in WORKLOADS.values():
         for seed in WORKLOAD_SEEDS:
@@ -152,6 +162,8 @@ def matrix(work: Path) -> list[list[str]]:
              for seed in ("1", "4")]
     runs += [["duality", *config("growth", GROWTH), "--out", "growth/duality"]]
     runs += [["diagnose", "--config", "medoid.json"]]
+    cfg = config("ties", TIES)
+    runs += [["diagnose", *cfg, "--out", "ties/diagnose"], ["diagnose", *cfg]]
     cfg = config("readback", READBACK)
     runs += [
         ["ingest", *cfg],
