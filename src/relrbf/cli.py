@@ -318,7 +318,8 @@ def write_json(obj: dict, path: Path) -> None:
     path.write_text(json_text(obj))
 
 
-def cmd_ingest(config: ExperimentConfig, data: IngestResult, out: Path | None) -> int:
+def cmd_ingest(config: ExperimentConfig, out: Path | None) -> int:
+    data = load_dataset(config)
     labels = None if data.Y is None else data.Y.argmax(axis=1)
     report = validate(data.R)
     if out is not None:
@@ -378,7 +379,8 @@ def run_batch(
     return [run for group in groups for run in group["runs"]]
 
 
-def cmd_train(config: ExperimentConfig, data: IngestResult, out: Path | None) -> int:
+def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
+    data = load_dataset(config)
     if data.Y is None:
         raise ConfigError("training requires labels (dataset provides none)")
     R = apply_transform(data.R, config.transform)
@@ -494,9 +496,8 @@ def load_checkpoint(path: Path, R: AdjacencyMatrix, g: int):
     return params, V, si
 
 
-def cmd_eval(
-    config: ExperimentConfig, data: IngestResult, checkpoint_path: Path, out: Path | None
-) -> int:
+def cmd_eval(config: ExperimentConfig, checkpoint_path: Path, out: Path | None) -> int:
+    data = load_dataset(config)
     if data.Y is None:
         raise ConfigError("evaluation requires labels (dataset provides none)")
     R = apply_transform(data.R, config.transform)
@@ -518,7 +519,8 @@ def cmd_eval(
     return EXIT_OK
 
 
-def cmd_duality(config: ExperimentConfig, data: IngestResult, out: Path | None) -> int:
+def cmd_duality(config: ExperimentConfig, out: Path | None) -> int:
+    data = load_dataset(config)
     report = duality_check(data.R, data.Y, config.train, config.duality_epochs, config.duality_tol)
     print(
         f"duality: {'PASS' if report.passed else 'FAIL'} over {report.epochs} epochs, "
@@ -533,9 +535,8 @@ def cmd_duality(config: ExperimentConfig, data: IngestResult, out: Path | None) 
     return EXIT_OK
 
 
-def cmd_transform(
-    config: ExperimentConfig, data: IngestResult, method: str, out: Path | None
-) -> int:
+def cmd_transform(config: ExperimentConfig, method: str, out: Path | None) -> int:
+    data = load_dataset(config)
     embedding = (cmds if method == "cmds" else pmds)(data.R)
     label = method if method == "cmds" else "pmds-as-described"
     print(
@@ -552,15 +553,21 @@ def cmd_transform(
     return EXIT_OK
 
 
-def cmd_diagnose(config: ExperimentConfig, data: IngestResult, out: Path | None) -> int:
+def cmd_diagnose(config: ExperimentConfig, out: Path | None) -> int:
+    R = load_dataset(config).R  # the graph's only reference, so `del R` frees it
+    tree = R.spanning_tree
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        # no reordered matrix is formed: two n x n arrays live, the graph and its minimax graph
-        write_reordered(data.R, data.R.spanning_tree[0], out, "vat")
-        minimax = transforms.minimax_distances(data.R)  # where perfbench/tracer.py wraps it
+        perm, attach = tree
+        edges = R.values[attach[perm], perm]  # all that iVAT's minimax graph needs of R
+        # no reordered matrix is formed, and one n x n array lives at a time:
+        # the graph until VAT's files are written, then the minimax graph
+        write_reordered(R, perm, out, "vat")
+        del R
+        minimax = transforms.minimax_from_tree(tree, edges)
         write_reordered(minimax, minimax.spanning_tree[0], out, "ivat")
     # VAT's first index starts the graph's spanning tree, all that stdout needs
-    print(f"vat: reordered {data.R.n} objects; first index {data.R.spanning_tree[0, 0]}")
+    print(f"vat: reordered {tree.shape[1]} objects; first index {tree[0, 0]}")
     if out is not None:
         print(f"wrote {out}/vat.pgm and {out}/ivat.pgm")
     return EXIT_OK
@@ -593,18 +600,18 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None:
             config = replace(config, train=replace(config.train, seed=args.seed))
         out = Path(args.out) if args.out else None
-        data = load_dataset(config)
+        # each command loads its own dataset, so nothing here holds its graph
         if args.command == "ingest":
-            return cmd_ingest(config, data, out)
+            return cmd_ingest(config, out)
         if args.command == "train":
-            return cmd_train(config, data, out)
+            return cmd_train(config, out)
         if args.command == "eval":
-            return cmd_eval(config, data, Path(args.checkpoint), out)
+            return cmd_eval(config, Path(args.checkpoint), out)
         if args.command == "duality":
-            return cmd_duality(config, data, out)
+            return cmd_duality(config, out)
         if args.command == "transform":
-            return cmd_transform(config, data, args.method, out)
-        return cmd_diagnose(config, data, out)  # the parser admits no other command
+            return cmd_transform(config, args.method, out)
+        return cmd_diagnose(config, out)  # the parser admits no other command
     except RelRbfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -144,28 +144,33 @@ def vat(R: AdjacencyMatrix) -> VatOrder:
 
 
 def minimax_distances(R: AdjacencyMatrix) -> AdjacencyMatrix:
-    """Replace each entry with the smallest possible largest edge over all
-    connecting paths (never exceeds the direct edge).
-
-    That bottleneck is the largest edge on the minimum-spanning-tree path
-    (Havens & Bezdek, IEEE TKDE 2012), so the walk of ``R.spanning_tree``
-    gives all of it in O(n^2): the row of the k-th object to join, against
-    the objects before it, is its attach point's row raised to at least the
-    attach edge.  Each object's row is built in place, its columns in
-    visiting order, so it reads 0 for objects visited between the two, which
-    Prim's order keeps within the attach edge.  The built half is mirrored
-    (``mp += mp.T`` would copy the transpose whole) and the columns are put
-    in node order, a block of rows at a time: the result is the one n x n
-    array the call allocates.
-    """
+    """Replace each entry with the smallest possible largest edge over all connecting
+    paths (never exceeds the direct edge): :func:`minimax_from_tree` of R's tree."""
     perm, attach = R.spanning_tree
-    n = R.n
+    return minimax_from_tree(R.spanning_tree, R.values[attach[perm], perm])
+
+
+def minimax_from_tree(tree: np.ndarray, edges: np.ndarray) -> AdjacencyMatrix:
+    """The minimax graph of a graph with Prim tree ``tree`` (as
+    ``spanning_tree``), ``edges[k]`` the weight of the k-th visited object's
+    attach edge.  A bottleneck is the largest edge on the
+    minimum-spanning-tree path (Havens & Bezdek, IEEE TKDE 2012), so these
+    give all of it in O(n^2), without the graph: the row of the k-th object
+    to join, against the objects before it, is its attach point's row raised
+    to at least the attach edge.  Each object's row is built in place, its
+    columns in visiting order, so it reads 0 for objects visited between the
+    two, which Prim's order keeps within the attach edge.  The built half is
+    mirrored (``mp += mp.T`` would copy the transpose whole) and the columns
+    are put in node order, a block of rows at a time: the result is the one
+    n x n array the call allocates.
+    """
+    perm, attach = tree
+    n = perm.size
     up = attach[perm]
-    edge = R.values[up, perm]
     mp = np.zeros((n, n))
     for k in range(1, n):
         # mp[up[k], pos[up[k]]] is not built yet, so the attach point's entry is the edge.
-        np.maximum(mp[up[k], :k], edge[k], out=mp[perm[k], :k])
+        np.maximum(mp[up[k], :k], edges[k], out=mp[perm[k], :k])
     pos = np.empty(n, dtype=int)
     pos[perm] = np.arange(n)
     for i in range(0, n, _BLOCK):
@@ -211,7 +216,7 @@ def write_pgm(matrix: np.ndarray, path) -> None:
     m = np.asarray(matrix, dtype=float)
     if m.size and m.min() < 0:
         raise ValueError("write_pgm needs a non-negative matrix")
-    top = m.max()
+    top = m.max(initial=0.0)  # 0 for a matrix with no entries
     with open(path, "wb") as fh:
         fh.write(f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode())
         for i in range(0, m.shape[0], _BLOCK):

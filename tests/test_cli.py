@@ -41,7 +41,7 @@ from relrbf.engine import TrainConfig
 from relrbf.errors import ConfigError
 from relrbf.transforms import (
     ivat,
-    minimax_distances,
+    minimax_from_tree,
     vat,
     write_pgm,
     write_reordered,
@@ -1105,8 +1105,8 @@ class TestTransformDiagnoseCommands:
 
     def test_files_and_stdout_match_sequential_writes(self, tmp_path, monkeypatch, capsys):
         # diagnose starts no thread: VAT is written, then iVAT's minimax graph
-        # is built and written, and the bytes are those of the vat and ivat
-        # orders written in turn
+        # is built from the graph's tree and edges and written, and the bytes
+        # are those of the vat and ivat orders written in turn
         calls = []
 
         def recording(fn, label):
@@ -1118,13 +1118,13 @@ class TestTransformDiagnoseCommands:
 
         monkeypatch.setattr(relrbf.cli, "write_reordered",
                             recording(write_reordered, lambda args: args[-1]))
-        monkeypatch.setattr(relrbf.transforms, "minimax_distances",
-                            recording(minimax_distances, lambda args: "minimax_distances"))
+        monkeypatch.setattr(relrbf.transforms, "minimax_from_tree",
+                            recording(minimax_from_tree, lambda args: "minimax_from_tree"))
         threads = threading.active_count()
         cfg = blob_config(tmp_path)
         out = tmp_path / "out"
         assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        assert calls == [(name, threads) for name in ("vat", "minimax_distances", "ivat")]
+        assert calls == [(name, threads) for name in ("vat", "minimax_from_tree", "ivat")]
         stdout = capsys.readouterr().out
 
         R = load_dataset(ExperimentConfig.from_file(cfg)).R
@@ -1153,11 +1153,11 @@ class TestTransformDiagnoseCommands:
                 raise OSError("no space left on device")
             write_reordered(R, perm, out, name)
 
-        def refuse(R):
+        def refuse(tree, edges):
             raise AssertionError("iVAT was built after VAT's write failed")
 
         monkeypatch.setattr(relrbf.cli, "write_reordered", full_disk)
-        monkeypatch.setattr(relrbf.transforms, "minimax_distances", refuse)
+        monkeypatch.setattr(relrbf.transforms, "minimax_from_tree", refuse)
         cfg = blob_config(tmp_path)
         with pytest.raises(OSError, match="no space left"):
             main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -1234,7 +1234,7 @@ class TestFeatureGraphEntries:
         def refuse(*args):
             raise AssertionError("diagnose without --out built an order")
 
-        for owner, name in ((relrbf.transforms, "minimax_distances"), (relrbf.cli, "vat"),
+        for owner, name in ((relrbf.transforms, "minimax_from_tree"), (relrbf.cli, "vat"),
                             (relrbf.cli, "ivat")):
             monkeypatch.setattr(owner, name, refuse)
         capsys.readouterr()
@@ -1243,25 +1243,27 @@ class TestFeatureGraphEntries:
         first = np.loadtxt(tmp_path / "d" / "vat_perm.csv", delimiter=",", dtype=int)[0]
         assert capsys.readouterr().out == f"vat: reordered 40 objects; first index {first}\n"
 
-    def test_diagnose_holds_three_matrices(self, tmp_path):
-        # the graph, the minimax graph and iVAT's reordered matrix: VAT's
-        # matrix is freed once written and the PGM levels go a block at a time
-        n = 600
-        main(["diagnose", "--config", str(blob_config(tmp_path))])  # imports stay out of the peak
-        cfg = blob_config(tmp_path, dataset={
-            "kind": "synthetic-blobs", "blobs": {"n": n, "classes": 2, "sep": 8.0, "seed": 3}})
-        argv = ["diagnose", "--config", str(cfg), "--out", str(tmp_path / "d")]
-        assert traced_peak(lambda: main(argv)) <= 3.3 * n * n * 8
+    def test_diagnose_holds_one_matrix(self, tmp_path):
+        # the graph until VAT's files are written, then iVAT's minimax graph,
+        # built from the graph's tree and edges: the orders' files go a block
+        # of rows at a time, and neither Prim walk copies its graph
+        assert peak_matrices(tmp_path, ["diagnose"]) <= 1.25
 
-    def test_diagnose_holds_two_matrices(self, tmp_path):
-        # the graph and the minimax graph: the orders' files go a block of
-        # rows at a time, and neither Prim walk copies its graph
-        n = 600
-        main(["diagnose", "--config", str(blob_config(tmp_path))])  # imports stay out of the peak
-        cfg = blob_config(tmp_path, dataset={
-            "kind": "synthetic-blobs", "blobs": {"n": n, "classes": 2, "sep": 8.0, "seed": 3}})
-        argv = ["diagnose", "--config", str(cfg), "--out", str(tmp_path / "d")]
-        assert traced_peak(lambda: main(argv)) <= 2.3 * n * n * 8
+    @pytest.mark.parametrize("command", [["ingest"], ["transform", "--method", "cmds"]],
+                             ids=["ingest", "transform-cmds"])
+    def test_ingest_and_transform_hold_one_matrix(self, tmp_path, command):
+        assert peak_matrices(tmp_path, command) <= 1.25
+
+
+def peak_matrices(tmp_path, command, n=600):
+    """The traced peak of `command --out` on an n-node feature graph, in n x n
+    arrays of float64, after a small run of it keeps imports out of the peak."""
+    main([command[0], "--config", str(blob_config(tmp_path)), *command[1:],
+          "--out", str(tmp_path / "warm")])
+    cfg = blob_config(tmp_path, dataset={
+        "kind": "synthetic-blobs", "blobs": {"n": n, "classes": 2, "sep": 8.0, "seed": 3}})
+    argv = [command[0], "--config", str(cfg), *command[1:], "--out", str(tmp_path / "out")]
+    return traced_peak(lambda: main(argv)) / (n * n * 8)
 
 
 def out_files(root):

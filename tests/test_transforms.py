@@ -479,6 +479,11 @@ class TestWriters:
         m = np.random.default_rng(10).random((n, n))
         assert traced_peak(lambda: write_pgm(m, tmp_path / "img.pgm")) <= 0.3 * n * n * 8
 
+    def test_pgm_of_no_rows(self, tmp_path):
+        # the header alone: a matrix with no entries has no maximum to scale by
+        write_pgm(np.zeros((0, 3)), tmp_path / "empty.pgm")
+        assert (tmp_path / "empty.pgm").read_bytes() == b"P5\n3 0\n255\n"
+
     def test_pgm_rejects_negative_entries(self, tmp_path):
         with pytest.raises(ValueError):
             write_pgm(np.array([[0.0, -1.0], [2.0, 0.0]]), tmp_path / "neg.pgm")
