@@ -558,11 +558,10 @@ def cmd_diagnose(config: ExperimentConfig, out: Path | None) -> int:
     tree = R.spanning_tree
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        perm, attach = tree
-        edges = R.values[attach[perm], perm]  # all that iVAT's minimax graph needs of R
+        edges = transforms.tree_edges(R)  # with the tree, all that iVAT's minimax graph needs of R
         # no reordered matrix is formed, and one n x n array lives at a time:
         # the graph until VAT's files are written, then the minimax graph
-        write_reordered(R, perm, out, "vat")
+        write_reordered(R, tree[0], out, "vat")
         del R
         minimax = transforms.minimax_from_tree(tree, edges)
         write_reordered(minimax, minimax.spanning_tree[0], out, "ivat")

@@ -146,24 +146,25 @@ def vat(R: AdjacencyMatrix) -> VatOrder:
 def minimax_distances(R: AdjacencyMatrix) -> AdjacencyMatrix:
     """Replace each entry with the smallest possible largest edge over all connecting
     paths (never exceeds the direct edge): :func:`minimax_from_tree` of R's tree."""
+    return minimax_from_tree(R.spanning_tree, tree_edges(R))
+
+
+def tree_edges(R: AdjacencyMatrix) -> np.ndarray:
+    """Each object's attach-edge weight in R's spanning tree, in visiting order (0 first)."""
     perm, attach = R.spanning_tree
-    return minimax_from_tree(R.spanning_tree, R.values[attach[perm], perm])
+    return R.values[attach[perm], perm]
 
 
 def minimax_from_tree(tree: np.ndarray, edges: np.ndarray) -> AdjacencyMatrix:
-    """The minimax graph of a graph with Prim tree ``tree`` (as
-    ``spanning_tree``), ``edges[k]`` the weight of the k-th visited object's
-    attach edge.  A bottleneck is the largest edge on the
-    minimum-spanning-tree path (Havens & Bezdek, IEEE TKDE 2012), so these
-    give all of it in O(n^2), without the graph: the row of the k-th object
-    to join, against the objects before it, is its attach point's row raised
-    to at least the attach edge.  Each object's row is built in place, its
-    columns in visiting order, so it reads 0 for objects visited between the
-    two, which Prim's order keeps within the attach edge.  The built half is
-    mirrored (``mp += mp.T`` would copy the transpose whole) and the columns
-    are put in node order, a block of rows at a time: the result is the one
-    n x n array the call allocates.
-    """
+    """The minimax graph of a graph with Prim tree ``tree`` (as ``spanning_tree``)
+    and attach edges ``edges`` (as :func:`tree_edges`), in O(n^2) without the
+    graph: a bottleneck is the largest edge on the minimum-spanning-tree path
+    (Havens & Bezdek, IEEE TKDE 2012), so the k-th object to join gets its attach
+    point's row, against the objects before it, raised to at least its edge.  Rows
+    are built in place, columns in visiting order (0 for objects visited between
+    the two, which Prim's order keeps within the attach edge); the built half is
+    mirrored (``mp += mp.T`` would copy the transpose) and the columns put in node
+    order, a block of rows at a time: the call's one n x n array."""
     perm, attach = tree
     n = perm.size
     up = attach[perm]
