@@ -22,6 +22,7 @@ import ctypes
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -184,18 +185,14 @@ def apply_transform(R: AdjacencyMatrix, method: str) -> AdjacencyMatrix:
 # sharing one stacked V @ R product per round.
 GROUP_SIZE = 5
 
-# (R, Y, ck_dir, digest) of the batch being run: set in the parent by
-# `run_batch` and in each pool worker by its initializer, which also gives the
-# worker one BLAS thread, so a run's payload carries no n x n array.  `ck_dir`
-# is the directory the runs' checkpoints go to and `digest` R's `graph_digest`,
-# both None when no checkpoints are wanted.
+# Pool workers fork from the parent and inherit `_batch_graph`, the batch's
+# (R, Y, ck_dir, digest), and its one BLAS thread, so a run's payload carries
+# no n x n array; `ck_dir` (the runs' checkpoint directory) and `digest` (R's
+# `graph_digest`) are None when no checkpoints are wanted.  Only Linux forks
+# safely (forked macOS system frameworks can crash; Windows has no fork), so
+# elsewhere `workers > 1` trains the groups in this process, with the same bytes.
+_POOL_FORKS = sys.platform == "linux"
 _batch_graph = None
-
-
-def _hold_graph(graph) -> None:
-    global _batch_graph
-    _batch_graph = graph
-    _one_blas_thread()
 
 
 @cache
@@ -353,29 +350,27 @@ def run_batch(
     """Train `count` seeded runs on one graph, in lock-step groups of
     `GROUP_SIZE` consecutive seeds, and return their report entries.  The
     groups depend on the seeds alone, so the results do not depend on
-    `workers`.  Pool workers receive (R, Y) once, through the pool
-    initializer: inherited under `fork`, pickled once per worker under
-    `spawn`/`forkserver`.  Given a `checkpoints` directory, the process that
-    trains run i writes its checkpoint to `checkpoints/run_<i>.json`, and
-    the graph is hashed once for all of them."""
+    `workers`.  Given a `checkpoints` directory, the process that trains run
+    i writes its checkpoint to `checkpoints/run_<i>.json`, and the graph is
+    hashed once for all of them."""
+    global _batch_graph
     seeds = [base_seed + i for i in range(count)]
     payloads = [(config, i, seeds[i : i + GROUP_SIZE]) for i in range(0, count, GROUP_SIZE)]
     digest = graph_digest(R) if checkpoints is not None else None
-    graph = (R, Y, checkpoints, digest)
-    _hold_graph(graph)
+    _one_blas_thread()
+    _batch_graph = (R, Y, checkpoints, digest)
     try:
-        if workers > 1:
+        if workers > 1 and _POOL_FORKS:
             R.values  # a feature graph's entries: computed here once, not in each worker
             with ProcessPoolExecutor(
                 max_workers=min(workers, len(payloads)),
-                initializer=_hold_graph,
-                initargs=(graph,),
+                mp_context=multiprocessing.get_context("fork"),
             ) as pool:
                 groups = list(pool.map(_single_run, payloads))
         else:
             groups = [_single_run(p) for p in payloads]
     finally:
-        _hold_graph(None)
+        _batch_graph = None
     return [run for group in groups for run in group["runs"]]
 
 
@@ -491,6 +486,9 @@ def load_checkpoint(path: Path, R: AdjacencyMatrix, g: int):
         )
     if not np.all(np.isfinite(weights)):
         raise ConfigError(f"checkpoint {path}: prototypes must be finite")
+    # the distance identity d = Rv - v'Rv/2 holds for weights that sum to 1
+    if np.any(np.abs(weights.sum(axis=1) - 1.0) > 1e-9 * np.abs(weights).sum(axis=1)):
+        raise ConfigError(f"checkpoint {path}: each prototype's weights must sum to 1")
     V = np.zeros((params.c, n))
     V[:, si.train] = weights
     return params, V, si

@@ -86,7 +86,7 @@ class AdjacencyMatrix:
         object.__setattr__(self, "values", a)
 
     def __setstate__(self, state):
-        # unpickling (e.g. into a spawned pool worker) yields writable arrays
+        # unpickling yields writable arrays: a pickled graph comes back read-only
         for a in state.values():
             if a is not None:
                 a.setflags(write=False)

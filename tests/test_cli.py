@@ -708,32 +708,84 @@ class TestTrainCommand:
         assert r2["runs"][0]["seed"] == 77
         assert r1["runs"][0]["sse_trace"]["train"] != r2["runs"][0]["sse_trace"]["train"]
 
+    def train_outputs(self, tmp_path, name, workers, **overrides):
+        """The traced peak of `train --out` with `workers`, and the files it
+        writes, with report.json's `workers` entry read as 1."""
+        cfg = blob_config(tmp_path, workers=workers, **overrides)
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / name)]
+        codes = []
+        peak = traced_peak(lambda: codes.append(main(argv)))
+        assert codes == [EXIT_OK]
+        files = out_files(tmp_path / name)
+        report = Path("report.json")
+        files[report] = files[report].replace(b'"workers": %d' % workers, b'"workers": 1')
+        return peak, files
+
     def assert_pool_matches_sequential(self, tmp_path):
-        cfg_seq = blob_config(tmp_path)
-        out1 = tmp_path / "seq"
-        main(["train", "--config", str(cfg_seq), "--out", str(out1)])
-        cfg_par = blob_config(tmp_path, workers=2)
-        out2 = tmp_path / "par"
-        main(["train", "--config", str(cfg_par), "--out", str(out2)])
-        r1 = json.loads((out1 / "report.json").read_text())
-        r2 = json.loads((out2 / "report.json").read_text())
-        assert r1["runs"] == r2["runs"]
-        names = [f"checkpoints/run_{i}.json" for i in range(2)]
-        names += [f"confusion_{s}.csv" for s in ("train", "test", "val")]
-        for name in names:
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        _, sequential = self.train_outputs(tmp_path, "seq", 1)
+        assert self.train_outputs(tmp_path, "par", 2)[1] == sequential
 
     def test_worker_pool_matches_sequential(self, tmp_path):
         self.assert_pool_matches_sequential(tmp_path)
 
-    def test_spawned_worker_pool_matches_sequential(self, tmp_path, monkeypatch):
-        # spawned workers inherit no module state: the graph must reach them
-        # through the pool itself
-        spawn = functools.partial(
-            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+    def test_pool_forks_whatever_the_default_start_method(self, tmp_path, monkeypatch):
+        # with each start method this Python offers as its default, the pool's
+        # workers fork and inherit the graph: they write the bytes of a
+        # `workers: 1` run, the parent pickles no graph, and its traced peak
+        # stays that of the fork default (a graph pickled once per worker
+        # would add more than one n x n array)
+        pickled = []
+        reduce_ex = relrbf.graph.AdjacencyMatrix.__reduce_ex__
+
+        def recording(graph, protocol):
+            pickled.append(graph.n)
+            return reduce_ex(graph, protocol)
+
+        monkeypatch.setattr(relrbf.graph.AdjacencyMatrix, "__reduce_ex__", recording)
+        n = 600
+        run = functools.partial(
+            self.train_outputs, tmp_path, monte_carlo=6,
+            train={"c_init": 2, "c_max": 3, "seed": 1, "max_epochs": 5},
+            dataset={"kind": "synthetic-blobs", "blobs": {"n": n, "classes": 2, "sep": 8.0, "seed": 3}},
         )
-        monkeypatch.setattr(relrbf.cli, "ProcessPoolExecutor", spawn)
+        _, sequential = run("seq", 1)
+        previous = multiprocessing.get_start_method(allow_none=True)
+        peaks = {}
+        try:
+            for method in multiprocessing.get_all_start_methods():
+                multiprocessing.set_start_method(method, force=True)
+                peaks[method], files = run(method, 2)
+                assert files == sequential, method
+        finally:
+            multiprocessing.set_start_method(previous, force=True)
+        assert pickled == []
+        for method, peak in peaks.items():
+            assert peak - peaks["fork"] <= 0.25 * n * n * 8, method
+
+    def test_pool_only_where_it_forks(self, tmp_path, monkeypatch):
+        # off Linux, `workers: 2` builds no pool and trains the groups in this
+        # process, with the bytes of `workers: 1`
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(relrbf.cli, "_POOL_FORKS", False)
+        monkeypatch.setattr(relrbf.cli, "ProcessPoolExecutor", no_pool)
         self.assert_pool_matches_sequential(tmp_path)
+
+    def test_no_thread_before_the_pool_forks(self, tmp_path, monkeypatch):
+        # Python 3.12 and later warn when a multi-threaded process forks
+        counts = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                counts.append(threading.active_count())
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(relrbf.cli, "ProcessPoolExecutor", RecordingPool)
+        before = threading.active_count()
+        cfg = blob_config(tmp_path, workers=2, monte_carlo=6)
+        assert main(["train", "--config", str(cfg)]) == EXIT_OK
+        assert counts == [before]
 
     def test_outputs_do_not_depend_on_worker_count(self, tmp_path):
         # seven seeds form lock-step groups of five and two whatever the
@@ -946,10 +998,13 @@ class TestEvalCommand:
             lambda ck: ck["sigma"].__setitem__(0, -1.0),
             lambda ck: ck["sigma"].__setitem__(-1, float("nan")),
             lambda ck: ck["w0"].__setitem__(0, float("inf")),
+            # the distance identity needs each prototype's weights to sum to 1
+            lambda ck: ck["prototypes"].__setitem__(0, [2.0 * v for v in ck["prototypes"][0]]),
         ],
         ids=["W-columns", "prototypes-width", "sigma-length", "w0-type", "split-overlap",
              "split-out-of-range", "split-boolean", "split-type", "prototypes-nan",
-             "prototypes-infinity", "sigma-negative", "sigma-nan", "w0-infinity"],
+             "prototypes-infinity", "sigma-negative", "sigma-nan", "w0-infinity",
+             "prototypes-row-sum"],
     )
     def test_arrays_that_do_not_fit(self, tmp_path, capsys, tamper):
         ck = self.train_checkpoint(tmp_path)
