@@ -181,6 +181,14 @@ def apply_transform(R: AdjacencyMatrix, method: str) -> AdjacencyMatrix:
     return AdjacencyMatrix._derived(a)
 
 
+def _labelled_graph(config: ExperimentConfig, verb: str):
+    """The labelled dataset and its graph after the config's transform."""
+    data = load_dataset(config)
+    if data.Y is None:
+        raise ConfigError(f"{verb} requires labels (dataset provides none)")
+    return data, apply_transform(data.R, config.transform)
+
+
 # Monte Carlo runs train in lock-step groups of this many consecutive seeds,
 # sharing one stacked V @ R product per round.
 GROUP_SIZE = 5
@@ -237,6 +245,12 @@ def _single_run(payload):
     return {"runs": [_run_record(r, Y, s) for r, s in zip(results, seeds)]}
 
 
+def _scores(ev: dict) -> dict:
+    """Each split's accuracy and confusion matrix, from an `evaluate_network` result."""
+    return {"accuracy": {k: ev[k]["accuracy"] for k in SPLITS},
+            "confusion": {k: ev[k]["confusion"].tolist() for k in SPLITS}}
+
+
 def _run_record(result, Y, seed: int) -> dict:
     """A run's report entry."""
     ev = evaluate_network(result.output, Y, result.split)
@@ -247,8 +261,7 @@ def _run_record(result, Y, seed: int) -> dict:
         "stop_reason": result.metrics.stop_reason,
         "n_prototypes": int(result.params.c),
         "negative_distance_events": int(sum(result.metrics.negative_distances)),
-        "accuracy": {k: ev[k]["accuracy"] for k in SPLITS},
-        "confusion": {k: ev[k]["confusion"].tolist() for k in SPLITS},
+        **_scores(ev),
         "deviation": {k: finite_or_null(ev[k]["deviation"].ravel()) for k in SPLITS},
         "sse_trace": {k: finite_or_null(getattr(result.metrics, f"sse_{k}")) for k in SPLITS},
         "lr_scale_trace": result.metrics.lr_scale,
@@ -375,10 +388,7 @@ def run_batch(
 
 
 def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
-    data = load_dataset(config)
-    if data.Y is None:
-        raise ConfigError("training requires labels (dataset provides none)")
-    R = apply_transform(data.R, config.transform)
+    data, R = _labelled_graph(config, "training")
     seeds_and_workers = (config.train.seed, config.monte_carlo, config.workers)
     ck_dir = None
     if out is not None:
@@ -464,15 +474,14 @@ def load_checkpoint(path: Path, R: AdjacencyMatrix, g: int):
     missing = [k for k in CHECKPOINT_KEYS if k not in ck]
     if missing:
         raise ConfigError(f"checkpoint {path} lacks key(s) {missing}")
-    n = R.n
     if ck["graph_sha256"] != graph_digest(R):
         raise ConfigError(f"checkpoint {path} was trained on another graph (graph_sha256)")
     split = ck["split"]
     lists = [split.get(k) for k in SPLITS] if isinstance(split, dict) else [None]
     if not all(isinstance(a, list) and all(type(i) is int for i in a) for a in lists):
         raise ConfigError(f"checkpoint {path}: split must map train, test and val to integer lists")
-    if sorted(i for a in lists for i in a) != list(range(n)):
-        raise ConfigError(f"checkpoint {path}: split does not partition the {n} nodes")
+    if sorted(i for a in lists for i in a) != list(range(R.n)):
+        raise ConfigError(f"checkpoint {path}: split does not partition the {R.n} nodes")
     si = SplitIndices(*lists)
     try:
         params = NetworkParams(w0=ck["w0"], W=ck["W"], sigma=ck["sigma"])
@@ -489,26 +498,18 @@ def load_checkpoint(path: Path, R: AdjacencyMatrix, g: int):
     # the distance identity d = Rv - v'Rv/2 holds for weights that sum to 1
     if np.any(np.abs(weights.sum(axis=1) - 1.0) > 1e-9 * np.abs(weights).sum(axis=1)):
         raise ConfigError(f"checkpoint {path}: each prototype's weights must sum to 1")
-    V = np.zeros((params.c, n))
+    V = np.zeros((params.c, R.n))
     V[:, si.train] = weights
     return params, V, si
 
 
 def cmd_eval(config: ExperimentConfig, checkpoint_path: Path, out: Path | None) -> int:
-    data = load_dataset(config)
-    if data.Y is None:
-        raise ConfigError("evaluation requires labels (dataset provides none)")
-    R = apply_transform(data.R, config.transform)
+    data, R = _labelled_graph(config, "evaluation")
     params, V, si = load_checkpoint(checkpoint_path, R, data.Y.shape[1])
     # as in training, a kernel that overflows at some nodes is scored, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         output = forward(prototype_distances(R, V), params)
-    ev = evaluate_network(output, data.Y, si)
-    result = {
-        "checkpoint": str(checkpoint_path),
-        "accuracy": {k: ev[k]["accuracy"] for k in SPLITS},
-        "confusion": {k: ev[k]["confusion"].tolist() for k in SPLITS},
-    }
+    result = {"checkpoint": str(checkpoint_path), **_scores(evaluate_network(output, data.Y, si))}
     for split_name in SPLITS:
         print(f"{split_name:5s} accuracy {result['accuracy'][split_name]:.4f}")
     if out is not None:
@@ -528,9 +529,7 @@ def cmd_duality(config: ExperimentConfig, out: Path | None) -> int:
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         write_json(report.as_dict(), out / "duality.json")
-    if not report.passed:
-        return EXIT_DUALITY
-    return EXIT_OK
+    return EXIT_OK if report.passed else EXIT_DUALITY
 
 
 def cmd_transform(config: ExperimentConfig, method: str, out: Path | None) -> int:

@@ -52,6 +52,30 @@ from relrbf.vector_oracle import duality_check
 from conftest import BAD_NPY, save_bad_npy, traced_peak
 
 
+def strict_json(path):
+    """The JSON value in `path`, which must hold no NaN or Infinity literal."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+def src_env(**extra):
+    """The environment of a subprocess that imports the relrbf these tests
+    import: this checkout's `src`, or the installed package."""
+    src = str(Path(relrbf.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def run_cli(*argv):
+    """`python -m relrbf.cli argv` in a fresh process, where a warning
+    printed on stderr shows (under pytest, `main` in this process never
+    shows one there)."""
+    argv = [sys.executable, "-m", "relrbf.cli", *map(str, argv)]
+    return subprocess.run(argv, env=src_env(), capture_output=True, text=True, timeout=300)
+
+
 def blob_config(tmp_path, **overrides):
     cfg = {
         "dataset": {
@@ -303,6 +327,27 @@ class TestConfigValidation:
         assert raw == before and isinstance(raw["train"]["eta_range"], list)
 
 
+# configs that must exit 2, each with the command it is given and a part of
+# its error line
+BAD_INPUTS = {
+    "misspelled": ({"dataset": {"kind": "synthetic-blobs", "blob": {"n": 12}}}, "ingest",
+                   "'dataset.blob'"),
+    # a non-numeric feature
+    "heart": ({"dataset": {"kind": "heart-cleveland", "path": "heart.data"}}, "ingest",
+              "heart.data:1"),
+    "stray": ({"dataset": {"kind": "synthetic-blobs", "path": "blobs.data"}}, "ingest",
+              "'dataset.path'"),
+    "boolean": ({"dataset": {"kind": "synthetic-blobs"}, "train": {"sigma_min": True}}, "ingest",
+                "train.sigma_min"),
+    "empty-npy": ({"dataset": {"kind": "adjacency-csv", "path": "0x0.npy"}}, "ingest", "0x0.npy"),
+    "empty-csv": ({"dataset": {"kind": "adjacency-csv", "path": "graph.csv"}}, "ingest",
+                  "graph.csv"),
+    # the vector twin has free prototypes only
+    "medoid": ({"dataset": {"kind": "synthetic-blobs", "blobs": {"n": 40}},
+                "train": {"prototype_mode": "medoid"}}, "duality", "free prototypes"),
+}
+
+
 class TestIngestCommand:
     def test_writes_adjacency(self, tmp_path, capsys):
         cfg = blob_config(tmp_path)
@@ -397,30 +442,49 @@ class TestIngestCommand:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("error:") and str(path) in captured.err
 
-    def test_empty_csv_graph_writes_one_error_line(self, tmp_path):
-        # in a subprocess, so that a warning printed before the error shows
-        path = tmp_path / "graph.csv"
-        path.write_text("")
-        cfg = blob_config(tmp_path, dataset={"kind": "adjacency-csv", "path": str(path)})
-        argv = [sys.executable, "-m", "relrbf.cli", "ingest", "--config", str(cfg)]
-        proc = subprocess.run(argv, env=src_env(), capture_output=True, text=True, timeout=300)
+    @pytest.mark.parametrize("name", BAD_INPUTS)
+    def test_bad_input_writes_one_error_line(self, tmp_path, monkeypatch, name):
+        # in a subprocess, so that a warning printed before the error shows:
+        # exit 2 with one error: line, naming the key or file, and nothing
+        # else on stderr
+        raw, command, named = BAD_INPUTS[name]
+        monkeypatch.chdir(tmp_path)
+        Path("heart.data").write_text(
+            "63.0,1.0,1.0,145.0,233.0,1.0,2.0,150.0,0.0,2.3,3.0,0.0,abc,0\n")
+        save_bad_npy("0x0", tmp_path / "0x0.npy")
+        Path("graph.csv").write_text("")
+        Path("config.json").write_text(json.dumps(raw))
+        proc = run_cli(command, "--config", "config.json")
         assert proc.returncode == EXIT_CONFIG and proc.stdout == ""
-        assert proc.stderr.startswith("error:") and str(path) in proc.stderr
+        assert proc.stderr.startswith("error:") and named in proc.stderr
         assert proc.stderr.count("\n") == 1, proc.stderr
 
-    def test_npy_graph_with_labels_trains_and_evaluates(self, tmp_path, capsys):
-        # the graph and labels ingest writes train the runs the blob config
-        # trains, and its checkpoints evaluate on the read-back graph
-        cfg = blob_config(tmp_path)
+    def train_read_back(self, tmp_path, blobs, power):
+        """Ingest the blob dataset `blobs` with --out; train it raised to
+        `power` into "blobs", and the graph and labels ingest wrote, read
+        back and raised to `power`, into "read".  Returns the read-back
+        config."""
+        cfg = blob_config(tmp_path, dataset=blobs)
         assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "ingest")]) == EXIT_OK
+        cfg = blob_config(tmp_path, dataset={**blobs, "power": power})
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "blobs")]) == EXIT_OK
         dataset = {
             "kind": "adjacency-csv",
             "path": str(tmp_path / "ingest" / "adjacency.npy"),
             "labels_path": str(tmp_path / "ingest" / "labels.csv"),
+            "power": power,
         }
         read = blob_config(tmp_path, dataset=dataset)
         assert main(["train", "--config", str(read), "--out", str(tmp_path / "read")]) == EXIT_OK
+        return read
+
+    def test_npy_graph_with_labels_trains_and_evaluates(self, tmp_path, capsys):
+        # the graph and labels ingest writes train the runs the blob config
+        # trains, its checkpoints evaluate on the read-back graph, and the
+        # read-back graph, which has no features, passes duality on its
+        # realization by the spectrum
+        dataset = json.loads(blob_config(tmp_path).read_text())["dataset"]
+        read = self.train_read_back(tmp_path, dataset, 1.0)
         blobs, back = (json.loads((tmp_path / d / "report.json").read_text()) for d in ("blobs", "read"))
         assert back["runs"] == blobs["runs"]
         checkpoint = tmp_path / "blobs" / "checkpoints" / "run_1.json"
@@ -428,6 +492,24 @@ class TestIngestCommand:
         argv = ["eval", "--config", str(read), "--checkpoint", str(checkpoint), "--out", str(eval_out)]
         assert main(argv) == EXIT_OK
         assert json.loads((eval_out / "eval.json").read_text())["accuracy"] == blobs["runs"][1]["accuracy"]
+        capsys.readouterr()
+        assert main(["duality", "--config", str(read)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("duality: PASS")
+
+    def test_power_raises_an_npy_graph_as_it_is_read(self, tmp_path):
+        # the read-back graph raised to 1.5 trains what the blob graph raised
+        # to 1.5 trains: the same runs, aggregate and checkpoint bytes; only
+        # the class names, which the labels file does not hold, differ
+        blobs = {"kind": "synthetic-blobs", "blobs": {"n": 60, "classes": 2, "sep": 8.0, "seed": 3}}
+        self.train_read_back(tmp_path, blobs, 1.5)
+        files = {d: out_files(tmp_path / d) for d in ("blobs", "read")}
+        reports = {d: json.loads(files[d].pop(Path("report.json"))) for d in files}
+        assert reports["blobs"].pop("class_names") == ["class0", "class1"]
+        assert reports["read"].pop("class_names") == ["0", "1"]
+        for report in reports.values():
+            del report["config"]  # names the dataset each was read from
+        assert reports["read"] == reports["blobs"]
+        assert len(files["read"]) == 5 and files["read"] == files["blobs"]
 
     @pytest.mark.parametrize(
         "command, message",
@@ -473,13 +555,6 @@ class TestIngestCommand:
             warnings.simplefilter("error")
             assert main(["ingest", "--config", str(cfg)]) == EXIT_CONFIG
         assert "need at least two observations" in capsys.readouterr().err
-
-
-def src_env(**extra):
-    """The environment of a subprocess that imports this checkout's relrbf."""
-    src = str(Path(relrbf.cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 class TestBlasThreads:
@@ -645,8 +720,9 @@ class TestTrainCommand:
 
     def test_overflowed_responses_are_written_as_null(self, tmp_path, capsys):
         # at seed 11 the best network's kernel overflows at 3 test nodes, and
-        # most of the run's test SSEs are infinite: the report stays strict
-        # JSON, and the deviation summary covers the finite deviations
+        # most of the run's test SSEs are infinite: every JSON file train,
+        # eval and duality write stays strict JSON, and the deviation summary
+        # covers the finite deviations
         cfg = blob_config(
             tmp_path,
             dataset={
@@ -665,12 +741,7 @@ class TestTrainCommand:
             warnings.simplefilter("error", RuntimeWarning)
             argv = ["train", "--config", str(cfg), "--seed", "11", "--out", str(out)]
             assert main(argv) == EXIT_OK
-
-        def reject(token):
-            raise ValueError(f"{token} is not JSON")
-
-        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
-        json.loads((out / "checkpoints" / "run_0.json").read_text(), parse_constant=reject)
+        report = strict_json(out / "report.json")
         run = report["runs"][0]
         deviations = [v for k in ("train", "test", "val") for v in run["deviation"][k]]
         assert deviations.count(None) == 3 and len(deviations) == 900
@@ -690,6 +761,16 @@ class TestTrainCommand:
         assert capsys.readouterr().err == ""
         evaluated = json.loads((out / "eval" / "eval.json").read_text())
         assert evaluated["accuracy"] == run["accuracy"]
+
+        # both trainers' kernels overflow at one node: duality passes, and in
+        # a fresh process it warns of nothing
+        proc = run_cli("duality", "--config", cfg, "--seed", "11", "--out", out / "duality")
+        assert proc.returncode == EXIT_OK and proc.stderr == "", proc.stderr
+        assert proc.stdout.startswith("duality: PASS")
+        written = sorted(out.rglob("*.json"))
+        assert [p.name for p in written] == ["run_0.json", "duality.json", "eval.json", "report.json"]
+        for path in written:
+            strict_json(path)
 
     def test_byte_identical_reports(self, tmp_path):
         cfg = blob_config(tmp_path)
@@ -857,8 +938,10 @@ class TestEvalCommand:
                 "kind": "synthetic-blobs", "power": 1.5, "blobs": {"n": 40, "seed": 3}}}),
             ({}, 1, {"transform": "pmds", "dataset": {
                 "kind": "synthetic-blobs", "power": 1.5, "blobs": {"n": 40, "seed": 3}}}),
+            # a pool worker writes the checkpoint, beside the other mode's batch
+            ({"prototype_mode": "medoid"}, 1, {"workers": 2, "compare_prototype_modes": True}),
         ],
-        ids=["plain", "stratified", "cmds", "cmds-powered", "pmds-powered"],
+        ids=["plain", "stratified", "cmds", "cmds-powered", "pmds-powered", "medoid-pool"],
     )
     def test_checkpoint_round_trip(self, tmp_path, train, run, overrides):
         # eval scores the checkpoint's split with the distances of its
@@ -1052,6 +1135,41 @@ class TestDualityCommand:
         assert saved["passed"] is True and "no_oracle" not in saved
         assert saved["max_scaled_deviation"] <= saved["tol"]
 
+    def test_powered_graph_past_the_full_spectrum_bound(self, tmp_path, capsys, monkeypatch):
+        # at n=400 ingest certifies by Lanczos, without the full spectrum,
+        # that the powered graph is not embeddable; duality passes on its
+        # signed twin
+        cfg = blob_config(tmp_path, dataset={
+            "kind": "synthetic-blobs", "power": 1.5, "blobs": {"n": 400, "dim": 5, "seed": 1}})
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "eigvalsh", None)  # a call would raise TypeError
+            assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+        assert " embeddable=False " in capsys.readouterr().out
+        assert main(["duality", "--config", str(cfg)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("duality: PASS")
+
+    @pytest.mark.parametrize("shifted", [relrbf.engine.RelationalModel, relrbf.engine.VectorModel],
+                             ids=["graph", "vector"])
+    def test_wrong_sign_in_a_shift_fails(self, tmp_path, capsys, monkeypatch, shifted):
+        # a prototype shift against its gradient in one trainer: the twins
+        # diverge, duality_check fails and `duality` exits 3.  Their first
+        # epochs still agree, so the epoch of the first deviation is not
+        # asserted.
+        cfg = blob_config(
+            tmp_path,
+            dataset={"kind": "synthetic-blobs", "blobs": {"n": 60, "classes": 2, "sep": 8.0, "seed": 3}},
+            train={"c_init": 2, "c_max": 4, "seed": 0, "max_epochs": 40, "patience_grow": 2},
+        )
+        out = tmp_path / "out"
+        assert main(["duality", "--config", str(cfg)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("duality: PASS")
+        shift = shifted.shift
+        monkeypatch.setattr(shifted, "shift", lambda self, P, eps_h, etas: shift(self, P, eps_h, -etas))
+        assert main(["duality", "--config", str(cfg), "--out", str(out)]) == EXIT_DUALITY
+        assert capsys.readouterr().out.startswith("duality: FAIL over 20 epochs")
+        saved = json.loads((out / "duality.json").read_text())
+        assert saved["passed"] is False and saved["max_scaled_deviation"] > saved["tol"]
+
     def test_failed_check_exits_3(self, tmp_path, capsys):
         # no two trainers agree to 1e-300 on a powered graph's signed twin
         cfg = blob_config(
@@ -1130,6 +1248,29 @@ class TestTransformDiagnoseCommands:
             "cmds_adjacency.npy", "cmds_eigenvalues.csv", "cmds_embedding.npy",
         ]
         assert capsys.readouterr().out.endswith(f"wrote {out}/cmds_embedding.npy\n")
+
+    def test_transform_outputs_of_a_read_back_graph(self, tmp_path, capsys, monkeypatch):
+        # an embeddable graph without features above the Lanczos size: no
+        # certificate, so validate takes the full spectrum and finds it
+        # embeddable; cmds embeds it by its eigendecomposition
+        cfg = blob_config(tmp_path, dataset={
+            "kind": "synthetic-blobs", "blobs": {"n": 400, "dim": 5, "seed": 1}})
+        assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "ingest")]) == EXIT_OK
+        path = str(tmp_path / "ingest" / "adjacency.npy")
+        read = blob_config(tmp_path, dataset={"kind": "adjacency-csv", "path": path})
+        spectra = []
+        eigvalsh = np.linalg.eigvalsh
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(a.shape) or eigvalsh(a))
+            capsys.readouterr()
+            assert main(["ingest", "--config", str(read)]) == EXIT_OK
+        assert spectra == [(400, 400)] and " embeddable=True " in capsys.readouterr().out
+        out = tmp_path / "t"
+        assert main(["transform", "--config", str(read), "--method", "cmds", "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == [
+            "cmds_adjacency.npy", "cmds_eigenvalues.csv", "cmds_embedding.npy",
+        ]
+        assert capsys.readouterr().out.startswith("cmds: embedded n=400 into d'=5 dimensions")
 
     def test_adjacency_built_only_for_out(self, tmp_path, monkeypatch):
         # the embedding's graph is what cmds_adjacency.npy holds, nothing more

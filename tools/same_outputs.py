@@ -32,6 +32,8 @@ The matrix:
   its entries read at once) through `train`, `eval`, `duality`, `diagnose`
   and `transform --method cmds`, and the `transform: cmds` and
   `transform: pmds` checkpoints evaluated on the read-back graph;
+- that read-back graph with `power: 1.5`, raised as it is read, through
+  `train` and `eval`;
 - inputs that must exit 2.
 """
 
@@ -105,6 +107,7 @@ READBACK = {
     "dataset": {"kind": "adjacency-csv", "path": "medoid/ingest/adjacency.npy",
                 "labels_path": "medoid/ingest/labels.csv"},
 }
+READBACK_POWERED = {**READBACK, "dataset": {**READBACK["dataset"], "power": 1.5}}
 # name -> (config, command) that must exit 2
 BAD = {
     "misspelled": ({"dataset": {**BLOBS, "blob": {"n": 12}}}, "ingest"),
@@ -176,6 +179,12 @@ def matrix(work: Path) -> list[list[str]]:
         # a checkpoint of another graph
         ["eval", *config("other", {**BASE, "dataset": POWERED}),
          "--checkpoint", "medoid/train/checkpoints/run_1.json"],
+    ]
+    cfg = config("readback-powered", READBACK_POWERED)
+    runs += [
+        ["train", *cfg, "--out", "readback-powered/train"],
+        ["eval", *cfg, "--checkpoint", "readback-powered/train/checkpoints/run_1.json",
+         "--out", "readback-powered/eval"],
     ]
     # a transform's checkpoint, evaluated on its read-back graph
     for name in ("cmds", "pmds"):
