@@ -22,6 +22,7 @@ import ctypes
 import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -37,7 +38,7 @@ from .engine import TRAIN_CHECKS, TrainConfig, flag, integer, number, one_of
 from .errors import ConfigError, RelRbfError
 from .graph import AdjacencyMatrix, from_features, validate, write_adjacency
 from .initialization import SPLITS, SplitIndices
-from .network import NetworkParams, finite_or_null, forward
+from .network import NetworkParams, forward
 from .prototypes import FREE, MEDOID, prototype_distances
 # not called here, but perfbench/tracer.py wraps them: train, vat, ivat, write_pgm, write_vat_csv
 from .training import evaluate_network, train, train_group  # noqa: F401
@@ -262,8 +263,8 @@ def _run_record(result, Y, seed: int) -> dict:
         "n_prototypes": int(result.params.c),
         "negative_distance_events": int(sum(result.metrics.negative_distances)),
         **_scores(ev),
-        "deviation": {k: finite_or_null(ev[k]["deviation"].ravel()) for k in SPLITS},
-        "sse_trace": {k: finite_or_null(getattr(result.metrics, f"sse_{k}")) for k in SPLITS},
+        "deviation": {k: ev[k]["deviation"].ravel().tolist() for k in SPLITS},
+        "sse_trace": {k: getattr(result.metrics, f"sse_{k}") for k in SPLITS},
         "lr_scale_trace": result.metrics.lr_scale,
     }
 
@@ -293,7 +294,7 @@ def checkpoint_dict(result, seed: int, digest: str) -> dict:
 
 def aggregate_runs(runs: list, bins: int) -> dict:
     """Deterministic ordered fold over the per-run results; the deviation
-    summary covers the finite deviations (the others are null)."""
+    summary covers the finite deviations, and is nan when there is none."""
     edges = np.linspace(-1.0, 1.0, bins + 1)
     agg: dict = {"accuracy_mean": {}, "accuracy_std": {}, "confusion_mean": {}}
     all_devs = []
@@ -311,8 +312,8 @@ def aggregate_runs(runs: list, bins: int) -> dict:
         histograms[split_name] = counts.tolist()
     pooled = np.concatenate(all_devs)
     agg["deviation"] = {
-        "mean": float(pooled.mean()),
-        "std": float(pooled.std()),
+        "mean": float(pooled.mean()) if pooled.size else math.nan,
+        "std": float(pooled.std()) if pooled.size else math.nan,
         "bin_edges": edges.tolist(),
         "histogram": histograms,
     }
@@ -320,8 +321,16 @@ def aggregate_runs(runs: list, bins: int) -> dict:
 
 
 def json_text(obj: dict) -> str:
-    """The text of every JSON file the CLI writes."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """The text of every JSON file the CLI writes: strict JSON, with each
+    non-finite number (an overflowed network's inf or nan) as null."""
+    def strict(value):
+        if isinstance(value, dict):
+            return {k: strict(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [strict(v) for v in value]
+        return None if isinstance(value, float) and not math.isfinite(value) else value
+
+    return json.dumps(strict(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(obj: dict, path: Path) -> None:
@@ -439,7 +448,7 @@ def cmd_train(config: ExperimentConfig, out: Path | None) -> int:
         )
     dev = report["aggregate"]["deviation"]
     responses = [v for r in runs for k in SPLITS for v in r["deviation"][k]]
-    non_finite = responses.count(None)
+    non_finite = sum(not math.isfinite(v) for v in responses)
     print(
         f"response deviation {dev['mean']:+.4f} +/- {dev['std']:.4f}"
         + (f" ({non_finite} of {len(responses)} responses not finite)" if non_finite else "")
@@ -483,9 +492,16 @@ def load_checkpoint(path: Path, R: AdjacencyMatrix, g: int):
     if sorted(i for a in lists for i in a) != list(range(R.n)):
         raise ConfigError(f"checkpoint {path}: split does not partition the {R.n} nodes")
     si = SplitIndices(*lists)
+
+    def numbers(value, name):  # the config's number rule for each entry of nested lists
+        return [numbers(v, name) for v in value] if isinstance(value, list) else number(value, name)
+
     try:
         params = NetworkParams(w0=ck["w0"], W=ck["W"], sigma=ck["sigma"])
         weights = np.asarray(ck["prototypes"], dtype=float)
+        # numpy has read them, so they nest at most 64 deep; it reads "0.5" and true too
+        for k in ("w0", "W", "sigma", "prototypes"):
+            numbers(ck[k], k)
     except (TypeError, ValueError, RelRbfError) as exc:
         raise ConfigError(f"invalid checkpoint {path}: {exc}") from exc
     if params.g != g or weights.shape != (params.c, si.train.size):
@@ -493,8 +509,6 @@ def load_checkpoint(path: Path, R: AdjacencyMatrix, g: int):
             f"checkpoint {path}: w0/W/sigma/prototypes shapes (g={params.g}) do not fit "
             f"the dataset's g={g} and {si.train.size} training nodes"
         )
-    if not np.all(np.isfinite(weights)):
-        raise ConfigError(f"checkpoint {path}: prototypes must be finite")
     # the distance identity d = Rv - v'Rv/2 holds for weights that sum to 1
     if np.any(np.abs(weights.sum(axis=1) - 1.0) > 1e-9 * np.abs(weights).sum(axis=1)):
         raise ConfigError(f"checkpoint {path}: each prototype's weights must sum to 1")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +83,3 @@ def predict_labels(output: np.ndarray) -> np.ndarray:
     """Class decisions: argmax over outputs, ties to the smallest class index."""
     return np.argmax(np.atleast_2d(output), axis=1)
 
-
-def finite_or_null(values) -> list:
-    """`values` as a JSON list, each non-finite number written as null (an
-    overflowed network can respond with inf or nan)."""
-    return [v if math.isfinite(v) else None for v in np.asarray(values, dtype=float).tolist()]

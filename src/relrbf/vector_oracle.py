@@ -13,7 +13,7 @@ deviation into the worst one as the epoch ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -24,7 +24,6 @@ from .engine import (
 from .errors import ConfigError
 from .graph import AdjacencyMatrix
 from .initialization import SplitIndices, indicator_weights, kmeans_partition
-from .network import finite_or_null
 from .prototypes import FREE
 from .training import relational_model_from_partition
 from .transforms import pseudo_euclidean
@@ -103,17 +102,8 @@ class DualityReport:
         return float(np.max(self.per_epoch_max_dev)) if self.per_epoch_max_dev else 0.0
 
     def as_dict(self) -> dict:
-        """The report as strict JSON: a non-finite deviation is null."""
-        return {
-            "passed": self.passed,
-            "epochs": self.epochs,
-            "tol": self.tol,
-            "max_deviation": finite_or_null([self.max_deviation])[0],
-            "max_scaled_deviation": finite_or_null([self.max_scaled_deviation])[0],
-            "per_epoch_max_dev": finite_or_null(self.per_epoch_max_dev),
-            "field_max_dev": {k: finite_or_null([v])[0] for k, v in self.field_max_dev.items()},
-            "message": self.message,
-        }
+        """The report's fields and its ``max_deviation``, as ``duality.json`` holds them."""
+        return {**asdict(self), "max_deviation": self.max_deviation}
 
 
 def duality_check(

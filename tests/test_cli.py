@@ -772,6 +772,27 @@ class TestTrainCommand:
         for path in written:
             strict_json(path)
 
+    def test_batch_whose_every_response_overflows_writes_its_report(self, tmp_path):
+        # two classes 1e6 apart within and 0 across: at seed 0 the kernel
+        # overflows at every node, so no deviation is finite and the summary
+        # is null; in a fresh process nothing warns
+        i = np.arange(20)
+        same = (i[:, None] % 2 == i[None] % 2) & (i[:, None] != i[None])
+        np.save(tmp_path / "graph.npy", np.where(same, 1e6, 0.0))
+        np.savetxt(tmp_path / "labels.csv", i % 2, fmt="%d")
+        dataset = {"kind": "adjacency-csv", "path": str(tmp_path / "graph.npy"),
+                   "labels_path": str(tmp_path / "labels.csv")}
+        train = {"c_init": 2, "c_max": 2, "max_epochs": 20}
+        cfg = blob_config(tmp_path, dataset=dataset, train=train, monte_carlo=1)
+        out = tmp_path / "out"
+        proc = run_cli("train", "--config", cfg, "--seed", "0", "--out", out)
+        assert proc.returncode == EXIT_OK and proc.stderr == "", proc.stderr
+        assert "(40 of 40 responses not finite)" in proc.stdout
+        report = strict_json(out / "report.json")
+        assert [v for split in report["runs"][0]["deviation"].values() for v in split] == [None] * 40
+        deviation = report["aggregate"]["deviation"]
+        assert deviation["mean"] is None and deviation["std"] is None
+
     def test_byte_identical_reports(self, tmp_path):
         cfg = blob_config(tmp_path)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -1005,6 +1026,7 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert str(checkpoint) in captured.err
         return captured.err
 
     def test_class_count_mismatch(self, tmp_path, capsys):
@@ -1068,6 +1090,12 @@ class TestEvalCommand:
             lambda ck: ck.update(prototypes=[row[:-1] for row in ck["prototypes"]]),
             lambda ck: ck.update(sigma=ck["sigma"][:-1]),
             lambda ck: ck.update(w0="abc"),
+            # numpy reads a number's string as the number and true as 1.0; the
+            # config's number rule reads neither
+            lambda ck: ck.update(w0=[str(v) for v in ck["w0"]]),
+            lambda ck: ck["sigma"].__setitem__(0, True),
+            # an entry numpy cannot read either
+            lambda ck: ck["sigma"].__setitem__(0, {}),
             lambda ck: ck["split"]["test"].append(ck["split"]["train"][0]),
             lambda ck: ck["split"]["val"].__setitem__(-1, sum(map(len, ck["split"].values()))),
             # True == 1, so only the entry's type is wrong
@@ -1084,7 +1112,8 @@ class TestEvalCommand:
             # the distance identity needs each prototype's weights to sum to 1
             lambda ck: ck["prototypes"].__setitem__(0, [2.0 * v for v in ck["prototypes"][0]]),
         ],
-        ids=["W-columns", "prototypes-width", "sigma-length", "w0-type", "split-overlap",
+        ids=["W-columns", "prototypes-width", "sigma-length", "w0-type", "w0-strings",
+             "sigma-boolean", "sigma-object", "split-overlap",
              "split-out-of-range", "split-boolean", "split-type", "prototypes-nan",
              "prototypes-infinity", "sigma-negative", "sigma-nan", "w0-infinity",
              "prototypes-row-sum"],

@@ -17,7 +17,7 @@ from relrbf import (
     prototype_distances,
 )
 from relrbf.errors import DimensionMismatchError, NonpositiveSigmaError
-from relrbf.network import finite_or_null
+from relrbf.cli import json_text
 
 
 class TestGaussianKernel:
@@ -104,8 +104,10 @@ def test_predict_labels_tie_breaks_to_smallest():
 
 
 class TestFiniteOrNull:
+    # json_text writes every JSON file of the CLI, each non-finite number as null
     def test_non_finite_values_become_null(self):
-        out = finite_or_null(np.array([1.5, np.nan, -np.inf, np.inf, -0.0, 5e-324]))
+        values = np.array([1.5, np.nan, -np.inf, np.inf, -0.0, 5e-324]).tolist()
+        out = json.loads(json_text({"values": values}))["values"]
         assert out[:2] == [1.5, None] and out[2:4] == [None, None]
         assert math.copysign(1.0, out[4]) == -1.0 and out[5] == 5e-324
         assert all(type(v) is float for v in out if v is not None)
@@ -114,5 +116,5 @@ class TestFiniteOrNull:
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
     def test_finite_values_survive_json_bitwise(self, values):
         # report.json and duality.json hold these lists as written
-        back = json.loads(json.dumps(finite_or_null(np.array(values, dtype=float))))
+        back = json.loads(json_text({"values": np.array(values, dtype=float).tolist()}))["values"]
         assert np.array(back, dtype=float).tobytes() == np.array(values, dtype=float).tobytes()

@@ -9,6 +9,7 @@ from relrbf import AdjacencyMatrix, NetworkParams, TrainResult, from_features
 from relrbf.datasets import ingest, one_hot, synthetic_blobs
 from relrbf.engine import TrainConfig, VectorModel
 from relrbf.errors import ConfigError, DegenerateShiftError
+from relrbf.cli import json_text
 from relrbf.initialization import init_params, split
 from relrbf.training import train
 from relrbf.vector_oracle import duality_check, vector_kmeans, vector_train
@@ -201,8 +202,8 @@ class TestDualityCheck:
         cfg = TrainConfig(c_init=3, c_max=5, seed=7)
         report = duality_check(from_features(X), config=cfg, epochs=20)
         assert report.passed is False and np.isnan(report.max_deviation)
-        # written as strict JSON, the non-finite deviations are null
-        written = json.loads(json.dumps(report.as_dict(), allow_nan=False))
+        # as duality.json writes it, strict JSON: the non-finite deviations are null
+        written = json.loads(json_text(report.as_dict()))
         assert written["max_deviation"] is None and written["field_max_dev"]["output"] is None
         assert written["per_epoch_max_dev"] == [None] * 20
 

@@ -34,7 +34,11 @@ The matrix:
   `transform: pmds` checkpoints evaluated on the read-back graph;
 - that read-back graph with `power: 1.5`, raised as it is read, through
   `train` and `eval`;
-- inputs that must exit 2.
+- a 20-node graph whose kernel overflows at every node of the run at seed 0
+  (1e6 between nodes of one parity, 0 across), so that no deviation is
+  finite, through `train --out` and `eval` of its `run_0.json`;
+- inputs that must exit 2, among them a checkpoint of that graph with
+  `true` in `sigma`.
 """
 
 from __future__ import annotations
@@ -108,7 +112,21 @@ READBACK = {
                 "labels_path": "medoid/ingest/labels.csv"},
 }
 READBACK_POWERED = {**READBACK, "dataset": {**READBACK["dataset"], "power": 1.5}}
-# name -> (config, command) that must exit 2
+# 1e6 between distinct nodes of one parity, 0 across; labels are the parities
+PARITY = np.arange(20) % 2
+ALL_OVERFLOW_GRAPH = np.where(PARITY[:, None] == PARITY, 1e6, 0.0) * (1 - np.eye(20))
+ALL_OVERFLOW = {
+    "dataset": {"kind": "adjacency-csv", "path": "all-overflow.npy",
+                "labels_path": "all-overflow.csv"},
+    "train": {"c_init": 2, "c_max": 2, "max_epochs": 20},
+}
+# a checkpoint of that graph, valid but for the boolean in `sigma`
+SIGMA_BOOLEAN = {
+    "w0": [0.0, 0.0], "W": [[1.0, 0.0]], "sigma": [True], "prototypes": [[1.0] + [0.0] * 9],
+    "split": {"train": list(range(10)), "test": list(range(10, 15)), "val": list(range(15, 20))},
+    "graph_sha256": hashlib.sha256(ALL_OVERFLOW_GRAPH).hexdigest(),
+}
+# name -> (config, command and its options) that must exit 2
 BAD = {
     "misspelled": ({"dataset": {**BLOBS, "blob": {"n": 12}}}, "ingest"),
     "heart": ({"dataset": {"kind": "heart-cleveland", "path": "heart.data"}}, "ingest"),
@@ -118,10 +136,13 @@ BAD = {
     "empty-csv": ({"dataset": {"kind": "adjacency-csv", "path": "empty.csv"}}, "ingest"),
     "sigma-negative": ({**BASE, "train": {**TRAIN, "sigma_init_range": [-1.0, 0.5]}}, "train"),
     "sigma-zero": ({**BASE, "train": {**TRAIN, "sigma_init_range": [0.0, 0.5]}}, "duality"),
+    "sigma-boolean": (ALL_OVERFLOW, "eval --checkpoint sigma-boolean-checkpoint.json"),
 }
 FILES = {
     "heart.data": b"63.0,1.0,1.0,145.0,233.0,1.0,2.0,150.0,0.0,2.3,3.0,0.0,abc,0\n",
     "empty.csv": b"",
+    "all-overflow.csv": "".join(f"{y}\n" for y in PARITY).encode(),
+    "sigma-boolean-checkpoint.json": json.dumps(SIGMA_BOOLEAN).encode(),
 }
 
 
@@ -134,6 +155,7 @@ def matrix(work: Path) -> list[list[str]]:
     for name, data in FILES.items():
         (work / name).write_bytes(data)
     np.save(work / "empty.npy", np.zeros((0, 0)))
+    np.save(work / "all-overflow.npy", ALL_OVERFLOW_GRAPH)
     ties = ((GRID[:, None] - GRID[None]) ** 2).sum(axis=2)
     np.savetxt(work / "ties.csv", ties, delimiter=",", fmt="%d")
     runs = []
@@ -186,6 +208,12 @@ def matrix(work: Path) -> list[list[str]]:
         ["eval", *cfg, "--checkpoint", "readback-powered/train/checkpoints/run_1.json",
          "--out", "readback-powered/eval"],
     ]
+    cfg = config("all-overflow", ALL_OVERFLOW)
+    runs += [
+        ["train", *cfg, "--seed", "0", "--out", "all-overflow/train"],
+        ["eval", *cfg, "--checkpoint", "all-overflow/train/checkpoints/run_0.json",
+         "--out", "all-overflow/eval"],
+    ]
     # a transform's checkpoint, evaluated on its read-back graph
     for name in ("cmds", "pmds"):
         dataset = {"kind": "adjacency-csv", "path": f"{name}/ingest/adjacency.npy",
@@ -193,7 +221,7 @@ def matrix(work: Path) -> list[list[str]]:
         cfg = config(f"readback-{name}", {**BASE, "dataset": dataset, "transform": name})
         runs += [["eval", *cfg, "--checkpoint", f"{name}/train/checkpoints/run_1.json",
                   "--out", f"readback-{name}/eval"]]
-    runs += [[command, *config(name, raw)] for name, (raw, command) in BAD.items()]
+    runs += [[*command.split(), *config(name, raw)] for name, (raw, command) in BAD.items()]
     return runs
 
 
