@@ -322,15 +322,26 @@ def aggregate_runs(runs: list, bins: int) -> dict:
 
 def json_text(obj: dict) -> str:
     """The text of every JSON file the CLI writes: strict JSON, with each
-    non-finite number (an overflowed network's inf or nan) as null."""
-    def strict(value):
-        if isinstance(value, dict):
-            return {k: strict(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [strict(v) for v in value]
-        return None if isinstance(value, float) and not math.isfinite(value) else value
+    non-finite number (an overflowed network's inf or nan) as null, laid out
+    as `json.dumps(obj, sort_keys=True, indent=2)` lays it out, and a final line break."""
+    return _json(obj, "\n") + "\n"
 
-    return json.dumps(strict(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+def _json(value, newline: str) -> str:
+    """`value`'s JSON text, where `newline` breaks a line of its level."""
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        # json's text of a key (a string, number, bool or None) is that in {key: 0}
+        body = (json.dumps({k: 0}, allow_nan=False)[1:-2] + _json(v, inner)
+                for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(body) + newline + "}"
+    if isinstance(value, (list, tuple)) and value:
+        floats = set(map(type, value)) == {float} and all(map(math.isfinite, value))
+        # most of a report is lists of finite floats, written in one join
+        body = map(float.__repr__, value) if floats else (_json(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(body) + newline + "]"
+    finite = not isinstance(value, float) or math.isfinite(value)
+    return json.dumps(value if finite else None)  # a scalar, {} or []
 
 
 def write_json(obj: dict, path: Path) -> None:

@@ -152,7 +152,7 @@ def adapt_learning_rate(
     (an overflowed step) or above ``config.mse_reject_ratio`` times the old
     one, decaying the rate scale; else accept it, growing the scale when the
     error strictly improved.  Returns the new scale and ACCEPTED or the cause."""
-    if not np.isfinite(mse_new):
+    if not math.isfinite(mse_new):
         return scale * config.lr_decay, NONFINITE_MSE
     if mse_new > config.mse_reject_ratio * mse_old:
         return scale * config.lr_decay, MSE_RISE
@@ -182,7 +182,8 @@ def output_step(w0, W, H, eps_o, eta_w0, eta_W, tr):
     w0[k] += eta_w0[k] sum_i eps_o[i, k];  W[j, k] += eta_W[j, k] sum_i h[j, i] eps_o[i, k].
     Returns the new (w0, W).
     """
-    return w0 + eta_w0 * eps_o[tr].sum(axis=0), W + eta_W * (H[:, tr] @ eps_o[tr])
+    eps_tr = eps_o[tr]
+    return w0 + eta_w0 * eps_tr.sum(axis=0), W + eta_W * (H[:, tr] @ eps_tr)
 
 
 def shift_coefficients(W, H, eps_o, sigma, train_mask):
@@ -192,7 +193,9 @@ def shift_coefficients(W, H, eps_o, sigma, train_mask):
     the training set.  Moving prototype j by eta sum_i eps_h[j, i] (x_i - v_j)
     is a descent step on the squared error.
     """
-    eps_h = (W @ eps_o.T) * H / sigma[:, None] ** 2
+    eps_h = W @ eps_o.T
+    eps_h *= H
+    eps_h /= sigma[:, None] ** 2
     eps_h[:, ~train_mask] = 0.0
     return eps_h
 
@@ -203,7 +206,10 @@ def bandwidth_step(sigma, W, H, D, eps_o, eta, tr, sigma_min):
     sigma_j += eta_j sum_i (sum_k eps_o[i, k] W[j, k]) h[j, i] d[j, i] / sigma_j^3,
     clamped below by ``sigma_min``.
     """
-    terms = (W @ eps_o.T) * H * D / sigma[:, None] ** 3
+    terms = W @ eps_o.T
+    terms *= H
+    terms *= D
+    terms /= sigma[:, None] ** 3
     return np.maximum(sigma + eta * terms[:, tr].sum(axis=1), sigma_min)
 
 
@@ -248,13 +254,13 @@ class RelationalModel:
         return prototype_distances(self.R, V)
 
     def shift(self, V: np.ndarray, eps_h: np.ndarray, etas: np.ndarray) -> np.ndarray:
-        s = eps_h.sum(axis=1)
-        new_V = (1.0 - etas * s)[:, None] * V + etas[:, None] * eps_h
+        new_V = (1.0 - etas * eps_h.sum(axis=1))[:, None] * V
+        new_V += etas[:, None] * eps_h
         # Sums equal 1 up to roundoff; renormalize so drift cannot accumulate.
         sums = new_V.sum(axis=1)
-        if np.any(np.abs(sums) < 1e-12):
+        if (np.abs(sums) < 1e-12).any():
             raise DegenerateShiftError("shifted weights sum to zero")
-        return new_V / sums[:, None]
+        return np.divide(new_V, sums[:, None], out=new_V)
 
     def grow(self, V: np.ndarray, m: int) -> np.ndarray:
         row = np.zeros((1, V.shape[1]))
@@ -346,10 +352,10 @@ def evaluate(Y, si: SplitIndices, D, w0, W, sigma) -> Evaluation:
     # Oversized steps overflow the kernel; the resulting non-finite MSE is
     # rejected by the acceptance rule rather than raising here.
     with np.errstate(over="ignore", invalid="ignore"):
-        H = gaussian_kernel(D, sigma[:, None])
+        H = gaussian_kernel(D, sigma[:, None], checked=False)
         Yhat = response(H, W, w0)
         err = Y - Yhat
-        sq = np.sum(err**2, axis=1)
+        sq = (err**2).sum(axis=1)
     return Evaluation(H, Yhat, err, *(float(sq[idx].sum()) for idx in (si.train, si.val, si.test)))
 
 
@@ -402,7 +408,7 @@ def epoch(state: RunState, model, Y, config: TrainConfig):
         cause = DEGENERATE_SHIFT
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            H2 = gaussian_kernel(D_new, s.sigma[:, None])
+            H2 = gaussian_kernel(D_new, s.sigma[:, None], checked=False)
             sigma_new = bandwidth_step(
                 s.sigma, W_new, H2, D_new, output_errors(Y, H2, W_new, w0_new),
                 rates.scale * rates.sigma, tr, config.sigma_min,
@@ -410,7 +416,7 @@ def epoch(state: RunState, model, Y, config: TrainConfig):
         new = evaluate(Y, s.split, D_new, w0_new, W_new, sigma_new)
         # Negative distances can overflow sigma to inf, where the kernel is 1
         # and the MSE stays finite; such a step has diverged too.
-        finite = np.all(np.isfinite(sigma_new))
+        finite = np.isfinite(sigma_new).all()
         mse_new = new.sse_train / tr.size if finite else np.inf
         mse_old = s.current.sse_train / tr.size
         rates.scale, cause = adapt_learning_rate(rates.scale, mse_new, mse_old, config)
@@ -528,10 +534,11 @@ def run_lockstep(runs: list) -> list:
                 answers[i] = model.distances(P)
         for members in stacks.values():
             R = waiting[members[0]][0].R
-            Ps = [waiting[i][1] for i in members]
-            D = prototype_distances(R, np.concatenate(Ps))
-            ends = np.cumsum([P.shape[0] for P in Ps])
-            answers.update(zip(members, np.split(D, ends[:-1])))
+            D = prototype_distances(R, np.concatenate([waiting[i][1] for i in members]))
+            start = 0
+            for i in members:
+                end = start + waiting[i][1].shape[0]
+                answers[i], start = D[start:end], end
     return results
 
 

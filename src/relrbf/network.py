@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +29,9 @@ class NetworkParams:
             raise DimensionMismatchError(
                 f"W shape {W.shape} incompatible with g={w0.shape[0]}, c={sigma.shape[0]}"
             )
-        if not (
-            np.all(np.isfinite(w0)) and np.all(np.isfinite(W)) and np.all(np.isfinite(sigma))
-        ):
+        if not (np.isfinite(w0).all() and np.isfinite(W).all() and np.isfinite(sigma).all()):
             raise ValueError("network parameters must be finite")
-        if np.any(sigma <= 0):
+        if (sigma <= 0).any():
             raise NonpositiveSigmaError(f"bandwidths must be positive, got min {sigma.min()}")
         for a in (w0, W, sigma):
             a.setflags(write=False)
@@ -49,15 +48,18 @@ class NetworkParams:
         return self.w0.shape[0]
 
 
-def gaussian_kernel(d, sigma):
-    """exp(-d / (2 sigma^2)); elementwise over broadcastable inputs."""
+def gaussian_kernel(d, sigma, *, checked=True):
+    """exp(-d / (2 sigma^2)); elementwise over broadcastable inputs.  Raises
+    NonpositiveSigmaError for a sigma <= 0, unless not ``checked``: the
+    trainer, whose bandwidths stay positive and which ignores overflow itself."""
     sigma = np.asarray(sigma, dtype=float)
-    if np.any(sigma <= 0):
+    if checked and (sigma <= 0).any():
         raise NonpositiveSigmaError("sigma must be strictly positive")
     # a huge finite sigma overflows to an infinite width: the intended kernel of 1
-    with np.errstate(over="ignore"):
-        width = 2.0 * sigma**2
-    return np.exp(-np.asarray(d, dtype=float) / width)
+    with np.errstate(over="ignore") if checked else nullcontext():
+        neg_width = -(2.0 * sigma**2)
+    h = np.divide(d, neg_width, dtype=float)  # -d / w bit for bit (a NaN keeps d's sign)
+    return np.exp(h, out=h) if h.ndim else np.exp(h)
 
 
 def forward(D: np.ndarray, params: NetworkParams) -> np.ndarray:

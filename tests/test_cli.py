@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import io
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -17,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relrbf.cli
 import relrbf.engine
@@ -33,6 +36,7 @@ from relrbf.cli import (
     KIND_KEYS,
     SEEDED_COMMANDS,
     ExperimentConfig,
+    json_text,
     load_dataset,
     main,
 )
@@ -1591,6 +1595,72 @@ class TestOutputBytes:
             relrbf.graph, "_raised", lambda a, p: relrbf.graph.AdjacencyMatrix(a**p)
         )
         assert self.run_all(cfg, tmp_path / "validated") == fast
+
+
+def reference_json_text(obj) -> str:
+    """The text `json_text` writes, by the standard library: each non-finite
+    float nulled, then `json.dumps`'s strict, sorted, 2-space layout."""
+    def strict(value):
+        if isinstance(value, dict):
+            return {k: strict(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [strict(v) for v in value]
+        return None if isinstance(value, float) and not math.isfinite(value) else value
+
+    return json.dumps(strict(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+EDGE_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, -2.5, 1 / 3]
+) | st.floats()
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | EDGE_FLOATS | st.text()
+JSON_VALUES = st.recursive(
+    # lists of floats, with booleans and integers among them, and empty lists
+    JSON_SCALARS | st.lists(EDGE_FLOATS) | st.lists(EDGE_FLOATS | st.booleans() | st.integers()),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+class TestJsonText:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    def test_text_is_the_standard_librarys(self, value):
+        for obj in (value, {"value": value}):
+            assert json_text(obj) == reference_json_text(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {"a": np.zeros(2)}, {"a": [1.0, np.float32(1.0)]}, {"a": {"b": {1, 2}}}, [np.int64(3)],
+        {(1, 2): 0.5}, {"a": [1.0, 2.0, object()]},
+    ])
+    def test_what_json_cannot_encode_raises_type_error(self, obj):
+        with pytest.raises(TypeError):
+            reference_json_text(obj)
+        with pytest.raises(TypeError):
+            json_text(obj)
+
+    def test_every_written_file_is_the_standard_librarys_text(self, tmp_path, monkeypatch, capsys):
+        # train --out (report and checkpoints), then eval --out and duality --out
+        wanted = {}
+        write_json = relrbf.cli.write_json
+
+        def recording(obj, path):
+            wanted[Path(path)] = reference_json_text(obj)
+            write_json(obj, path)
+
+        monkeypatch.setattr(relrbf.cli, "write_json", recording)
+        cfg = str(blob_config(tmp_path, monte_carlo=3))
+        out = tmp_path / "out"
+        checkpoint = out / "train" / "checkpoints" / "run_1.json"
+        for argv in (["train", "--out", out / "train"],
+                     ["eval", "--checkpoint", checkpoint, "--out", out / "eval"],
+                     ["duality", "--out", out / "duality"]):
+            assert main([argv[0], "--config", cfg, *map(str, argv[1:])]) == EXIT_OK
+        files = set(out.rglob("*.json"))
+        assert files == set(wanted) and len(files) == 6
+        for path in files:
+            assert path.read_text() == wanted[path], path
 
 
 class TestPairedModeComparison:

@@ -38,6 +38,42 @@ class TestGaussianKernel:
         assert np.all(h > 0) and np.all(h <= 1)
         assert np.all(np.diff(h) < 0)
 
+    @staticmethod
+    def reference(d, sigma):
+        return np.exp(-np.asarray(d, dtype=float) / (2.0 * np.asarray(sigma, dtype=float) ** 2))
+
+    def test_bits_on_edge_inputs(self):
+        # kernel 1 where 2 sigma^2 overflows, above 1 and inf at negative d,
+        # 1 at d = 0 (of either sign), subnormal and 0 far out
+        d = np.array([0.0, -0.0, 1.0, -1.0, -1500.0, -1e300, 1480.0, 1490.0, 1e300, 2000.0])
+        sigma = np.array([1.0, 0.5, 1e-3, 1e160, 1e300])[:, None]
+        with np.errstate(over="ignore"):
+            want = self.reference(d, sigma)
+            got = gaussian_kernel(d, sigma)
+            unchecked = gaussian_kernel(d, sigma, checked=False)
+        assert got.tobytes() == want.tobytes() == unchecked.tobytes()
+        assert got.shape == (5, 10)
+        assert np.all(got[3:] == 1.0) and got[0, 3] > 1.0 and np.isinf(got[0, 4])
+        assert np.all(got[:, :2] == 1.0)
+        assert 0.0 < got[0, 6] < np.finfo(float).tiny and got[0, 9] == 0.0
+        assert np.isnan(gaussian_kernel(np.array([np.nan, -np.nan]), 1.0)).all()
+
+    @pytest.mark.parametrize("d, sigma", [
+        (2.0, 1.0), (np.array(2.0), np.array(0.5)), (3, 2), (np.array(1.5), 1.0),
+        ([0.0, 1.0, 4.0], 1.0), (np.array([1.0, 2.0]), np.array([[0.5], [2.0]])),
+    ], ids=["scalars", "0-d", "ints", "0-d-scalar", "list", "broadcast"])
+    @pytest.mark.parametrize("checked", [True, False])
+    def test_scalars_and_arrays(self, d, sigma, checked):
+        got = gaussian_kernel(d, sigma, checked=checked)
+        want = self.reference(d, sigma)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.0, -0.0, -1.0, np.array(0.0), np.array([[1.0], [0.0]])])
+    def test_nonpositive_sigma_of_any_shape(self, sigma):
+        with pytest.raises(NonpositiveSigmaError):
+            gaussian_kernel(np.ones((2, 3)), sigma)
+
 
 class TestForward:
     def test_single_prototype_identity(self):

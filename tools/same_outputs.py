@@ -6,9 +6,13 @@ Run from anywhere; SRC is a `src` directory holding a `relrbf` package.  The
 script runs one fixed matrix of `relrbf` commands twice, each time in a fresh
 temporary directory: once with this tree's `src` on PYTHONPATH and once with
 SRC.  For every command it compares the exit code, stdout, stderr and the
-sha256 of each file the command wrote.  It prints only the differences and
-exits 1 on any, 0 when there is none.  Every process gets one BLAS thread, so
-two runs of one tree on one host agree byte for byte.
+sha256 of each file the command wrote.  It prints the differences, then its
+verdict (how many commands differ) and each tree's wall time for the whole
+matrix, and exits 1 on any difference, 0 when there is none; the wall times
+never change the exit code.  The matrix trains in configs the benchmark never
+runs (medoid, pmds, growth, the pool, overflowing steps), so its wall times
+show whether a speed change slowed any of them.  Every process gets one BLAS
+thread, so two runs of one tree on one host agree byte for byte.
 
 The matrix:
 - each benchmark workload's command sequence (`perfbench/workloads.py`) at
@@ -51,6 +55,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -289,12 +294,20 @@ def main(argv=None) -> int:
     if not (src / "relrbf" / "cli.py").is_file():
         print(f"error: no relrbf package under {src}", file=sys.stderr)
         return 2
+    trees, records, walls = (ROOT / "src", src), [], []
+    for tree in trees:
+        start = time.perf_counter()
+        records.append(run_matrix(tree))
+        walls.append(time.perf_counter() - start)
     found = 0
-    for ours, theirs in zip(run_matrix(ROOT / "src"), run_matrix(src)):
+    for ours, theirs in zip(*records):
         lines = differences(ours, theirs)
         if lines:
             found += 1
             print(f"relrbf {ours['argv']}", *lines, sep="\n")
+    print(f"{found} of {len(records[0])} commands differ")
+    for name, tree, wall in zip(("this", "against"), trees, walls):
+        print(f"{name} tree's matrix: {wall:.1f} s wall ({tree})")
     return 1 if found else 0
 
 
